@@ -3,20 +3,30 @@
 All stages read and write local files only. A run is fully determined by its
 inputs, the configuration file, and the seeds inside it; outputs are
 byte-identical across repeated runs (timestamps live in isolated metadata
-blocks of the JSON sidecars).
+blocks of the JSON sidecars). CSV and JSON files go through `tables`.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+The configuration is `RunConfig`. Its sections and their value types come
+from the dataclasses that consume them: `priors` is `model.PriorSpec`, `hmc`
+is `inference.HmcConfig`, and the other sections are the dataclasses below.
+`--set key.path=value` overrides are parsed as JSON (a value that is not JSON
+is taken as a string), merged into the file's values, and checked exactly
+like them: unknown keys are rejected, an int is accepted where a float is
+expected, and any other mismatch (a bool or non-integral number for an int,
+a string for a number) is a validation error.
+
+Exit codes: 0 success, 2 validation error or unreadable file, 3 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,6 +35,10 @@ import numpy as np
 from . import fuzzy, inference, model, possibility, ppc
 from . import kernel as kernel_mod
 from .errors import NumericalError, ValidationError
+from .inference import HmcConfig
+from .model import PriorSpec
+from . import tables
+from .tables import write_json as _write_json
 
 logger = logging.getLogger("grancount")
 
@@ -36,32 +50,6 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PriorConfig:
-    coef_sd: float = 5.0
-    log_dispersion_sd: float = 1.5
-    log_precision_shape_sd: float = 1.5
-    log_precision_rate_sd: float = 1.5
-    log_extra_dispersion_sd: float = 1.0
-
-    def to_spec(self) -> model.PriorSpec:
-        return model.PriorSpec(**dataclasses.asdict(self))
-
-
-@dataclass
-class HmcSection:
-    n_chains: int = 4
-    n_warmup: int = 1000
-    n_draws: int = 1000
-    target_accept: float = 0.8
-    max_leapfrog: int = 512
-    seed: int = 0
-    init_jitter: float = 0.5
-
-    def to_config(self) -> inference.HmcConfig:
-        return inference.HmcConfig(**dataclasses.asdict(self))
 
 
 @dataclass
@@ -102,8 +90,8 @@ class RunConfig:
     add_intercept: bool = True
     workers: int = 1
     car_tol: float = 1.0e-9
-    priors: PriorConfig = field(default_factory=PriorConfig)
-    hmc: HmcSection = field(default_factory=HmcSection)
+    priors: PriorSpec = field(default_factory=PriorSpec)
+    hmc: HmcConfig = field(default_factory=HmcConfig)
     fit: FitSection = field(default_factory=FitSection)
     ppc: PpcSection = field(default_factory=PpcSection)
     simulate: SimulateSection = field(default_factory=SimulateSection)
@@ -121,48 +109,41 @@ class RunConfig:
             raise ValidationError("ppc.n_reps must be >= 1 and ppc.grid >= 2")
         if not self.car_tol > 0.0:
             raise ValidationError("car_tol must be strictly positive")
-        self.hmc.to_config()
-        self.priors.to_spec()
         return self
+
+
+def _check_value(value, kind, path):
+    """Return `value` as the declared type `kind`, or raise ValidationError."""
+    if dataclasses.is_dataclass(kind):
+        return _build_section(kind, value, path)
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ValidationError(f"config key '{path}' must be a list, got {value!r}")
+        (item,) = typing.get_args(kind)
+        return [_check_value(v, item, path) for v in value]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind is float and number:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    if kind in (bool, str) and isinstance(value, kind):
+        return value
+    raise ValidationError(f"config key '{path}' must be {kind.__name__}, got {value!r}")
 
 
 def _build_section(cls, payload, path):
     if not isinstance(payload, dict):
         raise ValidationError(f"config section '{path}' must be a mapping")
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(payload) - set(known)
+    hints = typing.get_type_hints(cls)
+    unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValidationError(
             f"unknown config key(s): {', '.join(sorted(path + '.' + u for u in unknown))}"
         )
-    kwargs = {}
-    for name, value in payload.items():
-        f = known[name]
-        if dataclasses.is_dataclass(f.type) or f.name in (
-            "priors",
-            "hmc",
-            "fit",
-            "ppc",
-            "simulate",
-            "truncation",
-        ):
-            kwargs[name] = _build_section(_SECTION_TYPES[name], value, f"{path}.{name}")
-        else:
-            kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(f"config section '{path}': {exc}") from None
-
-
-_SECTION_TYPES = {
-    "priors": PriorConfig,
-    "hmc": HmcSection,
-    "fit": FitSection,
-    "ppc": PpcSection,
-    "simulate": SimulateSection,
-    "truncation": TruncationSection,
-}
+    return cls(**{k: _check_value(v, hints[k], f"{path}.{k}") for k, v in payload.items()})
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
@@ -180,7 +161,6 @@ def load_config(path=None, overrides=()) -> RunConfig:
                 raise ValidationError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ValidationError(f"{path}: top level must be a JSON object")
-    config = _build_section(RunConfig, payload, "config")
     for item in overrides:
         if "=" not in item:
             raise ValidationError(f"override '{item}' must look like key.path=value")
@@ -189,17 +169,14 @@ def load_config(path=None, overrides=()) -> RunConfig:
             value = json.loads(raw_value)
         except json.JSONDecodeError:
             value = raw_value
-        target = config
-        parts = raw_key.split(".")
-        for part in parts[:-1]:
-            if not hasattr(target, part) or not dataclasses.is_dataclass(getattr(target, part)):
-                raise ValidationError(f"unknown config section '{raw_key}'")
-            target = getattr(target, part)
-        leaf = parts[-1]
-        if not hasattr(target, leaf) or dataclasses.is_dataclass(getattr(target, leaf)):
-            raise ValidationError(f"unknown config key '{raw_key}'")
-        setattr(target, leaf, value)
-    return config.validate()
+        *sections, leaf = raw_key.split(".")
+        target = payload
+        for part in sections:
+            target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                raise ValidationError(f"override '{item}': '{part}' is not a config section")
+        target[leaf] = value
+    return _build_section(RunConfig, payload, "config").validate()
 
 
 def config_to_json(config: RunConfig) -> str:
@@ -220,36 +197,14 @@ def _metadata(stage: str, config: RunConfig | None = None) -> dict:
 
 def _read_covariates_csv(path):
     """Read sample_id, covariate columns, and an optional offset column."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if not header or header[0] != "sample_id":
-            raise ValidationError(f"{path}: first column must be 'sample_id'")
-        names = header[1:]
-        has_offset = bool(names) and names[-1] == "offset"
-        if has_offset:
-            names = names[:-1]
-        ids, rows, offsets = [], [], []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValidationError(f"{path}: line {i}: wrong cell count")
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                raise ValidationError(f"{path}: line {i}: malformed numeric cell") from None
-            ids.append(row[0])
-            if has_offset:
-                offsets.append(values[-1])
-                values = values[:-1]
-            rows.append(values)
-    if not ids:
-        raise ValidationError(f"{path}: no data rows")
-    matrix = np.array(rows, dtype=np.float64)
-    offset_arr = np.array(offsets) if has_offset else np.ones(len(ids))
-    return ids, tuple(names), matrix, offset_arr
+    header, rows = tables.read_table(
+        path, lambda h: h[:1] == ["sample_id"], "first column must be 'sample_id'"
+    )
+    ids = [row[0] for _, row in rows]
+    values = np.array([tables.parse_floats(path, i, header[1:], row[1:]) for i, row in rows])
+    if header[-1] == "offset":
+        return ids, tuple(header[1:-1]), values[:, :-1], values[:, -1]
+    return ids, tuple(header[1:]), values, np.ones(len(ids))
 
 
 def _align(stats_ids, cov_ids):
@@ -286,12 +241,6 @@ def _build_regression_spec(stats_path, covariates_path, add_intercept):
     return ids, spec, observations
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
@@ -320,32 +269,15 @@ def _fit_row(payload):
 
 
 def cmd_fit(args, config: RunConfig) -> int:
-    with open(args.counts, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{args.counts}: empty file") from None
-        if len(header) < 2 or header[0] != "id":
-            raise ValidationError(f"{args.counts}: expected header 'id,y0,...,yK'")
-        raw = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValidationError(f"{args.counts}: line {i}: wrong cell count")
-            try:
-                raw.append((row[0], [float(v) for v in row[1:]]))
-            except ValueError:
-                raise ValidationError(f"{args.counts}: line {i}: malformed cell") from None
-
+    rows = possibility.read_count_rows(args.counts)
     usable, dropped = [], 0
-    for sample_id, values in raw:
-        arr = np.asarray(values)
-        if arr.size < 2 or arr.max() <= 0.0:
+    for _, sample_id, values in rows:
+        if values.size < 2 or values.max() <= 0.0:
             logger.info("stage=fit sample=%s dropped reason=empty-support", sample_id)
             dropped += 1
             continue
-        if arr.max() < 1.0 - 1.0e-9:
-            logger.info("stage=fit sample=%s dropped reason=not-normalized max=%g", sample_id, arr.max())
+        if values.max() < 1.0 - 1.0e-9:
+            logger.info("stage=fit sample=%s dropped reason=not-normalized max=%g", sample_id, values.max())
             dropped += 1
             continue
         usable.append((sample_id, values))
@@ -366,7 +298,7 @@ def cmd_fit(args, config: RunConfig) -> int:
     n_degenerate = sum(1 for f in fits if f.degenerate)
     logger.info(
         "stage=fit in=%d fitted=%d dropped=%d degenerate=%d out=%s",
-        len(raw), len(fits), dropped, n_degenerate, args.out,
+        len(rows), len(fits), dropped, n_degenerate, args.out,
     )
     return EXIT_OK
 
@@ -404,25 +336,21 @@ def cmd_simulate(args, config: RunConfig) -> int:
     data = model.simulate(spec, params, config.seed, config.model)
     ids = [f"s{i:05d}" for i in range(n)]
 
-    with open(args.out_data, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["sample_id", "c", "h", "K"]
-        if data.latent_counts is not None:
-            header.append("y_latent")
-        writer.writerow(header)
-        for i, obs in enumerate(data.observations):
-            row = [ids[i], repr(obs.location), repr(obs.precision), obs.k_max]
-            if data.latent_counts is not None:
-                row.append(int(data.latent_counts[i]))
-            writer.writerow(row)
-
-    with open(args.out_covariates, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", *cov_names[1:], "offset"])
-        for i in range(n):
-            writer.writerow(
-                [ids[i], *[repr(v) for v in matrix[i, 1:]], repr(float(spec.offsets[i]))]
-            )
+    header = ["sample_id", "c", "h", "K"]
+    rows = [
+        [sample_id, obs.location, obs.precision, obs.k_max]
+        for sample_id, obs in zip(ids, data.observations)
+    ]
+    if data.latent_counts is not None:
+        header.append("y_latent")
+        for row, y in zip(rows, data.latent_counts):
+            row.append(int(y))
+    tables.write_table(args.out_data, header, rows)
+    tables.write_table(
+        args.out_covariates,
+        ["sample_id", *cov_names[1:], "offset"],
+        ([sample_id, *x, offset] for sample_id, x, offset in zip(ids, matrix[:, 1:], spec.offsets)),
+    )
 
     sidecar = {
         "model": config.model,
@@ -462,7 +390,7 @@ def _posterior_from_files(args, config: RunConfig):
     post = model.Posterior(
         spec,
         data,
-        config.priors.to_spec(),
+        config.priors,
         config.model,
         exact_truncation=config.truncation.exact,
         tail_mass=config.truncation.tail_mass,
@@ -479,7 +407,7 @@ def cmd_infer(args, config: RunConfig) -> int:
     )
     draws = inference.sample(
         post.logp_and_grad,
-        config.hmc.to_config(),
+        config.hmc,
         post.initial_point(),
         names=post.names,
         constrain=post.constrain,
@@ -657,6 +585,9 @@ def main(argv=None) -> int:
         raise ValidationError(f"unknown command {args.command!r}")
     except ValidationError as exc:
         logger.error("validation error: %s", exc)
+        return EXIT_VALIDATION
+    except (OSError, UnicodeDecodeError) as exc:
+        logger.error("cannot read or write a file: %s", exc)
         return EXIT_VALIDATION
     except NumericalError as exc:
         logger.error("numerical failure: %s", exc)

@@ -13,12 +13,12 @@ counts to scalars (centroid defuzzification).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import tables
 from .errors import ValidationError
 from .possibility import MembershipVector
 
@@ -99,15 +99,6 @@ def membership_grid(fz: BetaFuzzy) -> np.ndarray:
     out = np.zeros(t.size)
     finite = np.isfinite(div)
     out[finite] = np.exp(-fz.precision * div[finite])
-    return out
-
-
-def unit_memberships(location_scaled, precision, t_grid: np.ndarray) -> np.ndarray:
-    """Memberships of a unit-scaled Beta-type set on an arbitrary [0, 1] grid."""
-    div = bernoulli_kl(float(location_scaled), t_grid)
-    out = np.zeros(np.shape(div))
-    finite = np.isfinite(div)
-    out[finite] = np.exp(-float(precision) * div[finite])
     return out
 
 
@@ -305,46 +296,27 @@ def write_stats_csv(path, ids, fits) -> None:
     fits = list(fits)
     if len(ids) != len(fits):
         raise ValidationError("ids and fits must have matching length")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "c", "h", "K", "sse", "converged"])
-        for sample_id, fit in zip(ids, fits):
-            writer.writerow(
-                [
-                    sample_id,
-                    repr(float(fit.params.location)),
-                    repr(float(fit.params.precision)),
-                    fit.params.k_max,
-                    repr(float(fit.sse)),
-                    "true" if fit.converged else "false",
-                ]
-            )
+    rows = (
+        [sample_id, float(fit.params.location), float(fit.params.precision), fit.params.k_max,
+         float(fit.sse), "true" if fit.converged else "false"]
+        for sample_id, fit in zip(ids, fits)
+    )
+    tables.write_table(path, ["sample_id", "c", "h", "K", "sse", "converged"], rows)
 
 
 def read_stats_csv(path):
     """Read fitted statistics; returns (ids, locations, precisions, k_maxes)."""
+    expected = ["sample_id", "c", "h", "K"]
+    _, rows = tables.read_table(
+        path,
+        lambda header: [name.strip() for name in header[:4]] == expected,
+        f"expected columns {','.join(expected)}[,sse,converged]",
+    )
     ids, locs, precs, ks = [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        expected = ["sample_id", "c", "h", "K"]
-        if [h.strip() for h in header[:4]] != expected:
-            raise ValidationError(
-                f"{path}: expected columns {','.join(expected)}[,sse,converged]"
-            )
-        for i, row in enumerate(reader, start=2):
-            if len(row) < 4:
-                raise ValidationError(f"{path}: line {i}: too few cells")
-            try:
-                ids.append(row[0])
-                locs.append(float(row[1]))
-                precs.append(float(row[2]))
-                ks.append(int(float(row[3])))
-            except ValueError:
-                raise ValidationError(f"{path}: line {i}: malformed numeric cell") from None
-    if not ids:
-        raise ValidationError(f"{path}: no data rows")
+    for i, row in rows:
+        c, h = tables.parse_floats(path, i, expected[1:3], row[1:3])
+        ids.append(row[0])
+        locs.append(c)
+        precs.append(h)
+        ks.append(tables.parse_int(path, i, "K", row[3]))
     return ids, np.array(locs), np.array(precs), np.array(ks, dtype=np.int64)

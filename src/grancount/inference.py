@@ -13,8 +13,7 @@ autocorrelation sum.
 
 from __future__ import annotations
 
-import csv
-import json
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import rankdata
 
+from . import tables
 from .errors import NumericalError, ValidationError
 
 # Hamiltonian error beyond this marks the transition as divergent.
@@ -367,19 +367,7 @@ def sample(target, config: HmcConfig, init, names=None, constrain=None) -> Poste
         step_size=np.array(step_sizes),
         inv_mass=np.stack(masses),
     )
-    table = diagnostics(result)
-    return PosteriorDraws(
-        names=result.names,
-        draws=result.draws,
-        chain=result.chain,
-        iteration=result.iteration,
-        energy=result.energy,
-        divergent=result.divergent,
-        accept_rate=result.accept_rate,
-        step_size=result.step_size,
-        inv_mass=result.inv_mass,
-        diagnostics=table,
-    )
+    return dataclasses.replace(result, diagnostics=diagnostics(result))
 
 
 # ---------------------------------------------------------------------------
@@ -485,49 +473,26 @@ def diagnostics(draws: PosteriorDraws) -> DiagnosticsTable:
 
 
 def write_draws_csv(path, draws: PosteriorDraws) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", "iter", *draws.names, "energy", "divergent"])
-        for i in range(draws.draws.shape[0]):
-            writer.writerow(
-                [
-                    int(draws.chain[i]),
-                    int(draws.iteration[i]),
-                    *[repr(float(v)) for v in draws.draws[i]],
-                    repr(float(draws.energy[i])),
-                    "1" if draws.divergent[i] else "0",
-                ]
-            )
+    columns = zip(draws.chain, draws.iteration, draws.draws, draws.energy, draws.divergent)
+    rows = ([c, i, *values, e, "1" if d else "0"] for c, i, values, e, d in columns)
+    tables.write_table(path, ["chain", "iter", *draws.names, "energy", "divergent"], rows)
 
 
 def read_draws_csv(path) -> PosteriorDraws:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if header[:2] != ["chain", "iter"] or header[-2:] != ["energy", "divergent"]:
-            raise ValidationError(
-                f"{path}: expected header 'chain,iter,<params>,energy,divergent'"
-            )
-        names = tuple(header[2:-2])
-        if not names:
-            raise ValidationError(f"{path}: no parameter columns")
-        chain, iters, rows, energy, divergent = [], [], [], [], []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValidationError(f"{path}: line {i}: wrong cell count")
-            try:
-                chain.append(int(row[0]))
-                iters.append(int(row[1]))
-                rows.append([float(v) for v in row[2:-2]])
-                energy.append(float(row[-2]))
-                divergent.append(row[-1] == "1")
-            except ValueError:
-                raise ValidationError(f"{path}: line {i}: malformed cell") from None
-    if not rows:
-        raise ValidationError(f"{path}: no draws")
+    header, rows = tables.read_table(
+        path,
+        lambda h: len(h) > 4 and h[:2] == ["chain", "iter"] and h[-2:] == ["energy", "divergent"],
+        "expected header 'chain,iter,<params>,energy,divergent'",
+        "draws",
+    )
+    names = tuple(header[2:-2])
+    chain, iters, values, energy = [], [], [], []
+    for i, row in rows:
+        chain.append(tables.parse_int(path, i, "chain", row[0]))
+        iters.append(tables.parse_int(path, i, "iter", row[1]))
+        *params, e = tables.parse_floats(path, i, header[2:-1], row[2:-1])
+        values.append(params)
+        energy.append(e)
     chain_arr = np.array(chain, dtype=np.int64)
     n_chains = int(chain_arr.max()) + 1
     counts = [int((chain_arr == c).sum()) for c in range(n_chains)]
@@ -535,11 +500,11 @@ def read_draws_csv(path) -> PosteriorDraws:
         raise ValidationError(f"{path}: chains have unequal draw counts")
     return PosteriorDraws(
         names=names,
-        draws=np.array(rows),
+        draws=np.array(values),
         chain=chain_arr,
         iteration=np.array(iters, dtype=np.int64),
         energy=np.array(energy),
-        divergent=np.array(divergent, dtype=bool),
+        divergent=np.array([row[-1] == "1" for _, row in rows], dtype=bool),
         accept_rate=np.full(n_chains, np.nan),
         step_size=np.full(n_chains, np.nan),
         inv_mass=np.full((n_chains, len(names)), np.nan),
@@ -557,6 +522,4 @@ def write_diagnostics_json(path, draws: PosteriorDraws, metadata=None) -> None:
     }
     if metadata is not None:
         payload["metadata"] = metadata
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tables.write_json(path, payload)

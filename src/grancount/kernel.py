@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tables
 from .errors import ValidationError
 from .possibility import MembershipVector
 
@@ -205,9 +206,7 @@ def kernel_to_json(kern: ReportingKernel, path) -> None:
     }
     if kern.names is not None:
         payload["names"] = list(kern.names)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tables.write_json(path, payload)
 
 
 def kernel_from_json(path) -> ReportingKernel:

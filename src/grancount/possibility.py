@@ -13,11 +13,11 @@ threshold (alpha-cut) characterisation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import tables
 from .errors import ValidationError
 
 # Brute force enumerates all 2^n subsets; refuse anything bigger than this.
@@ -209,38 +209,23 @@ def _as_count_vector(values: np.ndarray, referent: int) -> MembershipVector:
 
 def read_possibility_csv(path) -> PossibilityAssignment:
     """Read a possibility matrix: header of referent names, one row per observation."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        names = [h.strip() for h in header]
-        if not names or any(not n for n in names):
-            raise ValidationError(f"{path}: header must list non-empty referent names")
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(names):
+    header, rows = tables.read_table(
+        path,
+        lambda h: bool(h) and all(n.strip() for n in h),
+        "header must list non-empty referent names",
+        "observation rows",
+    )
+    names = [h.strip() for h in header]
+    degrees = []
+    for i, row in rows:
+        values = tables.parse_floats(path, i, names, row)
+        for name, value in zip(names, values):
+            if not 0.0 <= value <= 1.0:
                 raise ValidationError(
-                    f"{path}: line {i} has {len(row)} cells, expected {len(names)}"
+                    f"{path}: line {i}, column '{name}': degree {value} outside [0, 1]"
                 )
-            values = []
-            for j, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: line {i}, column '{names[j]}': not a number: {cell!r}"
-                    ) from None
-                if not 0.0 <= value <= 1.0:
-                    raise ValidationError(
-                        f"{path}: line {i}, column '{names[j]}': degree {value} outside [0, 1]"
-                    )
-                values.append(value)
-            rows.append(values)
-    if not rows:
-        raise ValidationError(f"{path}: no observation rows")
-    return PossibilityAssignment(np.array(rows), tuple(names))
+        degrees.append(values)
+    return PossibilityAssignment(np.array(degrees), tuple(names))
 
 
 def write_counts_csv(path, names, vectors) -> None:
@@ -253,36 +238,32 @@ def write_counts_csv(path, names, vectors) -> None:
     k = vectors[0].k_max
     if any(v.k_max != k for v in vectors):
         raise ValidationError("all count vectors must share the same truncation level")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"y{y}" for y in range(k + 1)])
-        for name, vec in zip(names, vectors):
-            writer.writerow([name] + [repr(float(v)) for v in vec.memberships])
+    tables.write_table(
+        path,
+        ["id"] + [f"y{y}" for y in range(k + 1)],
+        ([name, *vec.memberships] for name, vec in zip(names, vectors)),
+    )
+
+
+def read_count_rows(path) -> list[tuple[int, str, np.ndarray]]:
+    """Rows of a granular-count table as (line_no, id, values), values unchecked."""
+    header, rows = tables.read_table(
+        path,
+        lambda h: len(h) >= 2 and h[0] == "id",
+        "expected header 'id,y0,...,yK'",
+        "referent rows",
+    )
+    return [(i, row[0], np.array(tables.parse_floats(path, i, header[1:], row[1:])))
+            for i, row in rows]
 
 
 def read_counts_csv(path) -> tuple[list[str], list[MembershipVector]]:
     """Read a granular-count table back into membership vectors."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    names, vectors = [], []
+    for i, name, values in read_count_rows(path):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if len(header) < 2 or header[0] != "id":
-            raise ValidationError(f"{path}: expected header 'id,y0,...,yK'")
-        names, vectors = [], []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValidationError(f"{path}: line {i} has wrong cell count")
-            try:
-                values = np.array([float(c) for c in row[1:]])
-            except ValueError:
-                raise ValidationError(f"{path}: line {i}: non-numeric membership") from None
-            names.append(row[0])
-            try:
-                vectors.append(MembershipVector(values))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: line {i}: {exc}") from None
-    if not vectors:
-        raise ValidationError(f"{path}: no referent rows")
+            vectors.append(MembershipVector(values))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: line {i}: {exc}") from None
+        names.append(name)
     return names, vectors

@@ -11,12 +11,11 @@ data put u_cross close to u_obs.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import tables
 from .errors import ValidationError
 from .inference import PosteriorDraws
 from .model import (
@@ -227,19 +226,9 @@ def run_ppc(
 
 
 def write_ppc_csv(path, summary: PpcSummary) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rep_id", "u_rep", "u_cross", "scaled_mean", "iqr80"])
-        for r in range(summary.scaled_mean.size):
-            writer.writerow(
-                [
-                    r,
-                    repr(float(summary.u_rep[r])),
-                    repr(float(summary.u_cross[r])),
-                    repr(float(summary.scaled_mean[r])),
-                    repr(float(summary.iqr80[r])),
-                ]
-            )
+    rows = zip(range(summary.scaled_mean.size), summary.u_rep, summary.u_cross,
+               summary.scaled_mean, summary.iqr80)
+    tables.write_table(path, ["rep_id", "u_rep", "u_cross", "scaled_mean", "iqr80"], rows)
 
 
 def write_ppc_json(path, summary: PpcSummary, metadata=None) -> None:
@@ -257,6 +246,4 @@ def write_ppc_json(path, summary: PpcSummary, metadata=None) -> None:
     }
     if metadata is not None:
         payload["metadata"] = metadata
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tables.write_json(path, payload)

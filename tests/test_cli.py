@@ -1,0 +1,81 @@
+"""Contract tests for the command-line pipeline, run in-process through `cli.main`."""
+
+import json
+import logging
+from pathlib import Path
+
+import pytest
+
+from grancount import cli
+
+DATA = Path(cli.__file__).parent / "data"
+SMALL = [
+    "--set", "hmc.n_chains=2",
+    "--set", "hmc.n_warmup=50",
+    "--set", "hmc.n_draws=50",
+    "--set", "hmc.max_leapfrog=16",
+    "--set", "ppc.n_reps=20",
+]
+
+
+def run(*argv):
+    assert cli.main([*SMALL, *map(str, argv)]) == cli.EXIT_OK
+
+
+def demo_pipeline(out: Path) -> Path:
+    out.mkdir()
+    covariates = DATA / "demo_covariates.csv"
+    run("count", DATA / "demo_possibility.csv", "--out", out / "counts.csv")
+    run("fit", out / "counts.csv", "--out", out / "stats.csv")
+    run("infer", out / "stats.csv", covariates,
+        "--out-draws", out / "draws.csv", "--out-diagnostics", out / "diagnostics.json")
+    run("ppc", out / "draws.csv", out / "stats.csv", covariates,
+        "--out-csv", out / "ppc.csv", "--out-json", out / "ppc.json")
+    return out
+
+
+def without_metadata(path: Path) -> dict:
+    payload = json.loads(path.read_text())
+    del payload["metadata"]
+    return payload
+
+
+def test_demo_pipeline_reruns_are_identical(tmp_path):
+    first = demo_pipeline(tmp_path / "first")
+    second = demo_pipeline(tmp_path / "second")
+    for name in ("counts.csv", "stats.csv", "draws.csv", "ppc.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    for name in ("diagnostics.json", "ppc.json"):
+        assert without_metadata(first / name) == without_metadata(second / name), name
+
+
+def test_simulate_output_feeds_infer(tmp_path):
+    run("--set", "simulate.n_samples=20", "simulate",
+        "--out-data", tmp_path / "data.csv", "--out-covariates", tmp_path / "covariates.csv",
+        "--out-params", tmp_path / "params.json")
+    run("infer", tmp_path / "data.csv", tmp_path / "covariates.csv",
+        "--out-draws", tmp_path / "draws.csv", "--out-diagnostics", tmp_path / "diagnostics.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--set", "hmc.n_chains=2.5", "show-config"],
+        ["--set", 'workers="a"', "show-config"],
+        ["--set", "hmc.n_draws=true", "show-config"],
+        ["--set", "simulate.k=2.5", "show-config"],
+        ["--set", "car_tol=1" + "0" * 400, "show-config"],
+        ["--set", "validate=1", "show-config"],
+        ["count", "no-such-file.csv", "--out", "counts.csv"],
+        ["count", "latin1.csv", "--out", "counts.csv"],
+    ],
+    ids=["non-integral-int", "string-for-int", "bool-for-int", "non-integral-k",
+         "int-beyond-float", "unknown-key", "missing-input", "not-utf8"],
+)
+def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, caplog):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.csv").write_bytes("g\u00e8ne\n1.0\n".encode("latin-1"))
+    with caplog.at_level(logging.ERROR, logger="grancount"):
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "\n" not in errors[0], errors

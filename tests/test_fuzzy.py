@@ -189,6 +189,7 @@ class TestStatsCsv:
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "stats.csv"
-        path.write_text("sample_id,c,h,K\ns1,1.0,bad,20\n")
-        with pytest.raises(ValidationError, match="line 2"):
-            read_stats_csv(path)
+        for row in ("s1,1.0,bad,20", "s1,1.0,5.0,48.9"):
+            path.write_text(f"sample_id,c,h,K\n{row}\n")
+            with pytest.raises(ValidationError, match="line 2"):
+                read_stats_csv(path)
