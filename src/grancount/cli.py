@@ -238,7 +238,7 @@ def _build_regression_spec(stats_path, covariates_path, add_intercept):
         model.FuzzyObservation(location=c, precision=h, k_max=int(k))
         for c, h, k in zip(locations, precisions, ks)
     ]
-    return ids, spec, observations
+    return spec, observations
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +372,19 @@ def cmd_simulate(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _posterior_from_files(args, config: RunConfig):
-    ids, spec, observations = _build_regression_spec(
+def cmd_infer(args, config: RunConfig) -> int:
+    spec, observations = _build_regression_spec(
         args.stats, args.covariates, config.add_intercept
     )
+    data = observations
     if config.model == "scalar":
-        counts = np.array(
+        data = np.array(
             [
                 round(fuzzy.beta_centroid(fuzzy.BetaFuzzy(o.location, o.precision, o.k_max)))
                 for o in observations
             ],
             dtype=np.float64,
         )
-        data = counts
-    else:
-        data = observations
     post = model.Posterior(
         spec,
         data,
@@ -395,11 +393,6 @@ def _posterior_from_files(args, config: RunConfig):
         exact_truncation=config.truncation.exact,
         tail_mass=config.truncation.tail_mass,
     )
-    return ids, spec, observations, post
-
-
-def cmd_infer(args, config: RunConfig) -> int:
-    ids, spec, observations, post = _posterior_from_files(args, config)
     logger.info(
         "stage=infer model=%s n=%d p=%d chains=%d warmup=%d draws=%d",
         config.model, spec.n_samples, spec.n_covariates,
@@ -446,9 +439,11 @@ def cmd_infer(args, config: RunConfig) -> int:
 
 
 def cmd_ppc(args, config: RunConfig) -> int:
-    ids, spec, observations, _ = _posterior_from_files(args, config)
     if config.model == "scalar":
         raise ValidationError("ppc supports the cnar, car1, and car2 models")
+    spec, observations = _build_regression_spec(
+        args.stats, args.covariates, config.add_intercept
+    )
     draws = inference.read_draws_csv(args.draws)
     expected = model.parameter_names(config.model, spec.covariate_names)
     if list(draws.names) != expected:

@@ -61,6 +61,19 @@ def bernoulli_kl(m, t):
     return float(out[0]) if scalar else out
 
 
+def kl_membership(m, h, t) -> np.ndarray:
+    """exp(-h * kl(m, t)) for broadcastable arrays of locations, precisions, grid.
+
+    The divergence of `bernoulli_kl` for m and t in [0, 1], vectorised over m
+    as well, without its input checks and without clipping rounding residue
+    below 0. Infinite divergences give membership 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = np.where(m > 0.0, m * (np.log(m) - np.log(t)), 0.0)
+        right = np.where(m < 1.0, (1.0 - m) * (np.log1p(-m) - np.log1p(-t)), 0.0)
+    return np.exp(-h * (left + right))
+
+
 @dataclass(frozen=True)
 class BetaFuzzy:
     """Parametric fuzzy count: location in [0, K], precision > 0."""
@@ -164,14 +177,9 @@ def _sse(mv_values: np.ndarray, t_grid: np.ndarray, c_scaled: float, h: float) -
 
 def _scan_c(mv_values: np.ndarray, t_grid: np.ndarray, h: float) -> int:
     """Best integer location for a fixed precision (vectorised, chunked)."""
-    t = t_grid[None, :]
     best_idx, best_sse = 0, np.inf
     for start in range(0, t_grid.size, 256):
-        m = t_grid[start : start + 256, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left = np.where(m > 0.0, m * (np.log(m) - np.log(t)), 0.0)
-            right = np.where(m < 1.0, (1.0 - m) * (np.log1p(-m) - np.log1p(-t)), 0.0)
-        fitted = np.exp(-h * (left + right))
+        fitted = kl_membership(t_grid[start : start + 256, None], h, t_grid[None, :])
         resid = fitted - mv_values[None, :]
         sse = np.einsum("ij,ij->i", resid, resid)
         j = int(np.argmin(sse))

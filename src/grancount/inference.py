@@ -3,8 +3,10 @@
 Plain HMC with a jittered number of leapfrog steps (uniform on
 {1..max_leapfrog}), dual-averaging step-size adaptation toward a target
 acceptance rate, and a diagonal mass matrix estimated from the second half
-of warmup. Chains use independent counter-based random streams derived from
-(seed, chain), so results are reproducible and chain order is irrelevant.
+of warmup. `leapfrog` is the one integrator: the transitions and the initial
+step-size search both call it. Chains use independent counter-based random
+streams derived from (seed, chain), so results are reproducible and chain
+order is irrelevant.
 
 Convergence diagnostics follow the rank-normalised split R-hat and bulk
 effective sample size recipe, with Geyer's initial monotone sequence for the
@@ -51,34 +53,27 @@ class HmcConfig:
             raise ValidationError("init_jitter must be non-negative")
 
 
-def leapfrog(grad_field, position, momentum, step, n_steps, inv_mass=None):
+def leapfrog(target, q, p, grad, step, n_steps, inv_mass):
     """Volume-preserving leapfrog integration of Hamiltonian dynamics.
 
-    `grad_field` maps a position to the gradient of the log density. Returns
-    (position, momentum, diverged); a non-finite trajectory sets the flag
-    instead of raising.
+    `target` maps a position to (log density, gradient), and `grad` is the
+    gradient at the start `q`; `inv_mass` is the diagonal inverse metric.
+    Returns (q, p, logp, grad, diverged) at the end of the trajectory. A
+    non-finite log density or gradient stops it and sets the flag instead of
+    raising; the momentum then stays at its last completed update.
     """
     if step <= 0.0:
         raise ValidationError("step must be positive")
     if n_steps < 1:
         raise ValidationError("n_steps must be at least 1")
-    q = np.array(position, dtype=np.float64)
-    p = np.array(momentum, dtype=np.float64)
-    if inv_mass is None:
-        inv_mass = np.ones_like(q)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-        raise ValidationError("position and momentum must be finite")
-    grad = np.asarray(grad_field(q), dtype=np.float64)
-    if not np.all(np.isfinite(grad)):
-        return q, p, True
     p = p + 0.5 * step * grad
     for i in range(n_steps):
         q = q + step * inv_mass * p
-        grad = np.asarray(grad_field(q), dtype=np.float64)
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(grad))):
-            return q, p, True
+        logp, grad = target(q)
+        if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
+            return q, p, logp, grad, True
         p = p + (step if i < n_steps - 1 else 0.5 * step) * grad
-    return q, p, False
+    return q, p, logp, grad, False
 
 
 @dataclass
@@ -182,17 +177,13 @@ def _reasonable_epsilon(target, q, logp, grad, rng, inv_mass) -> float:
     """Double or halve the step until one leapfrog step is borderline-accepted."""
     eps = 1.0
     p = rng.standard_normal(q.size) / np.sqrt(inv_mass)
+    h0 = -logp + 0.5 * np.sum(p * p * inv_mass)
 
     def one_step(eps_try):
-        p_half = p + 0.5 * eps_try * grad
-        q_new = q + eps_try * inv_mass * p_half
-        logp_new, grad_new = target(q_new)
-        if not np.isfinite(logp_new):
+        _, p_new, logp_new, _, diverged = leapfrog(target, q, p, grad, eps_try, 1, inv_mass)
+        if diverged:
             return -np.inf
-        p_new = p_half + 0.5 * eps_try * grad_new
-        h0 = -logp + 0.5 * np.sum(p * p * inv_mass)
-        h1 = -logp_new + 0.5 * np.sum(p_new * p_new * inv_mass)
-        return h0 - h1
+        return h0 - (-logp_new + 0.5 * np.sum(p_new * p_new * inv_mass))
 
     log_ratio = one_step(eps)
     while not np.isfinite(log_ratio) and eps > 1.0e-10:
@@ -252,18 +243,9 @@ def _run_chain(target, config: HmcConfig, init: np.ndarray, chain_index: int, di
         h0 = -logp + 0.5 * np.sum(p * p * inv_mass)
         n_steps = int(rng.integers(1, config.max_leapfrog + 1))
 
-        q_new, p_new = q, p
-        logp_new, grad_new = logp, grad
-        diverged = False
-        p_new = p + 0.5 * eps * grad
-        for step in range(n_steps):
-            q_new = q_new + eps * inv_mass * p_new
-            logp_new, grad_new = target(q_new)
-            if not (np.isfinite(logp_new) and np.all(np.isfinite(grad_new))):
-                diverged = True
-                break
-            p_new = p_new + (eps if step < n_steps - 1 else 0.5 * eps) * grad_new
-
+        q_new, p_new, logp_new, grad_new, diverged = leapfrog(
+            target, q, p, grad, eps, n_steps, inv_mass
+        )
         if diverged:
             accept_prob = 0.0
             h1 = np.inf

@@ -18,8 +18,12 @@ Four observed-data likelihoods are provided:
                 up the missing count variability;
 * ``scalar`` -- plain negative binomial regression on defuzzified counts.
 
-All four expose exact analytic gradients on an unconstrained scale (log
-transforms for positive parameters), packaged for the HMC sampler.
+Each likelihood is implemented once, in `Posterior`, with its exact analytic
+gradient on an unconstrained scale (log transforms for positive parameters);
+`Posterior.logp_and_grad` adds the prior and is the HMC sampler's target. The
+free functions `*_observed_loglik`, `log_posterior` and `grad_log_posterior`
+are views of it: the first evaluate the likelihood at constrained-scale
+`ModelParams`, the other two the posterior at one unconstrained point.
 """
 
 from __future__ import annotations
@@ -249,106 +253,6 @@ def gamma_precision_loglik(precisions: np.ndarray, shape: float, rate: float) ->
     )
 
 
-# ---------------------------------------------------------------------------
-# observed-data log likelihoods
-# ---------------------------------------------------------------------------
-
-
-def _mixture_count_loglik(
-    spec: RegressionSpec,
-    mu: np.ndarray,
-    kappa: float,
-    locations: np.ndarray,
-    precisions: np.ndarray,
-    k: np.ndarray,
-) -> float:
-    """Per-sample log of sum_y trunc_pmf(y) * beta_density(cbar | h, ybar(y))."""
-    total = 0.0
-    cbar = clamp_scaled_location(locations, k)
-    for i in range(spec.n_samples):
-        grid = np.arange(k[i] + 1)
-        lp = negbin_log_pmf(grid, mu[i], kappa)
-        log_norm = _logsumexp(lp)
-        if log_norm < _LOG_TINY:
-            raise NumericalError(f"sample {i}: truncation incompatible with mean")
-        ybar = corrected_scaled_count(grid, k[i])
-        b = cond_location_log_density(cbar[i], precisions[i], ybar)
-        term = _logsumexp(lp + b) - log_norm
-        if not np.isfinite(term):
-            raise NumericalError(f"sample {i}: non-finite likelihood contribution")
-        total += term
-    return total
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    peak = values.max()
-    if not np.isfinite(peak):
-        return float(peak)
-    return float(peak + np.log(np.exp(values - peak).sum()))
-
-
-def cnar_observed_loglik(spec: RegressionSpec, params: ModelParams, data) -> float:
-    """Observed-data log likelihood with the latent count marginalised out."""
-    params.require("dispersion", "precision_shape", "precision_rate")
-    locations, precisions, k = observation_arrays(data)
-    _check_alignment(spec, locations, k)
-    if locations.size == 0:
-        return 0.0
-    mu = linear_means(spec, params)
-    gamma_block = gamma_precision_loglik(
-        precisions, params.precision_shape, params.precision_rate
-    )
-    count_block = _mixture_count_loglik(
-        spec, mu, params.dispersion, locations, precisions, k
-    )
-    return gamma_block + count_block
-
-
-def _car_loglik(spec: RegressionSpec, params: ModelParams, data, scale) -> float:
-    locations, precisions, k = observation_arrays(data)
-    _check_alignment(spec, locations, k)
-    if locations.size == 0:
-        return 0.0
-    mu = linear_means(spec, params)
-    cbar = clamp_scaled_location(locations, k)
-    m = np.clip(mu / k, 1.0 / (2.0 * k + 2.0), 1.0 - 1.0 / (2.0 * k + 2.0))
-    beta_block = cond_location_log_density(cbar, scale * precisions, m).sum()
-    gamma_block = gamma_precision_loglik(
-        precisions, params.precision_shape, params.precision_rate
-    )
-    return float(gamma_block + beta_block)
-
-
-def car1_observed_loglik(spec: RegressionSpec, params: ModelParams, data) -> float:
-    """Ignorable baseline: report location conditioned on the scaled mean only.
-
-    No latent count appears, so this likelihood carries no count-level
-    variability (and no dispersion parameter).
-    """
-    params.require("precision_shape", "precision_rate")
-    return _car_loglik(spec, params, data, scale=1.0)
-
-
-def car2_observed_loglik(spec: RegressionSpec, params: ModelParams, data) -> float:
-    """Ignorable baseline with Beta shapes scaled by the extra dispersion."""
-    params.require("precision_shape", "precision_rate", "extra_dispersion")
-    return _car_loglik(spec, params, data, scale=params.extra_dispersion)
-
-
-def scalar_observed_loglik(spec: RegressionSpec, params: ModelParams, counts) -> float:
-    """Negative binomial regression on scalar (defuzzified) counts."""
-    params.require("dispersion")
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.shape != (spec.n_samples,):
-        raise ValidationError("counts must have one entry per sample")
-    if np.any(counts < 0.0):
-        raise ValidationError("counts must be non-negative")
-    if counts.size == 0:
-        return 0.0
-    mu = linear_means(spec, params)
-    return float(negbin_log_pmf(counts, mu, params.dispersion).sum())
-
-
 def _check_alignment(spec: RegressionSpec, locations, k) -> None:
     if locations.size != spec.n_samples:
         raise ValidationError(
@@ -430,15 +334,9 @@ def pack_params(params: ModelParams, model: str) -> np.ndarray:
 
 def unpack_params(phi: np.ndarray, n_covariates: int, model: str) -> ModelParams:
     """Unconstrained vector -> constrained parameters."""
-    model = check_model_name(model)
-    phi = np.asarray(phi, dtype=np.float64)
-    labels = _POSITIVE_BLOCKS[model]
-    if phi.shape != (n_covariates + len(labels),):
-        raise ValidationError(
-            f"parameter vector for '{model}' must have length {n_covariates + len(labels)}"
-        )
-    values = {label: float(np.exp(phi[n_covariates + j])) for j, label in enumerate(labels)}
-    return ModelParams(coef=phi[:n_covariates].copy(), **values)
+    values = np.array(phi, dtype=np.float64, ndmin=1)
+    values[n_covariates:] = np.exp(values[n_covariates:])
+    return params_from_constrained(values, n_covariates, model)
 
 
 def params_from_constrained(values, n_covariates: int, model: str) -> ModelParams:
@@ -487,6 +385,8 @@ class Posterior:
         self.priors = priors
         self.exact_truncation = bool(exact_truncation)
         self.tail_mass = float(tail_mass)
+        if not 0.0 <= self.tail_mass < 1.0:
+            raise ValidationError(f"tail_mass must lie in [0, 1), got {tail_mass!r}")
         self.n_covariates = spec.n_covariates
         self.names = parameter_names(
             model, spec.covariate_names, n_covariates=spec.n_covariates
@@ -556,14 +456,23 @@ class Posterior:
         out[self.n_covariates :] = np.exp(phi[self.n_covariates :])
         return out
 
-    def to_params(self, phi: np.ndarray) -> ModelParams:
-        return unpack_params(phi, self.n_covariates, self.model)
-
     def logp(self, phi: np.ndarray) -> float:
         return self.logp_and_grad(phi)[0]
 
     def logp_and_grad(self, phi: np.ndarray):
         phi = np.asarray(phi, dtype=np.float64)
+        ll, grad = self._loglik_and_grad(phi)
+        prior_ll, prior_grad = self._prior_logp_grad(phi)
+        logp = ll + prior_ll
+        if not np.isfinite(logp):
+            return -np.inf, np.zeros(self.dim)
+        return float(logp), grad + prior_grad
+
+    def _loglik_and_grad(self, phi: np.ndarray):
+        """Observed-data log likelihood and its gradient, without the prior.
+
+        Returns log likelihood -inf where it cannot be evaluated.
+        """
         if phi.shape != (self.dim,):
             raise ValidationError(f"parameter vector must have length {self.dim}")
         if not np.all(np.isfinite(phi)):
@@ -576,10 +485,10 @@ class Posterior:
             return -np.inf, np.zeros(self.dim)
         mu = np.exp(eta)
         if self.model == "cnar":
-            return self._cnar_logp_grad(phi, mu)
+            return self._cnar_block(phi, mu)
         if self.model in ("car1", "car2"):
-            return self._car_logp_grad(phi, mu)
-        return self._scalar_logp_grad(phi, mu)
+            return self._car_block(phi, mu)
+        return self._scalar_block(phi, mu)
 
     # -- model blocks -------------------------------------------------------
 
@@ -593,13 +502,13 @@ class Posterior:
         d_rate = n * shape / rate - self._sum_h
         return logp, d_shape, d_rate
 
-    def _cnar_logp_grad(self, phi: np.ndarray, mu: np.ndarray):
+    def _cnar_block(self, phi: np.ndarray, mu: np.ndarray):
         p = self.n_covariates
         kappa, shape, rate = np.exp(phi[p : p + 3])
         n = mu.size
 
         grid = self._grid
-        if self.exact_truncation or mu.size == 0:
+        if self.exact_truncation or n == 0:
             hi = grid.size
         else:
             hi = self._cutoff(mu.max(), kappa)
@@ -647,15 +556,8 @@ class Posterior:
         d_kappa = float((delta_psi - delta_y / (kappa + mu)).sum()) * kappa
 
         gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n)
-        prior_ll, prior_grad = self._prior_logp_grad(phi)
-
-        grad = np.concatenate(
-            [d_coef, [d_kappa, d_shape * shape, d_rate * rate]]
-        ) + prior_grad
-        logp = count_ll + gamma_ll + prior_ll
-        if not np.isfinite(logp):
-            return -np.inf, np.zeros(self.dim)
-        return float(logp), grad
+        grad = np.concatenate([d_coef, [d_kappa, d_shape * shape, d_rate * rate]])
+        return count_ll + gamma_ll, grad
 
     def _cutoff(self, mu_max: float, kappa: float) -> int:
         """Grid length capturing all but `tail_mass` of the widest count pmf."""
@@ -671,7 +573,7 @@ class Posterior:
         cut = int(np.searchsorted(csum, (1.0 - self.tail_mass) * csum[-1])) + 1
         return min(grid.size, cut + 1)
 
-    def _car_logp_grad(self, phi: np.ndarray, mu: np.ndarray):
+    def _car_block(self, phi: np.ndarray, mu: np.ndarray):
         p = self.n_covariates
         shape, rate = np.exp(phi[p : p + 2])
         lam = np.exp(phi[p + 2]) if self.model == "car2" else 1.0
@@ -692,11 +594,6 @@ class Posterior:
         d_coef = self._z.T @ (np.where(free, dm, 0.0) * mu / self._kvec)
 
         gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n)
-        prior_ll, prior_grad = self._prior_logp_grad(phi)
-        logp = beta_ll + gamma_ll + prior_ll
-        if not np.isfinite(logp):
-            return -np.inf, np.zeros(self.dim)
-
         pieces = [d_coef, [d_shape * shape, d_rate * rate]]
         if self.model == "car2":
             d_lam = float(
@@ -710,9 +607,9 @@ class Posterior:
             )
             pieces.append([d_lam * lam])
         grad = np.concatenate([np.asarray(x, dtype=np.float64) for x in pieces])
-        return float(logp), grad + prior_grad
+        return beta_ll + gamma_ll, grad
 
-    def _scalar_logp_grad(self, phi: np.ndarray, mu: np.ndarray):
+    def _scalar_block(self, phi: np.ndarray, mu: np.ndarray):
         p = self.n_covariates
         kappa = float(np.exp(phi[p]))
         y = self._counts
@@ -737,11 +634,44 @@ class Posterior:
                 - (y + kappa) / kmu
             ).sum()
         ) * kappa
-        prior_ll, prior_grad = self._prior_logp_grad(phi)
-        logp = ll + prior_ll
-        if not np.isfinite(logp):
-            return -np.inf, np.zeros(self.dim)
-        return float(logp), np.concatenate([d_coef, [d_kappa]]) + prior_grad
+        return ll, np.concatenate([d_coef, [d_kappa]])
+
+
+# ---------------------------------------------------------------------------
+# views of `Posterior`: observed-data likelihoods at constrained parameters,
+# and the posterior at one unconstrained point
+# ---------------------------------------------------------------------------
+
+
+def _observed_loglik(spec: RegressionSpec, params: ModelParams, data, model: str) -> float:
+    ll, _ = Posterior(spec, data, PriorSpec(), model)._loglik_and_grad(pack_params(params, model))
+    if not np.isfinite(ll):
+        raise NumericalError(f"{model} likelihood cannot be evaluated at these parameters")
+    return float(ll)
+
+
+def cnar_observed_loglik(spec: RegressionSpec, params: ModelParams, data) -> float:
+    """Observed-data log likelihood with the latent count marginalised out."""
+    return _observed_loglik(spec, params, data, "cnar")
+
+
+def car1_observed_loglik(spec: RegressionSpec, params: ModelParams, data) -> float:
+    """Ignorable baseline: report location conditioned on the scaled mean only.
+
+    No latent count appears, so this likelihood carries no count-level
+    variability (and no dispersion parameter).
+    """
+    return _observed_loglik(spec, params, data, "car1")
+
+
+def car2_observed_loglik(spec: RegressionSpec, params: ModelParams, data) -> float:
+    """Ignorable baseline with Beta shapes scaled by the extra dispersion."""
+    return _observed_loglik(spec, params, data, "car2")
+
+
+def scalar_observed_loglik(spec: RegressionSpec, params: ModelParams, counts) -> float:
+    """Negative binomial regression on scalar (defuzzified) counts."""
+    return _observed_loglik(spec, params, counts, "scalar")
 
 
 def log_posterior(spec, phi, data, priors, model, exact_truncation=True) -> float:

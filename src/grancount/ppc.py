@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tables
 from .errors import ValidationError
+from .fuzzy import kl_membership
 from .inference import PosteriorDraws
 from .model import (
     RegressionSpec,
@@ -29,6 +30,7 @@ from .model import (
 from .possibility import MembershipVector
 
 DEFAULT_GRID = 101
+_SINGLETON = "{}: singleton sample, within-distance undefined"
 
 
 @dataclass(frozen=True)
@@ -111,13 +113,7 @@ def _profile_matrix(items, t_grid: np.ndarray) -> np.ndarray:
         idx = np.array([i for i, _ in parametric])
         m = np.array([item.location / item.k_max for _, item in parametric])[:, None]
         h = np.array([item.precision for _, item in parametric])[:, None]
-        t = t_grid[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left = np.where(m > 0.0, m * (np.log(m) - np.log(t)), 0.0)
-            right = np.where(
-                m < 1.0, (1.0 - m) * (np.log1p(-m) - np.log1p(-t)), 0.0
-            )
-        rows[idx] = np.exp(-h * (left + right))
+        rows[idx] = kl_membership(m, h, t_grid[None, :])
     for i, item in enumerate(items):
         if isinstance(item, MembershipVector):
             grid = np.arange(item.k_max + 1) / item.k_max
@@ -146,6 +142,15 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray, grid: int) -> np.ndarray:
     return out
 
 
+def _within_distance(profiles: np.ndarray, grid: int) -> float:
+    """Mean pairwise distance within one sample; NaN for fewer than 2 rows."""
+    n = profiles.shape[0]
+    if n < 2:
+        return float("nan")
+    d = _pairwise_distances(profiles, profiles, grid)
+    return float(d[np.triu_indices(n, k=1)].mean())
+
+
 def energy_components(observed, replicated, grid: int = DEFAULT_GRID) -> EnergyStats:
     """u_obs / u_rep / u_cross for one replicated dataset."""
     if grid < 2:
@@ -157,19 +162,13 @@ def energy_components(observed, replicated, grid: int = DEFAULT_GRID) -> EnergyS
     t = np.linspace(0.0, 1.0, grid)
     prof_obs = _profile_matrix(observed, t)
     prof_rep = _profile_matrix(replicated, t)
-    flags = []
-
-    def within(profiles, label):
-        n = profiles.shape[0]
-        if n < 2:
-            flags.append(f"{label}: singleton sample, within-distance undefined")
-            return float("nan")
-        d = _pairwise_distances(profiles, profiles, grid)
-        iu = np.triu_indices(n, k=1)
-        return float(d[iu].mean())
-
-    u_obs = within(prof_obs, "observed")
-    u_rep = within(prof_rep, "replicated")
+    flags = [
+        _SINGLETON.format(label)
+        for label, profiles in (("observed", prof_obs), ("replicated", prof_rep))
+        if profiles.shape[0] < 2
+    ]
+    u_obs = _within_distance(prof_obs, grid)
+    u_rep = _within_distance(prof_rep, grid)
     u_cross = float(_pairwise_distances(prof_obs, prof_rep, grid).mean())
     return EnergyStats(u_obs=u_obs, u_rep=u_rep, u_cross=u_cross, flags=tuple(flags))
 
@@ -189,13 +188,8 @@ def run_ppc(
     reps = replicate(draws, spec, model, n_reps, seed)
     t = np.linspace(0.0, 1.0, grid)
     prof_obs = _profile_matrix(observed, t)
-    flags: list[str] = []
-    if prof_obs.shape[0] < 2:
-        flags.append("observed: singleton sample, within-distance undefined")
-        u_obs = float("nan")
-    else:
-        d = _pairwise_distances(prof_obs, prof_obs, grid)
-        u_obs = float(d[np.triu_indices(prof_obs.shape[0], k=1)].mean())
+    flags = [_SINGLETON.format("observed")] if prof_obs.shape[0] < 2 else []
+    u_obs = _within_distance(prof_obs, grid)
 
     means = np.empty(len(reps))
     iqrs = np.empty(len(reps))
@@ -204,11 +198,7 @@ def run_ppc(
     for r, rep in enumerate(reps):
         means[r], iqrs[r] = scalar_summaries(rep.observations)
         prof_rep = _profile_matrix(list(rep.observations), t)
-        if prof_rep.shape[0] < 2:
-            u_rep[r] = float("nan")
-        else:
-            dr = _pairwise_distances(prof_rep, prof_rep, grid)
-            u_rep[r] = float(dr[np.triu_indices(prof_rep.shape[0], k=1)].mean())
+        u_rep[r] = _within_distance(prof_rep, grid)
         u_cross[r] = float(_pairwise_distances(prof_obs, prof_rep, grid).mean())
 
     return PpcSummary(

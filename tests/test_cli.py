@@ -68,13 +68,17 @@ def test_simulate_output_feeds_infer(tmp_path):
         ["--set", "validate=1", "show-config"],
         ["count", "no-such-file.csv", "--out", "counts.csv"],
         ["count", "latin1.csv", "--out", "counts.csv"],
+        [*SMALL, "--set", "truncation.tail_mass=-1", "infer", "stats.csv", "covariates.csv",
+         "--out-draws", "draws.csv", "--out-diagnostics", "diagnostics.json"],
     ],
     ids=["non-integral-int", "string-for-int", "bool-for-int", "non-integral-k",
-         "int-beyond-float", "unknown-key", "missing-input", "not-utf8"],
+         "int-beyond-float", "unknown-key", "missing-input", "not-utf8", "negative-tail-mass"],
 )
 def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, caplog):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "latin1.csv").write_bytes("g\u00e8ne\n1.0\n".encode("latin-1"))
+    (tmp_path / "stats.csv").write_text("sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,5.0,10\n")
+    (tmp_path / "covariates.csv").write_text("sample_id,x\na,0.5\nb,-0.5\n")
     with caplog.at_level(logging.ERROR, logger="grancount"):
         assert cli.main(argv) == cli.EXIT_VALIDATION
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]

@@ -18,35 +18,56 @@ def standard_normal_target(dim):
     return target
 
 
+def quadratic_target(scale):
+    """Gaussian log density with per-coordinate scales, and its gradient."""
+
+    def target(q):
+        return float(-0.5 * np.sum((q / scale) ** 2)), -q / scale**2
+
+    return target
+
+
 class TestLeapfrog:
     def test_zero_momentum_zero_field(self):
-        q, p, diverged = leapfrog(lambda q: np.zeros_like(q), [1.0, -2.0], [0.0, 0.0], 0.1, 5)
+        def target(q):
+            return 0.0, np.zeros_like(q)
+
+        q0 = np.array([1.0, -2.0])
+        q, p, logp, _, diverged = leapfrog(
+            target, q0, np.zeros(2), np.zeros(2), 0.1, 5, np.ones(2)
+        )
         np.testing.assert_array_equal(q, [1.0, -2.0])
-        assert not diverged
+        np.testing.assert_array_equal(p, [0.0, 0.0])
+        assert logp == 0.0 and not diverged
 
     def test_single_step_closed_form(self):
-        # for the standard Gaussian: q' = q + eps * (p - eps/2 * q)
+        # for the standard Gaussian: q' = q + eps * M^-1 (p - eps/2 * q)
         eps = 0.3
         q0, p0 = np.array([0.7]), np.array([-0.4])
-        q, p, _ = leapfrog(lambda q: -q, q0, p0, eps, 1)
-        expected_q = q0 + eps * (p0 - eps / 2.0 * q0)
-        expected_p = p0 - eps / 2.0 * (q0 + expected_q)
-        np.testing.assert_allclose(q, expected_q, atol=1e-15)
-        np.testing.assert_allclose(p, expected_p, atol=1e-15)
+        for inv_mass in (1.0, 2.5):
+            q, p, logp, grad, _ = leapfrog(
+                quadratic_target(1.0), q0, p0, -q0, eps, 1, np.full(1, inv_mass)
+            )
+            expected_q = q0 + eps * inv_mass * (p0 - eps / 2.0 * q0)
+            expected_p = p0 - eps / 2.0 * (q0 + expected_q)
+            np.testing.assert_allclose(q, expected_q, atol=1e-15)
+            np.testing.assert_allclose(p, expected_p, atol=1e-15)
+            # the returned log density and gradient belong to the end point
+            np.testing.assert_allclose(grad, -expected_q, atol=1e-15)
+            assert logp == pytest.approx(-0.5 * float(expected_q @ expected_q), abs=1e-15)
 
     def test_reversibility(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             dim = int(rng.integers(1, 6))
             scale = rng.uniform(0.5, 2.0, size=dim)
-
-            def grad(q):
-                return -q / scale**2
+            target = quadratic_target(scale)
+            ones = np.ones(dim)
 
             q0 = rng.standard_normal(dim)
             p0 = rng.standard_normal(dim)
-            q1, p1, d1 = leapfrog(grad, q0, p0, 0.05, 30)
-            q2, p2, d2 = leapfrog(grad, q1, -p1, 0.05, 30)
+            q1, p1, _, g1, d1 = leapfrog(target, q0, p0, target(q0)[1], 0.05, 30, ones)
+            q2, p2, _, _, d2 = leapfrog(target, q1, -p1, g1, 0.05, 30, ones)
             assert not (d1 or d2)
             np.testing.assert_allclose(q2, q0, atol=1e-8)
             np.testing.assert_allclose(-p2, p0, atol=1e-8)
@@ -54,9 +75,7 @@ class TestLeapfrog:
     def test_energy_error_scales_quadratically(self):
         rng = np.random.default_rng(4)
         dim = 5
-
-        def logp(q):
-            return -0.5 * q @ q
+        target = quadratic_target(1.0)
 
         ratios = []
         for _ in range(40):
@@ -64,25 +83,32 @@ class TestLeapfrog:
             p0 = rng.standard_normal(dim)
             errors = {}
             for eps, steps in [(0.1, 10), (0.05, 20)]:
-                q, p, _ = leapfrog(lambda x: -x, q0, p0, eps, steps)
-                h0 = -logp(q0) + 0.5 * p0 @ p0
-                h1 = -logp(q) + 0.5 * p @ p
+                _, p, logp, _, _ = leapfrog(target, q0, p0, -q0, eps, steps, np.ones(dim))
+                h0 = -target(q0)[0] + 0.5 * p0 @ p0
+                h1 = -logp + 0.5 * p @ p
                 errors[eps] = abs(h1 - h0)
             ratios.append(errors[0.1] / errors[0.05])
         assert 3.0 <= np.mean(ratios) <= 5.0
 
     def test_divergence_flag_not_exception(self):
-        def grad(q):
-            return np.full_like(q, np.nan)
+        # a non-finite gradient or log density anywhere on the path flags it
+        for logp_bad, grad_bad in [(0.0, np.nan), (-np.inf, 0.0), (np.nan, 0.0)]:
 
-        _, _, diverged = leapfrog(grad, [0.0], [1.0], 0.1, 3)
-        assert diverged
+            def target(q):
+                return logp_bad, np.full_like(q, grad_bad)
+
+            *_, diverged = leapfrog(
+                target, np.zeros(1), np.ones(1), np.zeros(1), 0.1, 3, np.ones(1)
+            )
+            assert diverged
 
     def test_step_validation(self):
+        target = quadratic_target(1.0)
+        args = (np.zeros(1), np.ones(1), np.zeros(1))
         with pytest.raises(ValidationError):
-            leapfrog(lambda q: -q, [0.0], [1.0], -0.1, 3)
+            leapfrog(target, *args, -0.1, 3, np.ones(1))
         with pytest.raises(ValidationError):
-            leapfrog(lambda q: -q, [0.0], [1.0], 0.1, 0)
+            leapfrog(target, *args, 0.1, 0, np.ones(1))
 
 
 class TestSampler:

@@ -209,6 +209,18 @@ class TestObservedLogliks:
         got = cnar_observed_loglik(spec, params, obs)
         assert abs(got - expected) < 1e-10
 
+    def test_cnar_mixed_k_against_independent_composition(self):
+        # samples with different truncation levels share one padded count grid
+        base = make_spec(n=30, seed=4)
+        spec = RegressionSpec(
+            base.covariates, base.offsets, np.resize([5, 20, 60], 30), base.covariate_names
+        )
+        params = make_params("cnar")
+        sim = simulate(spec, params, seed=6, model="cnar")
+        mine = cnar_observed_loglik(spec, params, sim.observations)
+        ref = _reference_cnar_loglik(spec, params, sim.observations)
+        assert abs(mine - ref) < 1e-8 * (1 + abs(ref))
+
     def test_gamma_block_separates_exactly(self, small_cnar_data):
         spec, params, sim = small_cnar_data
         base = cnar_observed_loglik(spec, params, sim.observations)
@@ -338,6 +350,35 @@ class TestGradients:
             grad_log_posterior(
                 spec, np.array([1e4, 0.0, 0.0, 0.0]), obs, PriorSpec(), "cnar"
             )
+
+
+class TestTailCutoff:
+    def test_cutoff_matches_exact_truncation(self):
+        spec = make_spec(n=30, k=300, offset=1.0)
+        sim = simulate(spec, make_params("cnar"), seed=13, model="cnar")
+        exact = Posterior(spec, sim.observations, PriorSpec(), "cnar", exact_truncation=True)
+        cut = Posterior(spec, sim.observations, PriorSpec(), "cnar", exact_truncation=False)
+        rng = np.random.default_rng(17)
+        lengths = []
+        for _ in range(20):
+            phi = rng.standard_normal(exact.dim)
+            logp, grad = exact.logp_and_grad(phi)
+            logp_cut, grad_cut = cut.logp_and_grad(phi)
+            assert abs(logp_cut - logp) <= 1e-8
+            np.testing.assert_allclose(grad_cut, grad, rtol=0.0, atol=1e-8)
+            mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
+            lengths.append(cut._cutoff(mu.max(), np.exp(phi[2])))
+        # the comparison means something only where the grid was cut
+        assert min(lengths) < spec.k_max[0] + 1
+
+    def test_tail_mass_outside_unit_interval_rejected(self, small_cnar_data):
+        spec, _, sim = small_cnar_data
+        for tail_mass in (-1.0, 1.0, 2.0, float("nan")):
+            with pytest.raises(ValidationError, match="tail_mass"):
+                Posterior(
+                    spec, sim.observations, PriorSpec(), "cnar",
+                    exact_truncation=False, tail_mass=tail_mass,
+                )
 
 
 class TestPacking:
