@@ -99,6 +99,8 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         model.check_model_name(self.model)
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if self.workers < 1:
             raise ValidationError("workers must be at least 1")
         if self.simulate.n_samples < 1 or self.simulate.k < 1:
@@ -235,7 +237,7 @@ def _build_regression_spec(stats_path, covariates_path, add_intercept):
         covariates=matrix, offsets=offsets, k_max=ks, covariate_names=cov_names
     )
     observations = [
-        model.FuzzyObservation(location=c, precision=h, k_max=int(k))
+        fuzzy.BetaFuzzy(location=c, precision=h, k_max=int(k))
         for c, h, k in zip(locations, precisions, ks)
     ]
     return spec, observations
@@ -303,17 +305,6 @@ def cmd_fit(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _simulate_params(config: RunConfig) -> model.ModelParams:
-    sim = config.simulate
-    return model.ModelParams(
-        coef=np.asarray(sim.coef, dtype=np.float64),
-        dispersion=sim.dispersion,
-        precision_shape=sim.precision_shape,
-        precision_rate=sim.precision_rate,
-        extra_dispersion=sim.extra_dispersion if config.model == "car2" else None,
-    )
-
-
 def cmd_simulate(args, config: RunConfig) -> int:
     sim = config.simulate
     if config.model == "scalar":
@@ -332,7 +323,13 @@ def cmd_simulate(args, config: RunConfig) -> int:
         k_max=np.full(n, sim.k, dtype=np.int64),
         covariate_names=cov_names,
     )
-    params = _simulate_params(config)
+    params = model.ModelParams(
+        coef=coef,
+        dispersion=sim.dispersion,
+        precision_shape=sim.precision_shape,
+        precision_rate=sim.precision_rate,
+        extra_dispersion=sim.extra_dispersion if config.model == "car2" else None,
+    )
     data = model.simulate(spec, params, config.seed, config.model)
     ids = [f"s{i:05d}" for i in range(n)]
 
@@ -355,13 +352,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
     sidecar = {
         "model": config.model,
         "seed": config.seed,
-        "params": {
-            "coef": [float(v) for v in coef],
-            "dispersion": sim.dispersion,
-            "precision_shape": sim.precision_shape,
-            "precision_rate": sim.precision_rate,
-            "extra_dispersion": sim.extra_dispersion if config.model == "car2" else None,
-        },
+        "params": {**dataclasses.asdict(params), "coef": [float(v) for v in params.coef]},
         "metadata": _metadata("simulate", config),
     }
     _write_json(args.out_params, sidecar)
@@ -378,13 +369,7 @@ def cmd_infer(args, config: RunConfig) -> int:
     )
     data = observations
     if config.model == "scalar":
-        data = np.array(
-            [
-                round(fuzzy.beta_centroid(fuzzy.BetaFuzzy(o.location, o.precision, o.k_max)))
-                for o in observations
-            ],
-            dtype=np.float64,
-        )
+        data = np.array([round(fuzzy.beta_centroid(o)) for o in observations], dtype=np.float64)
     post = model.Posterior(
         spec,
         data,

@@ -76,7 +76,7 @@ def kl_membership(m, h, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BetaFuzzy:
-    """Parametric fuzzy count: location in [0, K], precision > 0."""
+    """Parametric fuzzy count (c, h, K): location in [0, K], finite precision > 0."""
 
     location: float
     precision: float
@@ -89,8 +89,8 @@ class BetaFuzzy:
             raise ValidationError(
                 f"location {self.location} outside [0, {self.k_max}]"
             )
-        if not self.precision > 0.0:
-            raise ValidationError("precision must be strictly positive")
+        if not (math.isfinite(self.precision) and self.precision > 0.0):
+            raise ValidationError("precision must be strictly positive and finite")
 
     @property
     def location_scaled(self) -> float:
@@ -192,12 +192,12 @@ _H_SCAN = np.exp(np.linspace(np.log(_MIN_PRECISION), np.log(CRISP_PRECISION_CEIL
 
 
 def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section minimisation of a unimodal scalar function on [lo, hi]."""
+    """Golden-section minimum of unimodal f on [lo, hi], to width xtol or to float spacing."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
+    while b - a > xtol and a < x1 < x2 < b:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -223,6 +223,12 @@ def fit_beta(
     than `tol`. A single-point support is fitted exactly with the precision
     pinned at the crisp ceiling and flagged as degenerate.
     """
+    if not tol > 0.0:
+        raise ValidationError(f"tol must be strictly positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter!r}")
+    if not (math.isfinite(crisp_ceiling) and crisp_ceiling > _MIN_PRECISION):
+        raise ValidationError(f"crisp_ceiling must be finite and above {_MIN_PRECISION:g}")
     values = mv.memberships
     k = mv.k_max
     if values.max() < 1.0 - 1.0e-9:

@@ -51,6 +51,8 @@ class HmcConfig:
             raise ValidationError("max_leapfrog must be at least 1")
         if self.init_jitter < 0.0:
             raise ValidationError("init_jitter must be non-negative")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 def leapfrog(target, q, p, grad, step, n_steps, inv_mass):

@@ -8,6 +8,9 @@ report probability varies over the latent values the report does not
 exclude, unless the ratio xi(y) / c(y) happens to be constant there. The
 `is_car` detector checks that condition and produces a witness when it
 fails.
+
+Every kernel quantity (c(y), phi, outcome marginals, CAR ratios) comes from
+one weighted matrix xi(y) * nu(xi) and its row sums c(y), so they agree.
 """
 
 from __future__ import annotations
@@ -100,35 +103,39 @@ class LatentCountModel:
         return self.pmf.size - 1
 
 
+def _weighted(kern: ReportingKernel, ys) -> tuple[np.ndarray, np.ndarray]:
+    """xi(y) * nu(xi), shape (K+1, n_outcomes), and its row sums c(y) at the counts `ys`.
+
+    Raises only for a y in `ys` that no outcome with positive mass covers.
+    """
+    weighted = kern.membership_matrix() * kern.nu
+    ys = np.atleast_1d(ys)
+    c = weighted.sum(axis=1)[ys]
+    if np.any(c <= 0.0):
+        bad = int(ys[c <= 0.0][0])
+        raise ValidationError(
+            f"construction violated at y={bad}: no outcome with positive mass covers it"
+        )
+    return weighted, c
+
+
 def normalizer(kern: ReportingKernel, y: int) -> float:
     """c(y) = sum over outcomes of xi(y) * nu(xi); must be strictly positive."""
     y = kern._check_y(y)
-    value = float(sum(o.memberships[y] * w for o, w in zip(kern.outcomes, kern.nu)))
-    if value <= 0.0:
-        raise ValidationError(
-            f"construction violated at y={y}: no outcome with positive mass covers it"
-        )
-    return value
+    return float(_weighted(kern, y)[1][0])
 
 
 def kernel_prob(kern: ReportingKernel, y: int, outcome_subset) -> float:
     """phi(y, A): conditional probability of reporting an outcome in A given y."""
     y = kern._check_y(y)
     indices = sorted({kern._check_index(i) for i in outcome_subset})
-    c = normalizer(kern, y)
-    mass = sum(kern.outcomes[i].memberships[y] * kern.nu[i] for i in indices)
-    return float(mass / c)
+    weighted, (c,) = _weighted(kern, y)
+    return float(weighted[y, indices].sum() / c)
 
 
 def phi_matrix(kern: ReportingKernel) -> np.ndarray:
     """Full singleton kernel, shape (K+1, n_outcomes); rows sum to 1."""
-    weighted = kern.membership_matrix() * kern.nu
-    c = weighted.sum(axis=1)
-    if np.any(c <= 0.0):
-        bad = int(np.flatnonzero(c <= 0.0)[0])
-        raise ValidationError(
-            f"construction violated at y={bad}: no outcome with positive mass covers it"
-        )
+    weighted, c = _weighted(kern, np.arange(kern.k_max + 1))
     return weighted / c[:, None]
 
 
@@ -149,11 +156,8 @@ def marginal_outcome_prob(
     if latent.k_max != kern.k_max:
         raise ValidationError("latent pmf and kernel disagree on the count space")
     xi = kern.outcomes[xi_index].memberships
-    total = 0.0
-    for y in range(kern.k_max + 1):
-        if xi[y] == 0.0 and latent.pmf[y] == 0.0:
-            continue
-        total += xi[y] * latent.pmf[y] / normalizer(kern, y)
+    ys = np.flatnonzero((xi != 0.0) | (latent.pmf != 0.0))
+    total = (xi[ys] * latent.pmf[ys] / _weighted(kern, ys)[1]).sum()
     return float(kern.nu[xi_index] * total)
 
 
@@ -184,7 +188,7 @@ def is_car(kern: ReportingKernel, xi_index: int, tol: float = 1.0e-9) -> CarResu
     support = np.flatnonzero(xi > 0.0)
     if support.size == 0:
         raise ValidationError("outcome has empty compatibility set")
-    ratios = np.array([xi[y] / normalizer(kern, y) for y in support])
+    ratios = xi[support] / _weighted(kern, support)[1]
     spread = ratios.max() - ratios.min()
     flat = spread <= tol * (1.0 + abs(ratios.mean()))
     witness = None

@@ -7,7 +7,9 @@ mu + mu^2/kappa), truncated to {0..K_i}. The report precision H_i is Gamma
 Y_i) is Beta with shapes (H_i * ybar_i, H_i * (1 - ybar_i)), where ybar is
 the scaled count with a half-count continuity correction so the shapes stay
 positive at the boundary counts. The observed statistic per sample is the
-pair (c_i, h_i) = (K_i * C_i, H_i).
+pair (c_i, h_i) = (K_i * C_i, H_i), held as a `fuzzy.BetaFuzzy` (location,
+precision, k_max): the fuzzy-report models read sequences of them and
+`simulate` returns them.
 
 Four observed-data likelihoods are provided:
 
@@ -34,6 +36,7 @@ import numpy as np
 from scipy.special import betaln, digamma, gammaln
 
 from .errors import NumericalError, ValidationError
+from .fuzzy import BetaFuzzy
 
 MODEL_NAMES = ("cnar", "car1", "car2", "scalar")
 
@@ -114,27 +117,8 @@ class ModelParams:
             raise ValidationError(f"model requires parameters: {', '.join(missing)}")
 
 
-@dataclass(frozen=True)
-class FuzzyObservation:
-    """Observed statistic pair (location, precision) on a known count space."""
-
-    location: float
-    precision: float
-    k_max: int
-
-    def __post_init__(self):
-        if self.k_max < 1:
-            raise ValidationError("k_max must be at least 1")
-        if not 0.0 <= self.location <= self.k_max:
-            raise ValidationError(
-                f"location {self.location} outside [0, {self.k_max}]"
-            )
-        if not (np.isfinite(self.precision) and self.precision > 0.0):
-            raise ValidationError("precision must be strictly positive")
-
-
 def observation_arrays(observations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a sequence of observations into (locations, precisions, k_max)."""
+    """Split a sequence of `BetaFuzzy` observations into (locations, precisions, k_max)."""
     obs = list(observations)
     locations = np.array([o.location for o in obs], dtype=np.float64)
     precisions = np.array([o.precision for o in obs], dtype=np.float64)
@@ -170,14 +154,15 @@ def mean_response(spec: RegressionSpec, params: ModelParams, i: int) -> float:
 def negbin_log_pmf(y, mu, kappa):
     """Negative binomial log pmf, mean-dispersion form (Var = mu + mu^2/kappa)."""
     y = np.asarray(y, dtype=np.float64)
-    if np.any(np.asarray(mu) <= 0.0) or np.any(np.asarray(kappa) <= 0.0):
+    if (np.asarray(mu) <= 0.0).any() or (np.asarray(kappa) <= 0.0).any():
         raise ValidationError("mu and kappa must be strictly positive")
+    log_kmu = np.log(kappa + mu)
     return (
         gammaln(y + kappa)
         - gammaln(kappa)
         - gammaln(y + 1.0)
-        + kappa * (np.log(kappa) - np.log(kappa + mu))
-        + y * (np.log(mu) - np.log(kappa + mu))
+        + kappa * (np.log(kappa) - log_kmu)
+        + y * (np.log(mu) - log_kmu)
     )
 
 
@@ -614,15 +599,7 @@ class Posterior:
         kappa = float(np.exp(phi[p]))
         y = self._counts
         kmu = kappa + mu
-        ll = float(
-            (
-                gammaln(y + kappa)
-                - gammaln(kappa)
-                - gammaln(y + 1.0)
-                + kappa * (np.log(kappa) - np.log(kmu))
-                + y * (np.log(mu) - np.log(kmu))
-            ).sum()
-        )
+        ll = float(negbin_log_pmf(y, mu, kappa).sum())
         d_coef = self._z.T @ (y - mu * (y + kappa) / kmu)
         d_kappa = float(
             (
@@ -700,7 +677,7 @@ def grad_log_posterior(spec, phi, data, priors, model, exact_truncation=True) ->
 class SimulatedData:
     """Synthetic fuzzy observations, plus the latent counts when they exist."""
 
-    observations: tuple[FuzzyObservation, ...]
+    observations: tuple[BetaFuzzy, ...]
     latent_counts: np.ndarray | None = None
 
 
@@ -737,12 +714,11 @@ def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar
         scaled = rng.beta(h * ybar, h * (1.0 - ybar))
     else:
         lam = params.extra_dispersion if model == "car2" else 1.0
-        lo = 1.0 / (2.0 * k + 2.0)
-        m = np.clip(mu / k, lo, 1.0 - lo)
+        m = clamp_scaled_location(mu, k)
         scaled = rng.beta(lam * h * m, lam * h * (1.0 - m))
 
     observations = tuple(
-        FuzzyObservation(location=float(k[i] * scaled[i]), precision=float(h[i]), k_max=int(k[i]))
+        BetaFuzzy(location=float(k[i] * scaled[i]), precision=float(h[i]), k_max=int(k[i]))
         for i in range(n)
     )
     return SimulatedData(observations=observations, latent_counts=latent)

@@ -101,9 +101,8 @@ def scalar_summaries(observations) -> tuple[float, float]:
 def _profile_matrix(items, t_grid: np.ndarray) -> np.ndarray:
     """Membership profiles on a shared unit grid, one row per item.
 
-    Items carrying (location, precision, k_max) are evaluated through the
-    parametric family; raw membership vectors are linearly interpolated on
-    their own scaled grid.
+    `BetaFuzzy` items are evaluated through the parametric family; raw
+    `MembershipVector`s are linearly interpolated on their own scaled grid.
     """
     rows = np.empty((len(items), t_grid.size))
     parametric = [
@@ -125,10 +124,8 @@ def fuzzy_distance(a, b, grid: int = DEFAULT_GRID) -> float:
     """Root-mean-square membership difference on a shared unit-scale grid."""
     if grid < 2:
         raise ValidationError("grid must have at least 2 points")
-    t = np.linspace(0.0, 1.0, grid)
-    profiles = _profile_matrix([a, b], t)
-    diff = profiles[0] - profiles[1]
-    return float(np.sqrt((diff @ diff) / grid))
+    profiles = _profile_matrix([a, b], np.linspace(0.0, 1.0, grid))
+    return float(_pairwise_distances(profiles[:1], profiles[1:], grid)[0, 0])
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray, grid: int) -> np.ndarray:

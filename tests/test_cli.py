@@ -70,16 +70,36 @@ def test_simulate_output_feeds_infer(tmp_path):
         ["count", "latin1.csv", "--out", "counts.csv"],
         [*SMALL, "--set", "truncation.tail_mass=-1", "infer", "stats.csv", "covariates.csv",
          "--out-draws", "draws.csv", "--out-diagnostics", "diagnostics.json"],
+        ["--set", "seed=-1", "show-config"],
+        ["--set", "hmc.seed=-1", "show-config"],
+        ["--set", "fit.tol=0", "fit", "counts.csv", "--out", "stats.csv"],
+        ["--set", "fit.max_iter=-3", "fit", "counts.csv", "--out", "stats.csv"],
+        ["--set", "fit.crisp_precision=0.0001", "fit", "counts.csv", "--out", "stats.csv"],
+        ["--set", "fit.crisp_precision=-1", "fit", "counts.csv", "--out", "stats.csv"],
     ],
     ids=["non-integral-int", "string-for-int", "bool-for-int", "non-integral-k",
-         "int-beyond-float", "unknown-key", "missing-input", "not-utf8", "negative-tail-mass"],
+         "int-beyond-float", "unknown-key", "missing-input", "not-utf8", "negative-tail-mass",
+         "negative-seed", "negative-hmc-seed", "zero-fit-tol", "negative-fit-max-iter",
+         "tiny-crisp-precision", "negative-crisp-precision"],
 )
 def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, caplog):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "latin1.csv").write_bytes("g\u00e8ne\n1.0\n".encode("latin-1"))
     (tmp_path / "stats.csv").write_text("sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,5.0,10\n")
     (tmp_path / "covariates.csv").write_text("sample_id,x\na,0.5\nb,-0.5\n")
+    (tmp_path / "counts.csv").write_text("id,y0,y1,y2,y3\na,0.2,1.0,0.6,0.1\n")
     with caplog.at_level(logging.ERROR, logger="grancount"):
         assert cli.main(argv) == cli.EXIT_VALIDATION
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and "\n" not in errors[0], errors
+
+
+def test_kernel_audit_prints_phi_and_car_witness(tmp_path, capsys):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"nu": [0.5, 0.5], "names": ["xi1", "xi2"],
+                                "outcomes": [[1.0, 0.5, 0.5, 0.25], [0.25, 0.5, 1.0, 1.0]]}))
+    assert cli.main(["kernel-audit", str(path)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "   0       0.800000      0.200000" in lines
+    xi1 = next(line for line in lines if line.startswith("xi1"))
+    assert xi1.endswith("(y=0, y'=3): 1.600000 vs 0.400000")

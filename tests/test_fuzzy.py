@@ -41,6 +41,10 @@ class TestMembership:
         fz = BetaFuzzy(location=10.0, precision=10.0, k_max=20)
         assert abs(beta_membership(fz, 5) - 243.0 / 1024.0) < 1e-15
 
+    def test_infinite_precision_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            BetaFuzzy(5.0, math.inf, 10)
+
     def test_out_of_range_count(self):
         fz = BetaFuzzy(location=1.0, precision=1.0, k_max=4)
         with pytest.raises(ValidationError):
@@ -144,6 +148,21 @@ class TestFit:
     def test_requires_normalized_input(self):
         with pytest.raises(ValidationError, match="normalized"):
             fit_beta(MembershipVector([0.2, 0.5, 0.2]))
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        fit = fit_beta(to_membership_vector(BetaFuzzy(6.0, 40.0, 20)), tol=1e-15)
+        assert abs(fit.params.location - 6.0) <= 0.05
+        assert abs(fit.params.precision - 40.0) / 40.0 <= 0.05
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -3},
+         {"crisp_ceiling": 1e-4}, {"crisp_ceiling": 1e-3}, {"crisp_ceiling": -1.0},
+         {"crisp_ceiling": math.inf}, {"crisp_ceiling": math.nan}],
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            fit_beta(to_membership_vector(BetaFuzzy(6.0, 40.0, 20)), **kwargs)
 
 
 class TestDefuzzify:

@@ -82,6 +82,26 @@ class TestKernelProb:
     def test_empty_set_is_null(self):
         assert kernel_prob(worked_example_kernel(), 1, []) == 0.0
 
+    def test_phi_matrix_cells_equal_kernel_prob(self):
+        # nine outcomes: more than numpy sums sequentially, so two separate
+        # normalisers would disagree in the last bit
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            kern = random_kernel(rng, n_outcomes=9)
+            matrix = phi_matrix(kern)
+            for y in range(kern.k_max + 1):
+                for j in range(kern.n_outcomes):
+                    assert matrix[y, j] == kernel_prob(kern, y, [j]), (y, j)
+
+    def test_uncovered_count_raises_only_where_needed(self):
+        kern = ReportingKernel(outcomes=(MembershipVector([1.0, 0.5, 0.0]),), nu=[1.0])
+        assert is_car(kern, 0).compatibility_set == (0, 1)
+        assert marginal_outcome_prob(kern, LatentCountModel([0.5, 0.5, 0.0]), 0) == 1.0
+        with pytest.raises(ValidationError, match="y=2"):
+            marginal_outcome_prob(kern, LatentCountModel([0.4, 0.4, 0.2]), 0)
+        with pytest.raises(ValidationError, match="y=2"):
+            phi_matrix(kern)
+
     def test_row_stochastic_and_support(self):
         rng = np.random.default_rng(42)
         for _ in range(50):

@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from grancount import (
-    FuzzyObservation,
+    BetaFuzzy,
     ModelParams,
     NumericalError,
     Posterior,
@@ -193,7 +193,7 @@ class TestObservedLogliks:
         params = ModelParams(
             coef=np.array([0.3]), dispersion=2.0, precision_shape=3.0, precision_rate=0.5
         )
-        obs = [FuzzyObservation(location=0.4, precision=5.0, k_max=1)]
+        obs = [BetaFuzzy(location=0.4, precision=5.0, k_max=1)]
         mu = np.exp(0.3)
         p0 = (2.0 / (2.0 + mu)) ** 2.0
         p1 = p0 * 2.0 * mu / (2.0 + mu)
@@ -260,7 +260,7 @@ class TestObservedLogliks:
         car_params = ModelParams(
             coef=np.array([0.0]), precision_shape=3.0, precision_rate=0.5
         )
-        obs = [FuzzyObservation(location=0.3, precision=4.0, k_max=1)]
+        obs = [BetaFuzzy(location=0.3, precision=4.0, k_max=1)]
         a = cnar_observed_loglik(spec, cnar_params, obs)
         b = car1_observed_loglik(spec, car_params, obs)
         assert abs(a - b) < 1e-7
@@ -335,8 +335,8 @@ class TestGradients:
     def test_symmetric_design_zeroes_coefficient_gradient(self):
         spec = RegressionSpec([[1.5], [-1.5]], [1.0, 1.0], [8, 8])
         obs = [
-            FuzzyObservation(location=3.0, precision=6.0, k_max=8),
-            FuzzyObservation(location=3.0, precision=6.0, k_max=8),
+            BetaFuzzy(location=3.0, precision=6.0, k_max=8),
+            BetaFuzzy(location=3.0, precision=6.0, k_max=8),
         ]
         phi = np.array([0.0, np.log(2.0), np.log(3.0), np.log(0.5)])
         grad = grad_log_posterior(spec, phi, obs, PriorSpec(), "cnar")
@@ -345,7 +345,7 @@ class TestGradients:
 
     def test_nonfinite_point_raises(self):
         spec = RegressionSpec([[1.0]], [1.0], [4])
-        obs = [FuzzyObservation(location=2.0, precision=3.0, k_max=4)]
+        obs = [BetaFuzzy(location=2.0, precision=3.0, k_max=4)]
         with pytest.raises(NumericalError):
             grad_log_posterior(
                 spec, np.array([1e4, 0.0, 0.0, 0.0]), obs, PriorSpec(), "cnar"

@@ -5,7 +5,6 @@ import pytest
 
 from grancount import (
     BetaFuzzy,
-    FuzzyObservation,
     HmcConfig,
     MembershipVector,
     Posterior,
@@ -24,7 +23,7 @@ from conftest import make_params, make_spec
 
 
 def obs(c_bar, h, k=10):
-    return FuzzyObservation(location=c_bar * k, precision=h, k_max=k)
+    return BetaFuzzy(location=c_bar * k, precision=h, k_max=k)
 
 
 class TestFuzzyDistance:
@@ -88,8 +87,8 @@ class TestScalarSummaries:
         assert iqr == pytest.approx(0.72)
 
     def test_scale_invariance(self):
-        a = [FuzzyObservation(location=c, precision=5.0, k_max=10) for c in (1, 4, 7)]
-        b = [FuzzyObservation(location=10 * c, precision=5.0, k_max=100) for c in (1, 4, 7)]
+        a = [BetaFuzzy(location=c, precision=5.0, k_max=10) for c in (1, 4, 7)]
+        b = [BetaFuzzy(location=10 * c, precision=5.0, k_max=100) for c in (1, 4, 7)]
         assert scalar_summaries(a) == scalar_summaries(b)
 
 
