@@ -297,10 +297,12 @@ def cmd_fit(args, config: RunConfig) -> int:
         fits = [_fit_row(p) for p in payloads]
     ids = [sample_id for sample_id, _ in usable]
     fuzzy.write_stats_csv(args.out, ids, fits)
-    n_degenerate = sum(1 for f in fits if f.degenerate)
     logger.info(
-        "stage=fit in=%d fitted=%d dropped=%d degenerate=%d out=%s",
-        len(rows), len(fits), dropped, n_degenerate, args.out,
+        "stage=fit in=%d fitted=%d dropped=%d degenerate=%d converged=%d iterations_mean=%.1f "
+        "sse_median=%.4g sse_max=%.4g out=%s", len(rows), len(fits), dropped,
+        sum(f.degenerate for f in fits), sum(f.converged for f in fits),
+        np.mean([f.iterations for f in fits]), np.median([f.sse for f in fits]),
+        max(f.sse for f in fits), args.out,
     )
     return EXIT_OK
 
@@ -404,7 +406,8 @@ def cmd_infer(args, config: RunConfig) -> int:
     inference.write_diagnostics_json(
         args.out_diagnostics,
         draws,
-        metadata={**_metadata("infer", config), "summary": summary},
+        metadata={**_metadata("infer", config), "summary": summary,
+                  "warmup_divergences": [int(n) for n in draws.warmup_divergences]},
     )
     table = draws.diagnostics
     print(f"{'parameter':<22}{'mean':>12}{'sd':>12}{'q5':>12}{'q95':>12}{'rhat':>10}{'ess':>10}")

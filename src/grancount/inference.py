@@ -141,6 +141,7 @@ class PosteriorDraws:
     step_size: np.ndarray      # (n_chains,)
     inv_mass: np.ndarray       # (n_chains, dim)
     diagnostics: DiagnosticsTable | None = None
+    warmup_divergences: np.ndarray | None = None  # (n_chains,) divergent warmup transitions
 
     @property
     def n_chains(self) -> int:
@@ -293,7 +294,8 @@ def _run_chain(target, config: HmcConfig, init: np.ndarray, chain_index: int, di
                     )
                 eps = max(averager.adapted(), 1.0e-12)
 
-    return draws, energies, divergent, accept_sum / config.n_draws, eps, inv_mass
+    accept_rate = accept_sum / config.n_draws
+    return draws, energies, divergent, accept_rate, eps, inv_mass, warmup_divergences
 
 
 def sample(target, config: HmcConfig, init, names=None, constrain=None) -> PosteriorDraws:
@@ -320,13 +322,13 @@ def sample(target, config: HmcConfig, init, names=None, constrain=None) -> Poste
 
     all_draws, all_energy, all_div = [], [], []
     chain_ids, iter_ids = [], []
-    accept_rates, step_sizes, masses = [], [], []
+    accept_rates, step_sizes, masses, warmup_divs = [], [], [], []
     for c in range(config.n_chains):
         rng0 = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(c, 0xA11CE)))
         )
         start = init + config.init_jitter * rng0.standard_normal(dim)
-        draws, energies, divergent, acc, eps, inv_mass = _run_chain(
+        draws, energies, divergent, acc, eps, inv_mass, n_warmup_div = _run_chain(
             target, config, start, c, dim
         )
         if constrain is not None:
@@ -339,6 +341,7 @@ def sample(target, config: HmcConfig, init, names=None, constrain=None) -> Poste
         accept_rates.append(acc)
         step_sizes.append(eps)
         masses.append(inv_mass)
+        warmup_divs.append(n_warmup_div)
 
     result = PosteriorDraws(
         names=names,
@@ -350,6 +353,7 @@ def sample(target, config: HmcConfig, init, names=None, constrain=None) -> Poste
         accept_rate=np.array(accept_rates),
         step_size=np.array(step_sizes),
         inv_mass=np.stack(masses),
+        warmup_divergences=np.array(warmup_divs, dtype=np.int64),
     )
     return dataclasses.replace(result, diagnostics=diagnostics(result))
 

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import statistics
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,31 @@ def test_demo_pipeline_reruns_are_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
     for name in ("diagnostics.json", "ppc.json"):
         assert without_metadata(first / name) == without_metadata(second / name), name
+    metadata = json.loads((first / "diagnostics.json").read_text())["metadata"]
+    assert len(metadata["warmup_divergences"]) == 2
+    assert all(isinstance(n, int) and 0 <= n < 50 for n in metadata["warmup_divergences"])
+
+
+def test_fit_process_pool_writes_the_same_bytes(tmp_path):
+    run("count", DATA / "demo_possibility.csv", "--out", tmp_path / "counts.csv")
+    for workers in (1, 2):
+        run("--set", f"workers={workers}", "fit", tmp_path / "counts.csv",
+            "--out", tmp_path / f"stats{workers}.csv")
+    assert (tmp_path / "stats1.csv").read_bytes() == (tmp_path / "stats2.csv").read_bytes()
+
+
+def test_fit_logs_convergence_and_sse_summary(tmp_path, caplog):
+    run("count", DATA / "demo_possibility.csv", "--out", tmp_path / "counts.csv")
+    with caplog.at_level(logging.INFO, logger="grancount"):
+        run("fit", tmp_path / "counts.csv", "--out", tmp_path / "stats.csv")
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage=fit in=")]
+    fields = dict(item.split("=", 1) for item in line.split())
+    rows = [row.split(",") for row in (tmp_path / "stats.csv").read_text().splitlines()[1:]]
+    sse = [float(row[4]) for row in rows]
+    assert int(fields["converged"]) == sum(row[5] == "true" for row in rows)
+    assert float(fields["iterations_mean"]) >= 1.0
+    assert float(fields["sse_median"]) == pytest.approx(statistics.median(sse), rel=1e-3)
+    assert float(fields["sse_max"]) == pytest.approx(max(sse), rel=1e-3)
 
 
 def test_simulate_output_feeds_infer(tmp_path):

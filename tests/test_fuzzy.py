@@ -18,6 +18,10 @@ from grancount import (
 )
 from grancount.fuzzy import (
     CRISP_PRECISION_CEILING,
+    _GridSSE,
+    _scan_c,
+    kl_divergence,
+    kl_membership,
     read_stats_csv,
     to_membership_vector,
     write_stats_csv,
@@ -84,6 +88,11 @@ class TestMembership:
         assert bernoulli_kl(0.0, 1.0) == math.inf
         assert bernoulli_kl(1.0, 0.0) == math.inf
         assert bernoulli_kl(0.5, 0.5) == 0.0
+
+    @pytest.mark.parametrize("t", [-0.1, 1.1, math.nan, [0.2, math.nan]])
+    def test_kl_rejects_t_outside_unit_interval(self, t):
+        with pytest.raises(ValidationError, match="t must lie"):
+            bernoulli_kl(0.5, t)
 
 
 class TestAlphaCut:
@@ -163,6 +172,36 @@ class TestFit:
     def test_bad_arguments_rejected(self, kwargs):
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
             fit_beta(to_membership_vector(BetaFuzzy(6.0, 40.0, 20)), **kwargs)
+
+
+class TestFitKernels:
+    """The fit's precomputed SSE and location scan give the bits of the direct formulas."""
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 500])
+    def test_sse_matches_membership_grid_exactly(self, k):
+        rng = np.random.default_rng(k)
+        v = rng.uniform(0.0, 1.0, k + 1)
+        sse = _GridSSE(v, k)
+        for c in [0.0, 1.0, float(k), *rng.uniform(0.0, k, 20)]:
+            for h in np.exp(rng.uniform(math.log(1e-3), math.log(1e6), 5)):
+                resid = v - membership_grid(BetaFuzzy(c, h, k))
+                assert sse(c / k, h) == float(resid @ resid), (c, h)
+
+    def test_scan_c_matches_brute_force_argmin(self):
+        k = 500
+        rng = np.random.default_rng(5)
+        t = np.arange(k + 1) / k
+        v = rng.uniform(0.0, 1.0, k + 1)
+        div_matrix = kl_divergence(t[:, None], t[None, :])
+        for h in np.exp(rng.uniform(math.log(1e-3), math.log(1e6), 50)):
+            resid = kl_membership(t[:, None], h, t[None, :]) - v
+            expected = int(np.argmin(np.einsum("ij,ij->i", resid, resid)))
+            assert _scan_c(v, div_matrix, h) == expected, h
+
+    @pytest.mark.parametrize("m", [-1e-12, 1.0 + 1e-12, math.nan, -math.inf])
+    def test_sse_rejects_location_outside_unit_interval(self, m):
+        with pytest.raises(ValidationError, match="m must lie"):
+            _GridSSE(np.ones(11), 10)(m, 1.0)
 
 
 class TestDefuzzify:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grancount import HmcConfig, NumericalError, ValidationError, diagnostics, leapfrog, sample
+from grancount import inference
 from grancount.inference import (
     PosteriorDraws,
     read_draws_csv,
@@ -119,6 +120,30 @@ class TestSampler:
         assert abs(x.mean()) < 0.05
         assert abs(x.var() - 1.0) < 0.1
         assert draws.divergence_count == 0
+
+    def test_warmup_divergences_counted_per_chain(self, monkeypatch):
+        # Recount every transition with the documented rule: the integrator's
+        # flag, or an energy error above DIVERGENCE_THRESHOLD.
+        flags = []
+        integrate = inference.leapfrog
+
+        def spy(target, q, p, grad, step, n_steps, inv_mass):
+            out = integrate(target, q, p, grad, step, n_steps, inv_mass)
+            h0 = -target(q)[0] + 0.5 * np.sum(p * p * inv_mass)
+            h1 = -out[2] + 0.5 * np.sum(out[1] * out[1] * inv_mass)
+            flags.append(out[4] or not h1 - h0 <= inference.DIVERGENCE_THRESHOLD)
+            return out
+
+        monkeypatch.setattr(inference, "leapfrog", spy)
+        cfg = HmcConfig(n_chains=1, n_warmup=100, n_draws=20, seed=8, max_leapfrog=16)
+        draws = sample(standard_normal_target(2), cfg, np.zeros(2))
+        # the chain's transitions are the last calls; the step-size search makes the earlier ones
+        warmup = flags[-(cfg.n_warmup + cfg.n_draws):-cfg.n_draws]
+        sampling = flags[-cfg.n_draws:]
+        # dual averaging starts at 10x the initial step, past the leapfrog
+        # stability limit of a unit Gaussian (step 2): early warmup diverges
+        assert draws.warmup_divergences.tolist() == [sum(warmup)] and sum(warmup) > 0
+        assert draws.divergence_count == sum(sampling) == 0
 
     def test_correlated_gaussian_recovers_correlation(self):
         rho = 0.8
