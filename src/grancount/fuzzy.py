@@ -146,6 +146,8 @@ def beta_centroid(fz: BetaFuzzy) -> float:
     t = np.arange(fz.k_max + 1) / fz.k_max
     div = bernoulli_kl(fz.location_scaled, t)
     finite = np.isfinite(div)
+    if not finite.any():
+        raise ValidationError(f"c={fz.location:g}, K={fz.k_max}: no count has membership")
     # normalise by the smallest divergence so the weights never all underflow
     w = np.zeros(t.size)
     w[finite] = np.exp(-fz.precision * (div[finite] - div[finite].min()))

@@ -80,6 +80,16 @@ class ReportingKernel:
         return idx
 
 
+def check_pmf_rows(pmf: np.ndarray) -> np.ndarray:
+    """`pmf` (a vector, or one pmf per row) once each row is >= 0, finite and sums to 1 +- 1e-9."""
+    if pmf.min() < 0.0 or not np.all(np.isfinite(pmf)):
+        raise ValidationError("pmf entries must be finite and non-negative")
+    sums = np.atleast_1d(pmf.sum(axis=-1))
+    if (off := np.abs(sums - 1.0) > 1.0e-9).any():
+        raise ValidationError(f"pmf must sum to 1 (got {sums[off.argmax()]!r})")
+    return pmf
+
+
 @dataclass(frozen=True)
 class LatentCountModel:
     """Probability mass of the latent count on {0..K}."""
@@ -90,11 +100,7 @@ class LatentCountModel:
         pmf = np.asarray(self.pmf, dtype=np.float64)
         if pmf.ndim != 1 or pmf.size < 1:
             raise ValidationError("pmf must be a non-empty vector")
-        if pmf.min() < 0.0 or not np.all(np.isfinite(pmf)):
-            raise ValidationError("pmf entries must be finite and non-negative")
-        if abs(pmf.sum() - 1.0) > 1.0e-9:
-            raise ValidationError(f"pmf must sum to 1 (got {pmf.sum()!r})")
-        pmf = pmf.copy()
+        pmf = check_pmf_rows(pmf).copy()
         pmf.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
 

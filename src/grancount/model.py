@@ -37,6 +37,7 @@ from scipy.special import betaln, digamma, gammaln
 
 from .errors import NumericalError, ValidationError
 from .fuzzy import BetaFuzzy
+from .kernel import LatentCountModel, check_pmf_rows
 
 MODEL_NAMES = ("cnar", "car1", "car2", "scalar")
 
@@ -151,11 +152,8 @@ def mean_response(spec: RegressionSpec, params: ModelParams, i: int) -> float:
     return float(linear_means(spec, params)[i])
 
 
-def negbin_log_pmf(y, mu, kappa):
-    """Negative binomial log pmf, mean-dispersion form (Var = mu + mu^2/kappa)."""
-    y = np.asarray(y, dtype=np.float64)
-    if (np.asarray(mu) <= 0.0).any() or (np.asarray(kappa) <= 0.0).any():
-        raise ValidationError("mu and kappa must be strictly positive")
+def _negbin_log_pmf(y, mu, kappa):
+    # the bare formula; callers have checked mu > 0 and kappa > 0
     log_kmu = np.log(kappa + mu)
     return (
         gammaln(y + kappa)
@@ -166,23 +164,44 @@ def negbin_log_pmf(y, mu, kappa):
     )
 
 
-def truncated_count_pmf(mu: float, kappa: float, k: int):
-    """Negative binomial pmf restricted and renormalised to {0..k}."""
-    from .kernel import LatentCountModel
+def negbin_log_pmf(y, mu, kappa):
+    """Negative binomial log pmf, mean-dispersion form (Var = mu + mu^2/kappa)."""
+    y = np.asarray(y, dtype=np.float64)
+    if (np.asarray(mu) <= 0.0).any() or (np.asarray(kappa) <= 0.0).any():
+        raise ValidationError("mu and kappa must be strictly positive")
+    return _negbin_log_pmf(y, mu, kappa)
 
-    if k < 0:
-        raise ValidationError("truncation level must be non-negative")
-    lp = negbin_log_pmf(np.arange(k + 1), mu, kappa)
-    peak = lp.max()
-    mass = np.exp(lp - peak)
-    log_total = peak + np.log(mass.sum())
-    if log_total < _LOG_TINY:
+
+# `simulate` builds truncated pmfs this many float64 cells (512 KB) at a time
+_PMF_BLOCK_CELLS = 1 << 16
+
+
+def _truncated_pmf_rows(mu: np.ndarray, kappa: float, k: int) -> np.ndarray:
+    """Negative binomial pmfs restricted and renormalised to {0..k}: one row per mean.
+
+    Row i has the bits of a one-row call for mu[i]. Besides the
+    (mu.size, k+1) result the formula holds two temporaries of its size.
+    """
+    if (mu <= 0.0).any() or kappa <= 0.0:
+        raise ValidationError("mu and kappa must be strictly positive")
+    lp = _negbin_log_pmf(np.arange(k + 1.0), mu[:, None], kappa)
+    peak = lp.max(axis=1, keepdims=True)
+    lp -= peak
+    mass = np.exp(lp, out=lp)
+    total = mass.sum(axis=1, keepdims=True)
+    if (low := peak + np.log(total) < _LOG_TINY).any():
         raise NumericalError(
             f"truncation incompatible with mean: mass below 1e-300 on {{0..{k}}} "
-            f"for mu={mu:.3g}, kappa={kappa:.3g}"
+            f"for mu={mu[low.argmax()]:.3g}, kappa={kappa:.3g}"
         )
-    pmf = mass / mass.sum()
-    return LatentCountModel(pmf)
+    return check_pmf_rows(np.divide(mass, total, out=mass))
+
+
+def truncated_count_pmf(mu: float, kappa: float, k: int) -> LatentCountModel:
+    """Negative binomial pmf restricted and renormalised to {0..k}."""
+    if k < 0:
+        raise ValidationError("truncation level must be non-negative")
+    return LatentCountModel(_truncated_pmf_rows(np.array([mu], dtype=np.float64), kappa, k)[0])
 
 
 def corrected_scaled_count(y, k):
@@ -599,7 +618,7 @@ class Posterior:
         kappa = float(np.exp(phi[p]))
         y = self._counts
         kmu = kappa + mu
-        ll = float(negbin_log_pmf(y, mu, kappa).sum())
+        ll = float(_negbin_log_pmf(y, mu, kappa).sum())
         d_coef = self._z.T @ (y - mu * (y + kappa) / kmu)
         d_kappa = float(
             (
@@ -686,7 +705,8 @@ def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar
 
     Deterministic for a fixed seed (an int or a numpy SeedSequence): the
     draw order is precisions, then latent counts (cnar only), then report
-    locations.
+    locations. cnar builds its truncated pmfs in blocks of `_PMF_BLOCK_CELLS`
+    cells; with their temporaries they hold about 1.5 MB at most.
     """
     model = check_model_name(model)
     if model == "scalar":
@@ -707,9 +727,14 @@ def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar
     if model == "cnar":
         latent = np.empty(n, dtype=np.int64)
         u = rng.random(n)
-        for i in range(n):
-            pmf = truncated_count_pmf(mu[i], params.dispersion, int(k[i])).pmf
-            latent[i] = int(np.searchsorted(np.cumsum(pmf), u[i]))
+        # one pmf matrix per truncation level, as padding rows to the largest
+        # would change the bits of their sums
+        for level in np.unique(k).tolist():
+            rows = np.flatnonzero(k == level)
+            step = max(1, _PMF_BLOCK_CELLS // (level + 1))
+            for idx in (rows[i : i + step] for i in range(0, rows.size, step)):
+                cdf = np.cumsum(_truncated_pmf_rows(mu[idx], params.dispersion, level), axis=1)
+                latent[idx] = (cdf < u[idx, None]).sum(axis=1)  # searchsorted, side="left"
         ybar = corrected_scaled_count(latent, k)
         scaled = rng.beta(h * ybar, h * (1.0 - ybar))
     else:

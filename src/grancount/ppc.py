@@ -128,11 +128,19 @@ def fuzzy_distance(a, b, grid: int = DEFAULT_GRID) -> float:
     return float(_pairwise_distances(profiles[:1], profiles[1:], grid)[0, 0])
 
 
+# float64 cells (512 KB) of one difference block, so that it stays in cache
+_BLOCK_CELLS = 1 << 16
+
+
 def _pairwise_distances(a: np.ndarray, b: np.ndarray, grid: int) -> np.ndarray:
-    # direct differences (chunked): exact zeros for identical profiles, which
-    # the expanded-inner-product shortcut cannot guarantee
+    """(rows of a, rows of b) matrix of RMS profile distances.
+
+    Direct differences in blocks of `_BLOCK_CELLS` cells: exact zeros for
+    identical profiles, which the expanded-inner-product shortcut cannot
+    guarantee. Holds one block (512 KB) besides the result.
+    """
     out = np.empty((a.shape[0], b.shape[0]))
-    step = max(1, 4_000_000 // (b.shape[0] * grid + 1))
+    step = max(1, _BLOCK_CELLS // (b.shape[0] * grid + 1))
     for start in range(0, a.shape[0], step):
         block = a[start : start + step, None, :] - b[None, :, :]
         out[start : start + step] = np.sqrt(np.einsum("ijk,ijk->ij", block, block) / grid)
@@ -140,12 +148,30 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray, grid: int) -> np.ndarray:
 
 
 def _within_distance(profiles: np.ndarray, grid: int) -> float:
-    """Mean pairwise distance within one sample; NaN for fewer than 2 rows."""
+    """Mean pairwise distance within one sample; NaN for fewer than 2 rows.
+
+    Only the pairs j > i are computed, a block of rows at a time, and they are
+    taken in `np.triu_indices` order, so the mean reduces the array the full
+    matrix's upper triangle gives. Holds one block and the n(n-1)/2
+    distances twice: about 0.6 MB at n=200.
+    """
     n = profiles.shape[0]
     if n < 2:
         return float("nan")
-    d = _pairwise_distances(profiles, profiles, grid)
-    return float(d[np.triu_indices(n, k=1)].mean())
+    step = max(1, _BLOCK_CELLS // (n * grid + 1))
+    pieces = []
+    for start in range(0, n - 1, step):
+        # block row r is profile start + r; its pairs j > i begin at column r
+        d = _pairwise_distances(profiles[start : start + step], profiles[start + 1 :], grid)
+        pieces.extend(d[r, r:] for r in range(d.shape[0]))
+    return float(np.concatenate(pieces).mean())
+
+
+def _replicate_energy(prof_obs: np.ndarray, replicated, t: np.ndarray, grid: int):
+    """(u_rep, u_cross) of one replicated sample against the observed profiles."""
+    prof_rep = _profile_matrix(list(replicated), t)
+    u_cross = float(_pairwise_distances(prof_obs, prof_rep, grid).mean())
+    return _within_distance(prof_rep, grid), u_cross
 
 
 def energy_components(observed, replicated, grid: int = DEFAULT_GRID) -> EnergyStats:
@@ -158,16 +184,13 @@ def energy_components(observed, replicated, grid: int = DEFAULT_GRID) -> EnergyS
         raise ValidationError("both samples must be non-empty")
     t = np.linspace(0.0, 1.0, grid)
     prof_obs = _profile_matrix(observed, t)
-    prof_rep = _profile_matrix(replicated, t)
     flags = [
         _SINGLETON.format(label)
-        for label, profiles in (("observed", prof_obs), ("replicated", prof_rep))
-        if profiles.shape[0] < 2
+        for label, sample in (("observed", observed), ("replicated", replicated))
+        if len(sample) < 2
     ]
-    u_obs = _within_distance(prof_obs, grid)
-    u_rep = _within_distance(prof_rep, grid)
-    u_cross = float(_pairwise_distances(prof_obs, prof_rep, grid).mean())
-    return EnergyStats(u_obs=u_obs, u_rep=u_rep, u_cross=u_cross, flags=tuple(flags))
+    u_rep, u_cross = _replicate_energy(prof_obs, replicated, t, grid)
+    return EnergyStats(_within_distance(prof_obs, grid), u_rep, u_cross, tuple(flags))
 
 
 def run_ppc(
@@ -194,9 +217,7 @@ def run_ppc(
     u_cross = np.empty(len(reps))
     for r, rep in enumerate(reps):
         means[r], iqrs[r] = scalar_summaries(rep.observations)
-        prof_rep = _profile_matrix(list(rep.observations), t)
-        u_rep[r] = _within_distance(prof_rep, grid)
-        u_cross[r] = float(_pairwise_distances(prof_obs, prof_rep, grid).mean())
+        u_rep[r], u_cross[r] = _replicate_energy(prof_obs, rep.observations, t, grid)
 
     return PpcSummary(
         observed_scaled_mean=obs_mean,

@@ -102,16 +102,19 @@ def test_simulate_output_feeds_infer(tmp_path):
         ["--set", "fit.max_iter=-3", "fit", "counts.csv", "--out", "stats.csv"],
         ["--set", "fit.crisp_precision=0.0001", "fit", "counts.csv", "--out", "stats.csv"],
         ["--set", "fit.crisp_precision=-1", "fit", "counts.csv", "--out", "stats.csv"],
+        [*SMALL, "--set", 'model="scalar"', "infer", "k1_stats.csv", "covariates.csv",
+         "--out-draws", "draws.csv", "--out-diagnostics", "diagnostics.json"],
     ],
     ids=["non-integral-int", "string-for-int", "bool-for-int", "non-integral-k",
          "int-beyond-float", "unknown-key", "missing-input", "not-utf8", "negative-tail-mass",
          "negative-seed", "negative-hmc-seed", "zero-fit-tol", "negative-fit-max-iter",
-         "tiny-crisp-precision", "negative-crisp-precision"],
+         "tiny-crisp-precision", "negative-crisp-precision", "scalar-k1-interior-location"],
 )
 def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, caplog):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "latin1.csv").write_bytes("g\u00e8ne\n1.0\n".encode("latin-1"))
     (tmp_path / "stats.csv").write_text("sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,5.0,10\n")
+    (tmp_path / "k1_stats.csv").write_text("sample_id,c,h,K\na,0.5,5.0,1\nb,4.0,5.0,10\n")
     (tmp_path / "covariates.csv").write_text("sample_id,x\na,0.5\nb,-0.5\n")
     (tmp_path / "counts.csv").write_text("id,y0,y1,y2,y3\na,0.2,1.0,0.6,0.1\n")
     with caplog.at_level(logging.ERROR, logger="grancount"):

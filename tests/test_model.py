@@ -24,6 +24,7 @@ from grancount import (
     truncated_count_pmf,
 )
 from grancount.model import (
+    _PMF_BLOCK_CELLS,
     clamp_scaled_location,
     cond_location_log_density,
     corrected_scaled_count,
@@ -430,6 +431,50 @@ class TestSimulate:
         variance = float(((np.arange(21) - expected) ** 2) @ pmf)
         mc_se = np.sqrt(variance / n)
         assert abs(sim.latent_counts.mean() - expected) <= 3 * mc_se
+
+    @pytest.mark.parametrize("levels, offset", [((500,), 1.0), ((1, 7, 250, 800), 10.0)])
+    def test_draws_equal_per_sample_reference_loop(self, levels, offset):
+        n = 301
+        rng = np.random.default_rng(len(levels))
+        k = rng.choice(levels, size=n)
+        assert n % (_PMF_BLOCK_CELLS // (max(levels) + 1)) != 0
+        spec = RegressionSpec(
+            np.column_stack([np.ones(n), rng.standard_normal(n)]), np.full(n, offset), k
+        )
+        params = make_params("cnar")
+        sim = simulate(spec, params, seed=17, model="cnar")
+        # the reference: precisions, uniforms, one inverse-CDF search per sample, locations
+        ref = np.random.default_rng(17)
+        mu = linear_means(spec, params)
+        h = ref.gamma(shape=params.precision_shape, scale=1.0 / params.precision_rate, size=n)
+        u = ref.random(n)
+        latent = np.empty(n, dtype=np.int64)
+        for i in range(n):
+            pmf = truncated_count_pmf(mu[i], params.dispersion, int(k[i])).pmf
+            lp = negbin_log_pmf(np.arange(k[i] + 1), mu[i], params.dispersion)
+            mass = np.exp(lp - lp.max())
+            np.testing.assert_array_equal(pmf, mass / mass.sum())
+            latent[i] = np.searchsorted(np.cumsum(pmf), u[i])
+        ybar = corrected_scaled_count(latent, k)
+        scaled = ref.beta(h * ybar, h * (1.0 - ybar))
+        np.testing.assert_array_equal(sim.latent_counts, latent)
+        assert sim.observations == tuple(
+            BetaFuzzy(float(k[i] * scaled[i]), float(h[i]), int(k[i])) for i in range(n)
+        )
+
+    def test_underflowing_truncation_raises(self):
+        spec = RegressionSpec(np.ones((3, 1)), np.array([10.0, 1e280, 10.0]), np.ones(3, dtype=int))
+        params = ModelParams(
+            coef=np.array([0.0]), dispersion=1e4, precision_shape=4.0, precision_rate=0.1
+        )
+        with pytest.raises(NumericalError, match="truncation incompatible"):
+            simulate(spec, params, seed=0, model="cnar")
+        # a mean that underflows to 0 is rejected
+        zero_mean = ModelParams(
+            coef=np.array([-800.0]), dispersion=2.0, precision_shape=4.0, precision_rate=0.1
+        )
+        with pytest.raises(ValidationError, match="strictly positive"):
+            simulate(RegressionSpec(np.ones((3, 1)), np.ones(3), np.full(3, 5)), zero_mean, seed=0)
 
     def test_crisp_limit_concentrates_reports(self):
         n, k = 400, 1000

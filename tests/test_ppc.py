@@ -18,6 +18,7 @@ from grancount import (
     scalar_summaries,
     simulate,
 )
+from grancount.ppc import _pairwise_distances, _profile_matrix, _within_distance
 
 from conftest import make_params, make_spec
 
@@ -127,6 +128,35 @@ class TestEnergyComponents:
             energy_components([], [obs(0.5, 10.0)])
 
 
+def _full_distance_matrix(a, b, grid):
+    """Reference: every difference in one block, as the distances were first computed."""
+    block = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", block, block) / grid)
+
+
+class TestDistanceBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 199, 200, 257])
+    def test_blocked_distances_equal_full_matrix_reference(self, n):
+        rng = np.random.default_rng(n)
+        items = [obs(float(rng.uniform(0.0, 1.0)), float(rng.gamma(4.0, 10.0)), 500)
+                 for _ in range(n + 3)]
+        profiles = _profile_matrix(items, np.linspace(0.0, 1.0, 101))
+        profiles[n - 1] = profiles[0]  # a duplicate row wherever n > 1
+        data, other = profiles[:n], profiles[n:]
+        full = _full_distance_matrix(data, data, 101)
+        np.testing.assert_array_equal(_pairwise_distances(data, data, 101), full)
+        np.testing.assert_array_equal(
+            _pairwise_distances(data, other, 101), _full_distance_matrix(data, other, 101)
+        )
+        within = _within_distance(data, 101)
+        if n == 1:
+            assert np.isnan(within)
+        else:
+            assert within == full[np.triu_indices(n, k=1)].mean()
+            assert full[0, n - 1] == 0.0
+            assert _within_distance(np.repeat(data[:1], n, axis=0), 101) == 0.0
+
+
 @pytest.fixture(scope="module")
 def fitted_small_posterior():
     """CNAR fit on a small simulated dataset, reused by replicate tests."""
@@ -173,3 +203,12 @@ class TestReplicate:
         a = run_ppc(draws, spec, "cnar", sim.observations, n_reps=10, seed=1)
         b = run_ppc(draws, spec, "cnar", sim.observations, n_reps=20, seed=2)
         assert a.u_obs == b.u_obs
+
+    def test_run_ppc_energy_equals_energy_components(self, fitted_small_posterior):
+        spec, sim, draws = fitted_small_posterior
+        summary = run_ppc(draws, spec, "cnar", sim.observations, n_reps=3, seed=5)
+        for r, rep in enumerate(replicate(draws, spec, "cnar", n_reps=3, seed=5)):
+            stats = energy_components(sim.observations, rep.observations)
+            assert (stats.u_obs, stats.u_rep, stats.u_cross) == (
+                summary.u_obs, summary.u_rep[r], summary.u_cross[r]
+            )
