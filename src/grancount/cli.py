@@ -79,7 +79,6 @@ class SimulateSection:
 
 @dataclass
 class TruncationSection:
-    exact: bool = False
     tail_mass: float = 1.0e-12
 
 
@@ -154,15 +153,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
     Overrides use dotted paths, e.g. ``hmc.n_draws=200``. Unknown keys are
     rejected.
     """
-    payload = {}
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ValidationError(f"{path}: top level must be a JSON object")
+    payload = {} if path is None else tables.read_json_object(path)
     for item in overrides:
         if "=" not in item:
             raise ValidationError(f"override '{item}' must look like key.path=value")
@@ -373,12 +364,7 @@ def cmd_infer(args, config: RunConfig) -> int:
     if config.model == "scalar":
         data = np.array([round(fuzzy.beta_centroid(o)) for o in observations], dtype=np.float64)
     post = model.Posterior(
-        spec,
-        data,
-        config.priors,
-        config.model,
-        exact_truncation=config.truncation.exact,
-        tail_mass=config.truncation.tail_mass,
+        spec, data, config.priors, config.model, tail_mass=config.truncation.tail_mass
     )
     logger.info(
         "stage=infer model=%s n=%d p=%d chains=%d warmup=%d draws=%d",

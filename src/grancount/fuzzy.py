@@ -6,9 +6,9 @@ point y the membership exp(-h * kl(c/K, y/K)), where kl is the Bernoulli
 Kullback-Leibler divergence. The shape is unimodal on [0, K], peaks at c,
 and collapses to a crisp indicator as h grows.
 
-Besides evaluation and alpha-cuts this module fits raw membership vectors to
-(c, h) statistics by derivative-free least squares, and compresses fuzzy
-counts to scalars (centroid defuzzification).
+Besides evaluation this module fits raw membership vectors to (c, h)
+statistics by derivative-free least squares, and compresses a fuzzy count to
+its centroid, the count the `scalar` model reads.
 """
 
 from __future__ import annotations
@@ -94,14 +94,6 @@ class BetaFuzzy:
         return self.location / self.k_max
 
 
-def beta_membership(fz: BetaFuzzy, y: int) -> float:
-    """Membership of the integer count y under the Beta-type fuzzy set."""
-    if not 0 <= y <= fz.k_max:
-        raise ValidationError(f"y={y} outside the count space [0, {fz.k_max}]")
-    div = bernoulli_kl(fz.location_scaled, y / fz.k_max)
-    return 0.0 if math.isinf(div) else math.exp(-fz.precision * div)
-
-
 def membership_grid(fz: BetaFuzzy) -> np.ndarray:
     """Memberships on the full grid y = 0..K."""
     t = np.arange(fz.k_max + 1) / fz.k_max
@@ -110,35 +102,6 @@ def membership_grid(fz: BetaFuzzy) -> np.ndarray:
     finite = np.isfinite(div)
     out[finite] = np.exp(-fz.precision * div[finite])
     return out
-
-
-def to_membership_vector(fz: BetaFuzzy) -> MembershipVector:
-    grid = membership_grid(fz)
-    if grid.max() <= 0.0:
-        raise ValidationError(
-            "membership underflows to zero on the whole grid; precision too large "
-            "for a non-integral location"
-        )
-    return MembershipVector(grid)
-
-
-def alpha_cut(fz: BetaFuzzy, alpha: float):
-    """Integer interval [lo, hi] where membership reaches alpha; None if empty."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError("alpha must lie in (0, 1]")
-    hits = np.flatnonzero(membership_grid(fz) >= alpha)
-    if hits.size == 0:
-        return None
-    return int(hits[0]), int(hits[-1])
-
-
-def defuzzify(mv: MembershipVector) -> float:
-    """Centroid of a fuzzy count: sum(y * xi(y)) / sum(xi(y))."""
-    weights = mv.memberships
-    total = weights.sum()
-    if total <= 0.0:
-        raise ValidationError("empty fuzzy set")
-    return float(np.arange(weights.size) @ weights / total)
 
 
 def beta_centroid(fz: BetaFuzzy) -> float:

@@ -49,8 +49,8 @@ class HmcConfig:
             raise ValidationError("target_accept must lie in (0, 1)")
         if self.max_leapfrog < 1:
             raise ValidationError("max_leapfrog must be at least 1")
-        if self.init_jitter < 0.0:
-            raise ValidationError("init_jitter must be non-negative")
+        if not (math.isfinite(self.init_jitter) and self.init_jitter >= 0.0):
+            raise ValidationError("init_jitter must be finite and non-negative")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 

@@ -15,7 +15,6 @@ one weighted matrix xi(y) * nu(xi) and its row sums c(y), so they agree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,8 @@ class ReportingKernel:
         nu = np.asarray(self.nu, dtype=np.float64)
         if nu.shape != (len(outcomes),):
             raise ValidationError("nu must assign one mass per outcome")
-        if nu.min() < 0.0:
-            raise ValidationError("nu entries must be non-negative")
+        if not np.all(np.isfinite(nu)) or nu.min() < 0.0:
+            raise ValidationError("nu entries must be finite and non-negative")
         if abs(nu.sum() - 1.0) > 1.0e-9:
             raise ValidationError(f"nu must sum to 1 (got {nu.sum()!r})")
         names = self.names
@@ -220,11 +219,7 @@ def kernel_to_json(kern: ReportingKernel, path) -> None:
 
 
 def kernel_from_json(path) -> ReportingKernel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    payload = tables.read_json_object(path)
     for key in ("nu", "outcomes"):
         if key not in payload:
             raise ValidationError(f"{path}: missing required key '{key}'")
@@ -234,5 +229,7 @@ def kernel_from_json(path) -> ReportingKernel:
         nu = np.asarray(payload["nu"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed kernel payload: {exc}") from None
-    names = tuple(payload["names"]) if "names" in payload else None
-    return ReportingKernel(outcomes=outcomes, nu=nu, names=names)
+    names = payload.get("names")
+    if not (names is None or isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ValidationError(f"{path}: 'names' must be a list of strings")
+    return ReportingKernel(outcomes=outcomes, nu=nu, names=None if names is None else tuple(names))

@@ -22,10 +22,7 @@ Four observed-data likelihoods are provided:
 
 Each likelihood is implemented once, in `Posterior`, with its exact analytic
 gradient on an unconstrained scale (log transforms for positive parameters);
-`Posterior.logp_and_grad` adds the prior and is the HMC sampler's target. The
-free functions `*_observed_loglik`, `log_posterior` and `grad_log_posterior`
-are views of it: the first evaluate the likelihood at constrained-scale
-`ModelParams`, the other two the posterior at one unconstrained point.
+`Posterior.logp_and_grad` adds the prior and is the HMC sampler's target.
 """
 
 from __future__ import annotations
@@ -145,13 +142,6 @@ def linear_means(spec: RegressionSpec, params: ModelParams) -> np.ndarray:
     return np.exp(eta)
 
 
-def mean_response(spec: RegressionSpec, params: ModelParams, i: int) -> float:
-    """Mean of the latent count for one sample."""
-    if not 0 <= i < spec.n_samples:
-        raise ValidationError(f"sample index {i} out of range")
-    return float(linear_means(spec, params)[i])
-
-
 def _negbin_log_pmf(y, mu, kappa):
     # the bare formula; callers have checked mu > 0 and kappa > 0
     log_kmu = np.log(kappa + mu)
@@ -219,42 +209,6 @@ def clamp_scaled_location(location, k) -> np.ndarray:
     k = np.asarray(k, dtype=np.float64)
     lo = 1.0 / (2.0 * k + 2.0)
     return np.clip(np.asarray(location, dtype=np.float64) / k, lo, 1.0 - lo)
-
-
-def cond_location_log_density(c_bar, h, y_bar):
-    """Log density of the scaled report location: Beta(h*ybar, h*(1-ybar))."""
-    c_bar = np.asarray(c_bar, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    y_bar = np.asarray(y_bar, dtype=np.float64)
-    if np.any(c_bar <= 0.0) or np.any(c_bar >= 1.0):
-        raise ValidationError("c_bar must lie strictly inside (0, 1); clamp first")
-    a = h * y_bar
-    b = h * (1.0 - y_bar)
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
-        raise ValidationError("Beta shapes must be positive; need h > 0, y_bar in (0, 1)")
-    out = (a - 1.0) * np.log(c_bar) + (b - 1.0) * np.log1p(-c_bar) - betaln(a, b)
-    if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(np.atleast_1d(out)))[0]
-        raise NumericalError(
-            f"non-finite Beta log density at shapes a={np.atleast_1d(a).ravel()[bad[0]]:.3g}, "
-            f"b={np.atleast_1d(b).ravel()[bad[0]]:.3g}"
-        )
-    return out if out.ndim else float(out)
-
-
-def gamma_precision_loglik(precisions: np.ndarray, shape: float, rate: float) -> float:
-    """Log likelihood of the observed precisions under Gamma(shape, rate)."""
-    precisions = np.asarray(precisions, dtype=np.float64)
-    if np.any(precisions <= 0.0):
-        raise ValidationError("precisions must be strictly positive")
-    if shape <= 0.0 or rate <= 0.0:
-        raise ValidationError("Gamma shape and rate must be strictly positive")
-    n = precisions.size
-    return float(
-        n * (shape * np.log(rate) - gammaln(shape))
-        + (shape - 1.0) * np.log(precisions).sum()
-        - rate * precisions.sum()
-    )
 
 
 def _check_alignment(spec: RegressionSpec, locations, k) -> None:
@@ -336,13 +290,6 @@ def pack_params(params: ModelParams, model: str) -> np.ndarray:
     return np.concatenate([params.coef, np.array(tail)])
 
 
-def unpack_params(phi: np.ndarray, n_covariates: int, model: str) -> ModelParams:
-    """Unconstrained vector -> constrained parameters."""
-    values = np.array(phi, dtype=np.float64, ndmin=1)
-    values[n_covariates:] = np.exp(values[n_covariates:])
-    return params_from_constrained(values, n_covariates, model)
-
-
 def params_from_constrained(values, n_covariates: int, model: str) -> ModelParams:
     """Constrained-scale vector (in `parameter_names` order) -> ModelParams."""
     model = check_model_name(model)
@@ -373,21 +320,18 @@ class Posterior:
     likelihood cannot be evaluated (overflowing predictors, underflowing
     truncations) get log density -inf rather than an exception, so samplers
     can treat them as divergences.
+
+    `cnar` sums the latent count over the grid 0..max K, cut where the widest
+    count pmf leaves at most `tail_mass` of its mass beyond; `tail_mass=0`
+    evaluates the full grid, which is exact.
     """
 
     def __init__(
-        self,
-        spec: RegressionSpec,
-        data,
-        priors: PriorSpec,
-        model: str,
-        exact_truncation: bool = True,
-        tail_mass: float = 1.0e-12,
+        self, spec: RegressionSpec, data, priors: PriorSpec, model: str, tail_mass: float = 0.0
     ):
         self.model = check_model_name(model)
         self.spec = spec
         self.priors = priors
-        self.exact_truncation = bool(exact_truncation)
         self.tail_mass = float(tail_mass)
         if not 0.0 <= self.tail_mass < 1.0:
             raise ValidationError(f"tail_mass must lie in [0, 1), got {tail_mass!r}")
@@ -512,7 +456,7 @@ class Posterior:
         n = mu.size
 
         grid = self._grid
-        if self.exact_truncation or n == 0:
+        if self.tail_mass == 0.0 or n == 0:
             hi = grid.size
         else:
             hi = self._cutoff(mu.max(), kappa)
@@ -631,60 +575,6 @@ class Posterior:
             ).sum()
         ) * kappa
         return ll, np.concatenate([d_coef, [d_kappa]])
-
-
-# ---------------------------------------------------------------------------
-# views of `Posterior`: observed-data likelihoods at constrained parameters,
-# and the posterior at one unconstrained point
-# ---------------------------------------------------------------------------
-
-
-def _observed_loglik(spec: RegressionSpec, params: ModelParams, data, model: str) -> float:
-    ll, _ = Posterior(spec, data, PriorSpec(), model)._loglik_and_grad(pack_params(params, model))
-    if not np.isfinite(ll):
-        raise NumericalError(f"{model} likelihood cannot be evaluated at these parameters")
-    return float(ll)
-
-
-def cnar_observed_loglik(spec: RegressionSpec, params: ModelParams, data) -> float:
-    """Observed-data log likelihood with the latent count marginalised out."""
-    return _observed_loglik(spec, params, data, "cnar")
-
-
-def car1_observed_loglik(spec: RegressionSpec, params: ModelParams, data) -> float:
-    """Ignorable baseline: report location conditioned on the scaled mean only.
-
-    No latent count appears, so this likelihood carries no count-level
-    variability (and no dispersion parameter).
-    """
-    return _observed_loglik(spec, params, data, "car1")
-
-
-def car2_observed_loglik(spec: RegressionSpec, params: ModelParams, data) -> float:
-    """Ignorable baseline with Beta shapes scaled by the extra dispersion."""
-    return _observed_loglik(spec, params, data, "car2")
-
-
-def scalar_observed_loglik(spec: RegressionSpec, params: ModelParams, counts) -> float:
-    """Negative binomial regression on scalar (defuzzified) counts."""
-    return _observed_loglik(spec, params, counts, "scalar")
-
-
-def log_posterior(spec, phi, data, priors, model, exact_truncation=True) -> float:
-    """Log posterior at an unconstrained parameter vector."""
-    return Posterior(spec, data, priors, model, exact_truncation).logp(phi)
-
-
-def grad_log_posterior(spec, phi, data, priors, model, exact_truncation=True) -> np.ndarray:
-    """Analytic gradient of the log posterior on the unconstrained scale."""
-    post = Posterior(spec, data, priors, model, exact_truncation)
-    logp, grad = post.logp_and_grad(phi)
-    if not np.isfinite(logp):
-        raise NumericalError("log posterior not finite at the requested point")
-    if not np.all(np.isfinite(grad)):
-        bad = post.names[int(np.flatnonzero(~np.isfinite(grad))[0])]
-        raise NumericalError(f"non-finite gradient component for parameter '{bad}'")
-    return grad
 
 
 # ---------------------------------------------------------------------------

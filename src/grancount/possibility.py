@@ -6,9 +6,10 @@ not return a single integer but a fuzzy set over {0..K}: for every candidate
 count y, the degree to which "exactly y of the K observations belong to the
 referent" remains possible.
 
-Two implementations of the count are provided: an exponential brute force
-used as testing oracle, and an exact polynomial algorithm based on a
-threshold (alpha-cut) characterisation.
+The membership of y is the best, over the subsets O of y observations, of
+min(min over O of pi[o, r], min over the others of their best alternative
+degree), empty minima counting as 1. `granular_count_fast` computes it
+exactly in polynomial time from a threshold (alpha-cut) characterisation.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ import numpy as np
 
 from . import tables
 from .errors import ValidationError
-
-# Brute force enumerates all 2^n subsets; refuse anything bigger than this.
-MAX_BRUTEFORCE_OBS = 20
 
 
 @dataclass(frozen=True)
@@ -93,18 +91,9 @@ class MembershipVector:
     def k_max(self) -> int:
         return self.memberships.size - 1
 
-    @property
-    def is_normalized(self) -> bool:
-        return bool(self.memberships.max() == 1.0)
-
     def support(self) -> np.ndarray:
         """Indices y with strictly positive membership."""
         return np.flatnonzero(self.memberships > 0.0)
-
-    def alpha_cut(self, alpha: float) -> np.ndarray:
-        if not 0.0 < alpha <= 1.0:
-            raise ValidationError("alpha must lie in (0, 1]")
-        return np.flatnonzero(self.memberships >= alpha)
 
 
 def complement_degrees(assign: PossibilityAssignment, referent: int) -> np.ndarray:
@@ -118,39 +107,6 @@ def complement_degrees(assign: PossibilityAssignment, referent: int) -> np.ndarr
         return np.zeros(assign.n_obs)
     others = np.delete(assign.degrees, referent, axis=1)
     return others.max(axis=1)
-
-
-def granular_count_bruteforce(assign: PossibilityAssignment, referent: int) -> MembershipVector:
-    """Count a referent by exhaustive subset enumeration.
-
-    For each y, the membership is the best (over subsets O_y of size y) of
-    min(min over O_y of pi[o, r], min over the rest of the best alternative
-    degree), empty minima counting as 1. Exponential in the number of
-    observations; intended as the oracle for the fast implementation.
-    """
-    referent = assign._check_referent(referent)
-    n = assign.n_obs
-    if n > MAX_BRUTEFORCE_OBS:
-        raise ValidationError(
-            f"instance too large for oracle: {n} observations exceeds "
-            f"the enumeration guard of {MAX_BRUTEFORCE_OBS}"
-        )
-    own = assign.degrees[:, referent].tolist()
-    alt = complement_degrees(assign, referent).tolist()
-    best = [0.0] * (n + 1)
-    for subset in range(1 << n):
-        level = 1.0  # empty minima count as fully possible
-        size = 0
-        for o in range(n):
-            if subset >> o & 1:
-                size += 1
-                if own[o] < level:
-                    level = own[o]
-            elif alt[o] < level:
-                level = alt[o]
-        if level > best[size]:
-            best[size] = level
-    return _as_count_vector(np.array(best), referent)
 
 
 def granular_count_fast(assign: PossibilityAssignment, referent: int) -> MembershipVector:

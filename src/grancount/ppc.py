@@ -27,7 +27,6 @@ from .model import (
     params_from_constrained,
     simulate,
 )
-from .possibility import MembershipVector
 
 DEFAULT_GRID = 101
 _SINGLETON = "{}: singleton sample, within-distance undefined"
@@ -99,25 +98,9 @@ def scalar_summaries(observations) -> tuple[float, float]:
 
 
 def _profile_matrix(items, t_grid: np.ndarray) -> np.ndarray:
-    """Membership profiles on a shared unit grid, one row per item.
-
-    `BetaFuzzy` items are evaluated through the parametric family; raw
-    `MembershipVector`s are linearly interpolated on their own scaled grid.
-    """
-    rows = np.empty((len(items), t_grid.size))
-    parametric = [
-        (i, item) for i, item in enumerate(items) if not isinstance(item, MembershipVector)
-    ]
-    if parametric:
-        idx = np.array([i for i, _ in parametric])
-        m = np.array([item.location / item.k_max for _, item in parametric])[:, None]
-        h = np.array([item.precision for _, item in parametric])[:, None]
-        rows[idx] = kl_membership(m, h, t_grid[None, :])
-    for i, item in enumerate(items):
-        if isinstance(item, MembershipVector):
-            grid = np.arange(item.k_max + 1) / item.k_max
-            rows[i] = np.interp(t_grid, grid, item.memberships)
-    return rows
+    """Membership profiles of `BetaFuzzy` items on a shared unit grid, one row per item."""
+    locations, precisions, k = observation_arrays(items)
+    return kl_membership((locations / k)[:, None], precisions[:, None], t_grid[None, :])
 
 
 def fuzzy_distance(a, b, grid: int = DEFAULT_GRID) -> float:
@@ -169,7 +152,7 @@ def _within_distance(profiles: np.ndarray, grid: int) -> float:
 
 def _replicate_energy(prof_obs: np.ndarray, replicated, t: np.ndarray, grid: int):
     """(u_rep, u_cross) of one replicated sample against the observed profiles."""
-    prof_rep = _profile_matrix(list(replicated), t)
+    prof_rep = _profile_matrix(replicated, t)
     u_cross = float(_pairwise_distances(prof_obs, prof_rep, grid).mean())
     return _within_distance(prof_rep, grid), u_cross
 

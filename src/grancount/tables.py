@@ -1,4 +1,4 @@
-"""The file format every stage shares: CSV tables and JSON sidecars.
+"""The file format every stage shares: CSV tables and JSON documents.
 
 A table is one header row plus data rows in the default `csv` dialect. Floats
 are written as `repr(float(v))`, so a value read back is the value written,
@@ -70,6 +70,18 @@ def write_table(path, header, rows) -> None:
         writer.writerows(
             [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
         )
+
+
+def read_json_object(path) -> dict:
+    """Read a JSON document whose top level is an object."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: top level must be a JSON object")
+    return payload
 
 
 def write_json(path, payload) -> None:

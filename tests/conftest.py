@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grancount import ModelParams, RegressionSpec, simulate
+from grancount.model import ModelParams, RegressionSpec, simulate
 
 
 def make_spec(n=20, k=60, seed=0, offset=10.0, names=("intercept", "x")):

@@ -104,11 +104,21 @@ def test_simulate_output_feeds_infer(tmp_path):
         ["--set", "fit.crisp_precision=-1", "fit", "counts.csv", "--out", "stats.csv"],
         [*SMALL, "--set", 'model="scalar"', "infer", "k1_stats.csv", "covariates.csv",
          "--out-draws", "draws.csv", "--out-diagnostics", "diagnostics.json"],
+        ["kernel-audit", "kernel_int.json"],
+        ["kernel-audit", "kernel_names_int.json"],
+        ["kernel-audit", "kernel_names_str.json"],
+        ["kernel-audit", "kernel_nan_nu.json"],
+        [*SMALL, "--set", "hmc.init_jitter=NaN", "infer", "stats.csv", "covariates.csv",
+         "--out-draws", "draws.csv", "--out-diagnostics", "diagnostics.json"],
+        ["--set", "hmc.init_jitter=Infinity", "show-config"],
+        ["--set", "truncation.exact=true", "show-config"],
     ],
     ids=["non-integral-int", "string-for-int", "bool-for-int", "non-integral-k",
          "int-beyond-float", "unknown-key", "missing-input", "not-utf8", "negative-tail-mass",
          "negative-seed", "negative-hmc-seed", "zero-fit-tol", "negative-fit-max-iter",
-         "tiny-crisp-precision", "negative-crisp-precision", "scalar-k1-interior-location"],
+         "tiny-crisp-precision", "negative-crisp-precision", "scalar-k1-interior-location",
+         "kernel-not-object", "kernel-names-int", "kernel-names-string", "kernel-nan-nu",
+         "nan-init-jitter", "infinite-init-jitter", "removed-truncation-exact"],
 )
 def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, caplog):
     monkeypatch.chdir(tmp_path)
@@ -117,6 +127,11 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     (tmp_path / "k1_stats.csv").write_text("sample_id,c,h,K\na,0.5,5.0,1\nb,4.0,5.0,10\n")
     (tmp_path / "covariates.csv").write_text("sample_id,x\na,0.5\nb,-0.5\n")
     (tmp_path / "counts.csv").write_text("id,y0,y1,y2,y3\na,0.2,1.0,0.6,0.1\n")
+    kernel = {"nu": [0.5, 0.5], "outcomes": [[1.0, 0.5], [0.5, 1.0]]}
+    for name, payload in [("int", 5), ("names_int", {**kernel, "names": 5}),
+                          ("names_str", {**kernel, "names": "ab"}),
+                          ("nan_nu", {**kernel, "nu": [float("nan"), 1.0]})]:
+        (tmp_path / f"kernel_{name}.json").write_text(json.dumps(payload))
     with caplog.at_level(logging.ERROR, logger="grancount"):
         assert cli.main(argv) == cli.EXIT_VALIDATION
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]

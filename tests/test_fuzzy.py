@@ -1,58 +1,57 @@
-"""Beta-type fuzzy counts: evaluation, cuts, fitting, defuzzification."""
+"""Beta-type fuzzy counts: evaluation, level sets, fitting, centroids."""
 
 import math
 
 import numpy as np
 import pytest
 
-from grancount import (
-    BetaFuzzy,
-    ValidationError,
-    alpha_cut,
-    beta_centroid,
-    beta_membership,
-    bernoulli_kl,
-    defuzzify,
-    fit_beta,
-    membership_grid,
-)
+from grancount import ValidationError
 from grancount.fuzzy import (
     CRISP_PRECISION_CEILING,
+    BetaFuzzy,
     _GridSSE,
     _scan_c,
+    bernoulli_kl,
+    beta_centroid,
+    fit_beta,
     kl_divergence,
     kl_membership,
+    membership_grid,
     read_stats_csv,
-    to_membership_vector,
     write_stats_csv,
 )
 from grancount.possibility import MembershipVector
 
 
+def grid_vector(c, h, k):
+    """The membership vector of the Beta-type count (c, h, K), as `fit` reads it."""
+    return MembershipVector(membership_grid(BetaFuzzy(c, h, k)))
+
+
 class TestMembership:
     def test_peak_value_is_one_at_location(self):
         fz = BetaFuzzy(location=8.0, precision=25.0, k_max=16)
-        assert beta_membership(fz, 8) == 1.0
+        assert membership_grid(fz)[8] == 1.0
 
     def test_zero_location_boundary_conventions(self):
-        fz = BetaFuzzy(location=0.0, precision=3.0, k_max=10)
-        assert beta_membership(fz, 0) == 1.0
-        assert beta_membership(fz, 10) == 0.0
+        grid = membership_grid(BetaFuzzy(location=0.0, precision=3.0, k_max=10))
+        assert grid[0] == 1.0
+        assert grid[10] == 0.0
 
     def test_divergence_form_closed_value(self):
         # exp(-10 * kl(1/2, 1/4)) = 2^-5 * (3/2)^5 = 243/1024, checked to 40
         # digits with mpmath
         fz = BetaFuzzy(location=10.0, precision=10.0, k_max=20)
-        assert abs(beta_membership(fz, 5) - 243.0 / 1024.0) < 1e-15
+        assert abs(membership_grid(fz)[5] - 243.0 / 1024.0) < 1e-15
 
     def test_infinite_precision_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             BetaFuzzy(5.0, math.inf, 10)
 
     def test_out_of_range_count(self):
-        fz = BetaFuzzy(location=1.0, precision=1.0, k_max=4)
-        with pytest.raises(ValidationError):
-            beta_membership(fz, 5)
+        for location in (-1e-9, 4.5):
+            with pytest.raises(ValidationError, match="outside"):
+                BetaFuzzy(location=location, precision=1.0, k_max=4)
 
     def test_precision_monotonicity(self):
         rng = np.random.default_rng(0)
@@ -96,27 +95,26 @@ class TestMembership:
 
 
 class TestAlphaCut:
+    """Level sets {y : membership >= alpha} of `membership_grid`."""
+
+    @staticmethod
+    def cut(fz, alpha):
+        return np.flatnonzero(membership_grid(fz) >= alpha).tolist()
+
     def test_core_at_integral_location(self):
         fz = BetaFuzzy(location=5.0, precision=30.0, k_max=12)
-        assert alpha_cut(fz, 1.0) == (5, 5)
+        assert self.cut(fz, 1.0) == [5]
 
     def test_small_alpha_gives_support(self):
         fz = BetaFuzzy(location=5.0, precision=30.0, k_max=12)
         # interior location: boundary points have membership exactly 0
-        assert alpha_cut(fz, 1e-300) == (1, 11)
+        assert self.cut(fz, 1e-300) == list(range(1, 12))
 
     def test_cut_contains_quarter_point(self):
         # membership at t=0.25 is 243/1024 ~ 0.237 >= 0.2
         fz = BetaFuzzy(location=10.0, precision=10.0, k_max=20)
-        lo, hi = alpha_cut(fz, 0.2)
-        assert lo <= 5 <= hi
-
-    def test_alpha_range_validated(self):
-        fz = BetaFuzzy(location=1.0, precision=1.0, k_max=4)
-        with pytest.raises(ValidationError):
-            alpha_cut(fz, 0.0)
-        with pytest.raises(ValidationError):
-            alpha_cut(fz, 1.5)
+        cut = self.cut(fz, 0.2)
+        assert 5 in cut and cut == list(range(cut[0], cut[-1] + 1))
 
 
 class TestFit:
@@ -138,8 +136,7 @@ class TestFit:
         assert abs(fit.params.location - k / 2) < 1e-6
 
     def test_round_trip_recovery(self):
-        mv = to_membership_vector(BetaFuzzy(6.0, 40.0, 20))
-        fit = fit_beta(mv)
+        fit = fit_beta(grid_vector(6.0, 40.0, 20))
         assert abs(fit.params.location - 6.0) <= 0.05
         assert abs(fit.params.precision - 40.0) / 40.0 <= 0.05
         assert fit.sse < 1e-10
@@ -150,7 +147,7 @@ class TestFit:
             k = int(rng.integers(8, 40))
             c = float(rng.integers(1, k))
             h = float(np.exp(rng.uniform(np.log(3.0), np.log(300.0))))
-            fit = fit_beta(to_membership_vector(BetaFuzzy(c, h, k)))
+            fit = fit_beta(grid_vector(c, h, k))
             assert abs(fit.params.location - c) <= 0.05
             assert abs(fit.params.precision - h) / h <= 0.05
 
@@ -159,7 +156,7 @@ class TestFit:
             fit_beta(MembershipVector([0.2, 0.5, 0.2]))
 
     def test_tolerance_below_float_spacing_terminates(self):
-        fit = fit_beta(to_membership_vector(BetaFuzzy(6.0, 40.0, 20)), tol=1e-15)
+        fit = fit_beta(grid_vector(6.0, 40.0, 20), tol=1e-15)
         assert abs(fit.params.location - 6.0) <= 0.05
         assert abs(fit.params.precision - 40.0) / 40.0 <= 0.05
 
@@ -171,7 +168,7 @@ class TestFit:
     )
     def test_bad_arguments_rejected(self, kwargs):
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
-            fit_beta(to_membership_vector(BetaFuzzy(6.0, 40.0, 20)), **kwargs)
+            fit_beta(grid_vector(6.0, 40.0, 20), **kwargs)
 
 
 class TestFitKernels:
@@ -205,28 +202,28 @@ class TestFitKernels:
 
 
 class TestDefuzzify:
+    """`beta_centroid`, the defuzzified count of the `scalar` model."""
+
     def test_crisp_gives_the_point(self):
-        values = np.zeros(9)
-        values[3] = 1.0
-        assert defuzzify(MembershipVector(values)) == 3.0
+        # every other membership underflows to exactly 0 at the crisp ceiling
+        assert beta_centroid(BetaFuzzy(3.0, CRISP_PRECISION_CEILING, 8)) == 3.0
 
     def test_symmetric_gives_center(self):
-        values = np.array([0.25, 1.0, 0.25])
-        assert defuzzify(MembershipVector(values)) == 1.0
+        assert beta_centroid(BetaFuzzy(5.0, 4.0, 10)) == pytest.approx(5.0, abs=1e-12)
 
     def test_weighted_fixture(self):
-        # (0*0.5 + 1*1.0 + 2*0.25) / 1.75 = 6/7
-        mv = MembershipVector([0.5, 1.0, 0.25])
-        assert abs(defuzzify(mv) - 6.0 / 7.0) < 1e-15
+        # K=4, c=1, h=4: the memberships of y=0..4 are 0, 1, 16/27, 1/9, 0, as
+        # exp(-4 kl(1/4, 1/2)) = (2^(1/4) / 1.5^(3/4))^4 and exp(-4 kl(1/4, 3/4)) = 3^-2;
+        # the centroid is (1 + 2 * 16/27 + 3 * 1/9) / (1 + 16/27 + 1/9) = 34/23
+        assert abs(beta_centroid(BetaFuzzy(1.0, 4.0, 4)) - 34.0 / 23.0) < 1e-14
 
     def test_within_support_hull(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            values = rng.uniform(0, 1, size=int(rng.integers(2, 20)))
-            values[rng.integers(0, values.size)] = 1.0
-            mv = MembershipVector(values)
-            support = mv.support()
-            assert support[0] <= defuzzify(mv) <= support[-1]
+            k = int(rng.integers(2, 20))
+            fz = BetaFuzzy(float(rng.uniform(0, k)), float(rng.uniform(0.5, 60)), k)
+            support = np.flatnonzero(membership_grid(fz) > 0.0)
+            assert support[0] <= beta_centroid(fz) <= support[-1]
 
     def test_beta_centroid_crisp_limit(self):
         # integral location, enormous precision: centroid collapses to c
@@ -235,8 +232,7 @@ class TestDefuzzify:
 
 class TestStatsCsv:
     def test_round_trip(self, tmp_path):
-        mv = to_membership_vector(BetaFuzzy(6.0, 40.0, 20))
-        fits = [fit_beta(mv)]
+        fits = [fit_beta(grid_vector(6.0, 40.0, 20))]
         path = tmp_path / "stats.csv"
         write_stats_csv(path, ["s1"], fits)
         ids, locs, precs, ks = read_stats_csv(path)

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from grancount import HmcConfig, NumericalError, ValidationError, diagnostics, leapfrog, sample
-from grancount import inference
+from grancount import NumericalError, ValidationError, inference
 from grancount.inference import (
+    HmcConfig,
     PosteriorDraws,
+    diagnostics,
+    leapfrog,
     read_draws_csv,
+    sample,
     write_draws_csv,
 )
 

@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from grancount import (
+from grancount import ValidationError
+from grancount.kernel import (
     LatentCountModel,
-    MembershipVector,
     ReportingKernel,
-    ValidationError,
     is_car,
+    kernel_from_json,
     kernel_prob,
+    kernel_to_json,
     marginal_outcome_prob,
     normalizer,
+    phi_matrix,
     zadeh_probability,
 )
-from grancount.kernel import kernel_from_json, kernel_to_json, phi_matrix
+from grancount.possibility import MembershipVector
 
 
 def worked_example_kernel():

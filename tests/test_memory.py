@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grancount import simulate
+from grancount.model import simulate
 from grancount.ppc import _pairwise_distances, _within_distance
 
 from conftest import make_params, make_spec

@@ -3,64 +3,52 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.integrate import quad
 
-from grancount import (
-    BetaFuzzy,
+from grancount import NumericalError, ValidationError
+from grancount.fuzzy import BetaFuzzy
+from grancount.model import (
+    _PMF_BLOCK_CELLS,
     ModelParams,
-    NumericalError,
     Posterior,
     PriorSpec,
     RegressionSpec,
-    ValidationError,
-    car1_observed_loglik,
-    car2_observed_loglik,
-    cnar_observed_loglik,
-    grad_log_posterior,
-    mean_response,
-    negbin_log_pmf,
-    scalar_observed_loglik,
-    simulate,
-    truncated_count_pmf,
-)
-from grancount.model import (
-    _PMF_BLOCK_CELLS,
     clamp_scaled_location,
-    cond_location_log_density,
     corrected_scaled_count,
-    gamma_precision_loglik,
     linear_means,
+    negbin_log_pmf,
     observation_arrays,
     pack_params,
     params_from_constrained,
     parameter_names,
-    unpack_params,
+    simulate,
+    truncated_count_pmf,
 )
 
 from conftest import make_params, make_spec
+from oracles import observed_loglik
 
 
 class TestMeanResponse:
     def test_zero_coefficients_identity(self):
         spec = RegressionSpec([[1.0, 2.0]], [1.0], [10])
         params = ModelParams(coef=np.zeros(2))
-        assert mean_response(spec, params, 0) == 1.0
+        assert linear_means(spec, params)[0] == 1.0
 
     def test_cancelling_predictor(self):
         spec = RegressionSpec([[1.0, 2.0]], [10.0], [10])
         params = ModelParams(coef=np.array([0.5, -0.25]))
-        assert abs(mean_response(spec, params, 0) - 10.0) < 1e-12
+        assert abs(linear_means(spec, params)[0] - 10.0) < 1e-12
 
     def test_offset_passthrough(self):
         spec = RegressionSpec([[0.0]], [3.0], [10])
         params = ModelParams(coef=np.array([7.0]))
-        assert mean_response(spec, params, 0) == pytest.approx(3.0, rel=1e-14)
+        assert linear_means(spec, params)[0] == pytest.approx(3.0, rel=1e-14)
 
     def test_overflow_reports_value(self):
         spec = RegressionSpec([[1.0]], [1.0], [10])
         params = ModelParams(coef=np.array([800.0]))
         with pytest.raises(NumericalError, match="overflow"):
-            mean_response(spec, params, 0)
+            linear_means(spec, params)
 
 
 class TestNegbinLogPmf:
@@ -108,34 +96,6 @@ class TestTruncatedPmf:
             truncated_count_pmf(1e280, 1e4, 1)
 
 
-class TestCondLocationDensity:
-    def test_uniform_beta_is_flat(self):
-        # shapes (1, 1) arise from h=2, ybar=1/2
-        for c_bar in (0.1, 0.5, 0.9):
-            assert abs(cond_location_log_density(c_bar, 2.0, 0.5)) < 1e-14
-
-    def test_against_scipy_beta(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            h = float(rng.uniform(0.5, 80))
-            y_bar = float(rng.uniform(0.02, 0.98))
-            c_bar = float(rng.uniform(0.01, 0.99))
-            mine = cond_location_log_density(c_bar, h, y_bar)
-            ref = stats.beta.logpdf(c_bar, h * y_bar, h * (1 - y_bar))
-            assert abs(mine - ref) < 1e-9
-
-    def test_mean_matches_location_by_quadrature(self):
-        h, y_bar = 10.0, 0.3
-        mean, _ = quad(
-            lambda x: x * np.exp(cond_location_log_density(x, h, y_bar)), 0.0, 1.0
-        )
-        assert abs(mean - y_bar) <= 1e-6
-
-    def test_boundary_input_rejected(self):
-        with pytest.raises(ValidationError):
-            cond_location_log_density(0.0, 5.0, 0.5)
-
-
 class TestClamping:
     def test_clamp_is_idempotent(self):
         k = np.array([10, 500])
@@ -174,17 +134,12 @@ def _reference_cnar_loglik(spec, params, observations):
 class TestObservedLogliks:
     def test_empty_data_gives_zero(self):
         spec = RegressionSpec(np.empty((0, 2)), np.empty(0), np.empty(0, dtype=int))
-        for fn, model in [
-            (cnar_observed_loglik, "cnar"),
-            (car1_observed_loglik, "car1"),
-            (car2_observed_loglik, "car2"),
-        ]:
-            assert fn(spec, make_params(model), []) == 0.0
-        assert scalar_observed_loglik(spec, make_params("scalar"), []) == 0.0
+        for model in ("cnar", "car1", "car2", "scalar"):
+            assert observed_loglik(spec, make_params(model), [], model) == 0.0
 
     def test_cnar_against_independent_composition(self, small_cnar_data):
         spec, params, sim = small_cnar_data
-        mine = cnar_observed_loglik(spec, params, sim.observations)
+        mine = observed_loglik(spec, params, sim.observations, "cnar")
         ref = _reference_cnar_loglik(spec, params, sim.observations)
         assert abs(mine - ref) < 1e-8 * (1 + abs(ref))
 
@@ -207,7 +162,7 @@ class TestObservedLogliks:
         expected = stats.gamma.logpdf(5.0, 3.0, scale=2.0) + np.log(
             w[0] * dens[0] + w[1] * dens[1]
         )
-        got = cnar_observed_loglik(spec, params, obs)
+        got = observed_loglik(spec, params, obs, "cnar")
         assert abs(got - expected) < 1e-10
 
     def test_cnar_mixed_k_against_independent_composition(self):
@@ -218,30 +173,31 @@ class TestObservedLogliks:
         )
         params = make_params("cnar")
         sim = simulate(spec, params, seed=6, model="cnar")
-        mine = cnar_observed_loglik(spec, params, sim.observations)
+        mine = observed_loglik(spec, params, sim.observations, "cnar")
         ref = _reference_cnar_loglik(spec, params, sim.observations)
         assert abs(mine - ref) < 1e-8 * (1 + abs(ref))
 
     def test_gamma_block_separates_exactly(self, small_cnar_data):
         spec, params, sim = small_cnar_data
-        base = cnar_observed_loglik(spec, params, sim.observations)
+        base = observed_loglik(spec, params, sim.observations, "cnar")
         shifted = ModelParams(
             coef=params.coef,
             dispersion=params.dispersion,
             precision_shape=6.5,
             precision_rate=0.4,
         )
-        moved = cnar_observed_loglik(spec, shifted, sim.observations)
+        moved = observed_loglik(spec, shifted, sim.observations, "cnar")
         h = np.array([o.precision for o in sim.observations])
-        delta = gamma_precision_loglik(h, 6.5, 0.4) - gamma_precision_loglik(
-            h, params.precision_shape, params.precision_rate
+        delta = (
+            stats.gamma.logpdf(h, 6.5, scale=1.0 / 0.4).sum()
+            - stats.gamma.logpdf(h, params.precision_shape, scale=1.0 / params.precision_rate).sum()
         )
         assert moved - base == pytest.approx(delta, abs=1e-10)
 
     def test_car1_against_direct_formula(self, small_cnar_data):
         spec, _, sim = small_cnar_data
         params = make_params("car1")
-        mine = car1_observed_loglik(spec, params, sim.observations)
+        mine = observed_loglik(spec, params, sim.observations, "car1")
         locations, precisions, k = observation_arrays(sim.observations)
         mu = linear_means(spec, params)
         lo = 1.0 / (2.0 * k + 2.0)
@@ -262,8 +218,8 @@ class TestObservedLogliks:
             coef=np.array([0.0]), precision_shape=3.0, precision_rate=0.5
         )
         obs = [BetaFuzzy(location=0.3, precision=4.0, k_max=1)]
-        a = cnar_observed_loglik(spec, cnar_params, obs)
-        b = car1_observed_loglik(spec, car_params, obs)
+        a = observed_loglik(spec, cnar_params, obs, "cnar")
+        b = observed_loglik(spec, car_params, obs, "car1")
         assert abs(a - b) < 1e-7
 
     def test_car2_reduces_to_car1_at_unit_scale(self, small_cnar_data):
@@ -275,14 +231,14 @@ class TestObservedLogliks:
             precision_rate=car1.precision_rate,
             extra_dispersion=1.0,
         )
-        assert car2_observed_loglik(spec, car2, sim.observations) == car1_observed_loglik(
-            spec, car1, sim.observations
+        assert observed_loglik(spec, car2, sim.observations, "car2") == observed_loglik(
+            spec, car1, sim.observations, "car1"
         )
 
     def test_car2_fixture_against_direct_formula(self, small_cnar_data):
         spec, _, sim = small_cnar_data
         params = make_params("car2")
-        mine = car2_observed_loglik(spec, params, sim.observations)
+        mine = observed_loglik(spec, params, sim.observations, "car2")
         locations, precisions, k = observation_arrays(sim.observations)
         mu = linear_means(spec, params)
         lo = 1.0 / (2.0 * k + 2.0)
@@ -297,7 +253,7 @@ class TestObservedLogliks:
         spec, _, sim = small_cnar_data
         params = make_params("scalar")
         counts = np.round([o.location for o in sim.observations])
-        mine = scalar_observed_loglik(spec, params, counts)
+        mine = observed_loglik(spec, params, counts, "scalar")
         mu = linear_means(spec, params)
         ref = stats.nbinom.logpmf(counts, 2.0, 2.0 / (2.0 + mu)).sum()
         assert abs(mine - ref) < 1e-8 * (1 + abs(ref))
@@ -313,7 +269,7 @@ class TestGradients:
             else sim.observations
         )
         priors = PriorSpec()
-        post = Posterior(spec, data, priors, model, exact_truncation=True)
+        post = Posterior(spec, data, priors, model)
         rng = np.random.default_rng(5)
         step = 1e-5
         for _ in range(6):
@@ -329,7 +285,7 @@ class TestGradients:
         spec = RegressionSpec(np.empty((0, 1)), np.empty(0), np.empty(0, dtype=int))
         priors = PriorSpec()
         phi = np.array([0.7, -0.3, 0.2, 0.1])
-        grad = grad_log_posterior(spec, phi, [], priors, "cnar")
+        _, grad = Posterior(spec, [], priors, "cnar").logp_and_grad(phi)
         sds = np.array([5.0, 1.5, 1.5, 1.5])
         np.testing.assert_allclose(grad, -phi / sds**2, atol=1e-14)
 
@@ -340,25 +296,24 @@ class TestGradients:
             BetaFuzzy(location=3.0, precision=6.0, k_max=8),
         ]
         phi = np.array([0.0, np.log(2.0), np.log(3.0), np.log(0.5)])
-        grad = grad_log_posterior(spec, phi, obs, PriorSpec(), "cnar")
+        _, grad = Posterior(spec, obs, PriorSpec(), "cnar").logp_and_grad(phi)
         # identical samples cancel; BLAS fused multiply-adds leave rounding dust
         assert abs(grad[0]) <= 1e-14
 
-    def test_nonfinite_point_raises(self):
+    def test_nonfinite_point_gives_neg_inf(self):
         spec = RegressionSpec([[1.0]], [1.0], [4])
         obs = [BetaFuzzy(location=2.0, precision=3.0, k_max=4)]
-        with pytest.raises(NumericalError):
-            grad_log_posterior(
-                spec, np.array([1e4, 0.0, 0.0, 0.0]), obs, PriorSpec(), "cnar"
-            )
+        post = Posterior(spec, obs, PriorSpec(), "cnar")
+        logp, grad = post.logp_and_grad(np.array([1e4, 0.0, 0.0, 0.0]))
+        assert logp == -np.inf and not grad.any()
 
 
 class TestTailCutoff:
     def test_cutoff_matches_exact_truncation(self):
         spec = make_spec(n=30, k=300, offset=1.0)
         sim = simulate(spec, make_params("cnar"), seed=13, model="cnar")
-        exact = Posterior(spec, sim.observations, PriorSpec(), "cnar", exact_truncation=True)
-        cut = Posterior(spec, sim.observations, PriorSpec(), "cnar", exact_truncation=False)
+        exact = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=0.0)
+        cut = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=1e-12)
         rng = np.random.default_rng(17)
         lengths = []
         for _ in range(20):
@@ -372,22 +327,38 @@ class TestTailCutoff:
         # the comparison means something only where the grid was cut
         assert min(lengths) < spec.k_max[0] + 1
 
+    def test_zero_tail_mass_evaluates_the_full_grid(self, monkeypatch):
+        spec = make_spec(n=30, k=300, offset=1.0)
+        sim = simulate(spec, make_params("cnar"), seed=13, model="cnar")
+        exact = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=0.0)
+        cut = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=1e-12)
+        phi = pack_params(make_params("cnar"), "cnar")
+        mu = linear_means(spec, make_params("cnar"))
+        # at tail_mass 0 the cutoff search still stops short of the grid's end:
+        # the cumulative mass stops growing in floating point first
+        assert exact._cutoff(mu.max(), 2.0) < spec.k_max[0] + 1
+        calls = []
+        original = Posterior._cutoff
+        monkeypatch.setattr(
+            Posterior, "_cutoff", lambda self, *args: calls.append(self) or original(self, *args)
+        )
+        assert np.isfinite(exact.logp(phi)) and calls == []
+        assert np.isfinite(cut.logp(phi)) and calls == [cut]
+
     def test_tail_mass_outside_unit_interval_rejected(self, small_cnar_data):
         spec, _, sim = small_cnar_data
         for tail_mass in (-1.0, 1.0, 2.0, float("nan")):
             with pytest.raises(ValidationError, match="tail_mass"):
-                Posterior(
-                    spec, sim.observations, PriorSpec(), "cnar",
-                    exact_truncation=False, tail_mass=tail_mass,
-                )
+                Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=tail_mass)
 
 
 class TestPacking:
     @pytest.mark.parametrize("model", ["cnar", "car1", "car2", "scalar"])
     def test_round_trip(self, model):
         params = make_params(model)
-        phi = pack_params(params, model)
-        back = unpack_params(phi, params.coef.size, model)
+        p = params.coef.size
+        post = Posterior(RegressionSpec(np.empty((0, p)), [], []), [], PriorSpec(), model)
+        back = params_from_constrained(post.constrain(pack_params(params, model)), p, model)
         np.testing.assert_allclose(back.coef, params.coef)
         for label in ("dispersion", "precision_shape", "precision_rate", "extra_dispersion"):
             a, b = getattr(params, label), getattr(back, label)

@@ -3,22 +3,20 @@
 import numpy as np
 import pytest
 
-from grancount import (
-    BetaFuzzy,
-    HmcConfig,
-    MembershipVector,
-    Posterior,
-    PriorSpec,
-    ValidationError,
+from grancount import ValidationError
+from grancount.fuzzy import BetaFuzzy
+from grancount.inference import HmcConfig, sample
+from grancount.model import Posterior, PriorSpec, simulate
+from grancount.ppc import (
+    _pairwise_distances,
+    _profile_matrix,
+    _within_distance,
     energy_components,
     fuzzy_distance,
     replicate,
     run_ppc,
-    sample,
     scalar_summaries,
-    simulate,
 )
-from grancount.ppc import _pairwise_distances, _profile_matrix, _within_distance
 
 from conftest import make_params, make_spec
 
@@ -62,11 +60,6 @@ class TestFuzzyDistance:
         a = BetaFuzzy(3.0, 20.0, 10)
         b = BetaFuzzy(30.0, 20.0, 100)
         assert fuzzy_distance(a, b) < 1e-12
-
-    def test_raw_membership_vector_supported(self):
-        a = BetaFuzzy(3.0, 20.0, 10)
-        raw = MembershipVector(np.array([0.1, 0.6, 1.0, 0.6, 0.1]))
-        assert fuzzy_distance(a, raw) > 0.0
 
     def test_grid_validation(self):
         a = BetaFuzzy(3.0, 20.0, 10)
@@ -163,7 +156,7 @@ def fitted_small_posterior():
     spec = make_spec(n=40, k=80, seed=31, offset=15.0)
     params = make_params("cnar")
     sim = simulate(spec, params, seed=32, model="cnar")
-    post = Posterior(spec, sim.observations, PriorSpec(), "cnar", exact_truncation=False)
+    post = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=1e-12)
     cfg = HmcConfig(n_chains=2, n_warmup=300, n_draws=300, seed=33, max_leapfrog=24)
     draws = sample(
         post.logp_and_grad, cfg, post.initial_point(), names=post.names, constrain=post.constrain
