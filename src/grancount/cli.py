@@ -110,6 +110,7 @@ class RunConfig:
             raise ValidationError("ppc.n_reps must be >= 1 and ppc.grid >= 2")
         if not self.car_tol > 0.0:
             raise ValidationError("car_tol must be strictly positive")
+        model.check_tail_mass(self.truncation.tail_mass)
         return self
 
 

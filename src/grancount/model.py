@@ -248,8 +248,8 @@ class PriorSpec:
             "log_precision_rate_sd",
             "log_extra_dispersion_sd",
         ):
-            if not getattr(self, label) > 0.0:
-                raise ValidationError(f"{label} must be strictly positive")
+            if not 0.0 < getattr(self, label) < np.inf:
+                raise ValidationError(f"{label} must be strictly positive and finite")
 
 
 _POSITIVE_BLOCKS = {
@@ -265,6 +265,13 @@ _PRIOR_SD_FIELD = {
     "precision_rate": "log_precision_rate_sd",
     "extra_dispersion": "log_extra_dispersion_sd",
 }
+
+
+def check_tail_mass(tail_mass: float) -> float:
+    """The share of count mass the cnar grid may drop: a float in [0, 1)."""
+    if not 0.0 <= float(tail_mass) < 1.0:
+        raise ValidationError(f"tail_mass must lie in [0, 1), got {tail_mass!r}")
+    return float(tail_mass)
 
 
 def check_model_name(model: str) -> str:
@@ -323,7 +330,9 @@ class Posterior:
 
     `cnar` sums the latent count over the grid 0..max K, cut where the widest
     count pmf leaves at most `tail_mass` of its mass beyond; `tail_mass=0`
-    evaluates the full grid, which is exact.
+    evaluates the full grid, which is exact. It keeps the (n, max K + 1)
+    report-density matrix and two flat scratch buffers of n*(max K + 1)
+    float64 cells each: 2.4 MB in all at n=200, K=500.
     """
 
     def __init__(
@@ -332,15 +341,14 @@ class Posterior:
         self.model = check_model_name(model)
         self.spec = spec
         self.priors = priors
-        self.tail_mass = float(tail_mass)
-        if not 0.0 <= self.tail_mass < 1.0:
-            raise ValidationError(f"tail_mass must lie in [0, 1), got {tail_mass!r}")
+        self.tail_mass = check_tail_mass(tail_mass)
         self.n_covariates = spec.n_covariates
         self.names = parameter_names(
             model, spec.covariate_names, n_covariates=spec.n_covariates
         )
         self.dim = len(self.names)
         self._sds = _prior_sds(priors, spec.n_covariates, model)
+        self._log_sds_sum = np.log(self._sds).sum()
         self._z = spec.covariates
         self._logu = np.log(spec.offsets)
         self._kvec = spec.k_max.astype(np.float64)
@@ -360,35 +368,37 @@ class Posterior:
         self._sum_log_h = float(np.log(precisions).sum()) if precisions.size else 0.0
         self._sum_h = float(precisions.sum())
         self._cbar = clamp_scaled_location(locations, k)
-        self._logit_cbar = np.log(self._cbar) - np.log1p(-self._cbar)
+        self._log_cbar = np.log(self._cbar)
+        self._log1m_cbar = np.log1p(-self._cbar)
+        self._logit_cbar = self._log_cbar - self._log1m_cbar
         self._m_lo = 1.0 / (2.0 * self._kvec + 2.0)
 
         if self.model == "cnar":
             grid_len = int(spec.k_max.max()) + 1 if spec.n_samples else 1
             grid = np.arange(grid_len, dtype=np.float64)
             self._grid = grid
-            self._valid = grid[None, :] <= self._kvec[:, None]
-            self._uniform_k = bool(np.all(spec.k_max == spec.k_max[0])) if spec.n_samples else True
+            valid = grid[None, :] <= self._kvec[:, None]
+            # cells past a sample's own K; None when every sample has the same K
+            self._beyond_k = None if valid.all() else ~valid
             ybar = corrected_scaled_count(grid[None, :], self._kvec[:, None])
             a = precisions[:, None] * ybar
             b = precisions[:, None] * (1.0 - ybar)
-            logc = np.log(self._cbar)[:, None]
-            log1mc = np.log1p(-self._cbar)[:, None]
+            logc, log1mc = self._log_cbar[:, None], self._log1m_cbar[:, None]
             beta_mat = (a - 1.0) * logc + (b - 1.0) * log1mc - betaln(a, b)
-            if not np.all(np.isfinite(beta_mat[self._valid])):
-                bad = int(np.argwhere(~np.isfinite(beta_mat) & self._valid)[0][0])
+            if not np.isfinite(beta_mat[valid]).all():
+                bad = int(np.argwhere(~np.isfinite(beta_mat) & valid)[0][0])
                 raise NumericalError(f"sample {bad}: non-finite report density")
-            self._beta_mat = np.where(self._valid, beta_mat, -np.inf)
+            self._beta_mat = np.where(valid, beta_mat, -np.inf)
             self._lgamma_fact = gammaln(grid + 1.0)
-            # scratch space reused across evaluations; the likelihood loop is
-            # memory-bound, so temporaries are the dominant cost
-            self._scratch = (np.empty_like(beta_mat), np.empty_like(beta_mat))
+            # flat scratch, viewed per call as C-contiguous (n, hi) arrays: strided
+            # [:, :hi] slices would split every pass of this hot loop into n short rows
+            self._scratch = (np.empty(beta_mat.size), np.empty(beta_mat.size))
 
     # -- prior ------------------------------------------------------------
 
     def _prior_logp_grad(self, phi: np.ndarray):
         z = phi / self._sds
-        logp = float(-0.5 * z @ z - np.log(self._sds).sum() - self.dim * _PRIOR_NORM)
+        logp = float(-0.5 * z @ z - self._log_sds_sum - self.dim * _PRIOR_NORM)
         return logp, -z / self._sds
 
     # -- public surface ----------------------------------------------------
@@ -423,13 +433,13 @@ class Posterior:
         """
         if phi.shape != (self.dim,):
             raise ValidationError(f"parameter vector must have length {self.dim}")
-        if not np.all(np.isfinite(phi)):
+        if not np.isfinite(phi).all():
             return -np.inf, np.zeros(self.dim)
         # reject points whose constrained values overflow or underflow exp()
-        if np.any(np.abs(phi[self.n_covariates :]) > _MAX_LINEAR_PREDICTOR):
+        if (np.abs(phi[self.n_covariates :]) > _MAX_LINEAR_PREDICTOR).any():
             return -np.inf, np.zeros(self.dim)
         eta = self._logu + self._z @ phi[: self.n_covariates]
-        if np.any(np.abs(eta) > _MAX_LINEAR_PREDICTOR):
+        if (np.abs(eta) > _MAX_LINEAR_PREDICTOR).any():
             return -np.inf, np.zeros(self.dim)
         mu = np.exp(eta)
         if self.model == "cnar":
@@ -461,7 +471,6 @@ class Posterior:
         else:
             hi = self._cutoff(mu.max(), kappa)
         grid = grid[:hi]
-        valid = self._valid[:, :hi]
         beta_mat = self._beta_mat[:, :hi]
 
         log_kmu = np.log(kappa + mu)
@@ -470,18 +479,18 @@ class Posterior:
         col_const = gammaln(grid + kappa) - self._lgamma_fact[:hi]
 
         # lp and lp + beta built in reusable scratch to avoid temporaries
-        lp = self._scratch[0][:, :hi]
+        lp = self._scratch[0][: n * hi].reshape(n, hi)
         np.multiply(slope[:, None], grid[None, :], out=lp)
         lp += row_const[:, None]
         lp += col_const[None, :]
-        if not self._uniform_k:
-            lp[~valid] = -np.inf
-        top = self._scratch[1][:, :hi]
+        if self._beyond_k is not None:
+            np.copyto(lp, -np.inf, where=self._beyond_k[:, :hi])
+        top = self._scratch[1][: n * hi].reshape(n, hi)
         np.add(lp, beta_mat, out=top)
 
         top_peak = top.max(axis=1)
         bot_peak = lp.max(axis=1)
-        if not (np.all(np.isfinite(top_peak)) and np.all(np.isfinite(bot_peak))):
+        if not (np.isfinite(top_peak).all() and np.isfinite(bot_peak).all()):
             return -np.inf, np.zeros(self.dim)
         top -= top_peak[:, None]
         np.exp(top, out=top)
@@ -534,11 +543,12 @@ class Posterior:
         a = s * m
         b = s * (1.0 - m)
         beta_ll = float(
-            ((a - 1.0) * np.log(self._cbar)
-             + (b - 1.0) * np.log1p(-self._cbar)
+            ((a - 1.0) * self._log_cbar
+             + (b - 1.0) * self._log1m_cbar
              - betaln(a, b)).sum()
         )
-        dm = s * (self._logit_cbar - digamma(a) + digamma(b))
+        dg_a, dg_b = digamma(a), digamma(b)
+        dm = s * (self._logit_cbar - dg_a + dg_b)
         d_coef = self._z.T @ (np.where(free, dm, 0.0) * mu / self._kvec)
 
         gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n)
@@ -546,10 +556,10 @@ class Posterior:
         if self.model == "car2":
             d_lam = float(
                 (
-                    self._h * m * np.log(self._cbar)
-                    + self._h * (1.0 - m) * np.log1p(-self._cbar)
-                    - self._h * m * digamma(a)
-                    - self._h * (1.0 - m) * digamma(b)
+                    self._h * m * self._log_cbar
+                    + self._h * (1.0 - m) * self._log1m_cbar
+                    - self._h * m * dg_a
+                    - self._h * (1.0 - m) * dg_b
                     + self._h * digamma(s)
                 ).sum()
             )

@@ -124,9 +124,13 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray, grid: int) -> np.ndarray:
     """
     out = np.empty((a.shape[0], b.shape[0]))
     step = max(1, _BLOCK_CELLS // (b.shape[0] * grid + 1))
+    buf = np.empty((min(step, a.shape[0]),) + b.shape)
     for start in range(0, a.shape[0], step):
-        block = a[start : start + step, None, :] - b[None, :, :]
-        out[start : start + step] = np.sqrt(np.einsum("ijk,ijk->ij", block, block) / grid)
+        rows = out[start : start + step]
+        block = np.subtract(a[start : start + step, None, :], b, out=buf[: rows.shape[0]])
+        np.einsum("ijk,ijk->ij", block, block, out=rows)
+        rows /= grid
+        np.sqrt(rows, out=rows)
     return out
 
 

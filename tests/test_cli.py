@@ -112,13 +112,16 @@ def test_simulate_output_feeds_infer(tmp_path):
          "--out-draws", "draws.csv", "--out-diagnostics", "diagnostics.json"],
         ["--set", "hmc.init_jitter=Infinity", "show-config"],
         ["--set", "truncation.exact=true", "show-config"],
+        ["--set", "priors.coef_sd=Infinity", "show-config"],
+        ["--set", "truncation.tail_mass=-1", "show-config"],
     ],
     ids=["non-integral-int", "string-for-int", "bool-for-int", "non-integral-k",
          "int-beyond-float", "unknown-key", "missing-input", "not-utf8", "negative-tail-mass",
          "negative-seed", "negative-hmc-seed", "zero-fit-tol", "negative-fit-max-iter",
          "tiny-crisp-precision", "negative-crisp-precision", "scalar-k1-interior-location",
          "kernel-not-object", "kernel-names-int", "kernel-names-string", "kernel-nan-nu",
-         "nan-init-jitter", "infinite-init-jitter", "removed-truncation-exact"],
+         "nan-init-jitter", "infinite-init-jitter", "removed-truncation-exact",
+         "infinite-prior-sd", "negative-tail-mass-config"],
 )
 def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, caplog):
     monkeypatch.chdir(tmp_path)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grancount.model import simulate
+from grancount.model import Posterior, PriorSpec, RegressionSpec, pack_params, simulate
 from grancount.ppc import _pairwise_distances, _within_distance
 
 from conftest import make_params, make_spec
@@ -40,3 +40,17 @@ def test_simulate_holds_pmf_blocks_not_the_pmf_matrix(n):
     spec = make_spec(n=n, k=500, offset=1.0)
     peak = traced_peak(lambda: simulate(spec, make_params("cnar"), seed=0, model="cnar"))
     assert peak < LIMIT, f"{peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("k", [[500], [5, 20, 60, 500]], ids=["uniform-k", "mixed-k"])
+def test_cnar_logp_and_grad_allocates_no_grid_sized_temporaries(k):
+    # on the full grid one (n, K+1) float temporary is 0.8 MB; the call works in
+    # the scratch the Posterior allocated once, and numpy's ufunc buffers take
+    # about 0.13 MB
+    base = make_spec(n=200, k=500, offset=1.0)
+    spec = RegressionSpec(base.covariates, base.offsets, np.resize(k, 200), base.covariate_names)
+    sim = simulate(spec, make_params("cnar"), seed=0, model="cnar")
+    post = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=0.0)
+    phi = pack_params(make_params("cnar"), "cnar")
+    peak = traced_peak(lambda: post.logp_and_grad(phi))
+    assert peak < 200 * 501 * 8 // 3, f"{peak / 2**20:.2f} MB"

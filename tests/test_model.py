@@ -327,6 +327,52 @@ class TestTailCutoff:
         # the comparison means something only where the grid was cut
         assert min(lengths) < spec.k_max[0] + 1
 
+    def test_cutoff_matches_exact_truncation_on_mixed_k(self):
+        base = make_spec(n=40, k=300, offset=1.0, seed=5)
+        spec = RegressionSpec(
+            base.covariates, base.offsets, np.resize([5, 20, 60, 300], 40), base.covariate_names
+        )
+        sim = simulate(spec, make_params("cnar"), seed=13, model="cnar")
+        exact = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=0.0)
+        cut = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=1e-12)
+        rng = np.random.default_rng(19)
+        compared = 0
+        for _ in range(40):
+            phi = rng.standard_normal(exact.dim)
+            mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
+            if cut._cutoff(mu.max(), np.exp(phi[2])) == 301:
+                continue  # only points where the grid is cut test the cutoff
+            logp, grad = exact.logp_and_grad(phi)
+            logp_cut, grad_cut = cut.logp_and_grad(phi)
+            assert abs(logp_cut - logp) <= 1e-8
+            np.testing.assert_allclose(grad_cut, grad, rtol=0.0, atol=1e-8)
+            compared += 1
+        assert compared >= 10
+
+    def test_call_order_does_not_change_bits(self):
+        # one Posterior reuses its scratch at a cutoff width that changes per
+        # call; mixed K also takes the beyond-K mask through those widths
+        base = make_spec(n=40, k=300, offset=1.0, seed=7)
+        spec = RegressionSpec(
+            base.covariates, base.offsets, np.resize([60, 300], 40), base.covariate_names
+        )
+        sim = simulate(spec, make_params("cnar"), seed=3, model="cnar")
+        args = (spec, sim.observations, PriorSpec(), "cnar", 1e-12)
+        shared = Posterior(*args)
+        truth = pack_params(make_params("cnar"), "cnar")
+        points = [np.concatenate([[c], truth[1:]]) for c in np.linspace(-1.0, 2.5, 20)]
+        widths = set()
+        for i in np.random.default_rng(23).permutation(len(points)):
+            phi = points[i]
+            mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
+            widths.add(shared._cutoff(mu.max(), np.exp(phi[2])))
+            logp, grad = shared.logp_and_grad(phi)
+            fresh_logp, fresh_grad = Posterior(*args).logp_and_grad(phi)
+            assert np.isfinite(logp) and logp == fresh_logp
+            np.testing.assert_array_equal(grad, fresh_grad)
+        # cut widths on both sides of the smaller K, up to the full grid
+        assert len(widths) >= 10 and min(widths) < 61 < max(widths), sorted(widths)
+
     def test_zero_tail_mass_evaluates_the_full_grid(self, monkeypatch):
         spec = make_spec(n=30, k=300, offset=1.0)
         sim = simulate(spec, make_params("cnar"), seed=13, model="cnar")
