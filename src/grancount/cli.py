@@ -263,6 +263,7 @@ def _fit_row(payload):
 
 
 def cmd_fit(args, config: RunConfig) -> int:
+    start = time.perf_counter()
     rows = possibility.read_count_rows(args.counts)
     usable, dropped = [], 0
     for _, sample_id, values in rows:
@@ -290,11 +291,13 @@ def cmd_fit(args, config: RunConfig) -> int:
     ids = [sample_id for sample_id, _ in usable]
     fuzzy.write_stats_csv(args.out, ids, fits)
     logger.info(
-        "stage=fit in=%d fitted=%d dropped=%d degenerate=%d converged=%d iterations_mean=%.1f "
-        "sse_median=%.4g sse_max=%.4g out=%s", len(rows), len(fits), dropped,
-        sum(f.degenerate for f in fits), sum(f.converged for f in fits),
+        "stage=fit in=%d fitted=%d dropped=%d degenerate=%d converged=%d at_max_iter=%d "
+        "boundary=%d iterations_mean=%.1f sse_median=%.4g sse_max=%.4g elapsed_s=%.3f out=%s",
+        len(rows), len(fits), dropped, sum(f.degenerate for f in fits),
+        sum(f.converged for f in fits), sum(f.iterations >= config.fit.max_iter for f in fits),
+        sum(f.params.location in (0.0, f.params.k_max) for f in fits),
         np.mean([f.iterations for f in fits]), np.median([f.sse for f in fits]),
-        max(f.sse for f in fits), args.out,
+        max(f.sse for f in fits), time.perf_counter() - start, args.out,
     )
     return EXIT_OK
 

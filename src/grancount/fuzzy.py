@@ -7,12 +7,13 @@ Kullback-Leibler divergence. The shape is unimodal on [0, K], peaks at c,
 and collapses to a crisp indicator as h grows.
 
 Besides evaluation this module fits raw membership vectors to (c, h)
-statistics by derivative-free least squares, and compresses a fuzzy count to
-its centroid, the count the `scalar` model reads.
+statistics by Levenberg-Marquardt least squares, and compresses a fuzzy
+count to its centroid, the count the `scalar` model reads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,10 @@ from .possibility import MembershipVector
 CRISP_PRECISION_CEILING = 1.0e6
 
 _MIN_PRECISION = 1.0e-3
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# A step that would leave (0, 1) moves m this share of the way to the boundary.
+_BOUNDARY_SHARE = 0.5
+# m of the inside limits at 0 and 1: kl(m, y/K) reads the limit to ~1e-13, c = m K stays inside.
+_INSIDE_EDGE = 1.0e-15
 
 
 def _kl_from_logs(m, log_t, log1m_t):
@@ -140,27 +144,47 @@ class _GridSSE:
         with np.errstate(divide="ignore"):
             t = np.arange(k + 1) / k
             self.logs = np.log(t), np.log1p(-t)
+        self.logit = self.logs[0] - self.logs[1]
 
     def divergence(self, m: float):
         # kl(m, y/K) is infinite at y=0 unless m=0 and at y=K unless m=1
         return slice(int(m > 0.0), self.k + int(m == 1.0)), _kl_from_logs(m, *self.logs)
 
-    def at(self, divergence, h: float) -> float:
-        finite, div = divergence
+    def __call__(self, m: float, h: float) -> float:
+        finite, div = self.divergence(m)
         fitted = np.zeros(self.k + 1)
         fitted[finite] = np.exp(-h * div[finite])
         resid = self.values - fitted
         return float(resid @ resid)
 
-    def __call__(self, m: float, h: float) -> float:
-        return self.at(self.divergence(m), h)
+    def gauss_newton(self, m: float, s: float, free_m: bool = True):
+        """(sse, J'r, J'J) at (m, s = log h), J'J as (H_mm, H_ms, H_ss), for f = exp(-h kl).
+
+        df/dm = -h f (logit m - logit t) and df/ds = -h kl f, both 0 where kl is
+        infinite; the m column is 0 unless `free_m`, which holds m at 0 or 1.
+        """
+        h = math.exp(s)
+        finite, div = self.divergence(m)
+        fitted = np.zeros(self.k + 1)
+        fitted[finite] = np.exp(-h * div[finite])
+        resid = fitted - self.values
+        hf, r = -h * fitted[finite], resid[finite]
+        j_s = hf * div[finite]
+        j_m = hf * (math.log(m) - math.log1p(-m) - self.logit[finite]) if free_m else 0.0 * j_s
+        grad = float(j_m @ r), float(j_s @ r)
+        return float(resid @ resid), grad, (float(j_m @ j_m), float(j_m @ j_s), float(j_s @ j_s))
 
 
 def _scan_c(mv_values: np.ndarray, div_matrix: np.ndarray, h: float) -> int:
-    """Best integer location for a fixed precision, given kl(c/K, y/K) (chunked)."""
+    """Best row of exp(-h * div_matrix) against the values; rows kl(c/K, y/K) scan c.
+
+    Works in place on 16-row blocks, so a scan at K=500 allocates about 130 KB.
+    """
     best_idx, best_sse = 0, np.inf
-    for start in range(0, div_matrix.shape[0], 256):
-        resid = np.exp(-h * div_matrix[start : start + 256]) - mv_values[None, :]
+    for start in range(0, div_matrix.shape[0], 16):
+        resid = div_matrix[start : start + 16] * -h
+        np.exp(resid, out=resid)
+        resid -= mv_values
         sse = np.einsum("ij,ij->i", resid, resid)
         j = int(np.argmin(sse))
         if sse[j] < best_sse:
@@ -171,22 +195,52 @@ def _scan_c(mv_values: np.ndarray, div_matrix: np.ndarray, h: float) -> int:
 _H_SCAN = np.exp(np.linspace(np.log(_MIN_PRECISION), np.log(CRISP_PRECISION_CEILING), 64))
 
 
-def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section minimum of unimodal f on [lo, hi], to width xtol or to float spacing."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol and a < x1 < x2 < b:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+@functools.lru_cache(maxsize=1)
+def _divergence_matrix(k: int) -> np.ndarray:
+    """kl(c/K, y/K) of all grid pairs, read-only; held for the last K, (K+1)^2 * 8 bytes."""
+    t = np.arange(k + 1) / k
+    out = np.empty((k + 1, k + 1))
+    # 256-row blocks bound the temporaries to about 1 MB each at K=500. Freeing
+    # blocks that size also lifts glibc's adaptive mmap threshold, so the 512 KB
+    # blocks a later ppc stage in the same process allocates reuse heap pages.
+    for start in range(0, k + 1, 256):
+        out[start : start + 256] = kl_divergence(t[start : start + 256, None], t)
+    out.flags.writeable = False
+    return out
+
+
+def _refine(sse: _GridSSE, m: float, s: float, bounds, tol: float, budget: int, free_m=True):
+    """Levenberg-Marquardt in (m, s = log h), or in s alone; (m, s, sse, iterations, converged).
+
+    s is clipped to `bounds`, and a step that would leave (0, 1) moves m a fixed
+    share of the way to that boundary. Stops when a step would move (m, s) by
+    less than `tol`, or after `budget` iterations.
+    """
+    lam, cur = 1.0e-3, sse.gauss_newton(m, s, free_m)
+    for it in range(1, budget + 1):
+        value, (g_m, g_s), (h_mm, h_ms, h_ss) = cur
+        a_m, a_s = h_mm * (1.0 + lam), h_ss * (1.0 + lam)
+        det = a_m * a_s - h_ms * h_ms
+        dm = 0.0
+        if det > 0.0:
+            dm = (h_ms * g_s - a_s * g_m) / det
+            if s in bounds and not bounds[0] <= s - (g_s + h_ms * dm) / a_s <= bounds[1]:
+                dm = -g_m / a_m  # h is held at its bound: the best m step alone
+        if not 0.0 < m + dm < 1.0:
+            dm = _BOUNDARY_SHARE * (float(m + dm >= 1.0) - m)
+        # the best s step for the m step taken, so the joint solution while m stays inside
+        ds = -(g_s + h_ms * dm) / a_s if a_s > 0.0 else 0.0
+        m_new = m + dm if 0.0 < m + dm < 1.0 else m  # m may sit at float spacing from 0 or 1
+        s_new = min(max(s + ds, bounds[0]), bounds[1])
+        if max(abs(m_new - m), abs(s_new - s)) < tol:
+            return m, s, value, it, True
+        trial = sse.gauss_newton(m_new, s_new, free_m)
+        if trial[0] < value:
+            # the floor lets a few rejections restore the damping
+            m, s, cur, lam = m_new, s_new, trial, max(lam * 0.1, 1.0e-6)
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
+            lam *= 10.0
+    return m, s, cur[0], budget, False
 
 
 def fit_beta(
@@ -197,13 +251,20 @@ def fit_beta(
 ) -> FitResult:
     """Least-squares fit of (location, precision) to a raw membership vector.
 
-    The location starts at the argmax (ties average), the precision at the
-    value matching the half-height crossing, and both are refined by
-    alternating golden-section line searches until neither moves by more
-    than `tol`. A single-point support is fitted exactly with the precision
-    pinned at the crisp ceiling and flagged as degenerate. The fit holds the
-    divergence matrix kl(c/K, y/K) of all grid pairs, (K+1)^2 * 8 bytes: 2 MB
-    at K=500, 72 MB at K=3000.
+    The location starts at the best integer for the precision that matches
+    the half-height crossing, and Levenberg-Marquardt with the analytic
+    Jacobian refines (m = c/K, s = log h). A scan over the integer locations
+    at the refined h and one over 64 log-spaced precisions at the refined m
+    restart it from a lower basin if either finds one. The loss is
+    discontinuous at m = 0 and 1, so when the fit lies within 1e-3/K of one
+    or started there, h is also refined alone at that edge and at its inside
+    limit, and the lowest SSE wins. `tol` bounds the last step in
+    (m, log h); `max_iter` caps the iterations of all refinements together,
+    and `converged` is false when the cap ends one. A single-point support is
+    fitted exactly with the precision pinned at the crisp ceiling and flagged
+    as degenerate. The divergence matrix kl(c/K, y/K) of all grid pairs,
+    (K+1)^2 * 8 bytes (2 MB at K=500, 72 MB at K=3000), is built once per K
+    and held after the call.
     """
     if not tol > 0.0:
         raise ValidationError(f"tol must be strictly positive, got {tol!r}")
@@ -242,49 +303,40 @@ def fit_beta(
     h = math.log(2.0) / div_half if 0.0 < div_half < math.inf else 1.0
     h = min(max(h, _MIN_PRECISION), crisp_ceiling)
 
-    # The loss surface ripples with period 1/K in c once h is large and is
-    # multimodal in h for poorly matched shapes, so each line search scans
-    # coarse candidates first and golden-refines only the bracketing basin.
+    # The loss ripples with period 1/K in c once h is large and is multimodal
+    # in h for poorly matched shapes, so scans over both check the refinement.
     h_scan = _H_SCAN[_H_SCAN <= crisp_ceiling]
-    div_matrix = np.empty((k + 1, k + 1))  # filled in blocks to bound the temporaries
-    for start in range(0, k + 1, 256):
-        div_matrix[start : start + 256] = kl_divergence(t_grid[start : start + 256, None], t_grid)
-    converged = False
-    iterations = 0
-    last_sse = np.inf
-    stalled = 0
-    for iterations in range(1, max_iter + 1):
-        c_star = _scan_c(values, div_matrix, h)
-        c_new = _golden_min(
-            lambda x: sse(x / k, h),
-            max(0.0, c_star - 1.0),
-            min(float(k), c_star + 1.0),
-            xtol=tol * 1.0e-2,
-        )
-        div_c = sse.divergence(c_new / k)
-        j = int(np.argmin([sse.at(div_c, hh) for hh in h_scan]))
-        log_h_new = _golden_min(
-            lambda x: sse.at(div_c, math.exp(x)),
-            math.log(h_scan[max(0, j - 1)]),
-            math.log(h_scan[min(h_scan.size - 1, j + 1)]),
-            xtol=tol * 1.0e-2,
-        )
-        h_new = math.exp(log_h_new)
-        moved = max(abs(c_new - c), abs(math.log(h_new) - math.log(h)))
-        c, h = c_new, h_new
-        if moved < tol:
-            converged = True
+    bounds = math.log(_MIN_PRECISION), math.log(crisp_ceiling)
+    div_matrix = _divergence_matrix(k)
+    budget, converged, edges = max_iter, True, set()
+    m, s = _scan_c(values, div_matrix, h) / k, math.log(h)
+    while True:
+        if m in (0.0, 1.0):  # the last stage tries the edge itself
+            edges.add(m)
+        m = min(max(m, 0.5 / k), 1.0 - 0.5 / k)  # refine from half a step inside
+        m, s, value, used, done = _refine(sse, m, s, bounds, tol, budget)
+        budget, converged = budget - used, converged and done
+        # restart from the best integer c at the refined h or the best scanned h at
+        # the refined m if either is lower; no edge is started from twice
+        m_alt = _scan_c(values, div_matrix, math.exp(s)) / k
+        at_m_alt = math.inf if m_alt in edges else sse(m_alt, math.exp(s))
+        h_alt = h_scan[_scan_c(values, np.multiply.outer(h_scan, sse.divergence(m)[1]), 1.0)]
+        at_h_alt = sse(m, h_alt)
+        if budget < 1 or min(at_m_alt, at_h_alt) >= value * (1.0 - 1.0e-9):
             break
-        sse_now = sse.at(div_c, h)
-        stalled = stalled + 1 if abs(last_sse - sse_now) <= 1.0e-15 * (1.0 + sse_now) else 0
-        last_sse = sse_now
-        if stalled >= 3:  # zigzag in a flat valley; keep converged honest
-            break
+        m, s = (m_alt, s) if at_m_alt <= at_h_alt else (m, math.log(h_alt))
 
+    near = [edge for edge in (0.0, 1.0) if edge in edges or abs(m - edge) <= 1.0e-3 / k]
+    for m_edge in [*near, *(abs(edge - _INSIDE_EDGE) for edge in near)]:
+        fit = _refine(sse, m_edge, s, bounds, tol, budget, free_m=False)
+        budget, converged = budget - fit[3], converged and fit[4]
+        if fit[2] < value:
+            m, s, value = fit[:3]
+    c, h = m * k, math.exp(s)
     return FitResult(
         params=BetaFuzzy(c, h, k),
         sse=sse(c / k, h),
-        iterations=iterations,
+        iterations=max_iter - budget,
         converged=converged,
     )
 

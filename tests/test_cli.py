@@ -73,6 +73,15 @@ def test_fit_logs_convergence_and_sse_summary(tmp_path, caplog):
     assert float(fields["iterations_mean"]) >= 1.0
     assert float(fields["sse_median"]) == pytest.approx(statistics.median(sse), rel=1e-3)
     assert float(fields["sse_max"]) == pytest.approx(max(sse), rel=1e-3)
+    assert int(fields["boundary"]) == sum(float(row[1]) in (0.0, float(row[3])) for row in rows)
+    assert int(fields["at_max_iter"]) == 0 and float(fields["elapsed_s"]) > 0.0
+
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="grancount"):
+        run("--set", "fit.max_iter=2", "fit", tmp_path / "counts.csv", "--out", tmp_path / "s2.csv")
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage=fit in=")]
+    fields = dict(item.split("=", 1) for item in line.split())
+    assert int(fields["at_max_iter"]) >= int(fields["fitted"]) - int(fields["converged"]) > 0
 
 
 def test_simulate_output_feeds_infer(tmp_path):

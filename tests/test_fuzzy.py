@@ -20,12 +20,26 @@ from grancount.fuzzy import (
     read_stats_csv,
     write_stats_csv,
 )
-from grancount.possibility import MembershipVector
+from grancount.possibility import MembershipVector, PossibilityAssignment, granular_count_fast
+
+from oracles import fit_beta_alternating
 
 
 def grid_vector(c, h, k):
     """The membership vector of the Beta-type count (c, h, K), as `fit` reads it."""
     return MembershipVector(membership_grid(BetaFuzzy(c, h, k)))
+
+
+def possibility_counts(seed, n_obs, n_ref, partial_share):
+    """Granular counts of a seeded possibility matrix: each row has one referent
+    at degree 1 and partial degrees in steps of 0.1 on `partial_share` of the others."""
+    rng = np.random.default_rng(seed)
+    degrees = np.zeros((n_obs, n_ref))
+    partial = rng.random((n_obs, n_ref)) < partial_share
+    degrees[partial] = rng.integers(1, 10, int(partial.sum())) / 10
+    degrees[np.arange(n_obs), rng.integers(0, n_ref, n_obs)] = 1.0
+    assign = PossibilityAssignment(degrees)
+    return [granular_count_fast(assign, r) for r in range(n_ref)]
 
 
 class TestMembership:
@@ -160,6 +174,55 @@ class TestFit:
         assert abs(fit.params.location - 6.0) <= 0.05
         assert abs(fit.params.precision - 40.0) / 40.0 <= 0.05
 
+    def test_never_worse_than_alternating_oracle(self):
+        # four count vectors shaped like the benchmark's (500 reads, 40 referents),
+        # then counts of small random possibility matrices and noisy Beta shapes
+        vectors = possibility_counts(1, 500, 40, 0.1)[:4]
+        rng = np.random.default_rng(2)
+        for seed in range(8):
+            vectors += possibility_counts(seed, int(rng.integers(2, 40)), 3, rng.uniform(0.05, 0.5))
+        for _ in range(12):
+            k = int(rng.integers(2, 40))
+            fz = BetaFuzzy(rng.uniform(0.0, k), math.exp(rng.uniform(-2.0, 6.0)), k)
+            values = membership_grid(fz) + 0.05 * rng.random(k + 1)
+            vectors.append(MembershipVector(values / values.max()))
+        # a flat top, fitted with h at its floor; two-peaked vectors where the
+        # first refinement stops in the higher basin
+        vectors += [MembershipVector([0.0, 1.0, 1.0, 1.0, 1.0, 0.0]),
+                    MembershipVector([0.0, 0.54, 0.0, 1.0, 0.07, 0.0, 0.99]),
+                    MembershipVector([1.0, 0.15, 0.05, 0.0, 0.0, 0.74, 0.0, 0.0, 0.0, 0.66,
+                                      0.88, 0.56, 0.0, 0.13])]
+        for mv in vectors:
+            if mv.support().size > 1:  # the oracle has no degenerate path
+                new, old = fit_beta(mv), fit_beta_alternating(mv)
+                assert new.sse <= old.sse * (1.0 + 1e-9) + 1e-12, mv.memberships
+
+    def test_convergence_survives_one_ulp_nudges(self):
+        for mv in possibility_counts(0, 500, 20, 0.2):
+            fit = fit_beta(mv)
+            nudged = fit_beta(MembershipVector(np.nextafter(mv.memberships, 0.0)))
+            assert fit.converged and nudged.converged
+            assert abs(fit.params.location - nudged.params.location) <= 1e-9
+            assert abs(math.log(fit.params.precision / nudged.params.precision)) <= 1e-9
+
+    @pytest.mark.parametrize("c,h,k", [(0.0, 30.0, 20), (20.0, 30.0, 20), (0.0, 3.0, 500),
+                                       (500.0, 0.5, 500)])
+    def test_vector_peaked_at_an_edge_is_fitted_exactly(self, c, h, k):
+        fit = fit_beta(grid_vector(c, h, k))
+        assert fit.params.location == c
+        assert fit.params.precision == pytest.approx(h, rel=1e-6)
+        assert fit.sse < 1e-12
+
+    def test_step_with_empty_last_count_fits_the_limit_below_k(self):
+        # kl(m, 1) is infinite for every m < 1, so the loss jumps at m = 1 and
+        # the best fit is the limit from inside
+        values = np.array([0.0, 0.5, 0.5, 0.5, 1.0, 0.0])
+        fit = fit_beta(MembershipVector(values))
+        assert 5.0 - 1e-3 < fit.params.location < 5.0
+        sse, h = _GridSSE(values, 5), fit.params.precision
+        assert fit.sse < sse(1.0 - 1e-8, h) < sse(1.0, h) - 0.5
+        assert fit.sse <= fit_beta_alternating(MembershipVector(values)).sse
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -3},
@@ -194,6 +257,28 @@ class TestFitKernels:
             resid = kl_membership(t[:, None], h, t[None, :]) - v
             expected = int(np.argmin(np.einsum("ij,ij->i", resid, resid)))
             assert _scan_c(v, div_matrix, h) == expected, h
+
+    @pytest.mark.parametrize("k", [7, 500])
+    def test_gauss_newton_terms_match_central_differences(self, k):
+        # the gradient of the SSE is 2 J'r; at a zero residual its Jacobian is J'J
+        rng = np.random.default_rng(k)
+        eps = 1e-6
+        for m, s in zip(rng.uniform(0.05, 0.95, 6), rng.uniform(-1.0, 4.0, 6)):
+            sse = _GridSSE(rng.uniform(0.0, 1.0, k + 1), k)
+            value, (g_m, g_s), _ = sse.gauss_newton(m, s)
+            assert value == sse(m, math.exp(s))
+            d_m = (sse(m + eps, math.exp(s)) - sse(m - eps, math.exp(s))) / (2 * eps)
+            d_s = (sse(m, math.exp(s + eps)) - sse(m, math.exp(s - eps))) / (2 * eps)
+            assert 2 * g_m == pytest.approx(d_m, rel=1e-5, abs=1e-8)
+            assert 2 * g_s == pytest.approx(d_s, rel=1e-5, abs=1e-8)
+
+            exact = _GridSSE(membership_grid(BetaFuzzy(m * k, math.exp(s), k)), k)
+            _, _, (h_mm, h_ms, h_ss) = exact.gauss_newton(m, s)
+            up_m, down_m = exact.gauss_newton(m + eps, s)[1], exact.gauss_newton(m - eps, s)[1]
+            up_s, down_s = exact.gauss_newton(m, s + eps)[1], exact.gauss_newton(m, s - eps)[1]
+            assert (up_m[0] - down_m[0]) / (2 * eps) == pytest.approx(h_mm, rel=1e-5, abs=1e-8)
+            assert (up_m[1] - down_m[1]) / (2 * eps) == pytest.approx(h_ms, rel=1e-5, abs=1e-8)
+            assert (up_s[1] - down_s[1]) / (2 * eps) == pytest.approx(h_ss, rel=1e-5, abs=1e-8)
 
     @pytest.mark.parametrize("m", [-1e-12, 1.0 + 1e-12, math.nan, -math.inf])
     def test_sse_rejects_location_outside_unit_interval(self, m):

@@ -9,7 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from grancount.fuzzy import BetaFuzzy, _divergence_matrix, fit_beta, membership_grid
 from grancount.model import Posterior, PriorSpec, RegressionSpec, pack_params, simulate
+from grancount.possibility import MembershipVector
 from grancount.ppc import _pairwise_distances, _within_distance
 
 from conftest import make_params, make_spec
@@ -54,3 +56,21 @@ def test_cnar_logp_and_grad_allocates_no_grid_sized_temporaries(k):
     phi = pack_params(make_params("cnar"), "cnar")
     peak = traced_peak(lambda: post.logp_and_grad(phi))
     assert peak < 200 * 501 * 8 // 3, f"{peak / 2**20:.2f} MB"
+
+
+def test_fit_beta_builds_the_divergence_matrix_once_per_k():
+    # the (K+1)^2 divergence matrix is 2 MB at K=500; a second fit at that K reuses it
+    k = 500
+    rng = np.random.default_rng(1)
+    vectors = []
+    for c in (120.0, 31.5):
+        values = membership_grid(BetaFuzzy(c, 40.0, k)) + 0.05 * rng.random(k + 1)
+        vectors.append(MembershipVector(values / values.max()))
+    fit_beta(vectors[0])
+    peak = traced_peak(lambda: fit_beta(vectors[1]))
+    assert peak < (k + 1) ** 2 * 8 // 4, f"{peak / 2**20:.2f} MB"
+
+
+def test_cached_divergence_matrix_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        _divergence_matrix(20)[0, 0] = 1.0
