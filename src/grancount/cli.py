@@ -218,6 +218,7 @@ def _align(stats_ids, cov_ids):
 
 def _build_regression_spec(stats_path, covariates_path, add_intercept):
     ids, locations, precisions, ks = fuzzy.read_stats_csv(stats_path)
+    reports = model.Reports(locations, precisions, ks)
     cov_ids, cov_names, matrix, offsets = _read_covariates_csv(covariates_path)
     order = _align(ids, cov_ids)
     matrix = matrix[order]
@@ -228,11 +229,7 @@ def _build_regression_spec(stats_path, covariates_path, add_intercept):
     spec = model.RegressionSpec(
         covariates=matrix, offsets=offsets, k_max=ks, covariate_names=cov_names
     )
-    observations = [
-        fuzzy.BetaFuzzy(location=c, precision=h, k_max=int(k))
-        for c, h, k in zip(locations, precisions, ks)
-    ]
-    return spec, observations
+    return spec, reports
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +328,11 @@ def cmd_simulate(args, config: RunConfig) -> int:
     ids = [f"s{i:05d}" for i in range(n)]
 
     header = ["sample_id", "c", "h", "K"]
-    rows = [
-        [sample_id, obs.location, obs.precision, obs.k_max]
-        for sample_id, obs in zip(ids, data.observations)
-    ]
+    columns = [ids, data.location.tolist(), data.precision.tolist(), data.k_max.tolist()]
     if data.latent_counts is not None:
         header.append("y_latent")
-        for row, y in zip(rows, data.latent_counts):
-            row.append(int(y))
-    tables.write_table(args.out_data, header, rows)
+        columns.append(data.latent_counts.tolist())
+    tables.write_table(args.out_data, header, zip(*columns))
     tables.write_table(
         args.out_covariates,
         ["sample_id", *cov_names[1:], "offset"],
@@ -361,12 +354,12 @@ def cmd_simulate(args, config: RunConfig) -> int:
 
 
 def cmd_infer(args, config: RunConfig) -> int:
-    spec, observations = _build_regression_spec(
+    spec, data = _build_regression_spec(
         args.stats, args.covariates, config.add_intercept
     )
-    data = observations
     if config.model == "scalar":
-        data = np.array([round(fuzzy.beta_centroid(o)) for o in observations], dtype=np.float64)
+        centroids = [round(fuzzy.beta_centroid(o)) for o in data.observations]
+        data = np.array(centroids, dtype=np.float64)
     post = model.Posterior(
         spec, data, config.priors, config.model, tail_mass=config.truncation.tail_mass
     )
@@ -419,7 +412,7 @@ def cmd_infer(args, config: RunConfig) -> int:
 def cmd_ppc(args, config: RunConfig) -> int:
     if config.model == "scalar":
         raise ValidationError("ppc supports the cnar, car1, and car2 models")
-    spec, observations = _build_regression_spec(
+    spec, reports = _build_regression_spec(
         args.stats, args.covariates, config.add_intercept
     )
     draws = inference.read_draws_csv(args.draws)
@@ -433,7 +426,7 @@ def cmd_ppc(args, config: RunConfig) -> int:
         draws,
         spec,
         config.model,
-        observations,
+        reports,
         n_reps=config.ppc.n_reps,
         seed=config.seed,
         grid=config.ppc.grid,

@@ -75,6 +75,21 @@ def kl_membership(m, h, t) -> np.ndarray:
     return np.exp(-h * kl_divergence(m, t))
 
 
+def check_reports(location: np.ndarray, precision: np.ndarray, k_max: np.ndarray) -> None:
+    """Reject fuzzy counts outside the family: K >= 1, 0 <= c <= K, 0 < h < inf.
+
+    Elementwise over (n,) arrays, NaN failing; the error names the first bad report.
+    """
+    good = (k_max >= 1) & (location >= 0.0) & (location <= k_max)
+    good &= (precision > 0.0) & (precision < np.inf)
+    if not good.all():
+        i = int(good.argmin())
+        raise ValidationError(
+            f"report {i}: (c, h, K) = ({location[i]}, {precision[i]}, {k_max[i]}) is outside "
+            "the family: K >= 1, c in [0, K], h positive and finite"
+        )
+
+
 @dataclass(frozen=True)
 class BetaFuzzy:
     """Parametric fuzzy count (c, h, K): location in [0, K], finite precision > 0."""
@@ -84,14 +99,11 @@ class BetaFuzzy:
     k_max: int
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValidationError("k_max must be at least 1")
-        if not 0.0 <= self.location <= self.k_max:
-            raise ValidationError(
-                f"location {self.location} outside [0, {self.k_max}]"
-            )
-        if not (math.isfinite(self.precision) and self.precision > 0.0):
-            raise ValidationError("precision must be strictly positive and finite")
+        check_reports(
+            np.array([self.location], dtype=np.float64),
+            np.array([self.precision], dtype=np.float64),
+            np.array([self.k_max]),
+        )
 
     @property
     def location_scaled(self) -> float:
@@ -214,11 +226,14 @@ def _refine(sse: _GridSSE, m: float, s: float, bounds, tol: float, budget: int, 
 
     s is clipped to `bounds`, and a step that would leave (0, 1) moves m a fixed
     share of the way to that boundary. Stops when a step would move (m, s) by
-    less than `tol`, or after `budget` iterations.
+    less than `tol`, when an exact fit brings the SSE below tol^2 (J'J may turn
+    singular there, so steps shrink only linearly), or after `budget` iterations.
     """
     lam, cur = 1.0e-3, sse.gauss_newton(m, s, free_m)
     for it in range(1, budget + 1):
         value, (g_m, g_s), (h_mm, h_ms, h_ss) = cur
+        if value < tol * tol:
+            return m, s, value, it, True
         a_m, a_s = h_mm * (1.0 + lam), h_ss * (1.0 + lam)
         det = a_m * a_s - h_ms * h_ms
         dm = 0.0
@@ -258,13 +273,13 @@ def fit_beta(
     restart it from a lower basin if either finds one. The loss is
     discontinuous at m = 0 and 1, so when the fit lies within 1e-3/K of one
     or started there, h is also refined alone at that edge and at its inside
-    limit, and the lowest SSE wins. `tol` bounds the last step in
-    (m, log h); `max_iter` caps the iterations of all refinements together,
-    and `converged` is false when the cap ends one. A single-point support is
-    fitted exactly with the precision pinned at the crisp ceiling and flagged
-    as degenerate. The divergence matrix kl(c/K, y/K) of all grid pairs,
-    (K+1)^2 * 8 bytes (2 MB at K=500, 72 MB at K=3000), is built once per K
-    and held after the call.
+    limit, and the lowest SSE wins. `tol` bounds the last step in (m, log h)
+    or, for an exact fit, the root SSE; `max_iter` caps the iterations of all
+    refinements together, and `converged` is false when the cap ends one. A
+    single-point support is fitted exactly with the precision pinned at the
+    crisp ceiling and flagged as degenerate. The divergence matrix
+    kl(c/K, y/K) of all grid pairs, (K+1)^2 * 8 bytes (2 MB at K=500, 72 MB
+    at K=3000), is built once per K and held after the call.
     """
     if not tol > 0.0:
         raise ValidationError(f"tol must be strictly positive, got {tol!r}")

@@ -7,9 +7,9 @@ mu + mu^2/kappa), truncated to {0..K_i}. The report precision H_i is Gamma
 Y_i) is Beta with shapes (H_i * ybar_i, H_i * (1 - ybar_i)), where ybar is
 the scaled count with a half-count continuity correction so the shapes stay
 positive at the boundary counts. The observed statistic per sample is the
-pair (c_i, h_i) = (K_i * C_i, H_i), held as a `fuzzy.BetaFuzzy` (location,
-precision, k_max): the fuzzy-report models read sequences of them and
-`simulate` returns them.
+pair (c_i, h_i) = (K_i * C_i, H_i). A dataset of them travels as one
+`Reports`, read-only columns (location, precision, k_max): `Posterior` reads
+it, `simulate` returns it, and each row obeys the rule of `fuzzy.BetaFuzzy`.
 
 Four observed-data likelihoods are provided:
 
@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import betaln, digamma, gammaln
 
 from .errors import NumericalError, ValidationError
-from .fuzzy import BetaFuzzy
+from .fuzzy import BetaFuzzy, check_reports
 from .kernel import LatentCountModel, check_pmf_rows
 
 MODEL_NAMES = ("cnar", "car1", "car2", "scalar")
@@ -115,13 +115,36 @@ class ModelParams:
             raise ValidationError(f"model requires parameters: {', '.join(missing)}")
 
 
-def observation_arrays(observations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a sequence of `BetaFuzzy` observations into (locations, precisions, k_max)."""
-    obs = list(observations)
-    locations = np.array([o.location for o in obs], dtype=np.float64)
-    precisions = np.array([o.precision for o in obs], dtype=np.float64)
-    k = np.array([o.k_max for o in obs], dtype=np.int64)
-    return locations, precisions, k
+@dataclass(frozen=True)
+class Reports:
+    """Fuzzy reports (c_i, h_i, K_i) as read-only (n,) columns, plus the latent counts
+    `simulate` drew them from. Each row obeys the rule of `fuzzy.BetaFuzzy`.
+    """
+
+    location: np.ndarray
+    precision: np.ndarray
+    k_max: np.ndarray
+    latent_counts: np.ndarray | None = None
+
+    def __post_init__(self):
+        location = np.asarray(self.location, dtype=np.float64)
+        precision = np.asarray(self.precision, dtype=np.float64)
+        k_max = np.asarray(self.k_max, dtype=np.int64)
+        if location.ndim != 1 or not location.shape == precision.shape == k_max.shape:
+            raise ValidationError("location, precision and k_max must be 1-D of one length")
+        check_reports(location, precision, k_max)
+        for name, column in (("location", location), ("precision", precision), ("k_max", k_max)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.location.size
+
+    @property
+    def observations(self) -> tuple[BetaFuzzy, ...]:
+        """One `BetaFuzzy` per report, built on each access."""
+        columns = self.location.tolist(), self.precision.tolist(), self.k_max.tolist()
+        return tuple(map(BetaFuzzy, *columns))
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +232,6 @@ def clamp_scaled_location(location, k) -> np.ndarray:
     k = np.asarray(k, dtype=np.float64)
     lo = 1.0 / (2.0 * k + 2.0)
     return np.clip(np.asarray(location, dtype=np.float64) / k, lo, 1.0 - lo)
-
-
-def _check_alignment(spec: RegressionSpec, locations, k) -> None:
-    if locations.size != spec.n_samples:
-        raise ValidationError(
-            f"{locations.size} observations for {spec.n_samples} design rows"
-        )
-    if locations.size and np.any(k != spec.k_max):
-        raise ValidationError("observation k_max disagrees with the design k_max")
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +337,7 @@ def _prior_sds(priors: PriorSpec, n_covariates: int, model: str) -> np.ndarray:
 class Posterior:
     """Callable log posterior with analytic gradient for one model instance.
 
+    `data` is a `Reports` aligned with `spec`, or for `scalar` the (n,) counts.
     Evaluation happens on the unconstrained scale. Points where the
     likelihood cannot be evaluated (overflowing predictors, underflowing
     truncations) get log density -inf rather than an exception, so samplers
@@ -362,12 +377,14 @@ class Posterior:
             self._counts = counts
             return
 
-        locations, precisions, k = observation_arrays(data)
-        _check_alignment(spec, locations, k)
-        self._h = precisions
-        self._sum_log_h = float(np.log(precisions).sum()) if precisions.size else 0.0
-        self._sum_h = float(precisions.sum())
-        self._cbar = clamp_scaled_location(locations, k)
+        if len(data) != spec.n_samples:
+            raise ValidationError(f"{len(data)} reports for {spec.n_samples} design rows")
+        if np.any(data.k_max != spec.k_max):
+            raise ValidationError("report k_max disagrees with the design k_max")
+        self._h = data.precision
+        self._sum_log_h = float(np.log(self._h).sum()) if self._h.size else 0.0
+        self._sum_h = float(self._h.sum())
+        self._cbar = clamp_scaled_location(data.location, data.k_max)
         self._log_cbar = np.log(self._cbar)
         self._log1m_cbar = np.log1p(-self._cbar)
         self._logit_cbar = self._log_cbar - self._log1m_cbar
@@ -381,8 +398,8 @@ class Posterior:
             # cells past a sample's own K; None when every sample has the same K
             self._beyond_k = None if valid.all() else ~valid
             ybar = corrected_scaled_count(grid[None, :], self._kvec[:, None])
-            a = precisions[:, None] * ybar
-            b = precisions[:, None] * (1.0 - ybar)
+            a = self._h[:, None] * ybar
+            b = self._h[:, None] * (1.0 - ybar)
             logc, log1mc = self._log_cbar[:, None], self._log1m_cbar[:, None]
             beta_mat = (a - 1.0) * logc + (b - 1.0) * log1mc - betaln(a, b)
             if not np.isfinite(beta_mat[valid]).all():
@@ -592,15 +609,7 @@ class Posterior:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimulatedData:
-    """Synthetic fuzzy observations, plus the latent counts when they exist."""
-
-    observations: tuple[BetaFuzzy, ...]
-    latent_counts: np.ndarray | None = None
-
-
-def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar") -> SimulatedData:
+def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar") -> Reports:
     """Draw a synthetic dataset from one of the report models.
 
     Deterministic for a fixed seed (an int or a numpy SeedSequence): the
@@ -642,8 +651,4 @@ def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar
         m = clamp_scaled_location(mu, k)
         scaled = rng.beta(lam * h * m, lam * h * (1.0 - m))
 
-    observations = tuple(
-        BetaFuzzy(location=float(k[i] * scaled[i]), precision=float(h[i]), k_max=int(k[i]))
-        for i in range(n)
-    )
-    return SimulatedData(observations=observations, latent_counts=latent)
+    return Reports(k * scaled, h, k, latent)

@@ -1,12 +1,13 @@
 """Posterior predictive checking for fuzzy count models.
 
 Replicated datasets are simulated from systematically thinned posterior
-draws. Two layers of comparison are provided: scalar summaries of the scaled
-report locations (mean and 80% inter-quantile range), and an energy-style
-analysis that compares whole membership profiles through mean pairwise
-distances within the observed sample (u_obs), within a replicate (u_rep),
-and across the two (u_cross). Replicates structurally compatible with the
-data put u_cross close to u_obs.
+draws. Observed and replicated datasets are `model.Reports`, and every
+comparison reads their columns. Two layers of comparison are provided:
+scalar summaries of the scaled report locations (mean and 80% inter-quantile
+range), and an energy-style analysis that compares whole membership
+profiles through mean pairwise distances within the observed sample (u_obs),
+within a replicate (u_rep), and across the two (u_cross). Replicates
+structurally compatible with the data put u_cross close to u_obs.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .fuzzy import kl_membership
 from .inference import PosteriorDraws
 from .model import (
     RegressionSpec,
-    SimulatedData,
+    Reports,
     check_model_name,
-    observation_arrays,
     params_from_constrained,
     simulate,
 )
@@ -64,7 +64,7 @@ def replicate(
     model: str,
     n_reps: int,
     seed: int,
-) -> list[SimulatedData]:
+) -> list[Reports]:
     """Simulate one dataset per systematically thinned posterior draw."""
     model = check_model_name(model)
     n_available = draws.draws.shape[0]
@@ -75,10 +75,8 @@ def replicate(
             f"requested {n_reps} replicates but only {n_available} draws are available"
         )
     p = spec.n_covariates
-    indices = np.unique(np.round(np.linspace(0, n_available - 1, n_reps)).astype(int))
-    while indices.size < n_reps:  # pad duplicates away deterministically
-        extra = np.setdiff1d(np.arange(n_available), indices)[: n_reps - indices.size]
-        indices = np.union1d(indices, extra)
+    # distinct: n_reps <= n_available spaces them at least one draw apart
+    indices = np.round(np.linspace(0, n_available - 1, n_reps)).astype(int)
     children = np.random.SeedSequence(seed).spawn(n_reps)
     out = []
     for child, idx in zip(children, indices):
@@ -87,28 +85,19 @@ def replicate(
     return out
 
 
-def scalar_summaries(observations) -> tuple[float, float]:
+def scalar_summaries(reports: Reports) -> tuple[float, float]:
     """Mean and 80% inter-quantile range of the scaled report locations."""
-    locations, _, k = observation_arrays(observations)
-    if locations.size == 0:
+    if len(reports) == 0:
         raise ValidationError("empty dataset")
-    scaled = locations / k
+    scaled = reports.location / reports.k_max
     q10, q90 = np.quantile(scaled, [0.1, 0.9])  # type-7 linear interpolation
     return float(scaled.mean()), float(q90 - q10)
 
 
-def _profile_matrix(items, t_grid: np.ndarray) -> np.ndarray:
-    """Membership profiles of `BetaFuzzy` items on a shared unit grid, one row per item."""
-    locations, precisions, k = observation_arrays(items)
-    return kl_membership((locations / k)[:, None], precisions[:, None], t_grid[None, :])
-
-
-def fuzzy_distance(a, b, grid: int = DEFAULT_GRID) -> float:
-    """Root-mean-square membership difference on a shared unit-scale grid."""
-    if grid < 2:
-        raise ValidationError("grid must have at least 2 points")
-    profiles = _profile_matrix([a, b], np.linspace(0.0, 1.0, grid))
-    return float(_pairwise_distances(profiles[:1], profiles[1:], grid)[0, 0])
+def _profile_matrix(reports: Reports, t_grid: np.ndarray) -> np.ndarray:
+    """Membership profiles of the reports on a shared unit grid, one row per report."""
+    scaled = reports.location / reports.k_max
+    return kl_membership(scaled[:, None], reports.precision[:, None], t_grid[None, :])
 
 
 # float64 cells (512 KB) of one difference block, so that it stays in cache
@@ -154,20 +143,18 @@ def _within_distance(profiles: np.ndarray, grid: int) -> float:
     return float(np.concatenate(pieces).mean())
 
 
-def _replicate_energy(prof_obs: np.ndarray, replicated, t: np.ndarray, grid: int):
+def _replicate_energy(prof_obs: np.ndarray, replicated: Reports, t: np.ndarray, grid: int):
     """(u_rep, u_cross) of one replicated sample against the observed profiles."""
     prof_rep = _profile_matrix(replicated, t)
     u_cross = float(_pairwise_distances(prof_obs, prof_rep, grid).mean())
     return _within_distance(prof_rep, grid), u_cross
 
 
-def energy_components(observed, replicated, grid: int = DEFAULT_GRID) -> EnergyStats:
+def energy_components(observed: Reports, replicated: Reports, grid=DEFAULT_GRID) -> EnergyStats:
     """u_obs / u_rep / u_cross for one replicated dataset."""
     if grid < 2:
         raise ValidationError("grid must have at least 2 points")
-    observed = list(observed)
-    replicated = list(replicated)
-    if not observed or not replicated:
+    if not len(observed) or not len(replicated):
         raise ValidationError("both samples must be non-empty")
     t = np.linspace(0.0, 1.0, grid)
     prof_obs = _profile_matrix(observed, t)
@@ -184,13 +171,12 @@ def run_ppc(
     draws: PosteriorDraws,
     spec: RegressionSpec,
     model: str,
-    observed,
+    observed: Reports,
     n_reps: int,
     seed: int,
     grid: int = DEFAULT_GRID,
 ) -> PpcSummary:
     """Full posterior predictive check against an observed dataset."""
-    observed = list(observed)
     obs_mean, obs_iqr = scalar_summaries(observed)
     reps = replicate(draws, spec, model, n_reps, seed)
     t = np.linspace(0.0, 1.0, grid)
@@ -203,8 +189,8 @@ def run_ppc(
     u_rep = np.empty(len(reps))
     u_cross = np.empty(len(reps))
     for r, rep in enumerate(reps):
-        means[r], iqrs[r] = scalar_summaries(rep.observations)
-        u_rep[r], u_cross[r] = _replicate_energy(prof_obs, rep.observations, t, grid)
+        means[r], iqrs[r] = scalar_summaries(rep)
+        u_rep[r], u_cross[r] = _replicate_energy(prof_obs, rep, t, grid)
 
     return PpcSummary(
         observed_scaled_mean=obs_mean,

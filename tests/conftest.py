@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grancount.model import ModelParams, RegressionSpec, simulate
+from grancount.model import ModelParams, RegressionSpec, Reports, simulate
 
 
 def make_spec(n=20, k=60, seed=0, offset=10.0, names=("intercept", "x")):
@@ -14,6 +14,12 @@ def make_spec(n=20, k=60, seed=0, offset=10.0, names=("intercept", "x")):
         k_max=np.full(n, k, dtype=np.int64),
         covariate_names=names,
     )
+
+
+def make_reports(items):
+    """`Reports` from (location, precision, k_max) triples."""
+    location, precision, k_max = zip(*items)
+    return Reports(location, precision, k_max)
 
 
 def make_params(model="cnar", coef=(1.0, 0.5)):

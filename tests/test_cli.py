@@ -19,6 +19,11 @@ SMALL = [
 ]
 
 
+# stats rows (c, h, K) outside the Beta-type family, each given to sample b
+BAD_STATS_ROWS = {"c-above-k": "11.0,5.0,10", "c-below-zero": "-1.0,5.0,10", "c-nan": "nan,5.0,10",
+                  "h-zero": "4.0,0.0,10", "h-inf": "4.0,inf,10", "k-zero": "0.0,5.0,0"}
+
+
 def run(*argv):
     assert cli.main([*SMALL, *map(str, argv)]) == cli.EXIT_OK
 
@@ -123,6 +128,14 @@ def test_simulate_output_feeds_infer(tmp_path):
         ["--set", "truncation.exact=true", "show-config"],
         ["--set", "priors.coef_sd=Infinity", "show-config"],
         ["--set", "truncation.tail_mass=-1", "show-config"],
+    ] + [
+        [*SMALL, "infer", f"stats_{name}.csv", "covariates.csv",
+         "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"]
+        for name in BAD_STATS_ROWS
+    ] + [
+        ["--set", "ppc.n_reps=2", "ppc", "draws.csv", f"stats_{name}.csv", "covariates.csv",
+         "--out-csv", "ppc.csv", "--out-json", "ppc.json"]
+        for name in BAD_STATS_ROWS
     ],
     ids=["non-integral-int", "string-for-int", "bool-for-int", "non-integral-k",
          "int-beyond-float", "unknown-key", "missing-input", "not-utf8", "negative-tail-mass",
@@ -130,7 +143,9 @@ def test_simulate_output_feeds_infer(tmp_path):
          "tiny-crisp-precision", "negative-crisp-precision", "scalar-k1-interior-location",
          "kernel-not-object", "kernel-names-int", "kernel-names-string", "kernel-nan-nu",
          "nan-init-jitter", "infinite-init-jitter", "removed-truncation-exact",
-         "infinite-prior-sd", "negative-tail-mass-config"],
+         "infinite-prior-sd", "negative-tail-mass-config"]
+    + [f"infer-stats-{name}" for name in BAD_STATS_ROWS]
+    + [f"ppc-stats-{name}" for name in BAD_STATS_ROWS],
 )
 def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, caplog):
     monkeypatch.chdir(tmp_path)
@@ -138,6 +153,14 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     (tmp_path / "stats.csv").write_text("sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,5.0,10\n")
     (tmp_path / "k1_stats.csv").write_text("sample_id,c,h,K\na,0.5,5.0,1\nb,4.0,5.0,10\n")
     (tmp_path / "covariates.csv").write_text("sample_id,x\na,0.5\nb,-0.5\n")
+    for name, row in BAD_STATS_ROWS.items():
+        (tmp_path / f"stats_{name}.csv").write_text(f"sample_id,c,h,K\na,2.0,5.0,10\nb,{row}\n")
+    # draws that `ppc` accepts with the valid stats.csv, so only the stats row is at fault
+    draw = "1.0,0.5,2.0,4.0,0.1,10.0,0"
+    (tmp_path / "draws.csv").write_text(
+        "chain,iter,coef_intercept,coef_x,dispersion,precision_shape,precision_rate,energy,"
+        f"divergent\n0,0,{draw}\n0,1,{draw}\n"
+    )
     (tmp_path / "counts.csv").write_text("id,y0,y1,y2,y3\na,0.2,1.0,0.6,0.1\n")
     kernel = {"nu": [0.5, 0.5], "outcomes": [[1.0, 0.5], [0.5, 1.0]]}
     for name, payload in [("int", 5), ("names_int", {**kernel, "names": 5}),

@@ -223,6 +223,15 @@ class TestFit:
         assert fit.sse < sse(1.0 - 1e-8, h) < sse(1.0, h) - 0.5
         assert fit.sse <= fit_beta_alternating(MembershipVector(values)).sse
 
+    @pytest.mark.parametrize("values", [[0.0, 1.0, 0.5, 0.0], [0.0, 1.0, 0.999, 0.0]])
+    def test_exact_two_point_fit_converges(self, values):
+        # exp(-h kl(1/3, t)) meets both points at c = 1; the count there has kl = 0,
+        # so its row of the Jacobian vanishes and the step rule alone never fires
+        fit = fit_beta(MembershipVector(values))
+        assert fit.converged and fit.iterations <= 100
+        assert fit.sse < 1e-16
+        assert fit.params.location == pytest.approx(1.0, abs=1e-2)
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -3},

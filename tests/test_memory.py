@@ -52,7 +52,7 @@ def test_cnar_logp_and_grad_allocates_no_grid_sized_temporaries(k):
     base = make_spec(n=200, k=500, offset=1.0)
     spec = RegressionSpec(base.covariates, base.offsets, np.resize(k, 200), base.covariate_names)
     sim = simulate(spec, make_params("cnar"), seed=0, model="cnar")
-    post = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=0.0)
+    post = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
     phi = pack_params(make_params("cnar"), "cnar")
     peak = traced_peak(lambda: post.logp_and_grad(phi))
     assert peak < 200 * 501 * 8 // 3, f"{peak / 2**20:.2f} MB"

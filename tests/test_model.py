@@ -1,5 +1,7 @@
 """Hierarchical likelihoods: densities, gradients, and the simulator."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,11 +14,11 @@ from grancount.model import (
     Posterior,
     PriorSpec,
     RegressionSpec,
+    Reports,
     clamp_scaled_location,
     corrected_scaled_count,
     linear_means,
     negbin_log_pmf,
-    observation_arrays,
     pack_params,
     params_from_constrained,
     parameter_names,
@@ -24,7 +26,7 @@ from grancount.model import (
     truncated_count_pmf,
 )
 
-from conftest import make_params, make_spec
+from conftest import make_params, make_reports, make_spec
 from oracles import observed_loglik
 
 
@@ -135,11 +137,12 @@ class TestObservedLogliks:
     def test_empty_data_gives_zero(self):
         spec = RegressionSpec(np.empty((0, 2)), np.empty(0), np.empty(0, dtype=int))
         for model in ("cnar", "car1", "car2", "scalar"):
-            assert observed_loglik(spec, make_params(model), [], model) == 0.0
+            data = [] if model == "scalar" else Reports([], [], [])
+            assert observed_loglik(spec, make_params(model), data, model) == 0.0
 
     def test_cnar_against_independent_composition(self, small_cnar_data):
         spec, params, sim = small_cnar_data
-        mine = observed_loglik(spec, params, sim.observations, "cnar")
+        mine = observed_loglik(spec, params, sim, "cnar")
         ref = _reference_cnar_loglik(spec, params, sim.observations)
         assert abs(mine - ref) < 1e-8 * (1 + abs(ref))
 
@@ -149,7 +152,7 @@ class TestObservedLogliks:
         params = ModelParams(
             coef=np.array([0.3]), dispersion=2.0, precision_shape=3.0, precision_rate=0.5
         )
-        obs = [BetaFuzzy(location=0.4, precision=5.0, k_max=1)]
+        obs = make_reports([(0.4, 5.0, 1)])
         mu = np.exp(0.3)
         p0 = (2.0 / (2.0 + mu)) ** 2.0
         p1 = p0 * 2.0 * mu / (2.0 + mu)
@@ -173,21 +176,21 @@ class TestObservedLogliks:
         )
         params = make_params("cnar")
         sim = simulate(spec, params, seed=6, model="cnar")
-        mine = observed_loglik(spec, params, sim.observations, "cnar")
+        mine = observed_loglik(spec, params, sim, "cnar")
         ref = _reference_cnar_loglik(spec, params, sim.observations)
         assert abs(mine - ref) < 1e-8 * (1 + abs(ref))
 
     def test_gamma_block_separates_exactly(self, small_cnar_data):
         spec, params, sim = small_cnar_data
-        base = observed_loglik(spec, params, sim.observations, "cnar")
+        base = observed_loglik(spec, params, sim, "cnar")
         shifted = ModelParams(
             coef=params.coef,
             dispersion=params.dispersion,
             precision_shape=6.5,
             precision_rate=0.4,
         )
-        moved = observed_loglik(spec, shifted, sim.observations, "cnar")
-        h = np.array([o.precision for o in sim.observations])
+        moved = observed_loglik(spec, shifted, sim, "cnar")
+        h = sim.precision
         delta = (
             stats.gamma.logpdf(h, 6.5, scale=1.0 / 0.4).sum()
             - stats.gamma.logpdf(h, params.precision_shape, scale=1.0 / params.precision_rate).sum()
@@ -197,8 +200,8 @@ class TestObservedLogliks:
     def test_car1_against_direct_formula(self, small_cnar_data):
         spec, _, sim = small_cnar_data
         params = make_params("car1")
-        mine = observed_loglik(spec, params, sim.observations, "car1")
-        locations, precisions, k = observation_arrays(sim.observations)
+        mine = observed_loglik(spec, params, sim, "car1")
+        locations, precisions, k = sim.location, sim.precision, sim.k_max
         mu = linear_means(spec, params)
         lo = 1.0 / (2.0 * k + 2.0)
         m = np.clip(mu / k, lo, 1.0 - lo)
@@ -217,7 +220,7 @@ class TestObservedLogliks:
         car_params = ModelParams(
             coef=np.array([0.0]), precision_shape=3.0, precision_rate=0.5
         )
-        obs = [BetaFuzzy(location=0.3, precision=4.0, k_max=1)]
+        obs = make_reports([(0.3, 4.0, 1)])
         a = observed_loglik(spec, cnar_params, obs, "cnar")
         b = observed_loglik(spec, car_params, obs, "car1")
         assert abs(a - b) < 1e-7
@@ -231,15 +234,13 @@ class TestObservedLogliks:
             precision_rate=car1.precision_rate,
             extra_dispersion=1.0,
         )
-        assert observed_loglik(spec, car2, sim.observations, "car2") == observed_loglik(
-            spec, car1, sim.observations, "car1"
-        )
+        assert observed_loglik(spec, car2, sim, "car2") == observed_loglik(spec, car1, sim, "car1")
 
     def test_car2_fixture_against_direct_formula(self, small_cnar_data):
         spec, _, sim = small_cnar_data
         params = make_params("car2")
-        mine = observed_loglik(spec, params, sim.observations, "car2")
-        locations, precisions, k = observation_arrays(sim.observations)
+        mine = observed_loglik(spec, params, sim, "car2")
+        locations, precisions, k = sim.location, sim.precision, sim.k_max
         mu = linear_means(spec, params)
         lo = 1.0 / (2.0 * k + 2.0)
         m = np.clip(mu / k, lo, 1.0 - lo)
@@ -252,7 +253,7 @@ class TestObservedLogliks:
     def test_scalar_against_scipy(self, small_cnar_data):
         spec, _, sim = small_cnar_data
         params = make_params("scalar")
-        counts = np.round([o.location for o in sim.observations])
+        counts = np.round(sim.location)
         mine = observed_loglik(spec, params, counts, "scalar")
         mu = linear_means(spec, params)
         ref = stats.nbinom.logpmf(counts, 2.0, 2.0 / (2.0 + mu)).sum()
@@ -263,11 +264,7 @@ class TestGradients:
     @pytest.mark.parametrize("model", ["cnar", "car1", "car2", "scalar"])
     def test_matches_central_differences(self, model, small_cnar_data):
         spec, _, sim = small_cnar_data
-        data = (
-            np.round([o.location for o in sim.observations])
-            if model == "scalar"
-            else sim.observations
-        )
+        data = np.round(sim.location) if model == "scalar" else sim
         priors = PriorSpec()
         post = Posterior(spec, data, priors, model)
         rng = np.random.default_rng(5)
@@ -285,16 +282,13 @@ class TestGradients:
         spec = RegressionSpec(np.empty((0, 1)), np.empty(0), np.empty(0, dtype=int))
         priors = PriorSpec()
         phi = np.array([0.7, -0.3, 0.2, 0.1])
-        _, grad = Posterior(spec, [], priors, "cnar").logp_and_grad(phi)
+        _, grad = Posterior(spec, Reports([], [], []), priors, "cnar").logp_and_grad(phi)
         sds = np.array([5.0, 1.5, 1.5, 1.5])
         np.testing.assert_allclose(grad, -phi / sds**2, atol=1e-14)
 
     def test_symmetric_design_zeroes_coefficient_gradient(self):
         spec = RegressionSpec([[1.5], [-1.5]], [1.0, 1.0], [8, 8])
-        obs = [
-            BetaFuzzy(location=3.0, precision=6.0, k_max=8),
-            BetaFuzzy(location=3.0, precision=6.0, k_max=8),
-        ]
+        obs = make_reports([(3.0, 6.0, 8), (3.0, 6.0, 8)])
         phi = np.array([0.0, np.log(2.0), np.log(3.0), np.log(0.5)])
         _, grad = Posterior(spec, obs, PriorSpec(), "cnar").logp_and_grad(phi)
         # identical samples cancel; BLAS fused multiply-adds leave rounding dust
@@ -302,7 +296,7 @@ class TestGradients:
 
     def test_nonfinite_point_gives_neg_inf(self):
         spec = RegressionSpec([[1.0]], [1.0], [4])
-        obs = [BetaFuzzy(location=2.0, precision=3.0, k_max=4)]
+        obs = make_reports([(2.0, 3.0, 4)])
         post = Posterior(spec, obs, PriorSpec(), "cnar")
         logp, grad = post.logp_and_grad(np.array([1e4, 0.0, 0.0, 0.0]))
         assert logp == -np.inf and not grad.any()
@@ -312,8 +306,8 @@ class TestTailCutoff:
     def test_cutoff_matches_exact_truncation(self):
         spec = make_spec(n=30, k=300, offset=1.0)
         sim = simulate(spec, make_params("cnar"), seed=13, model="cnar")
-        exact = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=0.0)
-        cut = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=1e-12)
+        exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
+        cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
         rng = np.random.default_rng(17)
         lengths = []
         for _ in range(20):
@@ -333,8 +327,8 @@ class TestTailCutoff:
             base.covariates, base.offsets, np.resize([5, 20, 60, 300], 40), base.covariate_names
         )
         sim = simulate(spec, make_params("cnar"), seed=13, model="cnar")
-        exact = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=0.0)
-        cut = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=1e-12)
+        exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
+        cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
         rng = np.random.default_rng(19)
         compared = 0
         for _ in range(40):
@@ -357,7 +351,7 @@ class TestTailCutoff:
             base.covariates, base.offsets, np.resize([60, 300], 40), base.covariate_names
         )
         sim = simulate(spec, make_params("cnar"), seed=3, model="cnar")
-        args = (spec, sim.observations, PriorSpec(), "cnar", 1e-12)
+        args = (spec, sim, PriorSpec(), "cnar", 1e-12)
         shared = Posterior(*args)
         truth = pack_params(make_params("cnar"), "cnar")
         points = [np.concatenate([[c], truth[1:]]) for c in np.linspace(-1.0, 2.5, 20)]
@@ -376,8 +370,8 @@ class TestTailCutoff:
     def test_zero_tail_mass_evaluates_the_full_grid(self, monkeypatch):
         spec = make_spec(n=30, k=300, offset=1.0)
         sim = simulate(spec, make_params("cnar"), seed=13, model="cnar")
-        exact = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=0.0)
-        cut = Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=1e-12)
+        exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
+        cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
         phi = pack_params(make_params("cnar"), "cnar")
         mu = linear_means(spec, make_params("cnar"))
         # at tail_mass 0 the cutoff search still stops short of the grid's end:
@@ -395,7 +389,7 @@ class TestTailCutoff:
         spec, _, sim = small_cnar_data
         for tail_mass in (-1.0, 1.0, 2.0, float("nan")):
             with pytest.raises(ValidationError, match="tail_mass"):
-                Posterior(spec, sim.observations, PriorSpec(), "cnar", tail_mass=tail_mass)
+                Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=tail_mass)
 
 
 class TestPacking:
@@ -403,7 +397,8 @@ class TestPacking:
     def test_round_trip(self, model):
         params = make_params(model)
         p = params.coef.size
-        post = Posterior(RegressionSpec(np.empty((0, p)), [], []), [], PriorSpec(), model)
+        data = [] if model == "scalar" else Reports([], [], [])
+        post = Posterior(RegressionSpec(np.empty((0, p)), [], []), data, PriorSpec(), model)
         back = params_from_constrained(post.constrain(pack_params(params, model)), p, model)
         np.testing.assert_allclose(back.coef, params.coef)
         for label in ("dispersion", "precision_shape", "precision_rate", "extra_dispersion"):
@@ -425,14 +420,58 @@ class TestPacking:
         assert params.extra_dispersion == 2.0
 
 
+class TestReports:
+    @pytest.mark.parametrize(
+        "row",
+        [(11.0, 5.0, 10), (-1.0, 5.0, 10), (np.nan, 5.0, 10), (4.0, 0.0, 10), (4.0, np.inf, 10),
+         (4.0, np.nan, 10), (0.0, 5.0, 0)],
+    )
+    def test_rule_of_one_fuzzy_count_applies_to_every_row(self, row):
+        good = (2.0, 5.0, 10)
+        message = re.escape("(c, h, K) = ({}, {}, {}) is outside the family".format(*row))
+        with pytest.raises(ValidationError, match=f"report 2: {message}"):
+            make_reports([good, good, row, row])
+        with pytest.raises(ValidationError, match=f"report 0: {message}"):
+            BetaFuzzy(*row)
+
+    def test_boundary_rows_are_accepted(self):
+        reports = make_reports([(0.0, 1e-300, 1), (7.0, 1e300, 7)])
+        assert len(reports) == 2
+
+    def test_columns_must_be_one_dimensional_and_aligned(self):
+        with pytest.raises(ValidationError, match="1-D of one length"):
+            Reports([1.0, 2.0], [5.0], [10, 10])
+        with pytest.raises(ValidationError, match="1-D of one length"):
+            Reports([[1.0]], [[5.0]], [[10]])
+
+    def test_columns_are_read_only(self, small_cnar_data):
+        _, _, sim = small_cnar_data
+        for column in (sim.location, sim.precision, sim.k_max):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    def test_observations_view_has_one_fuzzy_count_per_row(self, small_cnar_data):
+        _, _, sim = small_cnar_data
+        assert sim.observations == tuple(
+            BetaFuzzy(c, h, k) for c, h, k in zip(sim.location, sim.precision, sim.k_max)
+        )
+
+    def test_posterior_rejects_reports_misaligned_with_the_design(self):
+        spec = RegressionSpec([[1.0], [1.0]], [1.0, 1.0], [10, 10])
+        with pytest.raises(ValidationError, match="1 reports for 2 design rows"):
+            Posterior(spec, make_reports([(2.0, 5.0, 10)]), PriorSpec(), "cnar")
+        with pytest.raises(ValidationError, match="k_max disagrees"):
+            Posterior(spec, make_reports([(2.0, 5.0, 10), (2.0, 5.0, 12)]), PriorSpec(), "car1")
+
+
 class TestSimulate:
     def test_seed_determinism(self):
         spec = make_spec(n=15, k=40, seed=3)
         params = make_params("cnar")
         a = simulate(spec, params, seed=77, model="cnar")
         b = simulate(spec, params, seed=77, model="cnar")
-        assert a.observations == b.observations
-        np.testing.assert_array_equal(a.latent_counts, b.latent_counts)
+        for column in ("location", "precision", "k_max", "latent_counts"):
+            np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
 
     def test_latent_mean_matches_truncated_pmf(self):
         n = 100_000
@@ -475,9 +514,9 @@ class TestSimulate:
         ybar = corrected_scaled_count(latent, k)
         scaled = ref.beta(h * ybar, h * (1.0 - ybar))
         np.testing.assert_array_equal(sim.latent_counts, latent)
-        assert sim.observations == tuple(
-            BetaFuzzy(float(k[i] * scaled[i]), float(h[i]), int(k[i])) for i in range(n)
-        )
+        np.testing.assert_array_equal(sim.location, k * scaled)
+        np.testing.assert_array_equal(sim.precision, h)
+        np.testing.assert_array_equal(sim.k_max, k)
 
     def test_underflowing_truncation_raises(self):
         spec = RegressionSpec(np.ones((3, 1)), np.array([10.0, 1e280, 10.0]), np.ones(3, dtype=int))
@@ -505,7 +544,7 @@ class TestSimulate:
             precision_rate=1e4,
         )
         sim = simulate(spec, params, seed=9, model="cnar")
-        c_bar = np.array([o.location / o.k_max for o in sim.observations])
+        c_bar = sim.location / sim.k_max
         y_bar = corrected_scaled_count(sim.latent_counts, k)
         assert np.std(c_bar - y_bar) < 0.01
 
@@ -528,7 +567,7 @@ class TestSimulate:
         spread = {}
         for label, params in [("loose", loose), ("tight", tight)]:
             sim = simulate(spec, params, seed=10, model="car2")
-            c_bar = np.array([o.location / o.k_max for o in sim.observations])
+            c_bar = sim.location / sim.k_max
             spread[label] = np.std(c_bar - m)
         assert spread["tight"] < 0.25 * spread["loose"]
 
