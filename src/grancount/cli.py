@@ -292,7 +292,7 @@ def cmd_fit(args, config: RunConfig) -> int:
         "boundary=%d iterations_mean=%.1f sse_median=%.4g sse_max=%.4g elapsed_s=%.3f out=%s",
         len(rows), len(fits), dropped, sum(f.degenerate for f in fits),
         sum(f.converged for f in fits), sum(f.iterations >= config.fit.max_iter for f in fits),
-        sum(f.params.location in (0.0, f.params.k_max) for f in fits),
+        sum(f.location in (0.0, f.k_max) for f in fits),
         np.mean([f.iterations for f in fits]), np.median([f.sse for f in fits]),
         max(f.sse for f in fits), time.perf_counter() - start, args.out,
     )
@@ -358,8 +358,7 @@ def cmd_infer(args, config: RunConfig) -> int:
         args.stats, args.covariates, config.add_intercept
     )
     if config.model == "scalar":
-        centroids = [round(fuzzy.beta_centroid(o)) for o in data.observations]
-        data = np.array(centroids, dtype=np.float64)
+        data = np.round(fuzzy.beta_centroids(data.location, data.precision, data.k_max))
     post = model.Posterior(
         spec, data, config.priors, config.model, tail_mass=config.truncation.tail_mass
     )

@@ -6,9 +6,11 @@ point y the membership exp(-h * kl(c/K, y/K)), where kl is the Bernoulli
 Kullback-Leibler divergence. The shape is unimodal on [0, K], peaks at c,
 and collapses to a crisp indicator as h grows.
 
-Besides evaluation this module fits raw membership vectors to (c, h)
-statistics by Levenberg-Marquardt least squares, and compresses a fuzzy
-count to its centroid, the count the `scalar` model reads.
+`kl_divergence` is the one Bernoulli KL and `kl_membership` the one
+membership built on it; the fit, the centroids and the `ppc` profiles all
+read them. Besides evaluation this module fits raw membership vectors to
+(c, h) statistics by Levenberg-Marquardt least squares, and compresses fuzzy
+counts to their centroids, the counts the `scalar` model reads.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import softmax, xlogy
 
 from . import tables
 from .errors import ValidationError
@@ -32,42 +35,22 @@ _MIN_PRECISION = 1.0e-3
 _BOUNDARY_SHARE = 0.5
 # m of the inside limits at 0 and 1: kl(m, y/K) reads the limit to ~1e-13, c = m K stays inside.
 _INSIDE_EDGE = 1.0e-15
-
-
-def _kl_from_logs(m, log_t, log1m_t):
-    """kl(m, t) from log(t) and log1p(-t); +inf where t puts no mass where m does."""
-    if not 0.0 <= m <= 1.0:
-        raise ValidationError("m must lie in [0, 1]")
-    if m == 0.0:
-        out = -log1m_t
-    elif m == 1.0:
-        out = -log_t
-    else:
-        out = m * (math.log(m) - log_t) + (1.0 - m) * (math.log1p(-m) - log1m_t)
-    # rounding can leave a tiny negative residue near t == m; KL is >= 0
-    return np.maximum(out, 0.0)
-
-
-def bernoulli_kl(m, t):
-    """KL divergence between Bernoulli(m) and Bernoulli(t), elementwise in t.
-
-    Conventions: 0*log(0) = 0, and the divergence is +inf wherever t puts
-    zero mass on a point m requires.
-    """
-    t_arr = np.asarray(t, dtype=np.float64)
-    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
-        raise ValidationError("t must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
-        out = _kl_from_logs(m, np.log(t_arr), np.log1p(-t_arr))
-    return float(out) if t_arr.ndim == 0 else out
+# `beta_centroids` weighs this many float64 cells (512 KB) at a time
+_BLOCK_CELLS = 1 << 16
 
 
 def kl_divergence(m, t) -> np.ndarray:
-    """`bernoulli_kl` vectorised over m too, without its checks or its clip at 0."""
+    """KL divergence between Bernoulli(m) and Bernoulli(t), elementwise over broadcastable arrays.
+
+    Conventions: 0*log(0) = 0, and the divergence is +inf wherever t puts no
+    mass on a point m requires. Rounding residues below 0 near t == m read 0;
+    a NaN m gives NaN.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        left = np.where(m > 0.0, m * (np.log(m) - np.log(t)), 0.0)
-        right = np.where(m < 1.0, (1.0 - m) * (np.log1p(-m) - np.log1p(-t)), 0.0)
-    return left + right
+        left = np.where(m == 0.0, 0.0, m * (np.log(m) - np.log(t)))
+        right = np.where(m == 1.0, 0.0, (1.0 - m) * (np.log1p(-m) - np.log1p(-t)))
+    left += right  # in place: the divergence matrix is built in blocks of about 1 MB
+    return np.maximum(left, 0.0, out=left)
 
 
 def kl_membership(m, h, t) -> np.ndarray:
@@ -75,24 +58,29 @@ def kl_membership(m, h, t) -> np.ndarray:
     return np.exp(-h * kl_divergence(m, t))
 
 
-def check_reports(location: np.ndarray, precision: np.ndarray, k_max: np.ndarray) -> None:
+def check_reports(location, precision, k_max, label=lambda i: f"report {i}") -> None:
     """Reject fuzzy counts outside the family: K >= 1, 0 <= c <= K, 0 < h < inf.
 
-    Elementwise over (n,) arrays, NaN failing; the error names the first bad report.
+    Elementwise over (n,) arrays, NaN failing; the error names the first bad
+    report by `label(index)`.
     """
     good = (k_max >= 1) & (location >= 0.0) & (location <= k_max)
     good &= (precision > 0.0) & (precision < np.inf)
     if not good.all():
         i = int(good.argmin())
         raise ValidationError(
-            f"report {i}: (c, h, K) = ({location[i]}, {precision[i]}, {k_max[i]}) is outside "
+            f"{label(i)}: (c, h, K) = ({location[i]}, {precision[i]}, {k_max[i]}) is outside "
             "the family: K >= 1, c in [0, K], h positive and finite"
         )
 
 
 @dataclass(frozen=True)
 class BetaFuzzy:
-    """Parametric fuzzy count (c, h, K): location in [0, K], finite precision > 0."""
+    """One fuzzy count (c, h, K) that `check_reports` accepts.
+
+    It remains only as an entry point of the benchmark in `bench/`, until
+    ROADMAP item 6 moves it to the array form; the program reads columns.
+    """
 
     location: float
     precision: float
@@ -105,39 +93,41 @@ class BetaFuzzy:
             np.array([self.k_max]),
         )
 
-    @property
-    def location_scaled(self) -> float:
-        return self.location / self.k_max
-
 
 def membership_grid(fz: BetaFuzzy) -> np.ndarray:
-    """Memberships on the full grid y = 0..K."""
-    t = np.arange(fz.k_max + 1) / fz.k_max
-    div = bernoulli_kl(fz.location_scaled, t)
-    out = np.zeros(t.size)
-    finite = np.isfinite(div)
-    out[finite] = np.exp(-fz.precision * div[finite])
+    """Memberships on the full grid y = 0..K; kept for `bench/` until ROADMAP item 6."""
+    return kl_membership(fz.location / fz.k_max, fz.precision, np.arange(fz.k_max + 1) / fz.k_max)
+
+
+def beta_centroids(location, precision, k_max) -> np.ndarray:
+    """Centroids of the Beta-type counts given as (n,) columns, stable for large precision.
+
+    A count's weights are its memberships scaled to sum to 1, as the softmax
+    of -h * kl, so a large h cannot underflow them all. The counts of one K
+    are weighed together, `_BLOCK_CELLS` grid cells at a time.
+    """
+    bad = (k_max == 1) & (location > 0.0) & (location < 1.0)
+    if bad.any():  # kl(c, 0) and kl(c, 1) are both infinite
+        i = int(bad.argmax())
+        raise ValidationError(f"report {i}: c={location[i]:g}, K=1: no count is possible")
+    out = np.empty(len(location))
+    for k in np.unique(k_max).tolist():
+        rows = np.flatnonzero(k_max == k)
+        step = max(1, _BLOCK_CELLS // (k + 1))
+        t = np.arange(k + 1) / k
+        for idx in (rows[i : i + step] for i in range(0, rows.size, step)):
+            log_w = -precision[idx, None] * kl_divergence(location[idx, None] / k, t)
+            out[idx] = softmax(log_w, axis=1) @ np.arange(k + 1.0)
     return out
-
-
-def beta_centroid(fz: BetaFuzzy) -> float:
-    """Centroid of the Beta-type set on its grid, stable for large precision."""
-    t = np.arange(fz.k_max + 1) / fz.k_max
-    div = bernoulli_kl(fz.location_scaled, t)
-    finite = np.isfinite(div)
-    if not finite.any():
-        raise ValidationError(f"c={fz.location:g}, K={fz.k_max}: no count has membership")
-    # normalise by the smallest divergence so the weights never all underflow
-    w = np.zeros(t.size)
-    w[finite] = np.exp(-fz.precision * (div[finite] - div[finite].min()))
-    return float(np.arange(t.size) @ w / w.sum())
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of fitting a raw membership vector to (c, h)."""
+    """Outcome of fitting a raw membership vector to (c, h) on its grid 0..K."""
 
-    params: BetaFuzzy
+    location: float
+    precision: float
+    k_max: int
     sse: float
     iterations: int
     converged: bool
@@ -145,46 +135,35 @@ class FitResult:
 
 
 class _GridSSE:
-    """Squared error of exp(-h * kl(m, y/K)) against a membership vector.
-
-    The grid's logs are taken once; each evaluation then makes the float
-    operations of `membership_grid` and the subtraction, so it has their bits.
-    """
+    """Squared error of `kl_membership(m, h, y/K)` against a membership vector."""
 
     def __init__(self, values: np.ndarray, k: int):
-        self.values, self.k = values, k
-        with np.errstate(divide="ignore"):
-            t = np.arange(k + 1) / k
-            self.logs = np.log(t), np.log1p(-t)
-        self.logit = self.logs[0] - self.logs[1]
-
-    def divergence(self, m: float):
-        # kl(m, y/K) is infinite at y=0 unless m=0 and at y=K unless m=1
-        return slice(int(m > 0.0), self.k + int(m == 1.0)), _kl_from_logs(m, *self.logs)
+        self.values, self.t = values, np.arange(k + 1) / k
+        self.logit = np.log(self.t[1:-1]) - np.log1p(-self.t[1:-1])
 
     def __call__(self, m: float, h: float) -> float:
-        finite, div = self.divergence(m)
-        fitted = np.zeros(self.k + 1)
-        fitted[finite] = np.exp(-h * div[finite])
-        resid = self.values - fitted
+        if not 0.0 <= m <= 1.0:
+            raise ValidationError("m must lie in [0, 1]")
+        resid = self.values - kl_membership(m, h, self.t)
         return float(resid @ resid)
 
     def gauss_newton(self, m: float, s: float, free_m: bool = True):
         """(sse, J'r, J'J) at (m, s = log h), J'J as (H_mm, H_ms, H_ss), for f = exp(-h kl).
 
-        df/dm = -h f (logit m - logit t) and df/ds = -h kl f, both 0 where kl is
-        infinite; the m column is 0 unless `free_m`, which holds m at 0 or 1.
+        df/ds = -h kl f = f log f, and df/dm = -h f (logit m - logit t), 0 at
+        t = 0 and 1 where f is; the m column is 0 unless `free_m`, which holds
+        m at 0 or 1.
         """
         h = math.exp(s)
-        finite, div = self.divergence(m)
-        fitted = np.zeros(self.k + 1)
-        fitted[finite] = np.exp(-h * div[finite])
+        fitted = kl_membership(m, h, self.t)
         resid = fitted - self.values
-        hf, r = -h * fitted[finite], resid[finite]
-        j_s = hf * div[finite]
-        j_m = hf * (math.log(m) - math.log1p(-m) - self.logit[finite]) if free_m else 0.0 * j_s
-        grad = float(j_m @ r), float(j_s @ r)
-        return float(resid @ resid), grad, (float(j_m @ j_m), float(j_m @ j_s), float(j_s @ j_s))
+        j_s, inner = xlogy(fitted, fitted), slice(1, self.t.size - 1)
+        j_m = 0.0 * j_s[inner]
+        if free_m:
+            j_m = -h * fitted[inner] * (math.log(m) - math.log1p(-m) - self.logit)
+        grad = float(j_m @ resid[inner]), float(j_s @ resid)
+        h_mm, h_ms = float(j_m @ j_m), float(j_m @ j_s[inner])
+        return float(resid @ resid), grad, (h_mm, h_ms, float(j_s @ j_s))
 
 
 def _scan_c(mv_values: np.ndarray, div_matrix: np.ndarray, h: float) -> int:
@@ -292,29 +271,21 @@ def fit_beta(
     if values.max() < 1.0 - 1.0e-9:
         raise ValidationError("membership vector must be normalized (max == 1)")
     support = mv.support()
-    t_grid = np.arange(k + 1) / k
     sse = _GridSSE(values, k)
 
     if support.size == 1:
         c = float(support[0])
-        return FitResult(
-            params=BetaFuzzy(c, crisp_ceiling, k),
-            sse=sse(c / k, crisp_ceiling),
-            iterations=0,
-            converged=True,
-            degenerate=True,
-        )
+        return FitResult(c, crisp_ceiling, k, sse(c / k, crisp_ceiling), 0, True, degenerate=True)
 
     peak = np.flatnonzero(values == values.max())
     c = float(peak.mean())
     m0 = c / k
     below_half = np.flatnonzero(values <= 0.5)
     if below_half.size:
-        nearest = below_half[np.argmin(np.abs(below_half / k - m0))]
-        div_half = bernoulli_kl(m0, nearest / k)
+        t_half = below_half[np.argmin(np.abs(below_half / k - m0))] / k
     else:
-        farthest = np.argmax(np.abs(t_grid - m0))
-        div_half = bernoulli_kl(m0, t_grid[farthest])
+        t_half = sse.t[np.argmax(np.abs(sse.t - m0))]
+    div_half = kl_divergence(m0, t_half)
     h = math.log(2.0) / div_half if 0.0 < div_half < math.inf else 1.0
     h = min(max(h, _MIN_PRECISION), crisp_ceiling)
 
@@ -335,7 +306,7 @@ def fit_beta(
         # the refined m if either is lower; no edge is started from twice
         m_alt = _scan_c(values, div_matrix, math.exp(s)) / k
         at_m_alt = math.inf if m_alt in edges else sse(m_alt, math.exp(s))
-        h_alt = h_scan[_scan_c(values, np.multiply.outer(h_scan, sse.divergence(m)[1]), 1.0)]
+        h_alt = h_scan[_scan_c(values, np.multiply.outer(h_scan, kl_divergence(m, sse.t)), 1.0)]
         at_h_alt = sse(m, h_alt)
         if budget < 1 or min(at_m_alt, at_h_alt) >= value * (1.0 - 1.0e-9):
             break
@@ -348,12 +319,7 @@ def fit_beta(
         if fit[2] < value:
             m, s, value = fit[:3]
     c, h = m * k, math.exp(s)
-    return FitResult(
-        params=BetaFuzzy(c, h, k),
-        sse=sse(c / k, h),
-        iterations=max_iter - budget,
-        converged=converged,
-    )
+    return FitResult(c, h, k, sse(c / k, h), max_iter - budget, converged)
 
 
 def write_stats_csv(path, ids, fits) -> None:
@@ -362,26 +328,28 @@ def write_stats_csv(path, ids, fits) -> None:
     if len(ids) != len(fits):
         raise ValidationError("ids and fits must have matching length")
     rows = (
-        [sample_id, float(fit.params.location), float(fit.params.precision), fit.params.k_max,
-         float(fit.sse), "true" if fit.converged else "false"]
+        [sample_id, float(fit.location), float(fit.precision), fit.k_max, float(fit.sse),
+         "true" if fit.converged else "false"]
         for sample_id, fit in zip(ids, fits)
     )
     tables.write_table(path, ["sample_id", "c", "h", "K", "sse", "converged"], rows)
 
 
 def read_stats_csv(path):
-    """Read fitted statistics; returns (ids, locations, precisions, k_maxes)."""
+    """Read fitted statistics; returns (ids, locations, precisions, k_maxes).
+
+    A row outside the family of `check_reports` is an error that names the
+    file, its line and its sample id.
+    """
     expected = ["sample_id", "c", "h", "K"]
     _, rows = tables.read_table(
         path,
         lambda header: [name.strip() for name in header[:4]] == expected,
         f"expected columns {','.join(expected)}[,sse,converged]",
     )
-    ids, locs, precs, ks = [], [], [], []
-    for i, row in rows:
-        c, h = tables.parse_floats(path, i, expected[1:3], row[1:3])
-        ids.append(row[0])
-        locs.append(c)
-        precs.append(h)
-        ks.append(tables.parse_int(path, i, "K", row[3]))
-    return ids, np.array(locs), np.array(precs), np.array(ks, dtype=np.int64)
+    ids = [row[0] for _, row in rows]
+    floats = [tables.parse_floats(path, i, expected[1:3], row[1:3]) for i, row in rows]
+    locs, precs = np.array(floats).T.copy()  # contiguous columns
+    ks = np.array([tables.parse_int(path, i, "K", row[3]) for i, row in rows], dtype=np.int64)
+    check_reports(locs, precs, ks, lambda j: f"{path}: line {rows[j][0]}, sample_id {ids[j]!r}")
+    return ids, locs, precs, ks

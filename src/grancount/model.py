@@ -9,7 +9,7 @@ the scaled count with a half-count continuity correction so the shapes stay
 positive at the boundary counts. The observed statistic per sample is the
 pair (c_i, h_i) = (K_i * C_i, H_i). A dataset of them travels as one
 `Reports`, read-only columns (location, precision, k_max): `Posterior` reads
-it, `simulate` returns it, and each row obeys the rule of `fuzzy.BetaFuzzy`.
+it, `simulate` returns it, and `fuzzy.check_reports` is the rule every row obeys.
 
 Four observed-data likelihoods are provided:
 
@@ -34,7 +34,7 @@ from scipy.special import betaln, digamma, gammaln
 
 from .errors import NumericalError, ValidationError
 from .fuzzy import BetaFuzzy, check_reports
-from .kernel import LatentCountModel, check_pmf_rows
+from .kernel import check_pmf_rows
 
 MODEL_NAMES = ("cnar", "car1", "car2", "scalar")
 
@@ -118,7 +118,7 @@ class ModelParams:
 @dataclass(frozen=True)
 class Reports:
     """Fuzzy reports (c_i, h_i, K_i) as read-only (n,) columns, plus the latent counts
-    `simulate` drew them from. Each row obeys the rule of `fuzzy.BetaFuzzy`.
+    `simulate` drew them from. `fuzzy.check_reports` is the rule every row obeys.
     """
 
     location: np.ndarray
@@ -142,7 +142,11 @@ class Reports:
 
     @property
     def observations(self) -> tuple[BetaFuzzy, ...]:
-        """One `BetaFuzzy` per report, built on each access."""
+        """One `BetaFuzzy` per report, built on each access.
+
+        It remains only as an entry point of the benchmark in `bench/`, until
+        ROADMAP item 6 moves it to the columns.
+        """
         columns = self.location.tolist(), self.precision.tolist(), self.k_max.tolist()
         return tuple(map(BetaFuzzy, *columns))
 
@@ -166,7 +170,7 @@ def linear_means(spec: RegressionSpec, params: ModelParams) -> np.ndarray:
 
 
 def _negbin_log_pmf(y, mu, kappa):
-    # the bare formula; callers have checked mu > 0 and kappa > 0
+    """Negative binomial log pmf, Var = mu + mu^2/kappa; callers check mu, kappa > 0."""
     log_kmu = np.log(kappa + mu)
     return (
         gammaln(y + kappa)
@@ -175,14 +179,6 @@ def _negbin_log_pmf(y, mu, kappa):
         + kappa * (np.log(kappa) - log_kmu)
         + y * (np.log(mu) - log_kmu)
     )
-
-
-def negbin_log_pmf(y, mu, kappa):
-    """Negative binomial log pmf, mean-dispersion form (Var = mu + mu^2/kappa)."""
-    y = np.asarray(y, dtype=np.float64)
-    if (np.asarray(mu) <= 0.0).any() or (np.asarray(kappa) <= 0.0).any():
-        raise ValidationError("mu and kappa must be strictly positive")
-    return _negbin_log_pmf(y, mu, kappa)
 
 
 # `simulate` builds truncated pmfs this many float64 cells (512 KB) at a time
@@ -208,13 +204,6 @@ def _truncated_pmf_rows(mu: np.ndarray, kappa: float, k: int) -> np.ndarray:
             f"for mu={mu[low.argmax()]:.3g}, kappa={kappa:.3g}"
         )
     return check_pmf_rows(np.divide(mass, total, out=mass))
-
-
-def truncated_count_pmf(mu: float, kappa: float, k: int) -> LatentCountModel:
-    """Negative binomial pmf restricted and renormalised to {0..k}."""
-    if k < 0:
-        raise ValidationError("truncation level must be non-negative")
-    return LatentCountModel(_truncated_pmf_rows(np.array([mu], dtype=np.float64), kappa, k)[0])
 
 
 def corrected_scaled_count(y, k):
@@ -430,9 +419,6 @@ class Posterior:
         out = phi.copy()
         out[self.n_covariates :] = np.exp(phi[self.n_covariates :])
         return out
-
-    def logp(self, phi: np.ndarray) -> float:
-        return self.logp_and_grad(phi)[0]
 
     def logp_and_grad(self, phi: np.ndarray):
         phi = np.asarray(phi, dtype=np.float64)

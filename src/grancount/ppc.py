@@ -94,10 +94,12 @@ def scalar_summaries(reports: Reports) -> tuple[float, float]:
     return float(scaled.mean()), float(q90 - q10)
 
 
-def _profile_matrix(reports: Reports, t_grid: np.ndarray) -> np.ndarray:
-    """Membership profiles of the reports on a shared unit grid, one row per report."""
+def _profile_matrix(reports: Reports, grid: int) -> np.ndarray:
+    """Membership profiles of the reports at `grid` points on [0, 1], one row per report."""
+    if grid < 2:
+        raise ValidationError("grid must have at least 2 points")
     scaled = reports.location / reports.k_max
-    return kl_membership(scaled[:, None], reports.precision[:, None], t_grid[None, :])
+    return kl_membership(scaled[:, None], reports.precision[:, None], np.linspace(0.0, 1.0, grid))
 
 
 # float64 cells (512 KB) of one difference block, so that it stays in cache
@@ -143,27 +145,24 @@ def _within_distance(profiles: np.ndarray, grid: int) -> float:
     return float(np.concatenate(pieces).mean())
 
 
-def _replicate_energy(prof_obs: np.ndarray, replicated: Reports, t: np.ndarray, grid: int):
+def _replicate_energy(prof_obs: np.ndarray, replicated: Reports, grid: int):
     """(u_rep, u_cross) of one replicated sample against the observed profiles."""
-    prof_rep = _profile_matrix(replicated, t)
+    prof_rep = _profile_matrix(replicated, grid)
     u_cross = float(_pairwise_distances(prof_obs, prof_rep, grid).mean())
     return _within_distance(prof_rep, grid), u_cross
 
 
 def energy_components(observed: Reports, replicated: Reports, grid=DEFAULT_GRID) -> EnergyStats:
     """u_obs / u_rep / u_cross for one replicated dataset."""
-    if grid < 2:
-        raise ValidationError("grid must have at least 2 points")
+    prof_obs = _profile_matrix(observed, grid)
     if not len(observed) or not len(replicated):
         raise ValidationError("both samples must be non-empty")
-    t = np.linspace(0.0, 1.0, grid)
-    prof_obs = _profile_matrix(observed, t)
     flags = [
         _SINGLETON.format(label)
         for label, sample in (("observed", observed), ("replicated", replicated))
         if len(sample) < 2
     ]
-    u_rep, u_cross = _replicate_energy(prof_obs, replicated, t, grid)
+    u_rep, u_cross = _replicate_energy(prof_obs, replicated, grid)
     return EnergyStats(_within_distance(prof_obs, grid), u_rep, u_cross, tuple(flags))
 
 
@@ -177,10 +176,9 @@ def run_ppc(
     grid: int = DEFAULT_GRID,
 ) -> PpcSummary:
     """Full posterior predictive check against an observed dataset."""
+    prof_obs = _profile_matrix(observed, grid)
     obs_mean, obs_iqr = scalar_summaries(observed)
     reps = replicate(draws, spec, model, n_reps, seed)
-    t = np.linspace(0.0, 1.0, grid)
-    prof_obs = _profile_matrix(observed, t)
     flags = [_SINGLETON.format("observed")] if prof_obs.shape[0] < 2 else []
     u_obs = _within_distance(prof_obs, grid)
 
@@ -190,7 +188,7 @@ def run_ppc(
     u_cross = np.empty(len(reps))
     for r, rep in enumerate(reps):
         means[r], iqrs[r] = scalar_summaries(rep)
-        u_rep[r], u_cross[r] = _replicate_energy(prof_obs, rep, t, grid)
+        u_rep[r], u_cross[r] = _replicate_energy(prof_obs, rep, grid)
 
     return PpcSummary(
         observed_scaled_mean=obs_mean,

@@ -6,8 +6,7 @@ import numpy as np
 
 from grancount.errors import NumericalError, ValidationError
 from grancount.fuzzy import (
-    _H_SCAN, _MIN_PRECISION, CRISP_PRECISION_CEILING, BetaFuzzy, FitResult, _GridSSE, _scan_c,
-    bernoulli_kl, kl_divergence,
+    _H_SCAN, _MIN_PRECISION, CRISP_PRECISION_CEILING, FitResult, _GridSSE, _scan_c, kl_divergence,
 )
 from grancount.model import Posterior, PriorSpec, pack_params
 from grancount.possibility import MembershipVector, complement_degrees
@@ -97,10 +96,10 @@ def fit_beta_alternating(mv: MembershipVector, crisp_ceiling=CRISP_PRECISION_CEI
     below_half = np.flatnonzero(values <= 0.5)
     if below_half.size:
         nearest = below_half[np.argmin(np.abs(below_half / k - m0))]
-        div_half = bernoulli_kl(m0, nearest / k)
+        div_half = kl_divergence(m0, nearest / k)
     else:
         farthest = np.argmax(np.abs(t_grid - m0))
-        div_half = bernoulli_kl(m0, t_grid[farthest])
+        div_half = kl_divergence(m0, t_grid[farthest])
     h = math.log(2.0) / div_half if 0.0 < div_half < math.inf else 1.0
     h = min(max(h, _MIN_PRECISION), crisp_ceiling)
 
@@ -136,4 +135,4 @@ def fit_beta_alternating(mv: MembershipVector, crisp_ceiling=CRISP_PRECISION_CEI
         last_sse = sse_now
         if stalled >= 3:  # zigzag in a flat valley
             break
-    return FitResult(BetaFuzzy(c, h, k), sse(c / k, h), iterations, converged)
+    return FitResult(c, h, k, sse(c / k, h), iterations, converged)

@@ -36,6 +36,7 @@ def test_names_the_benchmark_calls_exist():
         (model, "RegressionSpec"), (model, "ModelParams"),
     ]:
         assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+    assert isinstance(getattr(model.Reports, "observations", None), property)
 
 
 @pytest.mark.parametrize("workload", ["cnar-infer", "car2-infer", "granular-ppc"])

@@ -89,6 +89,16 @@ def test_fit_logs_convergence_and_sse_summary(tmp_path, caplog):
     assert int(fields["at_max_iter"]) >= int(fields["fitted"]) - int(fields["converged"]) > 0
 
 
+def test_scalar_infer_runs_on_the_demo_stats(tmp_path):
+    run("count", DATA / "demo_possibility.csv", "--out", tmp_path / "counts.csv")
+    run("fit", tmp_path / "counts.csv", "--out", tmp_path / "stats.csv")
+    run("--set", 'model="scalar"', "infer", tmp_path / "stats.csv", DATA / "demo_covariates.csv",
+        "--out-draws", tmp_path / "draws.csv", "--out-diagnostics", tmp_path / "diagnostics.json")
+    header = (tmp_path / "draws.csv").read_text().splitlines()[0].split(",")
+    assert header[2:5] == ["coef_intercept", "coef_x", "dispersion"]
+    assert len((tmp_path / "draws.csv").read_text().splitlines()) == 1 + 2 * 50
+
+
 def test_simulate_output_feeds_infer(tmp_path):
     run("--set", "simulate.n_samples=20", "simulate",
         "--out-data", tmp_path / "data.csv", "--out-covariates", tmp_path / "covariates.csv",
@@ -171,6 +181,9 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
         assert cli.main(argv) == cli.EXIT_VALIDATION
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and "\n" not in errors[0], errors
+    stats = [arg for arg in argv if arg.startswith("stats_")]
+    if stats:  # the bad row is the third line, sample b
+        assert f"{stats[0]}: line 3, sample_id 'b'" in errors[0], errors
 
 
 def test_kernel_audit_prints_phi_and_car_witness(tmp_path, capsys):

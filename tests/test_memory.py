@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grancount.fuzzy import BetaFuzzy, _divergence_matrix, fit_beta, membership_grid
+from grancount.fuzzy import _divergence_matrix, fit_beta, kl_membership
 from grancount.model import Posterior, PriorSpec, RegressionSpec, pack_params, simulate
 from grancount.possibility import MembershipVector
 from grancount.ppc import _pairwise_distances, _within_distance
@@ -64,7 +64,7 @@ def test_fit_beta_builds_the_divergence_matrix_once_per_k():
     rng = np.random.default_rng(1)
     vectors = []
     for c in (120.0, 31.5):
-        values = membership_grid(BetaFuzzy(c, 40.0, k)) + 0.05 * rng.random(k + 1)
+        values = kl_membership(c / k, 40.0, np.arange(k + 1) / k) + 0.05 * rng.random(k + 1)
         vectors.append(MembershipVector(values / values.max()))
     fit_beta(vectors[0])
     peak = traced_peak(lambda: fit_beta(vectors[1]))

@@ -10,6 +10,8 @@ from grancount import NumericalError, ValidationError
 from grancount.fuzzy import BetaFuzzy
 from grancount.model import (
     _PMF_BLOCK_CELLS,
+    _negbin_log_pmf,
+    _truncated_pmf_rows,
     ModelParams,
     Posterior,
     PriorSpec,
@@ -18,12 +20,10 @@ from grancount.model import (
     clamp_scaled_location,
     corrected_scaled_count,
     linear_means,
-    negbin_log_pmf,
     pack_params,
     params_from_constrained,
     parameter_names,
     simulate,
-    truncated_count_pmf,
 )
 
 from conftest import make_params, make_reports, make_spec
@@ -53,20 +53,25 @@ class TestMeanResponse:
             linear_means(spec, params)
 
 
+def truncated_pmf(mu, kappa, k):
+    """The pmf of one mean, as a one-row call of `_truncated_pmf_rows`."""
+    return _truncated_pmf_rows(np.array([mu], dtype=np.float64), kappa, k)[0]
+
+
 class TestNegbinLogPmf:
     def test_zero_count_closed_form(self):
         mu, kappa = 3.7, 1.9
         expected = kappa * (np.log(kappa) - np.log(kappa + mu))
-        assert abs(negbin_log_pmf(0, mu, kappa) - expected) < 1e-14
+        assert abs(_negbin_log_pmf(0, mu, kappa) - expected) < 1e-14
 
     def test_poisson_limit(self):
         kappa = 1e6
         y = np.arange(12)
         poisson = stats.poisson.logpmf(y, 1.0)
-        np.testing.assert_allclose(negbin_log_pmf(y, 1.0, kappa), poisson, atol=1e-4)
+        np.testing.assert_allclose(_negbin_log_pmf(y, 1.0, kappa), poisson, atol=1e-4)
 
     def test_mass_sums_to_one(self):
-        total = np.exp(negbin_log_pmf(np.arange(201), 5.0, 2.0)).sum()
+        total = np.exp(_negbin_log_pmf(np.arange(201), 5.0, 2.0)).sum()
         assert abs(total - 1.0) <= 1e-8
 
     def test_against_scipy(self):
@@ -75,27 +80,27 @@ class TestNegbinLogPmf:
             mu = float(rng.uniform(0.2, 50))
             kappa = float(rng.uniform(0.2, 20))
             y = rng.integers(0, 60, size=8)
-            mine = negbin_log_pmf(y, mu, kappa)
+            mine = _negbin_log_pmf(y, mu, kappa)
             ref = stats.nbinom.logpmf(y, kappa, kappa / (kappa + mu))
             np.testing.assert_allclose(mine, ref, rtol=1e-10)
 
 
 class TestTruncatedPmf:
     def test_wide_truncation_matches_untruncated(self):
-        pmf = truncated_count_pmf(3.0, 2.0, 200).pmf
-        ref = np.exp(negbin_log_pmf(np.arange(201), 3.0, 2.0))
+        pmf = truncated_pmf(3.0, 2.0, 200)
+        ref = np.exp(_negbin_log_pmf(np.arange(201), 3.0, 2.0))
         np.testing.assert_allclose(pmf, ref, atol=1e-12)
 
     def test_degenerate_zero_level(self):
-        np.testing.assert_array_equal(truncated_count_pmf(5.0, 2.0, 0).pmf, [1.0])
+        np.testing.assert_array_equal(truncated_pmf(5.0, 2.0, 0), [1.0])
 
     def test_sums_exactly_to_one(self):
-        pmf = truncated_count_pmf(5.0, 2.0, 20).pmf
+        pmf = truncated_pmf(5.0, 2.0, 20)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_vanishing_mass_raises(self):
         with pytest.raises(NumericalError, match="truncation incompatible"):
-            truncated_count_pmf(1e280, 1e4, 1)
+            truncated_pmf(1e280, 1e4, 1)
 
 
 class TestClamping:
@@ -275,7 +280,8 @@ class TestGradients:
             for j in range(post.dim):
                 unit = np.zeros(post.dim)
                 unit[j] = step
-                fd = (post.logp(phi + unit) - post.logp(phi - unit)) / (2 * step)
+                up, down = post.logp_and_grad(phi + unit)[0], post.logp_and_grad(phi - unit)[0]
+                fd = (up - down) / (2 * step)
                 assert abs(grad[j] - fd) <= 1e-5 * (1.0 + abs(fd))
 
     def test_prior_score_only_without_data(self):
@@ -382,8 +388,8 @@ class TestTailCutoff:
         monkeypatch.setattr(
             Posterior, "_cutoff", lambda self, *args: calls.append(self) or original(self, *args)
         )
-        assert np.isfinite(exact.logp(phi)) and calls == []
-        assert np.isfinite(cut.logp(phi)) and calls == [cut]
+        assert np.isfinite(exact.logp_and_grad(phi)[0]) and calls == []
+        assert np.isfinite(cut.logp_and_grad(phi)[0]) and calls == [cut]
 
     def test_tail_mass_outside_unit_interval_rejected(self, small_cnar_data):
         spec, _, sim = small_cnar_data
@@ -482,7 +488,7 @@ class TestSimulate:
             coef=np.array([0.0]), dispersion=2.0, precision_shape=4.0, precision_rate=0.1
         )
         sim = simulate(spec, params, seed=5, model="cnar")
-        pmf = truncated_count_pmf(6.0, 2.0, 20).pmf
+        pmf = truncated_pmf(6.0, 2.0, 20)
         expected = float(np.arange(21) @ pmf)
         variance = float(((np.arange(21) - expected) ** 2) @ pmf)
         mc_se = np.sqrt(variance / n)
@@ -506,8 +512,8 @@ class TestSimulate:
         u = ref.random(n)
         latent = np.empty(n, dtype=np.int64)
         for i in range(n):
-            pmf = truncated_count_pmf(mu[i], params.dispersion, int(k[i])).pmf
-            lp = negbin_log_pmf(np.arange(k[i] + 1), mu[i], params.dispersion)
+            pmf = truncated_pmf(mu[i], params.dispersion, int(k[i]))
+            lp = _negbin_log_pmf(np.arange(k[i] + 1), mu[i], params.dispersion)
             mass = np.exp(lp - lp.max())
             np.testing.assert_array_equal(pmf, mass / mass.sum())
             latent[i] = np.searchsorted(np.cumsum(pmf), u[i])

@@ -26,7 +26,7 @@ def obs(c_bar, h, k=10):
 
 def distance(a, b, grid=DEFAULT_GRID):
     """RMS membership distance of two (c, h, K) reports, as the ppc stage computes it."""
-    profiles = _profile_matrix(make_reports([a, b]), np.linspace(0.0, 1.0, grid))
+    profiles = _profile_matrix(make_reports([a, b]), grid)
     return float(_pairwise_distances(profiles[:1], profiles[1:], grid)[0, 0])
 
 
@@ -135,7 +135,7 @@ class TestDistanceBlocks:
         rng = np.random.default_rng(n)
         items = [obs(float(rng.uniform(0.0, 1.0)), float(rng.gamma(4.0, 10.0)), 500)
                  for _ in range(n + 3)]
-        profiles = _profile_matrix(make_reports(items), np.linspace(0.0, 1.0, 101))
+        profiles = _profile_matrix(make_reports(items), 101)
         profiles[n - 1] = profiles[0]  # a duplicate row wherever n > 1
         data, other = profiles[:n], profiles[n:]
         full = _full_distance_matrix(data, data, 101)
@@ -208,3 +208,9 @@ class TestReplicate:
             assert (stats.u_obs, stats.u_rep, stats.u_cross) == (
                 summary.u_obs, summary.u_rep[r], summary.u_cross[r]
             )
+
+    @pytest.mark.parametrize("grid", [0, 1])
+    def test_run_ppc_rejects_a_grid_below_two_points(self, fitted_small_posterior, grid):
+        spec, sim, draws = fitted_small_posterior
+        with pytest.raises(ValidationError, match="grid must have at least 2 points"):
+            run_ppc(draws, spec, "cnar", sim, n_reps=2, seed=0, grid=grid)
