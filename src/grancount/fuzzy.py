@@ -35,8 +35,9 @@ _MIN_PRECISION = 1.0e-3
 _BOUNDARY_SHARE = 0.5
 # m of the inside limits at 0 and 1: kl(m, y/K) reads the limit to ~1e-13, c = m K stays inside.
 _INSIDE_EDGE = 1.0e-15
-# `beta_centroids` weighs this many float64 cells (512 KB) at a time
-_BLOCK_CELLS = 1 << 16
+# float64 cells (512 KB) of one block: `model.simulate`, `beta_centroids` and
+# the `ppc` distances hold one such block (and its temporaries) at a time
+BLOCK_CELLS = 1 << 16
 
 
 def kl_divergence(m, t) -> np.ndarray:
@@ -56,6 +57,15 @@ def kl_divergence(m, t) -> np.ndarray:
 def kl_membership(m, h, t) -> np.ndarray:
     """exp(-h * kl(m, t)) for broadcastable arrays; infinite divergences give 0."""
     return np.exp(-h * kl_divergence(m, t))
+
+
+def k_blocks(k_max):
+    """(K, row indices) per distinct K, ascending, in blocks of `BLOCK_CELLS` // (K + 1) rows."""
+    for k in np.unique(k_max).tolist():
+        rows = np.flatnonzero(k_max == k)
+        step = max(1, BLOCK_CELLS // (k + 1))
+        for i in range(0, rows.size, step):
+            yield k, rows[i : i + step]
 
 
 def check_reports(location, precision, k_max, label=lambda i: f"report {i}") -> None:
@@ -104,20 +114,16 @@ def beta_centroids(location, precision, k_max) -> np.ndarray:
 
     A count's weights are its memberships scaled to sum to 1, as the softmax
     of -h * kl, so a large h cannot underflow them all. The counts of one K
-    are weighed together, `_BLOCK_CELLS` grid cells at a time.
+    are weighed together, one `k_blocks` block at a time.
     """
     bad = (k_max == 1) & (location > 0.0) & (location < 1.0)
     if bad.any():  # kl(c, 0) and kl(c, 1) are both infinite
         i = int(bad.argmax())
         raise ValidationError(f"report {i}: c={location[i]:g}, K=1: no count is possible")
     out = np.empty(len(location))
-    for k in np.unique(k_max).tolist():
-        rows = np.flatnonzero(k_max == k)
-        step = max(1, _BLOCK_CELLS // (k + 1))
-        t = np.arange(k + 1) / k
-        for idx in (rows[i : i + step] for i in range(0, rows.size, step)):
-            log_w = -precision[idx, None] * kl_divergence(location[idx, None] / k, t)
-            out[idx] = softmax(log_w, axis=1) @ np.arange(k + 1.0)
+    for k, idx in k_blocks(k_max):
+        log_w = -precision[idx, None] * kl_divergence(location[idx, None] / k, np.arange(k + 1) / k)
+        out[idx] = softmax(log_w, axis=1) @ np.arange(k + 1.0)
     return out
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import betaln, digamma, gammaln
 
 from .errors import NumericalError, ValidationError
-from .fuzzy import BetaFuzzy, check_reports
+from .fuzzy import BetaFuzzy, check_reports, k_blocks
 from .kernel import check_pmf_rows
 
 MODEL_NAMES = ("cnar", "car1", "car2", "scalar")
@@ -179,10 +179,6 @@ def _negbin_log_pmf(y, mu, kappa):
         + kappa * (np.log(kappa) - log_kmu)
         + y * (np.log(mu) - log_kmu)
     )
-
-
-# `simulate` builds truncated pmfs this many float64 cells (512 KB) at a time
-_PMF_BLOCK_CELLS = 1 << 16
 
 
 def _truncated_pmf_rows(mu: np.ndarray, kappa: float, k: int) -> np.ndarray:
@@ -600,8 +596,8 @@ def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar
 
     Deterministic for a fixed seed (an int or a numpy SeedSequence): the
     draw order is precisions, then latent counts (cnar only), then report
-    locations. cnar builds its truncated pmfs in blocks of `_PMF_BLOCK_CELLS`
-    cells; with their temporaries they hold about 1.5 MB at most.
+    locations. cnar builds its truncated pmfs one `fuzzy.k_blocks` block at a
+    time; with their temporaries they hold about 1.5 MB at most.
     """
     model = check_model_name(model)
     if model == "scalar":
@@ -624,12 +620,9 @@ def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar
         u = rng.random(n)
         # one pmf matrix per truncation level, as padding rows to the largest
         # would change the bits of their sums
-        for level in np.unique(k).tolist():
-            rows = np.flatnonzero(k == level)
-            step = max(1, _PMF_BLOCK_CELLS // (level + 1))
-            for idx in (rows[i : i + step] for i in range(0, rows.size, step)):
-                cdf = np.cumsum(_truncated_pmf_rows(mu[idx], params.dispersion, level), axis=1)
-                latent[idx] = (cdf < u[idx, None]).sum(axis=1)  # searchsorted, side="left"
+        for level, idx in k_blocks(k):
+            cdf = np.cumsum(_truncated_pmf_rows(mu[idx], params.dispersion, level), axis=1)
+            latent[idx] = (cdf < u[idx, None]).sum(axis=1)  # searchsorted, side="left"
         ybar = corrected_scaled_count(latent, k)
         scaled = rng.beta(h * ybar, h * (1.0 - ybar))
     else:

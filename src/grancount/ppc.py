@@ -8,17 +8,24 @@ range), and an energy-style analysis that compares whole membership
 profiles through mean pairwise distances within the observed sample (u_obs),
 within a replicate (u_rep), and across the two (u_cross). Replicates
 structurally compatible with the data put u_cross close to u_obs.
+
+A squared distance is |a|^2 + |b|^2 - 2 a.b, one matrix product per block of
+`fuzzy.BLOCK_CELLS` cells; pairs where that falls below 1e-6 (|a|^2 + max |b|^2)
+are recomputed by direct difference, so identical profiles read exactly 0 and
+every distance is within 1.2e-8 relative (`_distance_sum`). The means are
+summed block by block, so memory holds a few blocks, whatever the sample sizes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tables
 from .errors import ValidationError
-from .fuzzy import kl_membership
+from .fuzzy import BLOCK_CELLS, kl_membership
 from .inference import PosteriorDraws
 from .model import (
     RegressionSpec,
@@ -94,67 +101,65 @@ def scalar_summaries(reports: Reports) -> tuple[float, float]:
     return float(scaled.mean()), float(q90 - q10)
 
 
-def _profile_matrix(reports: Reports, grid: int) -> np.ndarray:
-    """Membership profiles of the reports at `grid` points on [0, 1], one row per report."""
+def _profiles(reports: Reports, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Membership profiles on `grid` points of [0, 1], a row per report, and their squared norms."""
     if grid < 2:
         raise ValidationError("grid must have at least 2 points")
     scaled = reports.location / reports.k_max
-    return kl_membership(scaled[:, None], reports.precision[:, None], np.linspace(0.0, 1.0, grid))
+    rows = kl_membership(scaled[:, None], reports.precision[:, None], np.linspace(0.0, 1.0, grid))
+    return rows, np.einsum("ij,ij->i", rows, rows)
 
 
-# float64 cells (512 KB) of one difference block, so that it stays in cache
-_BLOCK_CELLS = 1 << 16
+_RECOMPUTE_SHARE = 1e-6
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray, grid: int) -> np.ndarray:
-    """(rows of a, rows of b) matrix of RMS profile distances.
+def _distance_sum(pa, pb, grid: int) -> float:
+    """Sum of the RMS distances sqrt(|a - b|^2 / grid) over every pair of a row of pa and of pb.
 
-    Direct differences in blocks of `_BLOCK_CELLS` cells: exact zeros for
-    identical profiles, which the expanded-inner-product shortcut cannot
-    guarantee. Holds one block (512 KB) besides the result.
+    pa, pb are `_profiles` results. Per block of rows of a, d^2 = |a|^2 + |b|^2
+    - 2 a.b comes from one matrix product, its rounding error at most about
+    2 (grid + 1) u (|a|^2 + |b|^2), u = 2**-53. Pairs with d^2 < `_RECOMPUTE_SHARE`
+    (|a|^2 + max |b|^2) are recomputed by direct difference: identical profiles
+    read exactly 0, and every distance is within (grid + 1) u / `_RECOMPUTE_SHARE`
+    relative, 1.2e-8 at grid 101. Holds about three `fuzzy.BLOCK_CELLS` blocks.
     """
-    out = np.empty((a.shape[0], b.shape[0]))
-    step = max(1, _BLOCK_CELLS // (b.shape[0] * grid + 1))
-    buf = np.empty((min(step, a.shape[0]),) + b.shape)
+    (a, a_sq), (b, b_sq) = pa, pb
+    total = 0.0
+    step = max(1, BLOCK_CELLS // b.shape[0])
+    pair_step = max(1, BLOCK_CELLS // grid)
     for start in range(0, a.shape[0], step):
-        rows = out[start : start + step]
-        block = np.subtract(a[start : start + step, None, :], b, out=buf[: rows.shape[0]])
-        np.einsum("ijk,ijk->ij", block, block, out=rows)
-        rows /= grid
-        np.sqrt(rows, out=rows)
-    return out
+        rows = slice(start, start + step)
+        d2 = (a[rows] * -2.0) @ b.T
+        d2 += a_sq[rows, None]
+        d2 += b_sq
+        near = np.flatnonzero(d2 < _RECOMPUTE_SHARE * (a_sq[rows, None] + b_sq.max()))
+        for pairs in np.split(near, range(pair_step, near.size, pair_step)):
+            i, j = np.divmod(pairs, b.shape[0])  # from flat indices: 2-D np.nonzero is slower
+            diff = a[start + i] - b[j]
+            d2.flat[pairs] = np.einsum("ij,ij->i", diff, diff)
+        total += np.sqrt(d2, out=d2).sum()
+    return total / math.sqrt(grid)
 
 
-def _within_distance(profiles: np.ndarray, grid: int) -> float:
-    """Mean pairwise distance within one sample; NaN for fewer than 2 rows.
-
-    Only the pairs j > i are computed, a block of rows at a time, and they are
-    taken in `np.triu_indices` order, so the mean reduces the array the full
-    matrix's upper triangle gives. Holds one block and the n(n-1)/2
-    distances twice: about 0.6 MB at n=200.
-    """
-    n = profiles.shape[0]
+def _within_distance(profiles, grid: int) -> float:
+    """Mean distance over the pairs j > i of one `_profiles` sample; NaN for fewer than 2 rows."""
+    n = len(profiles[1])
     if n < 2:
         return float("nan")
-    step = max(1, _BLOCK_CELLS // (n * grid + 1))
-    pieces = []
-    for start in range(0, n - 1, step):
-        # block row r is profile start + r; its pairs j > i begin at column r
-        d = _pairwise_distances(profiles[start : start + step], profiles[start + 1 :], grid)
-        pieces.extend(d[r, r:] for r in range(d.shape[0]))
-    return float(np.concatenate(pieces).mean())
+    # the pairs (i, i) read exactly 0, so all n(n-1) ordered pairs sum to twice the j > i ones
+    return _distance_sum(profiles, profiles, grid) / (n * (n - 1))
 
 
-def _replicate_energy(prof_obs: np.ndarray, replicated: Reports, grid: int):
-    """(u_rep, u_cross) of one replicated sample against the observed profiles."""
-    prof_rep = _profile_matrix(replicated, grid)
-    u_cross = float(_pairwise_distances(prof_obs, prof_rep, grid).mean())
-    return _within_distance(prof_rep, grid), u_cross
+def _replicate_energy(observed, replicated: Reports, grid: int):
+    """(u_rep, u_cross) of one replicated sample against the observed `_profiles`."""
+    rep = _profiles(replicated, grid)
+    u_cross = _distance_sum(observed, rep, grid) / len(observed[1]) / len(rep[1])
+    return _within_distance(rep, grid), u_cross
 
 
 def energy_components(observed: Reports, replicated: Reports, grid=DEFAULT_GRID) -> EnergyStats:
     """u_obs / u_rep / u_cross for one replicated dataset."""
-    prof_obs = _profile_matrix(observed, grid)
+    prof_obs = _profiles(observed, grid)
     if not len(observed) or not len(replicated):
         raise ValidationError("both samples must be non-empty")
     flags = [
@@ -176,19 +181,14 @@ def run_ppc(
     grid: int = DEFAULT_GRID,
 ) -> PpcSummary:
     """Full posterior predictive check against an observed dataset."""
-    prof_obs = _profile_matrix(observed, grid)
+    prof_obs = _profiles(observed, grid)
     obs_mean, obs_iqr = scalar_summaries(observed)
     reps = replicate(draws, spec, model, n_reps, seed)
-    flags = [_SINGLETON.format("observed")] if prof_obs.shape[0] < 2 else []
+    flags = [_SINGLETON.format("observed")] if len(observed) < 2 else []
     u_obs = _within_distance(prof_obs, grid)
 
-    means = np.empty(len(reps))
-    iqrs = np.empty(len(reps))
-    u_rep = np.empty(len(reps))
-    u_cross = np.empty(len(reps))
-    for r, rep in enumerate(reps):
-        means[r], iqrs[r] = scalar_summaries(rep)
-        u_rep[r], u_cross[r] = _replicate_energy(prof_obs, rep, grid)
+    means, iqrs = np.array([scalar_summaries(rep) for rep in reps]).T
+    u_rep, u_cross = np.array([_replicate_energy(prof_obs, rep, grid) for rep in reps]).T
 
     return PpcSummary(
         observed_scaled_mean=obs_mean,

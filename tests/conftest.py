@@ -22,6 +22,11 @@ def make_reports(items):
     return Reports(location, precision, k_max)
 
 
+def with_norms(rows):
+    """(profile rows, their squared norms): the form the `ppc` distances read."""
+    return rows, np.einsum("ij,ij->i", rows, rows)
+
+
 def make_params(model="cnar", coef=(1.0, 0.5)):
     if model == "car1":
         return ModelParams(coef=np.asarray(coef), precision_shape=4.0, precision_rate=0.1)

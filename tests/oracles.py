@@ -6,7 +6,8 @@ import numpy as np
 
 from grancount.errors import NumericalError, ValidationError
 from grancount.fuzzy import (
-    _H_SCAN, _MIN_PRECISION, CRISP_PRECISION_CEILING, FitResult, _GridSSE, _scan_c, kl_divergence,
+    _H_SCAN, _MIN_PRECISION, BLOCK_CELLS, CRISP_PRECISION_CEILING, FitResult, _GridSSE, _scan_c,
+    kl_divergence,
 )
 from grancount.model import Posterior, PriorSpec, pack_params
 from grancount.possibility import MembershipVector, complement_degrees
@@ -53,6 +54,25 @@ def granular_count_bruteforce(assign, referent: int) -> MembershipVector:
         if level > best[size]:
             best[size] = level
     return MembershipVector(np.array(best))
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray, grid: int) -> np.ndarray:
+    """(rows of a, rows of b) matrix of RMS profile distances, by direct differences.
+
+    The reference for `ppc._distance_sum`: no cancellation, so identical
+    profiles read exactly 0 and every distance is correct to a few ulps. Works
+    in difference blocks of `BLOCK_CELLS` cells.
+    """
+    out = np.empty((a.shape[0], b.shape[0]))
+    step = max(1, BLOCK_CELLS // (b.shape[0] * grid + 1))
+    buf = np.empty((min(step, a.shape[0]),) + b.shape)
+    for start in range(0, a.shape[0], step):
+        rows = out[start : start + step]
+        block = np.subtract(a[start : start + step, None, :], b, out=buf[: rows.shape[0]])
+        np.einsum("ijk,ijk->ij", block, block, out=rows)
+        rows /= grid
+        np.sqrt(rows, out=rows)
+    return out
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

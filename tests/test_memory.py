@@ -12,9 +12,9 @@ import pytest
 from grancount.fuzzy import _divergence_matrix, fit_beta, kl_membership
 from grancount.model import Posterior, PriorSpec, RegressionSpec, pack_params, simulate
 from grancount.possibility import MembershipVector
-from grancount.ppc import _pairwise_distances, _within_distance
+from grancount.ppc import _distance_sum, _within_distance
 
-from conftest import make_params, make_spec
+from conftest import make_params, make_spec, with_norms
 
 LIMIT = 4 * 2**20
 
@@ -31,8 +31,19 @@ def traced_peak(fn) -> int:
 def test_profile_distances_hold_blocks_not_the_difference_tensor():
     # one 200x200x101 difference tensor alone is 31 MB
     rng = np.random.default_rng(0)
-    a, b = rng.random((200, 101)), rng.random((200, 101))
-    peak = traced_peak(lambda: (_within_distance(a, 101), _pairwise_distances(a, b, 101)))
+    a, b = with_norms(rng.random((200, 101))), with_norms(rng.random((200, 101)))
+    peak = traced_peak(lambda: (_within_distance(a, 101), _distance_sum(a, b, 101)))
+    assert peak < LIMIT, f"{peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("distinct", [2000, 3], ids=["distinct-rows", "three-distinct-rows"])
+def test_profile_distance_means_hold_blocks_not_the_distance_matrix(distinct):
+    # at n = m = 2000 one distance matrix alone is 32 MB, its upper triangle 16 MB;
+    # with three distinct rows almost every pair is recomputed by direct difference
+    rng = np.random.default_rng(1)
+    rows = [rng.random((distinct, 101))[np.arange(2000) % distinct] for _ in range(2)]
+    a, b = with_norms(rows[0]), with_norms(rows[1])
+    peak = traced_peak(lambda: (_within_distance(a, 101), _distance_sum(a, b, 101)))
     assert peak < LIMIT, f"{peak / 2**20:.1f} MB"
 
 

@@ -7,9 +7,8 @@ import pytest
 from scipy import stats
 
 from grancount import NumericalError, ValidationError
-from grancount.fuzzy import BetaFuzzy
+from grancount.fuzzy import BLOCK_CELLS, BetaFuzzy
 from grancount.model import (
-    _PMF_BLOCK_CELLS,
     _negbin_log_pmf,
     _truncated_pmf_rows,
     ModelParams,
@@ -499,7 +498,7 @@ class TestSimulate:
         n = 301
         rng = np.random.default_rng(len(levels))
         k = rng.choice(levels, size=n)
-        assert n % (_PMF_BLOCK_CELLS // (max(levels) + 1)) != 0
+        assert n % (BLOCK_CELLS // (max(levels) + 1)) != 0
         spec = RegressionSpec(
             np.column_stack([np.ones(n), rng.standard_normal(n)]), np.full(n, offset), k
         )

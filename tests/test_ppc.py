@@ -1,5 +1,10 @@
 """Posterior predictive machinery: distances, summaries, energy components."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,9 +12,10 @@ from grancount import ValidationError
 from grancount.inference import HmcConfig, sample
 from grancount.model import Posterior, PriorSpec, Reports, simulate
 from grancount.ppc import (
+    _RECOMPUTE_SHARE,
     DEFAULT_GRID,
-    _pairwise_distances,
-    _profile_matrix,
+    _distance_sum,
+    _profiles,
     _within_distance,
     energy_components,
     replicate,
@@ -17,7 +23,11 @@ from grancount.ppc import (
     scalar_summaries,
 )
 
-from conftest import make_params, make_reports, make_spec
+from conftest import make_params, make_reports, make_spec, with_norms
+from oracles import pairwise_distances
+
+# the relative error bound `ppc._distance_sum` states for each distance at grid 101
+RTOL = (101 + 1) * 2.0**-53 / _RECOMPUTE_SHARE
 
 
 def obs(c_bar, h, k=10):
@@ -26,8 +36,8 @@ def obs(c_bar, h, k=10):
 
 def distance(a, b, grid=DEFAULT_GRID):
     """RMS membership distance of two (c, h, K) reports, as the ppc stage computes it."""
-    profiles = _profile_matrix(make_reports([a, b]), grid)
-    return float(_pairwise_distances(profiles[:1], profiles[1:], grid)[0, 0])
+    rows, sq = _profiles(make_reports([a, b]), grid)
+    return _distance_sum((rows[:1], sq[:1]), (rows[1:], sq[1:]), grid)
 
 
 class TestFuzzyDistance:
@@ -123,33 +133,84 @@ class TestEnergyComponents:
             energy_components(Reports([], [], []), make_reports([obs(0.5, 10.0)]))
 
 
-def _full_distance_matrix(a, b, grid):
-    """Reference: every difference in one block, as the distances were first computed."""
-    block = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", block, block) / grid)
-
-
 class TestDistanceBlocks:
     @pytest.mark.parametrize("n", [1, 2, 3, 199, 200, 257])
     def test_blocked_distances_equal_full_matrix_reference(self, n):
         rng = np.random.default_rng(n)
         items = [obs(float(rng.uniform(0.0, 1.0)), float(rng.gamma(4.0, 10.0)), 500)
                  for _ in range(n + 3)]
-        profiles = _profile_matrix(make_reports(items), 101)
+        profiles, _ = _profiles(make_reports(items), 101)
         profiles[n - 1] = profiles[0]  # a duplicate row wherever n > 1
-        data, other = profiles[:n], profiles[n:]
-        full = _full_distance_matrix(data, data, 101)
-        np.testing.assert_array_equal(_pairwise_distances(data, data, 101), full)
-        np.testing.assert_array_equal(
-            _pairwise_distances(data, other, 101), _full_distance_matrix(data, other, 101)
-        )
+        data, other = with_norms(profiles[:n]), with_norms(profiles[n:])
+        full = pairwise_distances(data[0], data[0], 101)
+        cross = pairwise_distances(data[0], other[0], 101)
+        assert _distance_sum(data, data, 101) == pytest.approx(full.sum(), rel=RTOL, abs=0)
+        assert _distance_sum(data, other, 101) == pytest.approx(cross.sum(), rel=RTOL, abs=0)
+        for i in range(n):  # row by row, so no error hides in a sum
+            row = (data[0][i : i + 1], data[1][i : i + 1])
+            assert _distance_sum(row, data, 101) == pytest.approx(full[i].sum(), rel=RTOL, abs=0)
         within = _within_distance(data, 101)
         if n == 1:
             assert np.isnan(within)
         else:
-            assert within == full[np.triu_indices(n, k=1)].mean()
+            assert within == pytest.approx(full[np.triu_indices(n, k=1)].mean(), rel=RTOL, abs=0)
             assert full[0, n - 1] == 0.0
-            assert _within_distance(np.repeat(data[:1], n, axis=0), 101) == 0.0
+            first, last = (data[0][:1], data[1][:1]), (data[0][-1:], data[1][-1:])
+            assert _distance_sum(first, last, 101) == 0.0
+            assert _within_distance(with_norms(np.repeat(data[0][:1], n, axis=0)), 101) == 0.0
+
+    @pytest.mark.parametrize(
+        "shift, h, below",
+        [("nextafter", 40.0, True), (1e-4, 40.0, True), (1e-4, 400.0, False)],
+        ids=["one-ulp", "1e-4-h40", "1e-4-h400"],
+    )
+    def test_near_duplicates_on_both_sides_of_the_recompute_threshold(self, shift, h, below):
+        if shift == "nextafter":
+            rows, _ = _profiles(make_reports([obs(0.3, h, 500)]), 101)
+            rows = np.vstack([rows, np.nextafter(rows, 2.0)])
+        else:
+            rows, _ = _profiles(make_reports([obs(0.3, h, 500), obs(0.3 + shift, h, 500)]), 101)
+        a, b = with_norms(rows[:1]), with_norms(rows[1:])
+        expected = pairwise_distances(a[0], b[0], 101)[0, 0]
+        assert (expected**2 * 101 < _RECOMPUTE_SHARE * (a[1][0] + b[1][0])) == below
+        assert expected > 0.0
+        assert _distance_sum(a, b, 101) == pytest.approx(expected, rel=RTOL, abs=0)
+        assert _distance_sum(b, a, 101) == pytest.approx(expected, rel=RTOL, abs=0)
+
+
+# energy components of two fixed 200-row cnar datasets, printed as JSON
+_BLAS_CHILD = """
+import json
+from conftest import make_params, make_spec
+from grancount.model import simulate
+from grancount.ppc import energy_components
+spec = make_spec(n=200, k=500, offset=1.0)
+obs, rep = (simulate(spec, make_params("cnar"), seed=s, model="cnar") for s in (0, 1))
+stats = energy_components(obs, rep)
+print(json.dumps([stats.u_obs, stats.u_rep, stats.u_cross]))
+"""
+
+
+def test_energy_components_agree_across_blas_thread_counts():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    results = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        child = subprocess.run([sys.executable, "-c", _BLAS_CHILD], env=env, capture_output=True,
+                               text=True, timeout=120, check=True)
+        results.append(json.loads(child.stdout))
+    spec = make_spec(n=200, k=500, offset=1.0)
+    obs, rep = (_profiles(simulate(spec, make_params("cnar"), seed=s, model="cnar"), 101)[0]
+                for s in (0, 1))
+    triu = np.triu_indices(200, k=1)
+    expected = [pairwise_distances(obs, obs, 101)[triu].mean(),
+                pairwise_distances(rep, rep, 101)[triu].mean(),
+                pairwise_distances(obs, rep, 101).mean()]
+    np.testing.assert_allclose(results[0], results[1], rtol=RTOL, atol=0)
+    for result in results:
+        np.testing.assert_allclose(result, expected, rtol=RTOL, atol=0)
 
 
 @pytest.fixture(scope="module")
