@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -108,8 +109,8 @@ class RunConfig:
             raise ValidationError("simulate.offset must be strictly positive")
         if self.ppc.n_reps < 1 or self.ppc.grid < 2:
             raise ValidationError("ppc.n_reps must be >= 1 and ppc.grid >= 2")
-        if not self.car_tol > 0.0:
-            raise ValidationError("car_tol must be strictly positive")
+        if not 0.0 < self.car_tol < np.inf:
+            raise ValidationError("car_tol must be strictly positive and finite")
         model.check_tail_mass(self.truncation.tail_mass)
         return self
 
@@ -173,10 +174,6 @@ def load_config(path=None, overrides=()) -> RunConfig:
     return _build_section(RunConfig, payload, "config").validate()
 
 
-def config_to_json(config: RunConfig) -> str:
-    return json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True)
-
-
 def _metadata(stage: str, config: RunConfig | None = None) -> dict:
     meta = {"stage": stage, "created_unix": time.time()}
     if config is not None:
@@ -237,7 +234,7 @@ def _build_regression_spec(stats_path, covariates_path, add_intercept):
 # ---------------------------------------------------------------------------
 
 
-def cmd_count(args) -> int:
+def cmd_count(args, config: RunConfig) -> int:
     assign = possibility.read_possibility_csv(args.possibility)
     logger.info(
         "stage=count input=%s n_obs=%d n_ref=%d normalized=%s",
@@ -253,17 +250,11 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _fit_row(payload):
-    values, tol, max_iter, crisp = payload
-    mv = possibility.MembershipVector(np.asarray(values))
-    return fuzzy.fit_beta(mv, crisp_ceiling=crisp, tol=tol, max_iter=max_iter)
-
-
 def cmd_fit(args, config: RunConfig) -> int:
     start = time.perf_counter()
     rows = possibility.read_count_rows(args.counts)
     usable, dropped = [], 0
-    for _, sample_id, values in rows:
+    for line_no, sample_id, values in rows:
         if values.size < 2 or values.max() <= 0.0:
             logger.info("stage=fit sample=%s dropped reason=empty-support", sample_id)
             dropped += 1
@@ -272,20 +263,23 @@ def cmd_fit(args, config: RunConfig) -> int:
             logger.info("stage=fit sample=%s dropped reason=not-normalized max=%g", sample_id, values.max())
             dropped += 1
             continue
-        usable.append((sample_id, values))
+        try:
+            usable.append((sample_id, possibility.MembershipVector(values)))
+        except ValidationError as exc:
+            raise ValidationError(f"{args.counts}: line {line_no}, id {sample_id!r}: {exc}") from None
     if not usable:
         raise ValidationError("no usable rows after support checks")
 
-    payloads = [
-        (values, config.fit.tol, config.fit.max_iter, config.fit.crisp_precision)
-        for _, values in usable
-    ]
+    ids, vectors = zip(*usable)
+    fit = functools.partial(
+        fuzzy.fit_beta,
+        crisp_ceiling=config.fit.crisp_precision, tol=config.fit.tol, max_iter=config.fit.max_iter,
+    )
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            fits = list(pool.map(_fit_row, payloads))
+            fits = list(pool.map(fit, vectors))
     else:
-        fits = [_fit_row(p) for p in payloads]
-    ids = [sample_id for sample_id, _ in usable]
+        fits = list(map(fit, vectors))
     fuzzy.write_stats_csv(args.out, ids, fits)
     logger.info(
         "stage=fit in=%d fitted=%d dropped=%d degenerate=%d converged=%d at_max_iter=%d "
@@ -301,8 +295,6 @@ def cmd_fit(args, config: RunConfig) -> int:
 
 def cmd_simulate(args, config: RunConfig) -> int:
     sim = config.simulate
-    if config.model == "scalar":
-        raise ValidationError("simulate supports the cnar, car1, and car2 models")
     coef = np.asarray(sim.coef, dtype=np.float64)
     if coef.size < 1:
         raise ValidationError("simulate.coef must be non-empty")
@@ -409,8 +401,6 @@ def cmd_infer(args, config: RunConfig) -> int:
 
 
 def cmd_ppc(args, config: RunConfig) -> int:
-    if config.model == "scalar":
-        raise ValidationError("ppc supports the cnar, car1, and car2 models")
     spec, reports = _build_regression_spec(
         args.stats, args.covariates, config.add_intercept
     )
@@ -465,7 +455,7 @@ def cmd_kernel_audit(args, config: RunConfig) -> int:
 
 
 def cmd_show_config(args, config: RunConfig) -> int:
-    print(config_to_json(config))
+    print(json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -492,25 +482,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="granular counts from a possibility matrix")
+    p.set_defaults(run=cmd_count)
     p.add_argument("possibility", help="possibility matrix CSV")
     p.add_argument("--out", required=True, help="output granular-count CSV")
 
     p = sub.add_parser("fit", help="fit (c, h) statistics to granular counts")
+    p.set_defaults(run=cmd_fit)
     p.add_argument("counts", help="granular-count CSV")
     p.add_argument("--out", required=True, help="output statistics CSV")
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset")
+    p.set_defaults(run=cmd_simulate)
     p.add_argument("--out-data", required=True)
     p.add_argument("--out-covariates", required=True)
     p.add_argument("--out-params", required=True, help="JSON sidecar with ground truth")
 
     p = sub.add_parser("infer", help="posterior sampling for one model")
+    p.set_defaults(run=cmd_infer)
     p.add_argument("stats", help="statistics CSV (sample_id,c,h,K,...)")
     p.add_argument("covariates", help="covariates CSV (sample_id,...[,offset])")
     p.add_argument("--out-draws", required=True)
     p.add_argument("--out-diagnostics", required=True)
 
     p = sub.add_parser("ppc", help="posterior predictive checks")
+    p.set_defaults(run=cmd_ppc)
     p.add_argument("draws", help="posterior draws CSV")
     p.add_argument("stats", help="observed statistics CSV")
     p.add_argument("covariates", help="covariates CSV")
@@ -518,9 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-json", required=True)
 
     p = sub.add_parser("kernel-audit", help="print the reporting kernel and CAR verdicts")
+    p.set_defaults(run=cmd_kernel_audit)
     p.add_argument("kernel", help="kernel JSON file")
 
-    sub.add_parser("show-config", help="print the effective configuration")
+    p = sub.add_parser("show-config", help="print the effective configuration")
+    p.set_defaults(run=cmd_show_config)
     return parser
 
 
@@ -533,21 +530,7 @@ def main(argv=None) -> int:
     )
     try:
         config = load_config(args.config, args.overrides)
-        if args.command == "count":
-            return cmd_count(args)
-        if args.command == "fit":
-            return cmd_fit(args, config)
-        if args.command == "simulate":
-            return cmd_simulate(args, config)
-        if args.command == "infer":
-            return cmd_infer(args, config)
-        if args.command == "ppc":
-            return cmd_ppc(args, config)
-        if args.command == "kernel-audit":
-            return cmd_kernel_audit(args, config)
-        if args.command == "show-config":
-            return cmd_show_config(args, config)
-        raise ValidationError(f"unknown command {args.command!r}")
+        return args.run(args, config)
     except ValidationError as exc:
         logger.error("validation error: %s", exc)
         return EXIT_VALIDATION

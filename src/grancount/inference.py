@@ -148,10 +148,6 @@ class PosteriorDraws:
         return int(self.chain.max()) + 1 if self.chain.size else 0
 
     @property
-    def n_draws_per_chain(self) -> int:
-        return self.draws.shape[0] // max(self.n_chains, 1)
-
-    @property
     def dim(self) -> int:
         return self.draws.shape[1]
 
@@ -168,12 +164,7 @@ class PosteriorDraws:
 
     def by_chain(self) -> np.ndarray:
         """Draws reshaped to (n_chains, n_draws, dim), in chain order."""
-        c = self.n_chains
-        m = self.n_draws_per_chain
-        out = np.empty((c, m, self.dim))
-        for k in range(c):
-            out[k] = self.draws[self.chain == k]
-        return out
+        return np.stack([self.draws[self.chain == k] for k in range(self.n_chains)])
 
 
 def _reasonable_epsilon(target, q, logp, grad, rng, inv_mass) -> float:
@@ -320,36 +311,25 @@ def sample(target, config: HmcConfig, init, names=None, constrain=None) -> Poste
     if not np.isfinite(logp0) and config.init_jitter == 0.0:
         raise ValidationError("log density is not finite at the initial point")
 
-    all_draws, all_energy, all_div = [], [], []
-    chain_ids, iter_ids = [], []
-    accept_rates, step_sizes, masses, warmup_divs = [], [], [], []
+    runs = []
     for c in range(config.n_chains):
         rng0 = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(c, 0xA11CE)))
         )
         start = init + config.init_jitter * rng0.standard_normal(dim)
-        draws, energies, divergent, acc, eps, inv_mass, n_warmup_div = _run_chain(
-            target, config, start, c, dim
-        )
-        if constrain is not None:
-            draws = np.stack([np.asarray(constrain(row), dtype=np.float64) for row in draws])
-        all_draws.append(draws)
-        all_energy.append(energies)
-        all_div.append(divergent)
-        chain_ids.append(np.full(config.n_draws, c, dtype=np.int64))
-        iter_ids.append(np.arange(config.n_draws, dtype=np.int64))
-        accept_rates.append(acc)
-        step_sizes.append(eps)
-        masses.append(inv_mass)
-        warmup_divs.append(n_warmup_div)
+        runs.append(_run_chain(target, config, start, c, dim))
+    draws, energies, divergent, accept_rates, step_sizes, masses, warmup_divs = zip(*runs)
+    draws = np.concatenate(draws)
+    if constrain is not None:
+        draws = np.stack([np.asarray(constrain(row), dtype=np.float64) for row in draws])
 
     result = PosteriorDraws(
         names=names,
-        draws=np.concatenate(all_draws, axis=0),
-        chain=np.concatenate(chain_ids),
-        iteration=np.concatenate(iter_ids),
-        energy=np.concatenate(all_energy),
-        divergent=np.concatenate(all_div),
+        draws=draws,
+        chain=np.repeat(np.arange(config.n_chains, dtype=np.int64), config.n_draws),
+        iteration=np.tile(np.arange(config.n_draws, dtype=np.int64), config.n_chains),
+        energy=np.concatenate(energies),
+        divergent=np.concatenate(divergent),
         accept_rate=np.array(accept_rates),
         step_size=np.array(step_sizes),
         inv_mass=np.stack(masses),
@@ -482,10 +462,10 @@ def read_draws_csv(path) -> PosteriorDraws:
         values.append(params)
         energy.append(e)
     chain_arr = np.array(chain, dtype=np.int64)
-    n_chains = int(chain_arr.max()) + 1
-    counts = [int((chain_arr == c).sum()) for c in range(n_chains)]
-    if len(set(counts)) != 1 or counts[0] == 0:
-        raise ValidationError(f"{path}: chains have unequal draw counts")
+    ids, counts = np.unique(chain_arr, return_counts=True)  # sorted and distinct
+    n_chains = ids.size
+    if ids[0] != 0 or ids[-1] != n_chains - 1 or (counts != counts[0]).any():
+        raise ValidationError(f"{path}: chain ids must be 0..C-1, each with equal draw counts")
     return PosteriorDraws(
         names=names,
         draws=np.array(values),

@@ -62,10 +62,6 @@ class ReportingKernel:
     def n_outcomes(self) -> int:
         return len(self.outcomes)
 
-    def membership_matrix(self) -> np.ndarray:
-        """Stacked memberships, shape (K+1, n_outcomes)."""
-        return np.stack([o.memberships for o in self.outcomes], axis=1)
-
     def _check_y(self, y: int) -> int:
         y = int(y)
         if not 0 <= y <= self.k_max:
@@ -113,7 +109,7 @@ def _weighted(kern: ReportingKernel, ys) -> tuple[np.ndarray, np.ndarray]:
 
     Raises only for a y in `ys` that no outcome with positive mass covers.
     """
-    weighted = kern.membership_matrix() * kern.nu
+    weighted = np.stack([o.memberships for o in kern.outcomes], axis=1) * kern.nu
     ys = np.atleast_1d(ys)
     c = weighted.sum(axis=1)[ys]
     if np.any(c <= 0.0):
@@ -174,9 +170,6 @@ class CarResult:
     witness: tuple[int, int] | None
     compatibility_set: tuple[int, ...]
     ratios: tuple[float, ...]
-
-    def __bool__(self) -> bool:
-        return self.is_car
 
 
 def is_car(kern: ReportingKernel, xi_index: int, tol: float = 1.0e-9) -> CarResult:

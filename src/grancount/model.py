@@ -27,7 +27,7 @@ gradient on an unconstrained scale (log transforms for positive parameters);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import betaln, digamma, gammaln
@@ -102,10 +102,10 @@ class ModelParams:
         coef = np.atleast_1d(np.asarray(self.coef, dtype=np.float64))
         if coef.ndim != 1 or not np.all(np.isfinite(coef)):
             raise ValidationError("coef must be a finite 1-D vector")
-        for label in ("dispersion", "precision_shape", "precision_rate", "extra_dispersion"):
-            value = getattr(self, label)
+        for f in fields(self)[1:]:  # the positive parameters
+            value = getattr(self, f.name)
             if value is not None and not (np.isfinite(value) and value > 0.0):
-                raise ValidationError(f"{label} must be strictly positive and finite")
+                raise ValidationError(f"{f.name} must be strictly positive and finite")
         coef.flags.writeable = False
         object.__setattr__(self, "coef", coef)
 
@@ -230,7 +230,8 @@ class PriorSpec:
 
     Coefficients are Normal(0, coef_sd) directly; every positive parameter
     gets a Normal prior on its logarithm, which doubles as the transform, so
-    no separate Jacobian bookkeeping is needed.
+    no separate Jacobian bookkeeping is needed. The sd of the prior on
+    log <parameter> is the field `log_<parameter>_sd`.
     """
 
     coef_sd: float = 5.0
@@ -240,15 +241,9 @@ class PriorSpec:
     log_extra_dispersion_sd: float = 1.0
 
     def __post_init__(self):
-        for label in (
-            "coef_sd",
-            "log_dispersion_sd",
-            "log_precision_shape_sd",
-            "log_precision_rate_sd",
-            "log_extra_dispersion_sd",
-        ):
-            if not 0.0 < getattr(self, label) < np.inf:
-                raise ValidationError(f"{label} must be strictly positive and finite")
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < np.inf:
+                raise ValidationError(f"{f.name} must be strictly positive and finite")
 
 
 _POSITIVE_BLOCKS = {
@@ -257,14 +252,6 @@ _POSITIVE_BLOCKS = {
     "car2": ("precision_shape", "precision_rate", "extra_dispersion"),
     "scalar": ("dispersion",),
 }
-
-_PRIOR_SD_FIELD = {
-    "dispersion": "log_dispersion_sd",
-    "precision_shape": "log_precision_shape_sd",
-    "precision_rate": "log_precision_rate_sd",
-    "extra_dispersion": "log_extra_dispersion_sd",
-}
-
 
 def check_tail_mass(tail_mass: float) -> float:
     """The share of count mass the cnar grid may drop: a float in [0, 1)."""
@@ -305,12 +292,12 @@ def params_from_constrained(values, n_covariates: int, model: str) -> ModelParam
         raise ValidationError(
             f"constrained vector for '{model}' must have length {n_covariates + len(labels)}"
         )
-    fields = {label: float(values[n_covariates + j]) for j, label in enumerate(labels)}
-    return ModelParams(coef=values[:n_covariates].copy(), **fields)
+    positives = {label: float(values[n_covariates + j]) for j, label in enumerate(labels)}
+    return ModelParams(coef=values[:n_covariates].copy(), **positives)
 
 
 def _prior_sds(priors: PriorSpec, n_covariates: int, model: str) -> np.ndarray:
-    tail = [getattr(priors, _PRIOR_SD_FIELD[label]) for label in _POSITIVE_BLOCKS[model]]
+    tail = [getattr(priors, f"log_{label}_sd") for label in _POSITIVE_BLOCKS[model]]
     return np.concatenate([np.full(n_covariates, priors.coef_sd), np.array(tail)])
 
 
@@ -339,8 +326,6 @@ class Posterior:
         self, spec: RegressionSpec, data, priors: PriorSpec, model: str, tail_mass: float = 0.0
     ):
         self.model = check_model_name(model)
-        self.spec = spec
-        self.priors = priors
         self.tail_mass = check_tail_mass(tail_mass)
         self.n_covariates = spec.n_covariates
         self.names = parameter_names(
@@ -464,24 +449,23 @@ class Posterior:
         kappa, shape, rate = np.exp(phi[p : p + 3])
         n = mu.size
 
-        grid = self._grid
-        if self.tail_mass == 0.0 or n == 0:
-            hi = grid.size
-        else:
-            hi = self._cutoff(mu.max(), kappa)
-        grid = grid[:hi]
-        beta_mat = self._beta_mat[:, :hi]
-
         log_kmu = np.log(kappa + mu)
-        row_const = kappa * (np.log(kappa) - log_kmu) - gammaln(kappa)
+        head = kappa * (np.log(kappa) - log_kmu)
         slope = np.log(mu) - log_kmu
-        col_const = gammaln(grid + kappa) - self._lgamma_fact[:hi]
+        col = gammaln(self._grid + kappa) - self._lgamma_fact
+        if self.tail_mass == 0.0 or n == 0:
+            hi = self._grid.size
+        else:
+            i = mu.argmax()
+            hi = self._cutoff(col + head[i] + self._grid * slope[i])
+        grid = self._grid[:hi]
+        beta_mat = self._beta_mat[:, :hi]
 
         # lp and lp + beta built in reusable scratch to avoid temporaries
         lp = self._scratch[0][: n * hi].reshape(n, hi)
         np.multiply(slope[:, None], grid[None, :], out=lp)
-        lp += row_const[:, None]
-        lp += col_const[None, :]
+        lp += (head - gammaln(kappa))[:, None]
+        lp += col[None, :hi]
         if self._beyond_k is not None:
             np.copyto(lp, -np.inf, where=self._beyond_k[:, :hi])
         top = self._scratch[1][: n * hi].reshape(n, hi)
@@ -515,19 +499,16 @@ class Posterior:
         grad = np.concatenate([d_coef, [d_kappa, d_shape * shape, d_rate * rate]])
         return count_ll + gamma_ll, grad
 
-    def _cutoff(self, mu_max: float, kappa: float) -> int:
-        """Grid length capturing all but `tail_mass` of the widest count pmf."""
-        grid = self._grid
-        lp = (
-            gammaln(grid + kappa)
-            - self._lgamma_fact
-            + kappa * (np.log(kappa) - np.log(kappa + mu_max))
-            + grid * (np.log(mu_max) - np.log(kappa + mu_max))
-        )
+    def _cutoff(self, lp: np.ndarray) -> int:
+        """Grid length capturing all but `tail_mass` of the widest count pmf.
+
+        `lp` is the untruncated NB log pmf, up to -gammaln(kappa), of the
+        sample with the largest mean, over the whole grid.
+        """
         mass = np.exp(lp - lp.max())
         csum = np.cumsum(mass)
         cut = int(np.searchsorted(csum, (1.0 - self.tail_mass) * csum[-1])) + 1
-        return min(grid.size, cut + 1)
+        return min(lp.size, cut + 1)
 
     def _car_block(self, phi: np.ndarray, mu: np.ndarray):
         p = self.n_covariates
@@ -602,11 +583,7 @@ def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar
     model = check_model_name(model)
     if model == "scalar":
         raise ValidationError("the scalar proxy has no fuzzy simulator; use 'cnar'")
-    params.require("precision_shape", "precision_rate")
-    if model == "cnar":
-        params.require("dispersion")
-    if model == "car2":
-        params.require("extra_dispersion")
+    params.require(*_POSITIVE_BLOCKS[model])
 
     rng = np.random.default_rng(seed)
     n = spec.n_samples

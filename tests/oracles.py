@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from grancount.errors import NumericalError, ValidationError
 from grancount.fuzzy import (
@@ -22,6 +23,26 @@ def observed_loglik(spec, params, data, model) -> float:
     if not np.isfinite(ll):
         raise NumericalError(f"{model} likelihood cannot be evaluated at these parameters")
     return float(ll)
+
+
+def cutoff_width(post: Posterior, mu_max: float, kappa: float) -> int:
+    """Grid length a cnar `Posterior` with tail cutoff keeps at the largest mean `mu_max`.
+
+    The reference for the width `Posterior._cnar_block` takes from `_cutoff`:
+    the negative binomial log pmf of that mean written out over the whole grid
+    in one expression, then all but `post.tail_mass` of its mass.
+    """
+    grid = np.arange(post._grid.size, dtype=np.float64)
+    lp = (
+        gammaln(grid + kappa)
+        - gammaln(grid + 1.0)
+        + kappa * (np.log(kappa) - np.log(kappa + mu_max))
+        + grid * (np.log(mu_max) - np.log(kappa + mu_max))
+    )
+    mass = np.exp(lp - lp.max())
+    csum = np.cumsum(mass)
+    cut = int(np.searchsorted(csum, (1.0 - post.tail_mass) * csum[-1])) + 1
+    return min(grid.size, cut + 1)
 
 
 def granular_count_bruteforce(assign, referent: int) -> MembershipVector:

@@ -1,5 +1,6 @@
 """Contract tests for the command-line pipeline, run in-process through `cli.main`."""
 
+import argparse
 import json
 import logging
 import statistics
@@ -138,6 +139,14 @@ def test_simulate_output_feeds_infer(tmp_path):
         ["--set", "truncation.exact=true", "show-config"],
         ["--set", "priors.coef_sd=Infinity", "show-config"],
         ["--set", "truncation.tail_mass=-1", "show-config"],
+        ["--set", "car_tol=Infinity", "kernel-audit", "kernel_ok.json"],
+        ["fit", "counts_nan.csv", "--out", "stats_out.csv"],
+        ["--set", "ppc.n_reps=2", "ppc", "draws_chain_minus_1.csv", "stats.csv", "covariates.csv",
+         "--out-csv", "ppc.csv", "--out-json", "ppc.json"],
+        ["--set", 'model="scalar"', "simulate", "--out-data", "data.csv",
+         "--out-covariates", "covariates_out.csv", "--out-params", "params.json"],
+        ["--set", 'model="scalar"', "--set", "ppc.n_reps=2", "ppc", "draws_scalar.csv", "stats.csv",
+         "covariates.csv", "--out-csv", "ppc.csv", "--out-json", "ppc.json"],
     ] + [
         [*SMALL, "infer", f"stats_{name}.csv", "covariates.csv",
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"]
@@ -153,7 +162,8 @@ def test_simulate_output_feeds_infer(tmp_path):
          "tiny-crisp-precision", "negative-crisp-precision", "scalar-k1-interior-location",
          "kernel-not-object", "kernel-names-int", "kernel-names-string", "kernel-nan-nu",
          "nan-init-jitter", "infinite-init-jitter", "removed-truncation-exact",
-         "infinite-prior-sd", "negative-tail-mass-config"]
+         "infinite-prior-sd", "negative-tail-mass-config", "infinite-car-tol", "fit-counts-nan",
+         "ppc-chain-minus-1", "scalar-simulate", "scalar-ppc"]
     + [f"infer-stats-{name}" for name in BAD_STATS_ROWS]
     + [f"ppc-stats-{name}" for name in BAD_STATS_ROWS],
 )
@@ -167,23 +177,42 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
         (tmp_path / f"stats_{name}.csv").write_text(f"sample_id,c,h,K\na,2.0,5.0,10\nb,{row}\n")
     # draws that `ppc` accepts with the valid stats.csv, so only the stats row is at fault
     draw = "1.0,0.5,2.0,4.0,0.1,10.0,0"
-    (tmp_path / "draws.csv").write_text(
-        "chain,iter,coef_intercept,coef_x,dispersion,precision_shape,precision_rate,energy,"
-        f"divergent\n0,0,{draw}\n0,1,{draw}\n"
+    header = "chain,iter,coef_intercept,coef_x,dispersion,precision_shape,precision_rate,energy,"
+    (tmp_path / "draws.csv").write_text(f"{header}divergent\n0,0,{draw}\n0,1,{draw}\n")
+    (tmp_path / "draws_chain_minus_1.csv").write_text(
+        f"{header}divergent\n-1,0,{draw}\n0,0,{draw}\n"
+    )
+    (tmp_path / "draws_scalar.csv").write_text(
+        "chain,iter,coef_intercept,coef_x,dispersion,energy,divergent\n"
+        "0,0,1.0,0.5,2.0,10.0,0\n0,1,1.0,0.5,2.0,10.0,0\n"
     )
     (tmp_path / "counts.csv").write_text("id,y0,y1,y2,y3\na,0.2,1.0,0.6,0.1\n")
+    (tmp_path / "counts_nan.csv").write_text(
+        "id,y0,y1,y2,y3\na,0.2,1.0,0.6,0.1\nb,0.2,nan,1.0,0.1\n"
+    )
     kernel = {"nu": [0.5, 0.5], "outcomes": [[1.0, 0.5], [0.5, 1.0]]}
-    for name, payload in [("int", 5), ("names_int", {**kernel, "names": 5}),
+    for name, payload in [("ok", kernel), ("int", 5), ("names_int", {**kernel, "names": 5}),
                           ("names_str", {**kernel, "names": "ab"}),
                           ("nan_nu", {**kernel, "nu": [float("nan"), 1.0]})]:
         (tmp_path / f"kernel_{name}.json").write_text(json.dumps(payload))
+    inputs = sorted(tmp_path.iterdir())
     with caplog.at_level(logging.ERROR, logger="grancount"):
         assert cli.main(argv) == cli.EXIT_VALIDATION
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and "\n" not in errors[0], errors
-    stats = [arg for arg in argv if arg.startswith("stats_")]
-    if stats:  # the bad row is the third line, sample b
-        assert f"{stats[0]}: line 3, sample_id 'b'" in errors[0], errors
+    assert sorted(tmp_path.iterdir()) == inputs  # no output file
+    bad = [arg for arg in argv if arg.startswith(("stats_", "counts_"))]
+    if bad:  # the bad row is the third line, sample b
+        column = "sample_id" if bad[0].startswith("stats_") else "id"
+        assert f"{bad[0]}: line 3, {column} 'b'" in errors[0], errors
+
+
+def test_every_subcommand_sets_a_run_handler():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"count", "fit", "simulate", "infer", "ppc", "kernel-audit",
+                                "show-config"}
+    for name, parser in sub.choices.items():
+        assert callable(parser.get_default("run")), name
 
 
 def test_kernel_audit_prints_phi_and_car_witness(tmp_path, capsys):

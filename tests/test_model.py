@@ -26,7 +26,7 @@ from grancount.model import (
 )
 
 from conftest import make_params, make_reports, make_spec
-from oracles import observed_loglik
+from oracles import cutoff_width, observed_loglik
 
 
 class TestMeanResponse:
@@ -307,26 +307,36 @@ class TestGradients:
         assert logp == -np.inf and not grad.any()
 
 
+def record_widths(monkeypatch) -> list[int]:
+    """Widths `Posterior._cutoff` returns from here on, in call order."""
+    widths = []
+    original = Posterior._cutoff
+    monkeypatch.setattr(
+        Posterior, "_cutoff", lambda self, lp: widths.append(original(self, lp)) or widths[-1]
+    )
+    return widths
+
+
 class TestTailCutoff:
-    def test_cutoff_matches_exact_truncation(self):
+    def test_cutoff_matches_exact_truncation(self, monkeypatch):
         spec = make_spec(n=30, k=300, offset=1.0)
         sim = simulate(spec, make_params("cnar"), seed=13, model="cnar")
         exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
         cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
         rng = np.random.default_rng(17)
-        lengths = []
-        for _ in range(20):
+        widths = record_widths(monkeypatch)
+        for i in range(20):
             phi = rng.standard_normal(exact.dim)
             logp, grad = exact.logp_and_grad(phi)
             logp_cut, grad_cut = cut.logp_and_grad(phi)
             assert abs(logp_cut - logp) <= 1e-8
             np.testing.assert_allclose(grad_cut, grad, rtol=0.0, atol=1e-8)
             mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
-            lengths.append(cut._cutoff(mu.max(), np.exp(phi[2])))
+            assert len(widths) == i + 1 and widths[i] == cutoff_width(cut, mu.max(), np.exp(phi[2]))
         # the comparison means something only where the grid was cut
-        assert min(lengths) < spec.k_max[0] + 1
+        assert min(widths) < spec.k_max[0] + 1
 
-    def test_cutoff_matches_exact_truncation_on_mixed_k(self):
+    def test_cutoff_matches_exact_truncation_on_mixed_k(self, monkeypatch):
         base = make_spec(n=40, k=300, offset=1.0, seed=5)
         spec = RegressionSpec(
             base.covariates, base.offsets, np.resize([5, 20, 60, 300], 40), base.covariate_names
@@ -335,14 +345,16 @@ class TestTailCutoff:
         exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
         cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
         rng = np.random.default_rng(19)
+        widths = record_widths(monkeypatch)
         compared = 0
-        for _ in range(40):
+        for i in range(40):
             phi = rng.standard_normal(exact.dim)
             mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
-            if cut._cutoff(mu.max(), np.exp(phi[2])) == 301:
+            logp_cut, grad_cut = cut.logp_and_grad(phi)
+            assert len(widths) == i + 1 and widths[i] == cutoff_width(cut, mu.max(), np.exp(phi[2]))
+            if widths[i] == 301:
                 continue  # only points where the grid is cut test the cutoff
             logp, grad = exact.logp_and_grad(phi)
-            logp_cut, grad_cut = cut.logp_and_grad(phi)
             assert abs(logp_cut - logp) <= 1e-8
             np.testing.assert_allclose(grad_cut, grad, rtol=0.0, atol=1e-8)
             compared += 1
@@ -364,7 +376,7 @@ class TestTailCutoff:
         for i in np.random.default_rng(23).permutation(len(points)):
             phi = points[i]
             mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
-            widths.add(shared._cutoff(mu.max(), np.exp(phi[2])))
+            widths.add(cutoff_width(shared, mu.max(), np.exp(phi[2])))
             logp, grad = shared.logp_and_grad(phi)
             fresh_logp, fresh_grad = Posterior(*args).logp_and_grad(phi)
             assert np.isfinite(logp) and logp == fresh_logp
@@ -381,7 +393,7 @@ class TestTailCutoff:
         mu = linear_means(spec, make_params("cnar"))
         # at tail_mass 0 the cutoff search still stops short of the grid's end:
         # the cumulative mass stops growing in floating point first
-        assert exact._cutoff(mu.max(), 2.0) < spec.k_max[0] + 1
+        assert cutoff_width(exact, mu.max(), 2.0) < spec.k_max[0] + 1
         calls = []
         original = Posterior._cutoff
         monkeypatch.setattr(
