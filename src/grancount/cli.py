@@ -63,7 +63,7 @@ class FitSection:
 @dataclass
 class PpcSection:
     n_reps: int = 200
-    grid: int = 101
+    grid: int = ppc.DEFAULT_GRID
 
 
 @dataclass
@@ -174,11 +174,8 @@ def load_config(path=None, overrides=()) -> RunConfig:
     return _build_section(RunConfig, payload, "config").validate()
 
 
-def _metadata(stage: str, config: RunConfig | None = None) -> dict:
-    meta = {"stage": stage, "created_unix": time.time()}
-    if config is not None:
-        meta["config"] = dataclasses.asdict(config)
-    return meta
+def _metadata(stage: str, config: RunConfig) -> dict:
+    return {"stage": stage, "created_unix": time.time(), "config": dataclasses.asdict(config)}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from . import tables
 from .errors import NumericalError, ValidationError
@@ -113,14 +112,6 @@ class DiagnosticsTable:
     rhat: np.ndarray
     ess_bulk: np.ndarray
     flags: tuple[str, ...]
-
-    def rows(self):
-        for j, name in enumerate(self.names):
-            yield {
-                "name": name,
-                "rhat": float(self.rhat[j]),
-                "ess_bulk": float(self.ess_bulk[j]),
-            }
 
     def max_rhat(self) -> float:
         finite = self.rhat[np.isfinite(self.rhat)]
@@ -346,7 +337,9 @@ def sample(target, config: HmcConfig, init, names=None, constrain=None) -> Poste
 def _rank_normalize(chains: np.ndarray) -> np.ndarray:
     """Map draws to normal scores by pooled average ranks; shape preserved."""
     flat = chains.reshape(-1)
-    ranks = rankdata(flat, method="average")
+    # average ranks of ties: the mean of positions cumsum - count + 1 .. cumsum
+    _, inverse, counts = np.unique(flat, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     z = ndtri((ranks - 0.375) / (flat.size + 0.25))
     return z.reshape(chains.shape)
 
@@ -479,15 +472,18 @@ def read_draws_csv(path) -> PosteriorDraws:
     )
 
 
-def write_diagnostics_json(path, draws: PosteriorDraws, metadata=None) -> None:
-    table = draws.diagnostics if draws.diagnostics is not None else diagnostics(draws)
+def write_diagnostics_json(path, draws: PosteriorDraws, metadata: dict) -> None:
+    """Write the diagnostics table that `sample` attached to `draws`."""
+    table = draws.diagnostics
     payload = {
-        "parameters": list(table.rows()),
+        "parameters": [
+            {"name": name, "rhat": float(rhat), "ess_bulk": float(ess)}
+            for name, rhat, ess in zip(table.names, table.rhat, table.ess_bulk)
+        ],
         "divergences": draws.divergence_count,
         "accept_rate": [float(a) for a in draws.accept_rate],
         "step_size": [float(s) for s in draws.step_size],
         "flags": list(table.flags),
+        "metadata": metadata,
     }
-    if metadata is not None:
-        payload["metadata"] = metadata
     tables.write_json(path, payload)

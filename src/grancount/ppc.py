@@ -6,8 +6,9 @@ comparison reads their columns. Two layers of comparison are provided:
 scalar summaries of the scaled report locations (mean and 80% inter-quantile
 range), and an energy-style analysis that compares whole membership
 profiles through mean pairwise distances within the observed sample (u_obs),
-within a replicate (u_rep), and across the two (u_cross). Replicates
-structurally compatible with the data put u_cross close to u_obs.
+within a replicate (u_rep), and across the two (u_cross). `run_ppc` is the
+one path to both layers. Replicates structurally compatible with the data put
+u_cross close to u_obs.
 
 A squared distance is |a|^2 + |b|^2 - 2 a.b, one matrix product per block of
 `fuzzy.BLOCK_CELLS` cells; pairs where that falls below 1e-6 (|a|^2 + max |b|^2)
@@ -36,17 +37,6 @@ from .model import (
 )
 
 DEFAULT_GRID = 101
-_SINGLETON = "{}: singleton sample, within-distance undefined"
-
-
-@dataclass(frozen=True)
-class EnergyStats:
-    """Mean pairwise profile distances for one replicate against the data."""
-
-    u_obs: float
-    u_rep: float
-    u_cross: float
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -150,27 +140,6 @@ def _within_distance(profiles, grid: int) -> float:
     return _distance_sum(profiles, profiles, grid) / (n * (n - 1))
 
 
-def _replicate_energy(observed, replicated: Reports, grid: int):
-    """(u_rep, u_cross) of one replicated sample against the observed `_profiles`."""
-    rep = _profiles(replicated, grid)
-    u_cross = _distance_sum(observed, rep, grid) / len(observed[1]) / len(rep[1])
-    return _within_distance(rep, grid), u_cross
-
-
-def energy_components(observed: Reports, replicated: Reports, grid=DEFAULT_GRID) -> EnergyStats:
-    """u_obs / u_rep / u_cross for one replicated dataset."""
-    prof_obs = _profiles(observed, grid)
-    if not len(observed) or not len(replicated):
-        raise ValidationError("both samples must be non-empty")
-    flags = [
-        _SINGLETON.format(label)
-        for label, sample in (("observed", observed), ("replicated", replicated))
-        if len(sample) < 2
-    ]
-    u_rep, u_cross = _replicate_energy(prof_obs, replicated, grid)
-    return EnergyStats(_within_distance(prof_obs, grid), u_rep, u_cross, tuple(flags))
-
-
 def run_ppc(
     draws: PosteriorDraws,
     spec: RegressionSpec,
@@ -184,11 +153,15 @@ def run_ppc(
     prof_obs = _profiles(observed, grid)
     obs_mean, obs_iqr = scalar_summaries(observed)
     reps = replicate(draws, spec, model, n_reps, seed)
-    flags = [_SINGLETON.format("observed")] if len(observed) < 2 else []
+    flags = ("observed: singleton sample, within-distance undefined",) if len(observed) < 2 else ()
     u_obs = _within_distance(prof_obs, grid)
 
     means, iqrs = np.array([scalar_summaries(rep) for rep in reps]).T
-    u_rep, u_cross = np.array([_replicate_energy(prof_obs, rep, grid) for rep in reps]).T
+    u_rep, u_cross = np.empty(n_reps), np.empty(n_reps)
+    for r, rep in enumerate(reps):
+        prof_rep = _profiles(rep, grid)
+        u_rep[r] = _within_distance(prof_rep, grid)
+        u_cross[r] = _distance_sum(prof_obs, prof_rep, grid) / len(observed) / len(rep)
 
     return PpcSummary(
         observed_scaled_mean=obs_mean,
@@ -200,7 +173,7 @@ def run_ppc(
         u_cross=u_cross,
         tail_prob_mean=float(np.mean(means >= obs_mean)),
         tail_prob_iqr80=float(np.mean(iqrs >= obs_iqr)),
-        flags=tuple(flags),
+        flags=flags,
     )
 
 
@@ -210,7 +183,7 @@ def write_ppc_csv(path, summary: PpcSummary) -> None:
     tables.write_table(path, ["rep_id", "u_rep", "u_cross", "scaled_mean", "iqr80"], rows)
 
 
-def write_ppc_json(path, summary: PpcSummary, metadata=None) -> None:
+def write_ppc_json(path, summary: PpcSummary, metadata: dict) -> None:
     payload = {
         "u_obs": summary.u_obs,
         "observed_scaled_mean": summary.observed_scaled_mean,
@@ -222,7 +195,6 @@ def write_ppc_json(path, summary: PpcSummary, metadata=None) -> None:
         "mean_u_cross": float(np.mean(summary.u_cross)),
         "mean_abs_cross_gap": float(np.mean(np.abs(summary.u_cross - summary.u_obs))),
         "flags": list(summary.flags),
+        "metadata": metadata,
     }
-    if metadata is not None:
-        payload["metadata"] = metadata
     tables.write_json(path, payload)

@@ -3,7 +3,10 @@
 import argparse
 import json
 import logging
+import os
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +60,15 @@ def test_demo_pipeline_reruns_are_identical(tmp_path):
     metadata = json.loads((first / "diagnostics.json").read_text())["metadata"]
     assert len(metadata["warmup_divergences"]) == 2
     assert all(isinstance(n, int) and 0 <= n < 50 for n in metadata["warmup_divergences"])
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # importing scipy.stats takes about a second and 45 MB, and the program needs none of it
+    code = "import sys, grancount.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120, check=True)
+    assert child.stdout.strip() == "False"
 
 
 def test_fit_process_pool_writes_the_same_bytes(tmp_path):

@@ -239,6 +239,21 @@ class TestDiagnostics:
         assert any("single chain" in f for f in table.flags)
         assert np.isfinite(table.ess_bulk[0])
 
+    @pytest.mark.parametrize("levels", [2, 3, 50, None], ids=["2", "3", "50", "distinct"])
+    def test_rank_normalize_scores_average_ranks(self, levels):
+        from scipy.special import ndtri
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(levels or 0)
+        if levels is None:
+            chains = rng.standard_normal((4, 60))
+        else:
+            chains = rng.integers(0, levels, (4, 60)).astype(float)
+        chains[1, :30] = 0.5  # a constant half
+        ranks = rankdata(chains.ravel(), method="average")
+        expected = ndtri((ranks - 0.375) / (chains.size + 0.25)).reshape(chains.shape)
+        np.testing.assert_array_equal(inference._rank_normalize(chains), expected)
+
 
 class TestPersistence:
     def test_draws_csv_round_trip(self, tmp_path):

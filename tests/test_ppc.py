@@ -17,7 +17,6 @@ from grancount.ppc import (
     _distance_sum,
     _profiles,
     _within_distance,
-    energy_components,
     replicate,
     run_ppc,
     scalar_summaries,
@@ -73,11 +72,6 @@ class TestFuzzyDistance:
         b = (30.0, 20.0, 100)
         assert distance(a, b) < 1e-12
 
-    def test_grid_validation(self):
-        a = make_reports([(3.0, 20.0, 10)])
-        with pytest.raises(ValidationError, match="grid"):
-            energy_components(a, a, grid=1)
-
 
 class TestScalarSummaries:
     def test_constant_sample_has_zero_spread(self):
@@ -99,38 +93,44 @@ class TestScalarSummaries:
 
 
 class TestEnergyComponents:
+    """u_obs and u_rep are `_within_distance` means, u_cross a `_distance_sum` over n_obs n_rep."""
+
     def test_identical_multisets_match_exactly(self):
         rng = np.random.default_rng(2)
         items = [obs(float(rng.uniform(0.1, 0.9)), float(rng.uniform(2, 40))) for _ in range(8)]
-        stats = energy_components(make_reports(items), make_reports(items))
-        assert stats.u_rep == stats.u_obs
-        assert stats.u_cross == pytest.approx(stats.u_obs * 7.0 / 8.0, rel=1e-12)
+        data, rep = (_profiles(make_reports(items), DEFAULT_GRID) for _ in range(2))
+        u_obs = _within_distance(data, DEFAULT_GRID)
+        assert _within_distance(rep, DEFAULT_GRID) == u_obs
+        u_cross = _distance_sum(data, rep, DEFAULT_GRID) / 8 / 8
+        assert u_cross == pytest.approx(u_obs * 7.0 / 8.0, rel=1e-12)
 
     def test_degenerate_samples_are_zero(self):
-        data = make_reports([obs(0.5, 10.0)] * 5)
-        stats = energy_components(data, data)
-        assert stats.u_obs == 0.0 and stats.u_rep == 0.0 and stats.u_cross == 0.0
+        data = _profiles(make_reports([obs(0.5, 10.0)] * 5), DEFAULT_GRID)
+        assert _within_distance(data, DEFAULT_GRID) == 0.0
+        assert _distance_sum(data, data, DEFAULT_GRID) == 0.0
 
     def test_order_invariance(self):
         rng = np.random.default_rng(3)
         data = [obs(float(rng.uniform(0.1, 0.9)), float(rng.uniform(2, 40))) for _ in range(7)]
         reps = [obs(float(rng.uniform(0.1, 0.9)), float(rng.uniform(2, 40))) for _ in range(5)]
-        a = energy_components(make_reports(data), make_reports(reps))
-        b = energy_components(make_reports(data[::-1]), make_reports(reps[::-1]))
-        assert a.u_obs == pytest.approx(b.u_obs, rel=1e-12)
-        assert a.u_cross == pytest.approx(b.u_cross, rel=1e-12)
+        forward = [_profiles(make_reports(items), DEFAULT_GRID) for items in (data, reps)]
+        backward = [_profiles(make_reports(items[::-1]), DEFAULT_GRID) for items in (data, reps)]
+        assert _within_distance(forward[0], DEFAULT_GRID) == pytest.approx(
+            _within_distance(backward[0], DEFAULT_GRID), rel=1e-12)
+        assert _distance_sum(*forward, DEFAULT_GRID) == pytest.approx(
+            _distance_sum(*backward, DEFAULT_GRID), rel=1e-12)
 
-    def test_singleton_flags_nan(self):
-        data = make_reports([obs(0.5, 10.0)])
-        reps = make_reports([obs(0.4, 8.0), obs(0.6, 12.0)])
-        stats = energy_components(data, reps)
-        assert np.isnan(stats.u_obs)
-        assert np.isfinite(stats.u_cross)
-        assert any("singleton" in f for f in stats.flags)
+    def test_singleton_flags_nan(self, fitted_small_posterior):
+        spec, sim, draws = fitted_small_posterior
+        summary = run_ppc(draws, spec, "cnar", make_reports([obs(0.5, 10.0)]), n_reps=2, seed=0)
+        assert np.isnan(summary.u_obs)
+        assert np.isfinite(summary.u_cross).all()
+        assert any("singleton" in f for f in summary.flags)
 
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValidationError):
-            energy_components(Reports([], [], []), make_reports([obs(0.5, 10.0)]))
+    def test_empty_sample_rejected(self, fitted_small_posterior):
+        spec, sim, draws = fitted_small_posterior
+        with pytest.raises(ValidationError, match="empty"):
+            run_ppc(draws, spec, "cnar", Reports([], [], []), n_reps=2, seed=0)
 
 
 class TestDistanceBlocks:
@@ -178,16 +178,17 @@ class TestDistanceBlocks:
         assert _distance_sum(b, a, 101) == pytest.approx(expected, rel=RTOL, abs=0)
 
 
-# energy components of two fixed 200-row cnar datasets, printed as JSON
+# u_obs, u_rep and u_cross of two fixed 200-row cnar datasets, printed as JSON
 _BLAS_CHILD = """
 import json
 from conftest import make_params, make_spec
 from grancount.model import simulate
-from grancount.ppc import energy_components
+from grancount.ppc import _distance_sum, _profiles, _within_distance
 spec = make_spec(n=200, k=500, offset=1.0)
-obs, rep = (simulate(spec, make_params("cnar"), seed=s, model="cnar") for s in (0, 1))
-stats = energy_components(obs, rep)
-print(json.dumps([stats.u_obs, stats.u_rep, stats.u_cross]))
+obs, rep = (_profiles(simulate(spec, make_params("cnar"), seed=s, model="cnar"), 101)
+            for s in (0, 1))
+u_cross = _distance_sum(obs, rep, 101) / 200 / 200
+print(json.dumps([_within_distance(obs, 101), _within_distance(rep, 101), u_cross]))
 """
 
 
@@ -264,11 +265,16 @@ class TestReplicate:
     def test_run_ppc_energy_equals_energy_components(self, fitted_small_posterior):
         spec, sim, draws = fitted_small_posterior
         summary = run_ppc(draws, spec, "cnar", sim, n_reps=3, seed=5)
+        triu = np.triu_indices(len(sim), k=1)
+        data = _profiles(sim, DEFAULT_GRID)[0]
+        u_obs = pairwise_distances(data, data, DEFAULT_GRID)[triu].mean()
+        assert summary.u_obs == pytest.approx(u_obs, rel=RTOL, abs=0)
         for r, rep in enumerate(replicate(draws, spec, "cnar", n_reps=3, seed=5)):
-            stats = energy_components(sim, rep)
-            assert (stats.u_obs, stats.u_rep, stats.u_cross) == (
-                summary.u_obs, summary.u_rep[r], summary.u_cross[r]
-            )
+            rows = _profiles(rep, DEFAULT_GRID)[0]
+            u_rep = pairwise_distances(rows, rows, DEFAULT_GRID)[triu].mean()
+            u_cross = pairwise_distances(data, rows, DEFAULT_GRID).mean()
+            assert summary.u_rep[r] == pytest.approx(u_rep, rel=RTOL, abs=0)
+            assert summary.u_cross[r] == pytest.approx(u_cross, rel=RTOL, abs=0)
 
     @pytest.mark.parametrize("grid", [0, 1])
     def test_run_ppc_rejects_a_grid_below_two_points(self, fitted_small_posterior, grid):
