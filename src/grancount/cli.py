@@ -307,11 +307,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
         covariate_names=cov_names,
     )
     params = model.ModelParams(
-        coef=coef,
-        dispersion=sim.dispersion,
-        precision_shape=sim.precision_shape,
-        precision_rate=sim.precision_rate,
-        extra_dispersion=sim.extra_dispersion if config.model == "car2" else None,
+        coef=coef, **{name: getattr(sim, name) for name in model.parameter_names(config.model, ())}
     )
     data = model.simulate(spec, params, config.seed, config.model)
     ids = [f"s{i:05d}" for i in range(n)]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from grancount import cli
+from grancount import cli, model
 
 DATA = Path(cli.__file__).parent / "data"
 SMALL = [
@@ -118,6 +118,16 @@ def test_simulate_output_feeds_infer(tmp_path):
         "--out-params", tmp_path / "params.json")
     run("infer", tmp_path / "data.csv", tmp_path / "covariates.csv",
         "--out-draws", tmp_path / "draws.csv", "--out-diagnostics", tmp_path / "diagnostics.json")
+
+
+@pytest.mark.parametrize("model_name", ["cnar", "car1", "car2"])
+def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name):
+    run("--set", f"model={model_name}", "--set", "simulate.n_samples=5", "simulate",
+        "--out-data", tmp_path / "data.csv", "--out-covariates", tmp_path / "covariates.csv",
+        "--out-params", tmp_path / "params.json")
+    params = json.loads((tmp_path / "params.json").read_text())["params"]
+    recorded = [name for name, value in params.items() if value is not None and name != "coef"]
+    assert sorted(recorded) == sorted(model.parameter_names(model_name, ()))
 
 
 @pytest.mark.parametrize(
