@@ -435,14 +435,15 @@ class Posterior:
     # -- model blocks -------------------------------------------------------
 
     def _gamma_block(self, shape: float, rate: float, n: int):
+        """Gamma log density of the precisions and its derivatives in log shape and log rate."""
         logp = (
             n * (shape * np.log(rate) - gammaln(shape))
             + (shape - 1.0) * self._sum_log_h
             - rate * self._sum_h
         )
         d_shape = n * (np.log(rate) - digamma(shape)) + self._sum_log_h
-        d_rate = n * shape / rate - self._sum_h
-        return logp, d_shape, d_rate
+        # on the log scale: n*shape/rate would overflow at a tiny rate
+        return logp, d_shape * shape, n * shape - rate * self._sum_h
 
     def _cnar_block(self, phi: np.ndarray, mu: np.ndarray):
         p = self.n_covariates
@@ -496,7 +497,7 @@ class Posterior:
         d_kappa = float((delta_psi - delta_y / (kappa + mu)).sum()) * kappa
 
         gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n)
-        grad = np.concatenate([d_coef, [d_kappa, d_shape * shape, d_rate * rate]])
+        grad = np.concatenate([d_coef, [d_kappa, d_shape, d_rate]])
         return count_ll + gamma_ll, grad
 
     def _cutoff(self, lp: np.ndarray) -> int:
@@ -532,7 +533,7 @@ class Posterior:
         d_coef = self._z.T @ (np.where(free, dm, 0.0) * mu / self._kvec)
 
         gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n)
-        pieces = [d_coef, [d_shape * shape, d_rate * rate]]
+        pieces = [d_coef, [d_shape, d_rate]]
         if self.model == "car2":
             d_lam = float(
                 (

@@ -283,6 +283,22 @@ class TestGradients:
                 fd = (up - down) / (2 * step)
                 assert abs(grad[j] - fd) <= 1e-5 * (1.0 + abs(fd))
 
+    @pytest.mark.parametrize("model, phi", [("cnar", [1.0, 0.5, np.log(2.0), 5.0, -699.9]),
+                                            ("car2", [1.0, 0.5, 5.0, -699.9, 0.0])])
+    def test_log_rate_gradient_is_finite_at_a_tiny_rate(self, model, phi):
+        # n*shape/rate overflows at rate = exp(-699.9); its log-scale form does not
+        spec = make_spec(n=200, k=500, offset=1.0)
+        data = simulate(spec, make_params("cnar"), seed=0, model="cnar")
+        post = Posterior(spec, data, PriorSpec(), model)
+        phi = np.array(phi)
+        _, grad = post.logp_and_grad(phi)
+        j = post.names.index("precision_rate")
+        step = np.zeros(post.dim)
+        step[j] = 0.05
+        fd = (post.logp_and_grad(phi + step)[0] - post.logp_and_grad(phi - step)[0]) / 0.1
+        assert np.isfinite(grad[j])
+        assert grad[j] == pytest.approx(fd, rel=1e-6)
+
     def test_prior_score_only_without_data(self):
         spec = RegressionSpec(np.empty((0, 1)), np.empty(0), np.empty(0, dtype=int))
         priors = PriorSpec()
