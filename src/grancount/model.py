@@ -442,7 +442,7 @@ class Posterior:
             - rate * self._sum_h
         )
         d_shape = n * (np.log(rate) - digamma(shape)) + self._sum_log_h
-        # on the log scale: n*shape/rate would overflow at a tiny rate
+        # no division by the rate: n*shape/rate overflows when the rate is tiny
         return logp, d_shape * shape, n * shape - rate * self._sum_h
 
     def _cnar_block(self, phi: np.ndarray, mu: np.ndarray):

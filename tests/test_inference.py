@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import rankdata
 
 from grancount import NumericalError, ValidationError, inference
 from grancount.inference import (
@@ -241,9 +243,6 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("levels", [2, 3, 50, None], ids=["2", "3", "50", "distinct"])
     def test_rank_normalize_scores_average_ranks(self, levels):
-        from scipy.special import ndtri
-        from scipy.stats import rankdata
-
         rng = np.random.default_rng(levels or 0)
         if levels is None:
             chains = rng.standard_normal((4, 60))

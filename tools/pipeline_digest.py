@@ -47,13 +47,13 @@ def digest(path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def pipeline(cli, run, inputs, out):
+def pipeline(cli, inputs, out):
     """Run every stage on `inputs` (file name -> path); return the output paths."""
     config = ["--config", inputs["config.json"]] if "config.json" in inputs else []
     files = []
 
     def stage(*argv, outputs):
-        run(cli, [*config, *SMALL_HMC, *map(str, argv)])
+        run_cli(cli, [*config, *SMALL_HMC, *map(str, argv)])
         files.extend(outputs)
 
     counts, fitted = out("counts.csv"), out("fit_stats.csv")
@@ -61,7 +61,8 @@ def pipeline(cli, run, inputs, out):
     stage("fit", counts, "--out", fitted, outputs=[fitted])
     stats = inputs.get("stats.csv", fitted)
     for model in ("cnar", "car1", "car2"):
-        sim = [out(f"simulate_{model}_{name}") for name in ("data.csv", "covariates.csv", "params.json")]
+        sim = [out(f"simulate_{model}_{name}")
+               for name in ("data.csv", "covariates.csv", "params.json")]
         stage("--set", f"model={model}", "simulate", "--out-data", sim[0],
               "--out-covariates", sim[1], "--out-params", sim[2], outputs=sim)
     for model in MODELS:
@@ -104,7 +105,7 @@ def main(argv=None) -> int:
             os.mkdir(work)
             if inputs is None:
                 inputs = bench_inputs.generate("granular-ppc", int(label), work)
-            for path in pipeline(cli, run_cli, inputs, lambda name: os.path.join(work, name)):
+            for path in pipeline(cli, inputs, lambda name: os.path.join(work, name)):
                 print(label, os.path.basename(path), digest(path), flush=True)
     return 0
 
