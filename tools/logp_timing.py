@@ -1,0 +1,78 @@
+"""Time `Posterior.logp_and_grad` alone, per model, in microseconds per call.
+
+Usage: python tools/logp_timing.py <checkout>
+
+Imports the `grancount` package of `<checkout>/src` and writes the benchmark's
+`cnar-infer` inputs for seed 1 with `<checkout>/bench/inputs.py`: n=200
+reports at K=500 and the CLI's default tail cutoff. For each of cnar, car1
+and car2 it builds the `Posterior` the `infer` stage builds from those files
+and calls `logp_and_grad` on the same 2,000 points, drawn with a fixed seed
+around the packed simulation truth. One pass over the points warms up; the
+next REPEATS passes are timed, and the median pass is printed per call, with
+the share of points whose log density is -inf. One BLAS thread is used.
+"""
+
+import os
+import statistics
+import sys
+import tempfile
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+MODELS = ("cnar", "car1", "car2")
+N_POINTS = 2000
+REPEATS = 5
+SPREAD = 0.1  # sd of the points around the truth, on the unconstrained scale
+
+
+def points(post, truth) -> np.ndarray:
+    """N_POINTS seeded points around the truth, packed for `post.model`."""
+    centre = np.array([{**truth, "extra_dispersion": 1.0}[name] for name in post.names])
+    centre[post.n_covariates :] = np.log(centre[post.n_covariates :])
+    rng = np.random.default_rng(0)
+    return centre + SPREAD * rng.standard_normal((N_POINTS, centre.size))
+
+
+def time_calls(post, phis) -> float:
+    """Seconds of one pass of `logp_and_grad` over `phis`."""
+    t0 = time.perf_counter()
+    for phi in phis:
+        post.logp_and_grad(phi)
+    return time.perf_counter() - t0
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        raise SystemExit(__doc__.split("\n\n")[1])
+    checkout = os.path.abspath(args[0])
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
+    import inputs as bench_inputs
+    from grancount import cli, model
+
+    config = cli.RunConfig()
+    truth = bench_inputs.truth()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = bench_inputs.generate("cnar-infer", 1, tmp)
+        spec, reports = cli._build_regression_spec(
+            files["stats.csv"], files["covariates.csv"], config.add_intercept
+        )
+    for name in MODELS:
+        post = model.Posterior(spec, reports, config.priors, name,
+                               tail_mass=config.truncation.tail_mass)
+        phis = points(post, truth)
+        rejected = sum(not np.isfinite(post.logp_and_grad(phi)[0]) for phi in phis)
+        passes = [time_calls(post, phis) for _ in range(REPEATS)]
+        us = 1e6 * statistics.median(passes) / N_POINTS
+        spread = ", ".join(f"{1e6 * t / N_POINTS:.1f}" for t in passes)
+        print(f"{name:<5} {us:8.1f} us/call  (passes: {spread}; -inf share "
+              f"{rejected / N_POINTS:.4f})", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
