@@ -374,7 +374,8 @@ def cmd_infer(args, config: RunConfig) -> int:
         args.out_diagnostics,
         draws,
         metadata={**_metadata("infer", config), "summary": summary,
-                  "warmup_divergences": [int(n) for n in draws.warmup_divergences]},
+                  "warmup_divergences": [int(n) for n in draws.warmup_divergences],
+                  "rejections": dict(post.rejections)},
     )
     table = draws.diagnostics
     print(f"{'parameter':<22}{'mean':>12}{'sd':>12}{'q5':>12}{'q95':>12}{'rhat':>10}{'ess':>10}")

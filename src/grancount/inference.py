@@ -67,9 +67,10 @@ def leapfrog(target, q, p, grad, step, n_steps, inv_mass):
         raise ValidationError("step must be positive")
     if n_steps < 1:
         raise ValidationError("n_steps must be at least 1")
+    drift = step * inv_mass
     p = p + 0.5 * step * grad
     for i in range(n_steps):
-        q = q + step * inv_mass * p
+        q = q + drift * p
         logp, grad = target(q)
         if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
             return q, p, logp, grad, True

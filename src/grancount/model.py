@@ -37,6 +37,8 @@ from .fuzzy import BetaFuzzy, check_reports, k_blocks
 from .kernel import check_pmf_rows
 
 MODEL_NAMES = ("cnar", "car1", "car2", "scalar")
+REJECTION_REASONS = ("nonfinite_phi", "positive_bound", "eta_overflow", "nonfinite_peak",
+                     "nonfinite_logp")
 
 # exp() overflows just above this; treat larger linear predictors as failures
 _MAX_LINEAR_PREDICTOR = 700.0
@@ -310,16 +312,16 @@ class Posterior:
     """Callable log posterior with analytic gradient for one model instance.
 
     `data` is a `Reports` aligned with `spec`, or for `scalar` the (n,) counts.
-    Evaluation happens on the unconstrained scale. Points where the
-    likelihood cannot be evaluated (overflowing predictors, underflowing
-    truncations) get log density -inf rather than an exception, so samplers
-    can treat them as divergences.
+    Evaluation happens on the unconstrained scale. A point where the density
+    cannot be evaluated gets log density -inf rather than an exception, so
+    samplers can treat it as a divergence; `rejections` counts such points
+    by reason (`REJECTION_REASONS`).
 
     `cnar` sums the latent count over the grid 0..max K, cut where the widest
     count pmf leaves at most `tail_mass` of its mass beyond; `tail_mass=0`
-    evaluates the full grid, which is exact. It keeps the (n, max K + 1)
-    report-density matrix and two flat scratch buffers of n*(max K + 1)
-    float64 cells each: 2.4 MB in all at n=200, K=500.
+    evaluates the full grid, which is exact. It keeps the (max K + 1, n)
+    report-density matrix and one flat scratch of 2*(max K + 1)*n float64
+    cells: 2.4 MB in all at n=200, K=500.
     """
 
     def __init__(
@@ -337,6 +339,7 @@ class Posterior:
         self._z = spec.covariates
         self._logu = np.log(spec.offsets)
         self._kvec = spec.k_max.astype(np.float64)
+        self.rejections = dict.fromkeys(REJECTION_REASONS, 0)
 
         if self.model == "scalar":
             counts = np.asarray(data, dtype=np.float64)
@@ -361,25 +364,38 @@ class Posterior:
         self._m_lo = 1.0 / (2.0 * self._kvec + 2.0)
 
         if self.model == "cnar":
-            grid_len = int(spec.k_max.max()) + 1 if spec.n_samples else 1
+            n = spec.n_samples
+            grid_len = int(spec.k_max.max()) + 1 if n else 1
             grid = np.arange(grid_len, dtype=np.float64)
             self._grid = grid
-            valid = grid[None, :] <= self._kvec[:, None]
+            self._lgamma_fact = gammaln(grid + 1.0)
+            # Matrices are (grid, n): a cut at hi is the C-contiguous [:hi] block.
+            # The scratch, viewed per call as (2, hi, n), first holds the Beta
+            # shapes a and b, so the report density is built in place.
+            self._scratch = np.empty(2 * grid_len * n)
+            a, b = self._scratch.reshape(2, grid_len, n)
+            ybar = corrected_scaled_count(grid[:, None], self._kvec)
+            np.multiply(self._h, ybar, out=a)
+            np.multiply(self._h, np.subtract(1.0, ybar, out=ybar), out=b)
+            beta = self._beta = betaln(a, b, out=ybar)
+            a -= 1.0
+            a *= self._log_cbar
+            b -= 1.0
+            b *= self._log1m_cbar
+            a += b
+            np.subtract(a, beta, out=beta)
+            valid = grid[:, None] <= self._kvec
+            bad = ~np.isfinite(beta) & valid
+            if bad.any():
+                raise NumericalError(f"sample {bad.any(axis=0).argmax()}: non-finite report density")
+            np.copyto(beta, -np.inf, where=~valid)
             # cells past a sample's own K; None when every sample has the same K
             self._beyond_k = None if valid.all() else ~valid
-            ybar = corrected_scaled_count(grid[None, :], self._kvec[:, None])
-            a = self._h[:, None] * ybar
-            b = self._h[:, None] * (1.0 - ybar)
-            logc, log1mc = self._log_cbar[:, None], self._log1m_cbar[:, None]
-            beta_mat = (a - 1.0) * logc + (b - 1.0) * log1mc - betaln(a, b)
-            if not np.isfinite(beta_mat[valid]).all():
-                bad = int(np.argwhere(~np.isfinite(beta_mat) & valid)[0][0])
-                raise NumericalError(f"sample {bad}: non-finite report density")
-            self._beta_mat = np.where(valid, beta_mat, -np.inf)
-            self._lgamma_fact = gammaln(grid + 1.0)
-            # flat scratch, viewed per call as C-contiguous (n, hi) arrays: strided
-            # [:, :hi] slices would split every pass of this hot loop into n short rows
-            self._scratch = (np.empty(beta_mat.size), np.empty(beta_mat.size))
+            # the two factors of the count pmf's rank-2 product, and the rows
+            # [1; grid; digamma(grid + kappa)] that give both sums and moments
+            self._grid_col = np.column_stack([grid, grid])
+            self._slope_one = np.ones((2, n))
+            self._moment_rows = np.stack([np.ones(grid_len), grid, grid])
 
     # -- prior ------------------------------------------------------------
 
@@ -404,27 +420,33 @@ class Posterior:
     def logp_and_grad(self, phi: np.ndarray):
         phi = np.asarray(phi, dtype=np.float64)
         ll, grad = self._loglik_and_grad(phi)
-        prior_ll, prior_grad = self._prior_logp_grad(phi)
-        logp = ll + prior_ll
-        if not np.isfinite(logp):
-            return -np.inf, np.zeros(self.dim)
-        return float(logp), grad + prior_grad
+        if grad is not None:  # None: rejected, and counted, by the likelihood
+            prior_ll, prior_grad = self._prior_logp_grad(phi)
+            logp = ll + prior_ll
+            if np.isfinite(logp):
+                return float(logp), grad + prior_grad
+            self._reject("nonfinite_logp")
+        return -np.inf, np.zeros(self.dim)
+
+    def _reject(self, reason: str):
+        self.rejections[reason] += 1
+        return -np.inf, None
 
     def _loglik_and_grad(self, phi: np.ndarray):
         """Observed-data log likelihood and its gradient, without the prior.
 
-        Returns log likelihood -inf where it cannot be evaluated.
+        Returns (-inf, None) where it cannot be evaluated, counting the reason.
         """
         if phi.shape != (self.dim,):
             raise ValidationError(f"parameter vector must have length {self.dim}")
         if not np.isfinite(phi).all():
-            return -np.inf, np.zeros(self.dim)
+            return self._reject("nonfinite_phi")
         # reject points whose constrained values overflow or underflow exp()
         if (np.abs(phi[self.n_covariates :]) > _MAX_LINEAR_PREDICTOR).any():
-            return -np.inf, np.zeros(self.dim)
+            return self._reject("positive_bound")
         eta = self._logu + self._z @ phi[: self.n_covariates]
         if (np.abs(eta) > _MAX_LINEAR_PREDICTOR).any():
-            return -np.inf, np.zeros(self.dim)
+            return self._reject("eta_overflow")
         mu = np.exp(eta)
         if self.model == "cnar":
             return self._cnar_block(phi, mu)
@@ -451,47 +473,37 @@ class Posterior:
         n = mu.size
 
         log_kmu = np.log(kappa + mu)
-        head = kappa * (np.log(kappa) - log_kmu)
-        slope = np.log(mu) - log_kmu
-        col = gammaln(self._grid + kappa) - self._lgamma_fact
+        slope = np.subtract(np.log(mu), log_kmu, out=self._slope_one[0])
+        col = np.subtract(gammaln(self._grid + kappa), self._lgamma_fact, out=self._grid_col[:, 1])
         if self.tail_mass == 0.0 or n == 0:
             hi = self._grid.size
         else:
             i = mu.argmax()
-            hi = self._cutoff(col + head[i] + self._grid * slope[i])
-        grid = self._grid[:hi]
-        beta_mat = self._beta_mat[:, :hi]
+            head = kappa * (np.log(kappa) - log_kmu[i])
+            hi = self._cutoff(col + head + self._grid * slope[i])
 
-        # lp and lp + beta built in reusable scratch to avoid temporaries
-        lp = self._scratch[0][: n * hi].reshape(n, hi)
-        np.multiply(slope[:, None], grid[None, :], out=lp)
-        lp += (head - gammaln(kappa))[:, None]
-        lp += col[None, :hi]
+        # The count pmf's per-sample constant head - gammaln(kappa) cancels in
+        # count_ll and in the moments, so it never enters the matrices.
+        both = self._scratch[: 2 * hi * n].reshape(2, hi, n)
+        np.matmul(self._grid_col[:hi], self._slope_one, out=both[1])
         if self._beyond_k is not None:
-            np.copyto(lp, -np.inf, where=self._beyond_k[:, :hi])
-        top = self._scratch[1][: n * hi].reshape(n, hi)
-        np.add(lp, beta_mat, out=top)
+            np.copyto(both[1], -np.inf, where=self._beyond_k[:hi])
+        np.add(both[1], self._beta[:hi], out=both[0])
+        peak = both.max(axis=1)
+        if not np.isfinite(peak).all():
+            return self._reject("nonfinite_peak")
+        both -= peak[:, None, :]
+        np.exp(both, out=both)
 
-        top_peak = top.max(axis=1)
-        bot_peak = lp.max(axis=1)
-        if not (np.isfinite(top_peak).all() and np.isfinite(bot_peak).all()):
-            return -np.inf, np.zeros(self.dim)
-        top -= top_peak[:, None]
-        np.exp(top, out=top)
-        lp -= bot_peak[:, None]
-        np.exp(lp, out=lp)
-        w, q = top, lp
-        w_sum = w.sum(axis=1)
-        q_sum = q.sum(axis=1)
-        count_ll = float(
-            (top_peak + np.log(w_sum)).sum() - (bot_peak + np.log(q_sum)).sum()
-        )
-
-        # first moments of the count under the posterior mixture and under the
-        # bare truncated pmf; their gap drives the regression gradient
-        delta_y = (w @ grid) / w_sum - (q @ grid) / q_sum
-        psi_grid = digamma(grid + kappa)
-        delta_psi = (w @ psi_grid) / w_sum - (q @ psi_grid) / q_sum
+        # sums and first moments of the count under the posterior mixture [0]
+        # and under the bare truncated pmf [1]; their gap drives the gradient
+        rows = self._moment_rows[:, :hi]
+        digamma(self._grid[:hi] + kappa, out=rows[2])
+        moments = np.matmul(rows, both)
+        log_sums = (peak + np.log(moments[:, 0])).sum(axis=1)
+        count_ll = float(log_sums[0] - log_sums[1])
+        means = moments[:, 1:] / moments[:, :1]
+        delta_y, delta_psi = means[0] - means[1]
 
         d_coef = self._z.T @ (delta_y * (kappa / (kappa + mu)))
         d_kappa = float((delta_psi - delta_y / (kappa + mu)).sum()) * kappa

@@ -16,6 +16,13 @@ def make_spec(n=20, k=60, seed=0, offset=10.0, names=("intercept", "x")):
     )
 
 
+def make_cnar_data(k_cycle):
+    """(spec, reports) of 200 samples drawn from the cnar truth at offset 1, K cycling through `k_cycle`."""
+    base = make_spec(n=200, k=500, offset=1.0)
+    spec = RegressionSpec(base.covariates, base.offsets, np.resize(k_cycle, 200), base.covariate_names)
+    return spec, simulate(spec, make_params("cnar"), seed=0, model="cnar")
+
+
 def make_reports(items):
     """`Reports` from (location, precision, k_max) triples."""
     location, precision, k_max = zip(*items)

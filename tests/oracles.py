@@ -3,14 +3,14 @@
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betaln, digamma, gammaln
 
 from grancount.errors import NumericalError, ValidationError
 from grancount.fuzzy import (
     _H_SCAN, _MIN_PRECISION, BLOCK_CELLS, CRISP_PRECISION_CEILING, FitResult, _GridSSE, _scan_c,
     kl_divergence,
 )
-from grancount.model import Posterior, PriorSpec, pack_params
+from grancount.model import Posterior, PriorSpec, corrected_scaled_count, pack_params
 from grancount.possibility import MembershipVector, complement_degrees
 
 # Brute force enumerates all 2^n subsets; refuse anything bigger than this.
@@ -43,6 +43,85 @@ def cutoff_width(post: Posterior, mu_max: float, kappa: float) -> int:
     csum = np.cumsum(mass)
     cut = int(np.searchsorted(csum, (1.0 - post.tail_mass) * csum[-1])) + 1
     return min(grid.size, cut + 1)
+
+
+class RowsCnarPosterior(Posterior):
+    """A cnar `Posterior` whose likelihood kernel works in an (n, hi) layout.
+
+    The reference for `Posterior._cnar_block`: the report density is an
+    (n, max K + 1) matrix, the count pmf carries its per-sample constant, and
+    the two log-sum-exps and four first moments take a pass each over
+    C-contiguous (n, hi) buffers. Everything else, the tail cutoff and the -inf
+    returns of `logp_and_grad` included, is inherited.
+    """
+
+    def __init__(self, spec, data, priors, tail_mass=0.0):
+        super().__init__(spec, data, priors, "cnar", tail_mass)
+        grid = self._grid
+        valid = grid[None, :] <= self._kvec[:, None]
+        self._beyond_k = None if valid.all() else ~valid
+        ybar = corrected_scaled_count(grid[None, :], self._kvec[:, None])
+        a = self._h[:, None] * ybar
+        b = self._h[:, None] * (1.0 - ybar)
+        logc, log1mc = self._log_cbar[:, None], self._log1m_cbar[:, None]
+        beta_mat = (a - 1.0) * logc + (b - 1.0) * log1mc - betaln(a, b)
+        self._beta_mat = np.where(valid, beta_mat, -np.inf)
+        self._scratch = (np.empty(beta_mat.size), np.empty(beta_mat.size))
+
+    def _cnar_block(self, phi: np.ndarray, mu: np.ndarray):
+        p = self.n_covariates
+        kappa, shape, rate = np.exp(phi[p : p + 3])
+        n = mu.size
+
+        log_kmu = np.log(kappa + mu)
+        head = kappa * (np.log(kappa) - log_kmu)
+        slope = np.log(mu) - log_kmu
+        col = gammaln(self._grid + kappa) - self._lgamma_fact
+        if self.tail_mass == 0.0 or n == 0:
+            hi = self._grid.size
+        else:
+            i = mu.argmax()
+            hi = self._cutoff(col + head[i] + self._grid * slope[i])
+        grid = self._grid[:hi]
+        beta_mat = self._beta_mat[:, :hi]
+
+        # lp and lp + beta built in reusable scratch to avoid temporaries
+        lp = self._scratch[0][: n * hi].reshape(n, hi)
+        np.multiply(slope[:, None], grid[None, :], out=lp)
+        lp += (head - gammaln(kappa))[:, None]
+        lp += col[None, :hi]
+        if self._beyond_k is not None:
+            np.copyto(lp, -np.inf, where=self._beyond_k[:, :hi])
+        top = self._scratch[1][: n * hi].reshape(n, hi)
+        np.add(lp, beta_mat, out=top)
+
+        top_peak = top.max(axis=1)
+        bot_peak = lp.max(axis=1)
+        if not (np.isfinite(top_peak).all() and np.isfinite(bot_peak).all()):
+            return -np.inf, np.zeros(self.dim)
+        top -= top_peak[:, None]
+        np.exp(top, out=top)
+        lp -= bot_peak[:, None]
+        np.exp(lp, out=lp)
+        w, q = top, lp
+        w_sum = w.sum(axis=1)
+        q_sum = q.sum(axis=1)
+        count_ll = float(
+            (top_peak + np.log(w_sum)).sum() - (bot_peak + np.log(q_sum)).sum()
+        )
+
+        # first moments of the count under the posterior mixture and under the
+        # bare truncated pmf; their gap drives the regression gradient
+        delta_y = (w @ grid) / w_sum - (q @ grid) / q_sum
+        psi_grid = digamma(grid + kappa)
+        delta_psi = (w @ psi_grid) / w_sum - (q @ psi_grid) / q_sum
+
+        d_coef = self._z.T @ (delta_y * (kappa / (kappa + mu)))
+        d_kappa = float((delta_psi - delta_y / (kappa + mu)).sum()) * kappa
+
+        gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n)
+        grad = np.concatenate([d_coef, [d_kappa, d_shape, d_rate]])
+        return count_ll + gamma_ll, grad
 
 
 def granular_count_bruteforce(assign, referent: int) -> MembershipVector:

@@ -60,6 +60,8 @@ def test_demo_pipeline_reruns_are_identical(tmp_path):
     metadata = json.loads((first / "diagnostics.json").read_text())["metadata"]
     assert len(metadata["warmup_divergences"]) == 2
     assert all(isinstance(n, int) and 0 <= n < 50 for n in metadata["warmup_divergences"])
+    assert sorted(metadata["rejections"]) == sorted(model.REJECTION_REASONS)
+    assert all(isinstance(n, int) and n >= 0 for n in metadata["rejections"].values())
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from grancount.fuzzy import _divergence_matrix, fit_beta, kl_membership
-from grancount.model import Posterior, PriorSpec, RegressionSpec, pack_params, simulate
+from grancount.model import Posterior, PriorSpec, pack_params, simulate
 from grancount.possibility import MembershipVector
 from grancount.ppc import _distance_sum, _within_distance
 
-from conftest import make_params, make_spec, with_norms
+from conftest import make_cnar_data, make_params, make_spec, with_norms
 
 LIMIT = 4 * 2**20
 
@@ -56,13 +56,21 @@ def test_simulate_holds_pmf_blocks_not_the_pmf_matrix(n):
 
 
 @pytest.mark.parametrize("k", [[500], [5, 20, 60, 500]], ids=["uniform-k", "mixed-k"])
+def test_cnar_posterior_builds_the_report_density_in_place(k):
+    # it keeps 2.4 MB: the (K+1, n) report density and a scratch of twice its
+    # size; the Beta shapes are built in the scratch, so one more (K+1, n)
+    # matrix of 0.8 MB is the only grid-sized temporary
+    spec, sim = make_cnar_data(k)
+    peak = traced_peak(lambda: Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12))
+    assert peak <= 3.5 * 2**20, f"{peak / 2**20:.2f} MB"
+
+
+@pytest.mark.parametrize("k", [[500], [5, 20, 60, 500]], ids=["uniform-k", "mixed-k"])
 def test_cnar_logp_and_grad_allocates_no_grid_sized_temporaries(k):
     # on the full grid one (n, K+1) float temporary is 0.8 MB; the call works in
     # the scratch the Posterior allocated once, and numpy's ufunc buffers take
     # about 0.13 MB
-    base = make_spec(n=200, k=500, offset=1.0)
-    spec = RegressionSpec(base.covariates, base.offsets, np.resize(k, 200), base.covariate_names)
-    sim = simulate(spec, make_params("cnar"), seed=0, model="cnar")
+    spec, sim = make_cnar_data(k)
     post = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
     phi = pack_params(make_params("cnar"), "cnar")
     peak = traced_peak(lambda: post.logp_and_grad(phi))

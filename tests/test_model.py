@@ -12,6 +12,7 @@ from grancount.model import (
     _negbin_log_pmf,
     _truncated_pmf_rows,
     ModelParams,
+    REJECTION_REASONS,
     Posterior,
     PriorSpec,
     RegressionSpec,
@@ -25,8 +26,8 @@ from grancount.model import (
     simulate,
 )
 
-from conftest import make_params, make_reports, make_spec
-from oracles import cutoff_width, observed_loglik
+from conftest import make_cnar_data, make_params, make_reports, make_spec
+from oracles import RowsCnarPosterior, cutoff_width, observed_loglik
 
 
 class TestMeanResponse:
@@ -321,6 +322,60 @@ class TestGradients:
         post = Posterior(spec, obs, PriorSpec(), "cnar")
         logp, grad = post.logp_and_grad(np.array([1e4, 0.0, 0.0, 0.0]))
         assert logp == -np.inf and not grad.any()
+
+
+def cnar_posteriors(k_cycle, tail_mass):
+    """The cnar `Posterior` and its (n, hi) oracle on `make_cnar_data(k_cycle)`."""
+    args = (*make_cnar_data(k_cycle), PriorSpec())
+    return Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, tail_mass)
+
+
+class TestCnarKernelAgainstRowsOracle:
+    # the kernel sums in another order than the oracle; at kappa near 6e6 both
+    # lose about 2e-11 of the log density in gammaln(y + kappa)
+    @pytest.mark.parametrize("tail_mass", [0.0, 1e-12])
+    @pytest.mark.parametrize("k", [[500], [5, 20, 60, 500]], ids=["uniform-k", "mixed-k"])
+    def test_agrees_at_seeded_points(self, k, tail_mass):
+        post, oracle = cnar_posteriors(k, tail_mass)
+        truth = pack_params(make_params("cnar"), "cnar")
+        rng = np.random.default_rng(29)
+        for phi in truth + 0.5 * rng.standard_normal((50, truth.size)):
+            logp, grad = post.logp_and_grad(phi)
+            ref_logp, ref_grad = oracle.logp_and_grad(phi)
+            assert np.isfinite(ref_logp)
+            assert logp == pytest.approx(ref_logp, rel=1e-10, abs=0.0)
+            np.testing.assert_allclose(grad, ref_grad, rtol=0.0, atol=1e-8 * np.abs(ref_grad).max())
+
+    def test_agrees_without_data(self):
+        spec = RegressionSpec(np.empty((0, 2)), np.empty(0), np.empty(0, dtype=int))
+        args = (spec, Reports([], [], []), PriorSpec())
+        post, oracle = Posterior(*args, "cnar", 1e-12), RowsCnarPosterior(*args, 1e-12)
+        for phi in np.random.default_rng(31).standard_normal((5, post.dim)):
+            logp, grad = post.logp_and_grad(phi)
+            ref_logp, ref_grad = oracle.logp_and_grad(phi)
+            assert logp == ref_logp
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_both_reject_the_same_points(self):
+        post, oracle = cnar_posteriors([5, 20, 60, 500], 1e-12)
+        truth = pack_params(make_params("cnar"), "cnar")
+        rejected = {
+            "nonfinite_phi": [np.nan, 0.5, 0.7, 1.4, -2.3],
+            "positive_bound": [1.0, 0.5, 701.0, 1.4, -2.3],
+            "eta_overflow": [701.0, 0.0, 0.7, 1.4, -2.3],
+            # n * gammaln(shape) overflows at shape = exp(699)
+            "nonfinite_logp": [1.0, 0.5, 0.7, 699.0, -2.3],
+        }
+        for phi in map(np.array, rejected.values()):
+            for target in (post, oracle):
+                with np.errstate(over="ignore"):  # how the gamma block fails
+                    logp, grad = target.logp_and_grad(phi)
+                assert logp == -np.inf and grad.shape == (5,) and not grad.any()
+        assert post.rejections == {reason: int(reason in rejected) for reason in REJECTION_REASONS}
+        assert np.isfinite(post.logp_and_grad(truth)[0])
+        post._beta[0, 3] = np.nan  # one sample's report density is no longer finite
+        assert post.logp_and_grad(truth)[0] == -np.inf
+        assert post.rejections["nonfinite_peak"] == 1
 
 
 def record_widths(monkeypatch) -> list[int]:
