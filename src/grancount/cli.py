@@ -508,7 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-audit", help="print the reporting kernel and CAR verdicts")
     p.set_defaults(run=cmd_kernel_audit)
-    p.add_argument("kernel", help="kernel JSON file")
+    p.add_argument(
+        "kernel",
+        help='kernel JSON file: an object with "nu" (one mass per outcome, summing to 1), '
+             '"outcomes" (one membership list per outcome, all over {0..K}: K is their length '
+             'minus 1, no "k_max" key is read) and optional "names" (strings, or null)',
+    )
 
     p = sub.add_parser("show-config", help="print the effective configuration")
     p.set_defaults(run=cmd_show_config)

@@ -9,13 +9,13 @@ exclude, unless the ratio xi(y) / c(y) happens to be constant there. The
 `is_car` detector checks that condition and produces a witness when it
 fails.
 
-Every kernel quantity (c(y), phi, outcome marginals, CAR ratios) comes from
-one weighted matrix xi(y) * nu(xi) and its row sums c(y), so they agree.
+A kernel builds its one weighted matrix xi(y) * nu(xi) and its row sums c(y)
+once, at construction; phi and the CAR ratios both read them, so they agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,11 +26,16 @@ from .possibility import MembershipVector
 
 @dataclass(frozen=True)
 class ReportingKernel:
-    """Finite outcome set with a reference probability mass over it."""
+    """Finite outcome set with a reference probability mass over it.
+
+    `weighted` (read-only) is xi(y) * nu(xi), shape (K+1, n_outcomes); `c` its row sums c(y).
+    """
 
     outcomes: tuple[MembershipVector, ...]
     nu: np.ndarray
     names: tuple[str, ...] | None = None
+    weighted: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         outcomes = tuple(self.outcomes)
@@ -50,9 +55,11 @@ class ReportingKernel:
         if names is not None and len(names) != len(outcomes):
             raise ValidationError("names length does not match outcomes")
         nu = nu.copy()
-        nu.flags.writeable = False
+        weighted = np.stack([o.memberships for o in outcomes], axis=1) * nu
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "nu", nu)
+        for name, array in (("nu", nu), ("weighted", weighted), ("c", weighted.sum(axis=1))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def k_max(self) -> int:
@@ -62,12 +69,6 @@ class ReportingKernel:
     def n_outcomes(self) -> int:
         return len(self.outcomes)
 
-    def _check_y(self, y: int) -> int:
-        y = int(y)
-        if not 0 <= y <= self.k_max:
-            raise ValidationError(f"y={y} outside the count space [0, {self.k_max}]")
-        return y
-
     def _check_index(self, idx: int) -> int:
         idx = int(idx)
         if not 0 <= idx < self.n_outcomes:
@@ -75,91 +76,14 @@ class ReportingKernel:
         return idx
 
 
-def check_pmf_rows(pmf: np.ndarray) -> np.ndarray:
-    """`pmf` (a vector, or one pmf per row) once each row is >= 0, finite and sums to 1 +- 1e-9."""
-    if pmf.min() < 0.0 or not np.all(np.isfinite(pmf)):
-        raise ValidationError("pmf entries must be finite and non-negative")
-    sums = np.atleast_1d(pmf.sum(axis=-1))
-    if (off := np.abs(sums - 1.0) > 1.0e-9).any():
-        raise ValidationError(f"pmf must sum to 1 (got {sums[off.argmax()]!r})")
-    return pmf
-
-
-@dataclass(frozen=True)
-class LatentCountModel:
-    """Probability mass of the latent count on {0..K}."""
-
-    pmf: np.ndarray
-
-    def __post_init__(self):
-        pmf = np.asarray(self.pmf, dtype=np.float64)
-        if pmf.ndim != 1 or pmf.size < 1:
-            raise ValidationError("pmf must be a non-empty vector")
-        pmf = check_pmf_rows(pmf).copy()
-        pmf.flags.writeable = False
-        object.__setattr__(self, "pmf", pmf)
-
-    @property
-    def k_max(self) -> int:
-        return self.pmf.size - 1
-
-
-def _weighted(kern: ReportingKernel, ys) -> tuple[np.ndarray, np.ndarray]:
-    """xi(y) * nu(xi), shape (K+1, n_outcomes), and its row sums c(y) at the counts `ys`.
-
-    Raises only for a y in `ys` that no outcome with positive mass covers.
-    """
-    weighted = np.stack([o.memberships for o in kern.outcomes], axis=1) * kern.nu
-    ys = np.atleast_1d(ys)
-    c = weighted.sum(axis=1)[ys]
-    if np.any(c <= 0.0):
-        bad = int(ys[c <= 0.0][0])
-        raise ValidationError(
-            f"construction violated at y={bad}: no outcome with positive mass covers it"
-        )
-    return weighted, c
-
-
-def normalizer(kern: ReportingKernel, y: int) -> float:
-    """c(y) = sum over outcomes of xi(y) * nu(xi); must be strictly positive."""
-    y = kern._check_y(y)
-    return float(_weighted(kern, y)[1][0])
-
-
-def kernel_prob(kern: ReportingKernel, y: int, outcome_subset) -> float:
-    """phi(y, A): conditional probability of reporting an outcome in A given y."""
-    y = kern._check_y(y)
-    indices = sorted({kern._check_index(i) for i in outcome_subset})
-    weighted, (c,) = _weighted(kern, y)
-    return float(weighted[y, indices].sum() / c)
-
-
 def phi_matrix(kern: ReportingKernel) -> np.ndarray:
-    """Full singleton kernel, shape (K+1, n_outcomes); rows sum to 1."""
-    weighted, c = _weighted(kern, np.arange(kern.k_max + 1))
-    return weighted / c[:, None]
-
-
-def zadeh_probability(mv: MembershipVector, latent: LatentCountModel) -> float:
-    """Expected membership of the latent count: sum(xi(y) * P[Y=y])."""
-    if mv.k_max != latent.k_max:
+    """Full singleton kernel, shape (K+1, n_outcomes); rows sum to 1. Needs c(y) > 0 at every y."""
+    uncovered = np.flatnonzero(kern.c <= 0.0)
+    if uncovered.size:
         raise ValidationError(
-            f"length mismatch: membership on {{0..{mv.k_max}}}, pmf on {{0..{latent.k_max}}}"
+            f"construction violated at y={uncovered[0]}: no outcome with positive mass covers it"
         )
-    return float(mv.memberships @ latent.pmf)
-
-
-def marginal_outcome_prob(
-    kern: ReportingKernel, latent: LatentCountModel, xi_index: int
-) -> float:
-    """Marginal probability of reporting one specific outcome."""
-    xi_index = kern._check_index(xi_index)
-    if latent.k_max != kern.k_max:
-        raise ValidationError("latent pmf and kernel disagree on the count space")
-    xi = kern.outcomes[xi_index].memberships
-    ys = np.flatnonzero((xi != 0.0) | (latent.pmf != 0.0))
-    total = (xi[ys] * latent.pmf[ys] / _weighted(kern, ys)[1]).sum()
-    return float(kern.nu[xi_index] * total)
+    return kern.weighted / kern.c[:, None]
 
 
 @dataclass(frozen=True)
@@ -177,16 +101,15 @@ def is_car(kern: ReportingKernel, xi_index: int, tol: float = 1.0e-9) -> CarResu
 
     The mechanism is CAR for an outcome exactly when xi(y)/c(y) is constant
     over the outcome's compatibility set {y : xi(y) > 0}. On failure the
-    witness pair (y_high, y_low) carries the most extreme ratios.
+    witness pair (y_high, y_low) carries the most extreme ratios. On that set
+    c(y) >= xi(y) * nu(xi) > 0, so every ratio is defined.
     """
     xi_index = kern._check_index(xi_index)
     if kern.nu[xi_index] <= 0.0:
         raise ValidationError("outcome must carry positive reference mass")
     xi = kern.outcomes[xi_index].memberships
-    support = np.flatnonzero(xi > 0.0)
-    if support.size == 0:
-        raise ValidationError("outcome has empty compatibility set")
-    ratios = xi[support] / _weighted(kern, support)[1]
+    support = kern.outcomes[xi_index].support()  # never empty for a MembershipVector
+    ratios = xi[support] / kern.c[support]
     spread = ratios.max() - ratios.min()
     flat = spread <= tol * (1.0 + abs(ratios.mean()))
     witness = None
@@ -200,18 +123,13 @@ def is_car(kern: ReportingKernel, xi_index: int, tol: float = 1.0e-9) -> CarResu
     )
 
 
-def kernel_to_json(kern: ReportingKernel, path) -> None:
-    payload = {
-        "k_max": kern.k_max,
-        "nu": [float(w) for w in kern.nu],
-        "outcomes": [[float(v) for v in o.memberships] for o in kern.outcomes],
-    }
-    if kern.names is not None:
-        payload["names"] = list(kern.names)
-    tables.write_json(path, payload)
-
-
 def kernel_from_json(path) -> ReportingKernel:
+    """Read a kernel from a JSON object with the keys `nu`, `outcomes` and `names`.
+
+    `nu` holds one reference mass per outcome, summing to 1. `outcomes` holds one
+    membership list per outcome, all over {0..K}: K is their length minus 1, and
+    no `k_max` key is read. `names` is optional: a list of strings, or null.
+    """
     payload = tables.read_json_object(path)
     for key in ("nu", "outcomes"):
         if key not in payload:

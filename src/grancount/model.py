@@ -34,7 +34,6 @@ from scipy.special import betaln, digamma, gammaln
 
 from .errors import NumericalError, ValidationError
 from .fuzzy import BetaFuzzy, check_reports, k_blocks
-from .kernel import check_pmf_rows
 
 MODEL_NAMES = ("cnar", "car1", "car2", "scalar")
 REJECTION_REASONS = ("nonfinite_phi", "positive_bound", "eta_overflow", "nonfinite_peak",
@@ -183,6 +182,16 @@ def _negbin_log_pmf(y, mu, kappa):
     )
 
 
+def check_pmf_rows(pmf: np.ndarray) -> np.ndarray:
+    """`pmf` (a vector, or one pmf per row) once each row is >= 0, finite and sums to 1 +- 1e-9."""
+    if pmf.min() < 0.0 or not np.all(np.isfinite(pmf)):
+        raise ValidationError("pmf entries must be finite and non-negative")
+    sums = np.atleast_1d(pmf.sum(axis=-1))
+    if (off := np.abs(sums - 1.0) > 1.0e-9).any():
+        raise ValidationError(f"pmf must sum to 1 (got {sums[off.argmax()]!r})")
+    return pmf
+
+
 def _truncated_pmf_rows(mu: np.ndarray, kappa: float, k: int) -> np.ndarray:
     """Negative binomial pmfs restricted and renormalised to {0..k}: one row per mean.
 
@@ -275,14 +284,6 @@ def parameter_names(model: str, covariate_names=None, n_covariates=None) -> list
     else:
         coef = [f"coef_{j}" for j in range(int(n_covariates))]
     return coef + list(_POSITIVE_BLOCKS[model])
-
-
-def pack_params(params: ModelParams, model: str) -> np.ndarray:
-    """Constrained parameters -> unconstrained vector (logs for positives)."""
-    model = check_model_name(model)
-    params.require(*_POSITIVE_BLOCKS[model])
-    tail = [np.log(getattr(params, label)) for label in _POSITIVE_BLOCKS[model]]
-    return np.concatenate([params.coef, np.array(tail)])
 
 
 def params_from_constrained(values, n_covariates: int, model: str) -> ModelParams:

@@ -14,7 +14,7 @@ exactly in polynomial time from a threshold (alpha-cut) characterisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,10 +24,17 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class PossibilityAssignment:
-    """Dense matrix of possibility degrees, observations by referents."""
+    """Dense matrix of possibility degrees, observations by referents.
+
+    Per row, read-only: `best_degree`, the first column holding it (`best_referent`),
+    and `second_degree`, the best left once that column is set aside (0 if none).
+    """
 
     degrees: np.ndarray
     referent_names: tuple[str, ...] | None = None
+    best_degree: np.ndarray = field(init=False, repr=False, compare=False)
+    best_referent: np.ndarray = field(init=False, repr=False, compare=False)
+    second_degree: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         degrees = np.asarray(self.degrees, dtype=np.float64)
@@ -42,8 +49,16 @@ class PossibilityAssignment:
         if self.referent_names is not None and len(self.referent_names) != degrees.shape[1]:
             raise ValidationError("referent_names length does not match the degree matrix")
         degrees = degrees.copy()
-        degrees.flags.writeable = False
-        object.__setattr__(self, "degrees", degrees)
+        best_referent = degrees.argmax(axis=1)
+        best_degree = degrees.max(axis=1)
+        if degrees.shape[1] > 1:
+            second_degree = np.partition(degrees, -2, axis=1)[:, -2]
+        else:
+            second_degree = np.zeros(degrees.shape[0])
+        for name, array in (("degrees", degrees), ("best_degree", best_degree),
+                            ("best_referent", best_referent), ("second_degree", second_degree)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n_obs(self) -> int:
@@ -56,7 +71,7 @@ class PossibilityAssignment:
     @property
     def is_normalized(self) -> bool:
         """True iff every observation has full possibility for some referent."""
-        return bool(np.all(self.degrees.max(axis=1) == 1.0))
+        return bool(np.all(self.best_degree == 1.0))
 
     def _check_referent(self, referent: int) -> int:
         referent = int(referent)
@@ -96,19 +111,6 @@ class MembershipVector:
         return np.flatnonzero(self.memberships > 0.0)
 
 
-def complement_degrees(assign: PossibilityAssignment, referent: int) -> np.ndarray:
-    """Best degree each observation has for any referent other than `referent`.
-
-    With a single referent there is no alternative, and the empty maximum is
-    taken as 0 (the observation cannot be anything else).
-    """
-    referent = assign._check_referent(referent)
-    if assign.n_ref == 1:
-        return np.zeros(assign.n_obs)
-    others = np.delete(assign.degrees, referent, axis=1)
-    return others.max(axis=1)
-
-
 def granular_count_fast(assign: PossibilityAssignment, referent: int) -> MembershipVector:
     """Count a referent exactly in polynomial time.
 
@@ -122,7 +124,8 @@ def granular_count_fast(assign: PossibilityAssignment, referent: int) -> Members
     referent = assign._check_referent(referent)
     n = assign.n_obs
     own = assign.degrees[:, referent]
-    alt = complement_degrees(assign, referent)
+    # best alternative degree: the best of the row unless it is this referent's
+    alt = np.where(assign.best_referent == referent, assign.second_degree, assign.best_degree)
 
     # Membership values can only be degrees present in the instance, or 1.
     candidates = np.unique(np.concatenate([own, alt, [1.0]]))

@@ -184,6 +184,8 @@ def write_ppc_csv(path, summary: PpcSummary) -> None:
 
 
 def write_ppc_json(path, summary: PpcSummary, metadata: dict) -> None:
+    """Write the summary; `mean_u_rep` is over the replicates with a finite u_rep, null if none."""
+    u_rep = summary.u_rep[np.isfinite(summary.u_rep)]
     payload = {
         "u_obs": summary.u_obs,
         "observed_scaled_mean": summary.observed_scaled_mean,
@@ -191,7 +193,7 @@ def write_ppc_json(path, summary: PpcSummary, metadata: dict) -> None:
         "tail_prob_mean": summary.tail_prob_mean,
         "tail_prob_iqr80": summary.tail_prob_iqr80,
         "n_reps": int(summary.scaled_mean.size),
-        "mean_u_rep": float(np.nanmean(summary.u_rep)),
+        "mean_u_rep": float(u_rep.mean()) if u_rep.size else None,
         "mean_u_cross": float(np.mean(summary.u_cross)),
         "mean_abs_cross_gap": float(np.mean(np.abs(summary.u_cross - summary.u_obs))),
         "flags": list(summary.flags),

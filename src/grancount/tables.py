@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 from .errors import ValidationError
 
@@ -84,8 +85,17 @@ def read_json_object(path) -> dict:
     return payload
 
 
+def _finite_or_null(value):
+    """`value` with every non-finite float in it, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path, payload) -> None:
-    """Write a JSON document with sorted keys, indent 2 and a trailing newline."""
+    """Write strict JSON, sorted keys, indent 2, trailing newline; NaN and ±inf become null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

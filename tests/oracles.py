@@ -10,11 +10,20 @@ from grancount.fuzzy import (
     _H_SCAN, _MIN_PRECISION, BLOCK_CELLS, CRISP_PRECISION_CEILING, FitResult, _GridSSE, _scan_c,
     kl_divergence,
 )
-from grancount.model import Posterior, PriorSpec, corrected_scaled_count, pack_params
-from grancount.possibility import MembershipVector, complement_degrees
+from grancount.model import Posterior, PriorSpec, corrected_scaled_count, parameter_names
+from grancount.possibility import MembershipVector, PossibilityAssignment
 
 # Brute force enumerates all 2^n subsets; refuse anything bigger than this.
 MAX_BRUTEFORCE_OBS = 20
+
+
+def pack_params(params, model: str) -> np.ndarray:
+    """Constrained `ModelParams` -> unconstrained vector (logs for positives)."""
+    p = params.coef.size
+    labels = parameter_names(model, n_covariates=p)[p:]
+    params.require(*labels)
+    tail = [np.log(getattr(params, label)) for label in labels]
+    return np.concatenate([params.coef, np.array(tail)])
 
 
 def observed_loglik(spec, params, data, model) -> float:
@@ -122,6 +131,19 @@ class RowsCnarPosterior(Posterior):
         gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n)
         grad = np.concatenate([d_coef, [d_kappa, d_shape, d_rate]])
         return count_ll + gamma_ll, grad
+
+
+def complement_degrees(assign: PossibilityAssignment, referent: int) -> np.ndarray:
+    """Best degree each observation has for any referent other than `referent`.
+
+    With a single referent there is no alternative, and the empty maximum is
+    taken as 0 (the observation cannot be anything else). The reference for
+    the alternative degrees `granular_count_fast` reads off the top two.
+    """
+    referent = assign._check_referent(referent)
+    if assign.n_ref == 1:
+        return np.zeros(assign.n_obs)
+    return np.delete(assign.degrees, referent, axis=1).max(axis=1)
 
 
 def granular_count_bruteforce(assign, referent: int) -> MembershipVector:

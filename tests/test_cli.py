@@ -7,6 +7,7 @@ import os
 import statistics
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,38 @@ def test_simulate_output_feeds_infer(tmp_path):
         "--out-params", tmp_path / "params.json")
     run("infer", tmp_path / "data.csv", tmp_path / "covariates.csv",
         "--out-draws", tmp_path / "draws.csv", "--out-diagnostics", tmp_path / "diagnostics.json")
+
+
+def strict_json(path: Path) -> dict:
+    """Parse `path`, failing on the non-standard constants NaN, Infinity and -Infinity."""
+    def reject(constant):
+        raise AssertionError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_single_chain_infer_writes_rhat_as_null(tmp_path):
+    run("count", DATA / "demo_possibility.csv", "--out", tmp_path / "counts.csv")
+    run("fit", tmp_path / "counts.csv", "--out", tmp_path / "stats.csv")
+    run("--set", "hmc.n_chains=1", "infer", tmp_path / "stats.csv", DATA / "demo_covariates.csv",
+        "--out-draws", tmp_path / "draws.csv", "--out-diagnostics", tmp_path / "diagnostics.json")
+    params = strict_json(tmp_path / "diagnostics.json")["parameters"]
+    assert [p["rhat"] for p in params] == [None] * 5
+    assert all(p["ess_bulk"] > 0.0 for p in params)
+
+
+def test_one_sample_ppc_writes_undefined_distances_as_null(tmp_path):
+    run("--set", "simulate.n_samples=1", "--set", "simulate.k=20", "simulate",
+        "--out-data", tmp_path / "data.csv", "--out-covariates", tmp_path / "covariates.csv",
+        "--out-params", tmp_path / "params.json")
+    run("infer", tmp_path / "data.csv", tmp_path / "covariates.csv",
+        "--out-draws", tmp_path / "draws.csv", "--out-diagnostics", tmp_path / "diagnostics.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run("ppc", tmp_path / "draws.csv", tmp_path / "data.csv", tmp_path / "covariates.csv",
+            "--out-csv", tmp_path / "ppc.csv", "--out-json", tmp_path / "ppc.json")
+    payload = strict_json(tmp_path / "ppc.json")
+    assert payload["u_obs"] is payload["mean_u_rep"] is payload["mean_abs_cross_gap"] is None
+    assert payload["mean_u_cross"] > 0.0
 
 
 @pytest.mark.parametrize("model_name", ["cnar", "car1", "car2"])
@@ -239,12 +272,45 @@ def test_every_subcommand_sets_a_run_handler():
         assert callable(parser.get_default("run")), name
 
 
-def test_kernel_audit_prints_phi_and_car_witness(tmp_path, capsys):
+def kernel_audit_stdout(tmp_path, capsys, payload) -> str:
     path = tmp_path / "kernel.json"
-    path.write_text(json.dumps({"nu": [0.5, 0.5], "names": ["xi1", "xi2"],
-                                "outcomes": [[1.0, 0.5, 0.5, 0.25], [0.25, 0.5, 1.0, 1.0]]}))
+    path.write_text(json.dumps(payload))
     assert cli.main(["kernel-audit", str(path)]) == cli.EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert "   0       0.800000      0.200000" in lines
-    xi1 = next(line for line in lines if line.startswith("xi1"))
-    assert xi1.endswith("(y=0, y'=3): 1.600000 vs 0.400000")
+    return capsys.readouterr().out
+
+
+def test_kernel_audit_prints_phi_and_car_witness(tmp_path, capsys):
+    out = kernel_audit_stdout(tmp_path, capsys, {
+        "nu": [0.5, 0.5], "names": ["xi1", "xi2"],
+        "outcomes": [[1.0, 0.5, 0.5, 0.25], [0.25, 0.5, 1.0, 1.0]],
+    })
+    assert out == (
+        "phi(y, outcome):\n"
+        "  y             xi1           xi2\n"
+        "   0       0.800000      0.200000\n"
+        "   1       0.500000      0.500000\n"
+        "   2       0.333333      0.666667\n"
+        "   3       0.200000      0.800000\n"
+        "\n"
+        "outcome          CAR  witness (ratio_high vs ratio_low)\n"
+        "xi1               no  (y=0, y'=3): 1.600000 vs 0.400000\n"
+        "xi2               no  (y=3, y'=0): 1.600000 vs 0.400000\n"
+    )
+
+
+def test_kernel_audit_finds_disjoint_indicators_car(tmp_path, capsys):
+    out = kernel_audit_stdout(tmp_path, capsys, {
+        "nu": [0.5, 0.5], "outcomes": [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
+    })
+    assert out == (
+        "phi(y, outcome):\n"
+        "  y             xi0           xi1\n"
+        "   0       1.000000      0.000000\n"
+        "   1       1.000000      0.000000\n"
+        "   2       0.000000      1.000000\n"
+        "   3       0.000000      1.000000\n"
+        "\n"
+        "outcome          CAR  witness (ratio_high vs ratio_low)\n"
+        "xi0              yes\n"
+        "xi1              yes\n"
+    )

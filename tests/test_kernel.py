@@ -1,21 +1,13 @@
 """Reporting kernel: normalisation, marginals, and the CAR detector."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from grancount import ValidationError
-from grancount.kernel import (
-    LatentCountModel,
-    ReportingKernel,
-    is_car,
-    kernel_from_json,
-    kernel_prob,
-    kernel_to_json,
-    marginal_outcome_prob,
-    normalizer,
-    phi_matrix,
-    zadeh_probability,
-)
+from grancount.kernel import ReportingKernel, is_car, kernel_from_json, phi_matrix
 from grancount.possibility import MembershipVector
 
 
@@ -52,55 +44,55 @@ def random_kernel(rng, k_max=None, n_outcomes=None, strictly_positive=False):
 class TestNormalizer:
     def test_singleton_outcome(self):
         kern = ReportingKernel(outcomes=(MembershipVector([0.5, 1.0]),), nu=[1.0])
-        assert normalizer(kern, 0) == 0.5
+        assert kern.c[0] == 0.5
 
     def test_two_outcome_average(self):
-        assert normalizer(worked_example_kernel(), 0) == 5.0 / 8.0
+        assert worked_example_kernel().c[0] == 5.0 / 8.0
 
     def test_full_possibility_gives_one(self):
         outcomes = tuple(MembershipVector(np.ones(4)) for _ in range(3))
         kern = ReportingKernel(outcomes=outcomes, nu=np.full(3, 1.0 / 3.0))
-        assert abs(normalizer(kern, 2) - 1.0) < 1e-15
+        assert abs(kern.c[2] - 1.0) < 1e-15
 
     def test_uncovered_count_raises_naming_y(self):
         kern = ReportingKernel(
             outcomes=(MembershipVector([1.0, 0.0]),), nu=[1.0]
         )
         with pytest.raises(ValidationError, match="y=1"):
-            normalizer(kern, 1)
+            phi_matrix(kern)
 
 
 class TestKernelProb:
     def test_worked_example_values(self):
-        kern = worked_example_kernel()
-        assert abs(kernel_prob(kern, 0, [0]) - 0.8) <= 1e-12
-        assert abs(kernel_prob(kern, 3, [0]) - 0.2) <= 1e-12
+        matrix = phi_matrix(worked_example_kernel())
+        assert abs(matrix[0, 0] - 0.8) <= 1e-12
+        assert abs(matrix[3, 0] - 0.2) <= 1e-12
 
     def test_full_set_is_certain(self):
-        kern = worked_example_kernel()
+        matrix = phi_matrix(worked_example_kernel())
         for y in range(4):
-            assert kernel_prob(kern, y, [0, 1]) == 1.0
+            assert matrix[y].sum() == 1.0
 
-    def test_empty_set_is_null(self):
-        assert kernel_prob(worked_example_kernel(), 1, []) == 0.0
-
-    def test_phi_matrix_cells_equal_kernel_prob(self):
-        # nine outcomes: more than numpy sums sequentially, so two separate
-        # normalisers would disagree in the last bit
+    def test_nine_outcome_kernel_matches_the_per_outcome_definition(self):
+        # nine outcomes: more than numpy sums sequentially, so the kernel's
+        # row sums and the exactly rounded ones may differ in the last bits
         rng = np.random.default_rng(5)
         for _ in range(20):
             kern = random_kernel(rng, n_outcomes=9)
             matrix = phi_matrix(kern)
-            for y in range(kern.k_max + 1):
-                for j in range(kern.n_outcomes):
-                    assert matrix[y, j] == kernel_prob(kern, y, [j]), (y, j)
+            xi = [o.memberships for o in kern.outcomes]
+            c = [math.fsum(kern.nu[j] * xi[j][y] for j in range(9)) for y in range(kern.k_max + 1)]
+            for j in range(9):
+                expected = [kern.nu[j] * xi[j][y] / c[y] for y in range(kern.k_max + 1)]
+                assert matrix[:, j] == pytest.approx(expected, rel=1e-14, abs=0.0)
+                result = is_car(kern, j)
+                assert result.compatibility_set == tuple(np.flatnonzero(xi[j] > 0.0))
+                expected = [xi[j][y] / c[y] for y in result.compatibility_set]
+                assert result.ratios == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_uncovered_count_raises_only_where_needed(self):
         kern = ReportingKernel(outcomes=(MembershipVector([1.0, 0.5, 0.0]),), nu=[1.0])
         assert is_car(kern, 0).compatibility_set == (0, 1)
-        assert marginal_outcome_prob(kern, LatentCountModel([0.5, 0.5, 0.0]), 0) == 1.0
-        with pytest.raises(ValidationError, match="y=2"):
-            marginal_outcome_prob(kern, LatentCountModel([0.4, 0.4, 0.2]), 0)
         with pytest.raises(ValidationError, match="y=2"):
             phi_matrix(kern)
 
@@ -114,50 +106,49 @@ class TestKernelProb:
                 zero = outcome.memberships == 0.0
                 assert np.all(matrix[zero, j] == 0.0)
 
+    def test_kernel_arrays_are_read_only(self):
+        kern = worked_example_kernel()
+        for array in (kern.nu, kern.weighted, kern.c):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+# Zadeh's probability of a fuzzy event xi is the expected membership of the
+# latent count, xi . pmf; the marginal probability of reporting outcome j is
+# pmf . phi[:, j].
+
 
 class TestZadehProbability:
     def test_full_membership_gives_one(self):
-        mv = MembershipVector(np.ones(5))
-        latent = LatentCountModel(np.full(5, 0.2))
-        assert zadeh_probability(mv, latent) == 1.0
+        assert np.ones(5) @ np.full(5, 0.2) == 1.0
 
     def test_indicator_reduces_to_probability(self):
         values = np.zeros(4)
         values[2] = 1.0
-        latent = LatentCountModel([0.1, 0.2, 0.3, 0.4])
-        assert zadeh_probability(MembershipVector(values), latent) == 0.3
+        assert MembershipVector(values).memberships @ np.array([0.1, 0.2, 0.3, 0.4]) == 0.3
 
     def test_weighted_sum_fixture(self):
         mv = MembershipVector([1.0, 0.5, 0.25, 0.0])
-        latent = LatentCountModel([0.4, 0.3, 0.2, 0.1])
-        assert abs(zadeh_probability(mv, latent) - 0.6) < 1e-15
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError, match="mismatch"):
-            zadeh_probability(MembershipVector([1.0, 0.5]), LatentCountModel([1.0]))
+        assert abs(mv.memberships @ np.array([0.4, 0.3, 0.2, 0.1]) - 0.6) < 1e-15
 
 
 class TestMarginalOutcomeProb:
     def test_singleton_is_certain(self):
         kern = ReportingKernel(outcomes=(MembershipVector([0.5, 1.0]),), nu=[1.0])
-        latent = LatentCountModel([0.3, 0.7])
-        assert abs(marginal_outcome_prob(kern, latent, 0) - 1.0) < 1e-15
+        assert abs(np.array([0.3, 0.7]) @ phi_matrix(kern)[:, 0] - 1.0) < 1e-15
 
     def test_worked_example_with_uniform_counts(self):
-        kern = worked_example_kernel()
-        latent = LatentCountModel(np.full(4, 0.25))
+        marginal = np.full(4, 0.25) @ phi_matrix(worked_example_kernel())[:, 0]
         expected = 0.25 * (4.0 / 5.0 + 0.5 + 1.0 / 3.0 + 0.2)
-        assert abs(marginal_outcome_prob(kern, latent, 0) - expected) < 1e-12
+        assert abs(marginal - expected) < 1e-12
 
     def test_marginal_coherence(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             kern = random_kernel(rng)
             pmf = rng.dirichlet(np.ones(kern.k_max + 1))
-            latent = LatentCountModel(pmf)
-            total = sum(
-                marginal_outcome_prob(kern, latent, j) for j in range(kern.n_outcomes)
-            )
+            matrix = phi_matrix(kern)
+            total = sum(pmf @ matrix[:, j] for j in range(kern.n_outcomes))
             assert abs(total - 1.0) <= 1e-12
 
     def test_zadeh_reduction_with_constant_mass(self):
@@ -173,14 +164,14 @@ class TestMarginalOutcomeProb:
                 outcomes=(MembershipVector(values), MembershipVector(mirror)),
                 nu=np.array([0.5, 0.5]),
             )
-            c_const = normalizer(kern, 0)
+            c_const = kern.c[0]
             for y in range(1, k + 1):
-                assert abs(normalizer(kern, y) - c_const) < 1e-12
+                assert abs(kern.c[y] - c_const) < 1e-12
             pmf = rng.dirichlet(np.ones(k + 1))
-            latent = LatentCountModel(pmf)
+            matrix = phi_matrix(kern)
             for j in range(2):
-                marginal = marginal_outcome_prob(kern, latent, j)
-                zadeh = zadeh_probability(kern.outcomes[j], latent)
+                marginal = pmf @ matrix[:, j]
+                zadeh = kern.outcomes[j].memberships @ pmf
                 assert abs(marginal * 2.0 * c_const - zadeh) <= 1e-12
 
 
@@ -241,9 +232,14 @@ class TestJson:
     def test_round_trip(self, tmp_path):
         kern = worked_example_kernel()
         path = tmp_path / "kernel.json"
-        kernel_to_json(kern, path)
+        path.write_text(json.dumps({
+            "nu": kern.nu.tolist(),
+            "outcomes": [o.memberships.tolist() for o in kern.outcomes],
+            "names": ["a", "b"],
+        }))
         back = kernel_from_json(path)
         assert back.k_max == kern.k_max
+        assert back.names == ("a", "b")
         np.testing.assert_array_equal(back.nu, kern.nu)
         for a, b in zip(back.outcomes, kern.outcomes):
             np.testing.assert_array_equal(a.memberships, b.memberships)

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from grancount.fuzzy import _divergence_matrix, fit_beta, kl_membership
-from grancount.model import Posterior, PriorSpec, pack_params, simulate
+from grancount.model import Posterior, PriorSpec, simulate
 from grancount.possibility import MembershipVector
 from grancount.ppc import _distance_sum, _within_distance
 
 from conftest import make_cnar_data, make_params, make_spec, with_norms
+from oracles import pack_params
 
 LIMIT = 4 * 2**20
 

@@ -20,14 +20,13 @@ from grancount.model import (
     clamp_scaled_location,
     corrected_scaled_count,
     linear_means,
-    pack_params,
     params_from_constrained,
     parameter_names,
     simulate,
 )
 
 from conftest import make_cnar_data, make_params, make_reports, make_spec
-from oracles import RowsCnarPosterior, cutoff_width, observed_loglik
+from oracles import RowsCnarPosterior, cutoff_width, observed_loglik, pack_params
 
 
 class TestMeanResponse:

@@ -7,14 +7,13 @@ from grancount import ValidationError
 from grancount.possibility import (
     MembershipVector,
     PossibilityAssignment,
-    complement_degrees,
     granular_count_fast,
     read_counts_csv,
     read_possibility_csv,
     write_counts_csv,
 )
 
-from oracles import MAX_BRUTEFORCE_OBS, granular_count_bruteforce
+from oracles import MAX_BRUTEFORCE_OBS, complement_degrees, granular_count_bruteforce
 
 
 def random_assignment(rng, max_obs=6, max_ref=3):
@@ -46,6 +45,21 @@ class TestComplementDegrees:
         a = PossibilityAssignment([[1.0, 0.4]])
         with pytest.raises(ValidationError):
             complement_degrees(a, 2)
+        with pytest.raises(ValidationError):
+            granular_count_fast(a, 2)
+
+    def test_top_two_degrees_give_every_alternative(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            a = random_assignment(rng, max_ref=5)
+            assert np.array_equal(a.best_degree, a.degrees.max(axis=1))
+            for r in range(a.n_ref):
+                alt = np.where(a.best_referent == r, a.second_degree, a.best_degree)
+                assert np.array_equal(alt, complement_degrees(a, r)), (a.degrees, r)
+
+    def test_tied_best_degrees_leave_the_tie_as_alternative(self):
+        a = PossibilityAssignment([[0.9, 0.2, 0.9]])
+        assert (a.best_degree[0], a.best_referent[0], a.second_degree[0]) == (0.9, 0, 0.9)
 
 
 class TestBruteforceCount:

@@ -9,13 +9,19 @@ temporary directory, on the benchmark's `granular-ppc` inputs for seeds 1 and 2
 - `count` and `fit`;
 - `simulate` for cnar, car1 and car2;
 - `infer` for cnar, car1, car2 and scalar, with small HMC settings;
-- `ppc` on the benchmark draws (cnar) and on car2's own draws.
+- `ppc` on the benchmark draws (cnar) and on car2's own draws;
 
-Prints one line `<seed> <file> <sha256>` per output. CSV files are hashed as
-bytes; JSON files are hashed as canonical JSON without their `metadata` block,
-which holds a timestamp. One BLAS thread is used, so the products in `ppc` are
-reproducible. To compare two commits, run it on each checkout and `diff` the
-outputs, e.g. against a `git archive` of the parent commit.
+and `kernel-audit` on three kernels it writes itself: the two-outcome worked
+example (not CAR), two disjoint indicators (CAR) and a seeded random kernel
+with 9 outcomes on {0..12}.
+
+Prints one line `<seed> <file> <sha256>` per output (`kernel` in place of the
+seed for the audits). The stdout of `infer` and `kernel-audit` is saved as a
+`.txt` output. CSV and text files are hashed as bytes; JSON files are hashed as
+canonical JSON without their `metadata` block, which holds a timestamp. One
+BLAS thread is used, so the products in `ppc` are reproducible. To compare two
+commits, run it on each checkout and `diff` the outputs, e.g. against a
+`git archive` of the parent commit.
 """
 
 import contextlib
@@ -28,6 +34,8 @@ import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402  (after the thread settings, which numpy reads on import)
 
 SEEDS = (1, 2)
 SMALL_HMC = ["--set", "hmc.n_chains=2", "--set", "hmc.n_warmup=60",
@@ -52,9 +60,13 @@ def pipeline(cli, inputs, out):
     config = ["--config", inputs["config.json"]] if "config.json" in inputs else []
     files = []
 
-    def stage(*argv, outputs):
-        run_cli(cli, [*config, *SMALL_HMC, *map(str, argv)])
+    def stage(*argv, outputs, stdout=None):
+        text = run_cli(cli, [*config, *SMALL_HMC, *map(str, argv)])
         files.extend(outputs)
+        if stdout is not None:
+            with open(stdout, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            files.append(stdout)
 
     counts, fitted = out("counts.csv"), out("fit_stats.csv")
     stage("count", inputs["possibility.csv"], "--out", counts, outputs=[counts])
@@ -68,7 +80,8 @@ def pipeline(cli, inputs, out):
     for model in MODELS:
         draws, diag = out(f"infer_{model}_draws.csv"), out(f"infer_{model}_diagnostics.json")
         stage("--set", f"model={model}", "infer", stats, inputs["covariates.csv"],
-              "--out-draws", draws, "--out-diagnostics", diag, outputs=[draws, diag])
+              "--out-draws", draws, "--out-diagnostics", diag, outputs=[draws, diag],
+              stdout=out(f"infer_{model}_stdout.txt"))
     sources = [("bench", "cnar", inputs["draws.csv"])] if "draws.csv" in inputs else []
     sources.append(("car2", "car2", out("infer_car2_draws.csv")))
     for label, model, draws in sources:
@@ -79,11 +92,28 @@ def pipeline(cli, inputs, out):
     return files
 
 
-def run_cli(cli, argv):
-    with contextlib.redirect_stdout(io.StringIO()):
+def audit_kernels():
+    """Name -> kernel JSON payload for the `kernel-audit` runs."""
+    rng = np.random.default_rng(9)
+    outcomes = rng.uniform(0.0, 1.0, size=(9, 13))
+    outcomes[rng.uniform(size=outcomes.shape) < 0.3] = 0.0
+    outcomes[np.arange(9), rng.integers(0, 13, size=9)] = 1.0
+    outcomes[0] = np.maximum(outcomes[0], 0.05)  # every count covered
+    return {
+        "worked": {"nu": [0.5, 0.5], "names": ["xi1", "xi2"],
+                   "outcomes": [[1.0, 0.5, 0.5, 0.25], [0.25, 0.5, 1.0, 1.0]]},
+        "disjoint": {"nu": [0.5, 0.5], "outcomes": [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]},
+        "random9": {"nu": rng.dirichlet(np.ones(9)).tolist(), "outcomes": outcomes.tolist()},
+    }
+
+
+def run_cli(cli, argv) -> str:
+    """Run `grancount argv` in this process; return what it printed."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = cli.main(argv)
     if code != cli.EXIT_OK:
         raise SystemExit(f"grancount {' '.join(argv)} exited {code}")
+    return stdout.getvalue()
 
 
 def main(argv=None) -> int:
@@ -107,6 +137,13 @@ def main(argv=None) -> int:
                 inputs = bench_inputs.generate("granular-ppc", int(label), work)
             for path in pipeline(cli, inputs, lambda name: os.path.join(work, name)):
                 print(label, os.path.basename(path), digest(path), flush=True)
+        for name, payload in audit_kernels().items():
+            kernel, audit = (os.path.join(tmp, f"kernel_{name}{ext}") for ext in (".json", ".txt"))
+            with open(kernel, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            with open(audit, "w", encoding="utf-8") as fh:
+                fh.write(run_cli(cli, ["kernel-audit", kernel]))
+            print("kernel", os.path.basename(audit), digest(audit), flush=True)
     return 0
 
 
