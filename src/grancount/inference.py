@@ -197,12 +197,13 @@ def _run_chain(target, config: HmcConfig, init: np.ndarray, chain_index: int, di
         np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(chain_index,)))
     )
     q = np.array(init, dtype=np.float64)
-    logp, grad = target(q)
-    for _ in range(100):
+    for _ in range(101):  # the start, then up to 100 jittered retries
+        logp, grad = target(q)
         if np.isfinite(logp):
             break
+        if config.init_jitter == 0.0:
+            raise ValidationError("log density is not finite at the initial point")
         q = init + config.init_jitter * rng.standard_normal(dim)
-        logp, grad = target(q)
     else:
         raise NumericalError(
             f"chain {chain_index}: could not find a finite starting point"
@@ -299,10 +300,6 @@ def sample(target, config: HmcConfig, init, names=None, constrain=None) -> Poste
         names = tuple(names)
         if len(names) != dim:
             raise ValidationError("names length must match the dimension")
-    logp0, _ = target(init)
-    if not np.isfinite(logp0) and config.init_jitter == 0.0:
-        raise ValidationError("log density is not finite at the initial point")
-
     runs = []
     for c in range(config.n_chains):
         rng0 = np.random.Generator(
@@ -414,7 +411,7 @@ def diagnostics(draws: PosteriorDraws) -> DiagnosticsTable:
     ess = np.full(draws.dim, np.nan)
     for j in range(draws.dim):
         x = chains[:, :, j]
-        if np.allclose(x, x.ravel()[0]):
+        if (x == x.flat[0]).all():  # exact: any tolerance has a scale
             flags.append(f"{draws.names[j]}: constant draws, diagnostics undefined")
             continue
         z = _rank_normalize(_split(x))
@@ -452,9 +449,11 @@ def read_draws_csv(path) -> PosteriorDraws:
     for i, row in rows:
         chain.append(tables.parse_int(path, i, "chain", row[0]))
         iters.append(tables.parse_int(path, i, "iter", row[1]))
-        *params, e = tables.parse_floats(path, i, header[2:-1], row[2:-1])
+        *params, e = tables.parse_floats(path, i, header[2:-1], row[2:-1], finite=True)
         values.append(params)
         energy.append(e)
+        if row[-1] not in ("0", "1"):
+            raise ValidationError(f"{path}: line {i}, column 'divergent': not 0 or 1: {row[-1]!r}")
     chain_arr = np.array(chain, dtype=np.int64)
     ids, counts = np.unique(chain_arr, return_counts=True)  # sorted and distinct
     n_chains = ids.size

@@ -40,16 +40,19 @@ def read_table(path, header_ok, header_error, rows_name="data rows"):
     return header, rows
 
 
-def parse_floats(path, line_no, columns, cells) -> list[float]:
-    """Parse numeric cells; the error names the path, line and column."""
+def parse_floats(path, line_no, columns, cells, finite=False) -> list[float]:
+    """Parse numeric cells, refusing nan and inf with `finite`; errors name line and column."""
     values = []
     for column, cell in zip(columns, cells):
         try:
-            values.append(float(cell))
+            value = float(cell)
         except ValueError:
-            raise ValidationError(
-                f"{path}: line {line_no}, column '{column}': not a number: {cell!r}"
-            ) from None
+            value = None
+        if value is None or finite and not math.isfinite(value):
+            kind = "a finite number" if finite else "a number"
+            where = f"{path}: line {line_no}, column '{column}'"
+            raise ValidationError(f"{where}: not {kind}: {cell!r}")
+        values.append(value)
     return values
 
 

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln
+from scipy.special import betainc, betaln, digamma, gammaln
 
 from grancount.errors import NumericalError, ValidationError
 from grancount.fuzzy import (
@@ -35,11 +35,12 @@ def observed_loglik(spec, params, data, model) -> float:
 
 
 def cutoff_width(post: Posterior, mu_max: float, kappa: float) -> int:
-    """Grid length a cnar `Posterior` with tail cutoff keeps at the largest mean `mu_max`.
+    """Grid length the earlier truncated-grid scan kept at the largest mean `mu_max`.
 
-    The reference for the width `Posterior._cnar_block` takes from `_cutoff`:
-    the negative binomial log pmf of that mean written out over the whole grid
-    in one expression, then all but `post.tail_mass` of its mass.
+    The negative binomial log pmf of that mean written out over the whole grid
+    in one expression, then all but `post.tail_mass` of its mass on the grid,
+    plus one spare column. `Posterior._cutoff` cuts the untruncated pmf
+    instead, so it never keeps fewer columns than this.
     """
     grid = np.arange(post._grid.size, dtype=np.float64)
     lp = (
@@ -52,6 +53,18 @@ def cutoff_width(post: Posterior, mu_max: float, kappa: float) -> int:
     csum = np.cumsum(mass)
     cut = int(np.searchsorted(csum, (1.0 - post.tail_mass) * csum[-1])) + 1
     return min(grid.size, cut + 1)
+
+
+def nb_tail_width(post: Posterior, mu_max: float, kappa: float) -> int:
+    """Grid length `Posterior._cutoff` should keep at the largest mean `mu_max`.
+
+    The fewest columns 0..m-1 whose dropped mass P(Y >= m) = I_{1-p}(m, kappa),
+    1 - p = mu_max/(kappa + mu_max), of the untruncated NB(mu_max, kappa) pmf
+    is at most `post.tail_mass`, plus one spare column, capped at the grid.
+    """
+    m = np.arange(1, post._grid.size + 1)
+    kept = betainc(m, kappa, mu_max / (kappa + mu_max)) <= post.tail_mass
+    return min(post._grid.size, int(m[kept.argmax()]) + 1) if kept.any() else post._grid.size
 
 
 class RowsCnarPosterior(Posterior):
@@ -86,11 +99,7 @@ class RowsCnarPosterior(Posterior):
         head = kappa * (np.log(kappa) - log_kmu)
         slope = np.log(mu) - log_kmu
         col = gammaln(self._grid + kappa) - self._lgamma_fact
-        if self.tail_mass == 0.0 or n == 0:
-            hi = self._grid.size
-        else:
-            i = mu.argmax()
-            hi = self._cutoff(col + head[i] + self._grid * slope[i])
+        hi = self._grid.size if self.tail_mass == 0.0 or n == 0 else self._cutoff(mu.max(), kappa)
         grid = self._grid[:hi]
         beta_mat = self._beta_mat[:, :hi]
 

@@ -27,6 +27,12 @@ SMALL = [
 # stats rows (c, h, K) outside the Beta-type family, each given to sample b
 BAD_STATS_ROWS = {"c-above-k": "11.0,5.0,10", "c-below-zero": "-1.0,5.0,10", "c-nan": "nan,5.0,10",
                   "h-zero": "4.0,0.0,10", "h-inf": "4.0,inf,10", "k-zero": "0.0,5.0,0"}
+# a bad third line of a draws file: (name, column at fault, row)
+BAD_DRAWS_ROWS = [("divergent-x", "divergent", "0,1,1.0,0.5,2.0,4.0,0.1,10.0,x"),
+                  ("divergent-true", "divergent", "0,1,1.0,0.5,2.0,4.0,0.1,10.0,true"),
+                  ("divergent-2", "divergent", "0,1,1.0,0.5,2.0,4.0,0.1,10.0,2"),
+                  ("energy-nan", "energy", "0,1,1.0,0.5,2.0,4.0,0.1,nan,0"),
+                  ("dispersion-inf", "dispersion", "0,1,1.0,0.5,inf,4.0,0.1,10.0,0")]
 
 
 def run(*argv):
@@ -212,6 +218,10 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
         ["--set", "ppc.n_reps=2", "ppc", "draws.csv", f"stats_{name}.csv", "covariates.csv",
          "--out-csv", "ppc.csv", "--out-json", "ppc.json"]
         for name in BAD_STATS_ROWS
+    ] + [
+        ["--set", "ppc.n_reps=2", "ppc", f"draws_{name}.csv", "stats.csv", "covariates.csv",
+         "--out-csv", "ppc.csv", "--out-json", "ppc.json"]
+        for name, _, _ in BAD_DRAWS_ROWS
     ],
     ids=["non-integral-int", "string-for-int", "bool-for-int", "non-integral-k",
          "int-beyond-float", "unknown-key", "missing-input", "not-utf8", "negative-tail-mass",
@@ -222,7 +232,8 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "infinite-prior-sd", "negative-tail-mass-config", "infinite-car-tol", "fit-counts-nan",
          "ppc-chain-minus-1", "scalar-simulate", "scalar-ppc"]
     + [f"infer-stats-{name}" for name in BAD_STATS_ROWS]
-    + [f"ppc-stats-{name}" for name in BAD_STATS_ROWS],
+    + [f"ppc-stats-{name}" for name in BAD_STATS_ROWS]
+    + [f"ppc-draws-{name}" for name, _, _ in BAD_DRAWS_ROWS],
 )
 def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, caplog):
     monkeypatch.chdir(tmp_path)
@@ -236,6 +247,8 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     draw = "1.0,0.5,2.0,4.0,0.1,10.0,0"
     header = "chain,iter,coef_intercept,coef_x,dispersion,precision_shape,precision_rate,energy,"
     (tmp_path / "draws.csv").write_text(f"{header}divergent\n0,0,{draw}\n0,1,{draw}\n")
+    for name, _, row in BAD_DRAWS_ROWS:
+        (tmp_path / f"draws_{name}.csv").write_text(f"{header}divergent\n0,0,{draw}\n{row}\n")
     (tmp_path / "draws_chain_minus_1.csv").write_text(
         f"{header}divergent\n-1,0,{draw}\n0,0,{draw}\n"
     )
@@ -262,6 +275,9 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     if bad:  # the bad row is the third line, sample b
         column = "sample_id" if bad[0].startswith("stats_") else "id"
         assert f"{bad[0]}: line 3, {column} 'b'" in errors[0], errors
+    for name, column, _ in BAD_DRAWS_ROWS:
+        if f"draws_{name}.csv" in argv:
+            assert f"draws_{name}.csv: line 3, column '{column}'" in errors[0], errors
 
 
 def test_every_subcommand_sets_a_run_handler():

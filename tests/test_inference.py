@@ -185,6 +185,31 @@ class TestSampler:
         with pytest.raises(NumericalError, match="re-parametrization"):
             sample(target, cfg, np.zeros(2))
 
+    def test_nonfinite_start_without_jitter_raises(self):
+        calls = []
+
+        def target(phi):
+            calls.append(phi)
+            return -np.inf, np.zeros_like(phi)
+
+        cfg = HmcConfig(n_chains=2, n_warmup=20, n_draws=10, seed=0, init_jitter=0.0)
+        with pytest.raises(ValidationError, match="not finite at the initial point"):
+            sample(target, cfg, np.zeros(2))
+        assert len(calls) == 1
+
+    def test_no_finite_jittered_start_raises(self):
+        calls = []
+
+        def target(phi):
+            calls.append(phi)
+            return -np.inf, np.zeros_like(phi)
+
+        cfg = HmcConfig(n_chains=2, n_warmup=20, n_draws=10, seed=0, init_jitter=0.5)
+        with pytest.raises(NumericalError, match="chain 0: could not find a finite starting point"):
+            sample(target, cfg, np.zeros(2))
+        # the start and 100 jittered retries, each evaluated once and checked
+        assert len(calls) == 101 and not np.array_equal(calls[0], np.zeros(2))
+
     def test_constrain_applied_to_storage(self):
         cfg = HmcConfig(n_chains=2, n_warmup=100, n_draws=100, seed=3, max_leapfrog=8)
         draws = sample(
@@ -232,6 +257,15 @@ class TestDiagnostics:
         table = diagnostics(self._draws_from_chains(chains))
         assert np.isnan(table.rhat[0])
         assert any("constant" in f for f in table.flags)
+
+    @pytest.mark.parametrize("scale, shift", [(1e-10, 1e-9), (1.0, 1e6)])
+    def test_affine_map_leaves_rhat_and_ess_unchanged(self, scale, shift):
+        x = np.random.default_rng(5).standard_normal((2, 200, 1))
+        table = diagnostics(self._draws_from_chains(scale * x + shift))
+        ref = diagnostics(self._draws_from_chains(x))
+        assert np.isfinite(ref.rhat).all() and table.flags == ref.flags
+        np.testing.assert_array_equal(table.rhat, ref.rhat)
+        np.testing.assert_array_equal(table.ess_bulk, ref.ess_bulk)
 
     def test_single_chain_warns_and_omits_rhat(self):
         rng = np.random.default_rng(2)

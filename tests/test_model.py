@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import betainc
 
 from grancount import NumericalError, ValidationError
 from grancount.fuzzy import BLOCK_CELLS, BetaFuzzy
@@ -26,7 +27,9 @@ from grancount.model import (
 )
 
 from conftest import make_cnar_data, make_params, make_reports, make_spec
-from oracles import RowsCnarPosterior, cutoff_width, observed_loglik, pack_params
+from oracles import (
+    RowsCnarPosterior, cutoff_width, nb_tail_width, observed_loglik, pack_params,
+)
 
 
 class TestMeanResponse:
@@ -382,7 +385,7 @@ def record_widths(monkeypatch) -> list[int]:
     widths = []
     original = Posterior._cutoff
     monkeypatch.setattr(
-        Posterior, "_cutoff", lambda self, lp: widths.append(original(self, lp)) or widths[-1]
+        Posterior, "_cutoff", lambda self, *args: widths.append(original(self, *args)) or widths[-1]
     )
     return widths
 
@@ -402,7 +405,7 @@ class TestTailCutoff:
             assert abs(logp_cut - logp) <= 1e-8
             np.testing.assert_allclose(grad_cut, grad, rtol=0.0, atol=1e-8)
             mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
-            assert len(widths) == i + 1 and widths[i] == cutoff_width(cut, mu.max(), np.exp(phi[2]))
+            assert widths[i:] == [nb_tail_width(cut, mu.max(), np.exp(phi[2]))]
         # the comparison means something only where the grid was cut
         assert min(widths) < spec.k_max[0] + 1
 
@@ -421,7 +424,7 @@ class TestTailCutoff:
             phi = rng.standard_normal(exact.dim)
             mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
             logp_cut, grad_cut = cut.logp_and_grad(phi)
-            assert len(widths) == i + 1 and widths[i] == cutoff_width(cut, mu.max(), np.exp(phi[2]))
+            assert widths[i:] == [nb_tail_width(cut, mu.max(), np.exp(phi[2]))]
             if widths[i] == 301:
                 continue  # only points where the grid is cut test the cutoff
             logp, grad = exact.logp_and_grad(phi)
@@ -446,7 +449,7 @@ class TestTailCutoff:
         for i in np.random.default_rng(23).permutation(len(points)):
             phi = points[i]
             mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
-            widths.add(cutoff_width(shared, mu.max(), np.exp(phi[2])))
+            widths.add(nb_tail_width(shared, mu.max(), np.exp(phi[2])))
             logp, grad = shared.logp_and_grad(phi)
             fresh_logp, fresh_grad = Posterior(*args).logp_and_grad(phi)
             assert np.isfinite(logp) and logp == fresh_logp
@@ -461,9 +464,8 @@ class TestTailCutoff:
         cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
         phi = pack_params(make_params("cnar"), "cnar")
         mu = linear_means(spec, make_params("cnar"))
-        # at tail_mass 0 the cutoff search still stops short of the grid's end:
-        # the cumulative mass stops growing in floating point first
-        assert cutoff_width(exact, mu.max(), 2.0) < spec.k_max[0] + 1
+        # at tail_mass 0 the quantile is nan, so `_cutoff` alone would keep the full grid too
+        assert exact._cutoff(mu.max(), 2.0) == spec.k_max[0] + 1
         calls = []
         original = Posterior._cutoff
         monkeypatch.setattr(
@@ -471,6 +473,30 @@ class TestTailCutoff:
         )
         assert np.isfinite(exact.logp_and_grad(phi)[0]) and calls == []
         assert np.isfinite(cut.logp_and_grad(phi)[0]) and calls == [cut]
+
+    def test_quantile_cut_over_kappa_and_mu(self):
+        # K = 500; log kappa in [-8, 25] reaches past the near-Poisson guard at 1e12 * mu
+        one = RegressionSpec([[1.0]], [1.0], [500]), make_reports([(250.0, 5.0, 500)]), PriorSpec()
+        post = Posterior(*one, "cnar", tail_mass=1e-12)
+        full = 501
+        rng = np.random.default_rng(37)
+        log_kappa, log_mu = rng.uniform(-8.0, 25.0, 10_000), rng.uniform(-8.0, 7.0, 10_000)
+        cut = 0
+        for kappa, mu in zip(np.exp(log_kappa), np.exp(log_mu)):
+            width = post._cutoff(mu, kappa)
+            assert width >= cutoff_width(post, mu, kappa), (kappa, mu)
+            if width < full:
+                assert betainc(width, kappa, mu / (kappa + mu)) <= post.tail_mass, (kappa, mu)
+                assert width == nb_tail_width(post, mu, kappa), (kappa, mu)
+                cut += 1
+            else:
+                assert mu < 1e-12 * kappa or nb_tail_width(post, mu, kappa) == full, (kappa, mu)
+        assert 5_000 < cut < 10_000
+        # near p = 1 nbdtrik's quantile falls short of the 37 columns this needs
+        assert post._cutoff(8.0, np.exp(38.0)) == full
+        assert nb_tail_width(post, 8.0, np.exp(38.0)) == 37
+        # 1 - tail_mass rounds to 1, so the quantile is nan
+        assert Posterior(*one, "cnar", tail_mass=1e-17)._cutoff(5.0, 2.0) == full
 
     def test_tail_mass_outside_unit_interval_rejected(self, small_cnar_data):
         spec, _, sim = small_cnar_data

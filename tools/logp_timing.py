@@ -9,7 +9,10 @@ and car2 it builds the `Posterior` the `infer` stage builds from those files
 and calls `logp_and_grad` on the same 2,000 points, drawn with a fixed seed
 around the packed simulation truth. One pass over the points warms up; the
 next REPEATS passes are timed, and the median pass is printed per call, with
-the share of points whose log density is -inf. One BLAS thread is used.
+the share of points whose log density is -inf. For cnar the warm-up pass also
+records the grid length of the tail cut at each point; its quartiles say which
+regime the timing measured (about 190 columns around the truth, about 40 at
+the posterior a clamped `cnar-infer` run samples). One BLAS thread is used.
 """
 
 import os
@@ -65,12 +68,20 @@ def main(argv=None) -> int:
         post = model.Posterior(spec, reports, config.priors, name,
                                tail_mass=config.truncation.tail_mass)
         phis = points(post, truth)
+        widths = []  # the cnar tail cut's grid length per call, on the warm-up pass only
+        if name == "cnar":
+            post._cutoff = lambda *args, cut=post._cutoff: widths.append(cut(*args)) or widths[-1]
         rejected = sum(not np.isfinite(post.logp_and_grad(phi)[0]) for phi in phis)
+        vars(post).pop("_cutoff", None)  # the timed passes call the method itself
         passes = [time_calls(post, phis) for _ in range(REPEATS)]
         us = 1e6 * statistics.median(passes) / N_POINTS
         spread = ", ".join(f"{1e6 * t / N_POINTS:.1f}" for t in passes)
+        cut = ""
+        if widths:
+            quartiles = np.percentile(widths, [25, 50, 75])
+            cut = "; cut width quartiles %.0f / %.0f / %.0f" % tuple(quartiles)
         print(f"{name:<5} {us:8.1f} us/call  (passes: {spread}; -inf share "
-              f"{rejected / N_POINTS:.4f})", flush=True)
+              f"{rejected / N_POINTS:.4f}{cut})", flush=True)
     return 0
 
 
