@@ -27,6 +27,7 @@ gradient on an unconstrained scale (log transforms for positive parameters);
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -318,11 +319,15 @@ class Posterior:
     samplers can treat it as a divergence; `rejections` counts such points
     by reason (`REJECTION_REASONS`).
 
-    `cnar` sums the latent count over 0..max K, cut one column past the
-    (1 - `tail_mass`) quantile of NB(max mu, kappa): at most `tail_mass` of the
-    widest untruncated count pmf is dropped; `tail_mass=0` is the exact full
-    grid. It keeps the (max K + 1, n) report-density matrix and one flat
-    scratch of 2*(max K + 1)*n float64 cells: 2.4 MB in all at n=200, K=500.
+    `cnar` divides a mixture (count pmf times report density) by the bare
+    count pmf on {0..K}, summing over 0..max K cut one column past the
+    (1 - `tail_mass`) quantile of NB(max mu, kappa): each sample's pmf loses at
+    most `tail_mass`; `tail_mass=0` is the exact full grid. Where the cut ends
+    before the grid and inside every K, the bare pmf's log normaliser and means
+    of y and digamma(y + kappa) are the untruncated NB's closed forms, off by
+    its mass beyond K, at most `tail_mass`. It keeps the (max K + 1, n) report
+    density and a scratch of 2*(max K + 1)*n float64 cells, for the two sums
+    the other cuts take: 2.4 MB in all at n=200, K=500.
     """
 
     def __init__(
@@ -335,8 +340,9 @@ class Posterior:
             model, spec.covariate_names, n_covariates=spec.n_covariates
         )
         self.dim = len(self.names)
-        self._sds = _prior_sds(priors, spec.n_covariates, model)
-        self._log_sds_sum = np.log(self._sds).sum()
+        sds = _prior_sds(priors, spec.n_covariates, model)
+        self._neg_inv_var = -1.0 / sds**2
+        self._prior_norm = float(np.log(sds).sum() + self.dim * _PRIOR_NORM)
         self._z = spec.covariates
         self._logu = np.log(spec.offsets)
         self._kvec = spec.k_max.astype(np.float64)
@@ -363,7 +369,10 @@ class Posterior:
         self._log1m_cbar = np.log1p(-self._cbar)
         self._logit_cbar = self._log_cbar - self._log1m_cbar
 
-        if self.model == "cnar":
+        if self.model != "cnar":  # the clamp's bounds, as `clamp_scaled_location` gives them
+            self._m_lo, self._m_hi = clamp_scaled_location([0 * self._kvec, self._kvec], self._kvec)
+            self._sum_log_c = float(self._log_cbar.sum() + self._log1m_cbar.sum())
+        else:
             n = spec.n_samples
             grid_len = int(spec.k_max.max()) + 1 if n else 1
             grid = np.arange(grid_len, dtype=np.float64)
@@ -396,13 +405,8 @@ class Posterior:
             self._grid_col = np.column_stack([grid, grid])
             self._slope_one = np.ones((2, n))
             self._moment_rows = np.stack([np.ones(grid_len), grid, grid])
-
-    # -- prior ------------------------------------------------------------
-
-    def _prior_logp_grad(self, phi: np.ndarray):
-        z = phi / self._sds
-        logp = float(-0.5 * z @ z - self._log_sds_sum - self.dim * _PRIOR_NORM)
-        return logp, -z / self._sds
+            # longest cut that ends before the grid and inside every sample's K
+            self._closed_hi = min(grid_len - 1, int(spec.k_max.min()) + 1) if n else 0
 
     # -- public surface ----------------------------------------------------
 
@@ -421,10 +425,11 @@ class Posterior:
         phi = np.asarray(phi, dtype=np.float64)
         ll, grad = self._loglik_and_grad(phi)
         if grad is not None:  # None: rejected, and counted, by the likelihood
-            prior_ll, prior_grad = self._prior_logp_grad(phi)
-            logp = ll + prior_ll
-            if np.isfinite(logp):
-                return float(logp), grad + prior_grad
+            score = phi * self._neg_inv_var  # of the Normal(0, sd) prior on each coordinate
+            logp = float(ll + 0.5 * float(phi @ score) - self._prior_norm)
+            if math.isfinite(logp):
+                grad += score
+                return logp, grad
             self._reject("nonfinite_logp")
         return -np.inf, np.zeros(self.dim)
 
@@ -439,15 +444,17 @@ class Posterior:
         """
         if phi.shape != (self.dim,):
             raise ValidationError(f"parameter vector must have length {self.dim}")
-        if not np.isfinite(phi).all():
+        values = phi.tolist()
+        if not all(map(math.isfinite, values)):
             return self._reject("nonfinite_phi")
+        p = self.n_covariates
         # reject points whose constrained values overflow or underflow exp()
-        if (np.abs(phi[self.n_covariates :]) > _MAX_LINEAR_PREDICTOR).any():
+        if max(map(abs, values[p:])) > _MAX_LINEAR_PREDICTOR:
             return self._reject("positive_bound")
-        eta = self._logu + self._z @ phi[: self.n_covariates]
-        if (np.abs(eta) > _MAX_LINEAR_PREDICTOR).any():
+        eta = self._logu + self._z @ phi[:p]
+        if eta.size and np.abs(eta).max() > _MAX_LINEAR_PREDICTOR:
             return self._reject("eta_overflow")
-        mu = np.exp(eta)
+        mu = np.exp(eta, out=eta)
         if self.model == "cnar":
             return self._cnar_block(phi, mu)
         if self.model in ("car1", "car2"):
@@ -458,60 +465,78 @@ class Posterior:
 
     def _gamma_block(self, shape: float, rate: float, n: int):
         """Gamma log density of the precisions and its derivatives in log shape and log rate."""
+        log_rate = math.log(rate)
         logp = (
-            n * (shape * np.log(rate) - gammaln(shape))
+            n * (shape * log_rate - math.lgamma(shape))
             + (shape - 1.0) * self._sum_log_h
             - rate * self._sum_h
         )
-        d_shape = n * (np.log(rate) - digamma(shape)) + self._sum_log_h
+        d_shape = n * (log_rate - float(digamma(shape))) + self._sum_log_h
         # no division by the rate: n*shape/rate overflows when the rate is tiny
         return logp, d_shape * shape, n * shape - rate * self._sum_h
 
     def _cnar_block(self, phi: np.ndarray, mu: np.ndarray):
         p = self.n_covariates
-        kappa, shape, rate = np.exp(phi[p : p + 3])
+        kappa, shape, rate = map(math.exp, phi[p:].tolist())
         n = mu.size
 
-        hi = self._grid.size if self.tail_mass == 0.0 or n == 0 else self._cutoff(mu.max(), kappa)
-        np.subtract(np.log(mu), np.log(kappa + mu), out=self._slope_one[0])
-        grid = self._grid[:hi]
-        np.subtract(gammaln(grid + kappa), self._lgamma_fact[:hi], out=self._grid_col[:hi, 1])
+        mu_max = float(mu.max()) if n else 0.0
+        hi = self._cutoff(mu_max, kappa) if n else self._grid.size
+        # a cut inside every K leaves the bare pmf to its closed form, if mu/kappa is finite
+        closed = hi <= self._closed_hi and mu_max < 1.0e300 * kappa
+        kmu = kappa + mu
+        np.subtract(np.log(mu), np.log(kmu), out=self._slope_one[0])
+        grid_kappa = self._grid[:hi] + kappa
+        np.subtract(gammaln(grid_kappa), self._lgamma_fact[:hi], out=self._grid_col[:hi, 1])
+        rows = self._moment_rows[:, :hi]
+        digamma(grid_kappa, out=rows[2])
 
         # The count pmf's per-sample constant head - gammaln(kappa) cancels in
-        # count_ll and in the moments, so it never enters the matrices.
-        both = self._scratch[: 2 * hi * n].reshape(2, hi, n)
-        np.matmul(self._grid_col[:hi], self._slope_one, out=both[1])
-        if self._beyond_k is not None:
-            np.copyto(both[1], -np.inf, where=self._beyond_k[:hi])
-        np.add(both[1], self._beta[:hi], out=both[0])
-        peak = both.max(axis=1)
+        # count_ll and in the moments, so it never enters the matrices or the
+        # closed form. Half [0] is the posterior mixture, half [1] the bare pmf.
+        halves = self._scratch[: 2 * hi * n].reshape(2, hi, n)[: 1 if closed else 2]
+        np.matmul(self._grid_col[:hi], self._slope_one, out=halves[-1])
+        if not closed and self._beyond_k is not None:
+            np.copyto(halves[1], -np.inf, where=self._beyond_k[:hi])
+        np.add(halves[-1], self._beta[:hi], out=halves[0])
+        peak = halves.max(axis=1)
         if not np.isfinite(peak).all():
             return self._reject("nonfinite_peak")
-        both -= peak[:, None, :]
-        np.exp(both, out=both)
+        halves -= peak[:, None, :]
+        np.exp(halves, out=halves)
 
-        # sums and first moments of the count under the posterior mixture [0]
-        # and under the bare truncated pmf [1]; their gap drives the gradient
-        rows = self._moment_rows[:, :hi]
-        digamma(grid + kappa, out=rows[2])
-        moments = np.matmul(rows, both)
+        # sums and means of y and digamma(y + kappa) per half; the gap between
+        # the mixture's and the bare pmf's means drives the gradient
+        moments = np.matmul(rows, halves)
         log_sums = (peak + np.log(moments[:, 0])).sum(axis=1)
-        count_ll = float(log_sums[0] - log_sums[1])
         means = moments[:, 1:] / moments[:, :1]
-        delta_y, delta_psi = means[0] - means[1]
-
-        d_coef = self._z.T @ (delta_y * (kappa / (kappa + mu)))
-        d_kappa = float((delta_psi - delta_y / (kappa + mu)).sum()) * kappa
+        post_y, post_psi = means[0]
+        if closed:
+            # untruncated NB: log normaliser gammaln(kappa) + kappa * log((kappa + mu)/kappa),
+            # E[y] = mu, and E[digamma(y + kappa)] = digamma(kappa) + log((kappa + mu)/kappa)
+            bare_y, bare_psi = mu, np.log1p(mu / kappa)
+            bare_ll = n * math.lgamma(kappa) + kappa * float(bare_psi.sum())
+            bare_psi += digamma(kappa)
+        else:
+            bare_ll = log_sums[1]
+            bare_y, bare_psi = means[1]
+        count_ll = float(log_sums[0] - bare_ll)
+        weight = post_y - bare_y
+        weight *= kappa / kmu
+        d_kappa = kappa * float((post_psi - bare_psi).sum()) - float(weight.sum())
 
         gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n)
-        grad = np.concatenate([d_coef, [d_kappa, d_shape, d_rate]])
+        grad = np.empty(self.dim)
+        np.matmul(weight, self._z, out=grad[:p])
+        grad[p:] = d_kappa, d_shape, d_rate
         return count_ll + gamma_ll, grad
 
     def _cutoff(self, mu_max: float, kappa: float) -> int:
         """Grid length to the (1 - tail_mass) quantile of NB(mu_max, kappa), plus one spare."""
         # nbdtrik is accurate while 1 - p = mu/(kappa + mu) exceeds about 1e-13; nearer
         # p = 1 its quantile falls short (35 of the 37 columns needed at kappa = e^38,
-        # mu = 8), so that corner keeps the full grid, as do a nan quantile and a long one
+        # mu = 8), so that corner keeps the full grid, as do a nan quantile (tail_mass 0)
+        # and a long one
         if mu_max < 1.0e-12 * kappa:
             return self._grid.size
         q = nbdtrik(1.0 - self.tail_mass, kappa, kappa / (kappa + mu_max))
@@ -519,38 +544,33 @@ class Posterior:
 
     def _car_block(self, phi: np.ndarray, mu: np.ndarray):
         p = self.n_covariates
-        shape, rate = np.exp(phi[p : p + 2])
-        lam = np.exp(phi[p + 2]) if self.model == "car2" else 1.0
+        log_positives = phi[p:].tolist()
         n = mu.size
 
-        m = clamp_scaled_location(mu, self._kvec)
-        free = m == mu / self._kvec
-        s = lam * self._h
+        scaled = mu / self._kvec
+        m = np.maximum(scaled, self._m_lo)
+        np.minimum(m, self._m_hi, out=m)  # the bits of clamp_scaled_location(mu, K)
+        s = self._h if self.model == "car1" else math.exp(log_positives[2]) * self._h
         a = s * m
         b = s * (1.0 - m)
-        beta_ll = float(
-            ((a - 1.0) * self._log_cbar
-             + (b - 1.0) * self._log1m_cbar
-             - betaln(a, b)).sum()
-        )
+        # sum of (a - 1) log c + (b - 1) log(1 - c) - betaln(a, b)
+        a_log_c, b_log_1mc = float(a @ self._log_cbar), float(b @ self._log1m_cbar)
+        beta_ll = a_log_c + b_log_1mc - float(betaln(a, b).sum()) - self._sum_log_c
         dg_a, dg_b = digamma(a), digamma(b)
-        dm = s * (self._logit_cbar - dg_a + dg_b)
-        d_coef = self._z.T @ (np.where(free, dm, 0.0) * mu / self._kvec)
+        dm = dg_b - dg_a
+        dm += self._logit_cbar
+        dm *= s
+        dm *= m == scaled  # a clamped mean does not move with the coefficients
+        dm *= scaled
 
-        gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n)
-        pieces = [d_coef, [d_shape, d_rate]]
-        if self.model == "car2":
-            d_lam = float(
-                (
-                    self._h * m * self._log_cbar
-                    + self._h * (1.0 - m) * self._log1m_cbar
-                    - self._h * m * dg_a
-                    - self._h * (1.0 - m) * dg_b
-                    + self._h * digamma(s)
-                ).sum()
+        gamma_ll, d_shape, d_rate = self._gamma_block(*map(math.exp, log_positives[:2]), n)
+        grad = np.empty(self.dim)
+        np.matmul(dm, self._z, out=grad[:p])
+        grad[p], grad[p + 1] = d_shape, d_rate
+        if self.model == "car2":  # sum of a (log c - psi(a)) + b (log(1 - c) - psi(b)) + s psi(s)
+            grad[p + 2] = (
+                a_log_c + b_log_1mc - float(a @ dg_a) - float(b @ dg_b) + float(s @ digamma(s))
             )
-            pieces.append([d_lam * lam])
-        grad = np.concatenate([np.asarray(x, dtype=np.float64) for x in pieces])
         return beta_ll + gamma_ll, grad
 
     def _scalar_block(self, phi: np.ndarray, mu: np.ndarray):

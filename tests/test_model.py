@@ -286,6 +286,32 @@ class TestGradients:
                 fd = (up - down) / (2 * step)
                 assert abs(grad[j] - fd) <= 1e-5 * (1.0 + abs(fd))
 
+    @pytest.mark.parametrize("model", ["car1", "car2"])
+    def test_car_gradient_with_means_clamped_at_both_bounds(self, model):
+        # at K = 8 a mean mu/K below 1/18 or above 17/18 is clamped and does
+        # not move with the coefficients; the other means do
+        spec = make_spec(n=40, k=8, offset=1.0, seed=3)
+        post = Posterior(spec, simulate(spec, make_params(model), seed=4, model=model),
+                         PriorSpec(), model)
+        centre = pack_params(make_params(model, coef=(0.7, 1.5)), model)
+        lo, step = 1.0 / 18.0, 1e-5
+        checked = 0
+        for phi in centre + 0.2 * np.random.default_rng(43).standard_normal((10, centre.size)):
+            scaled = spec.offsets * np.exp(spec.covariates @ phi[:2]) / 8.0
+            if np.abs(np.log(scaled[:, None] / [lo, 1 - lo])).min() < 1e-3:
+                continue  # a difference across a bound would not be a derivative
+            assert (scaled < lo).any() and (scaled > 1 - lo).any()
+            assert ((scaled > lo) & (scaled < 1 - lo)).any()
+            _, grad = post.logp_and_grad(phi)
+            for j in range(post.dim):
+                unit = np.zeros(post.dim)
+                unit[j] = step
+                up, down = post.logp_and_grad(phi + unit)[0], post.logp_and_grad(phi - unit)[0]
+                fd = (up - down) / (2 * step)
+                assert abs(grad[j] - fd) <= 1e-5 * (1.0 + abs(fd)), (model, j)
+            checked += 1
+        assert checked >= 8
+
     @pytest.mark.parametrize("model, phi", [("cnar", [1.0, 0.5, np.log(2.0), 5.0, -699.9]),
                                             ("car2", [1.0, 0.5, 5.0, -699.9, 0.0])])
     def test_log_rate_gradient_is_finite_at_a_tiny_rate(self, model, phi):
@@ -359,34 +385,50 @@ class TestCnarKernelAgainstRowsOracle:
             np.testing.assert_array_equal(grad, ref_grad)
 
     def test_both_reject_the_same_points(self):
-        post, oracle = cnar_posteriors([5, 20, 60, 500], 1e-12)
-        truth = pack_params(make_params("cnar"), "cnar")
-        rejected = {
-            "nonfinite_phi": [np.nan, 0.5, 0.7, 1.4, -2.3],
-            "positive_bound": [1.0, 0.5, 701.0, 1.4, -2.3],
-            "eta_overflow": [701.0, 0.0, 0.7, 1.4, -2.3],
-            # n * gammaln(shape) overflows at shape = exp(699)
-            "nonfinite_logp": [1.0, 0.5, 0.7, 699.0, -2.3],
-        }
-        for phi in map(np.array, rejected.values()):
-            for target in (post, oracle):
-                with np.errstate(over="ignore"):  # how the gamma block fails
-                    logp, grad = target.logp_and_grad(phi)
-                assert logp == -np.inf and grad.shape == (5,) and not grad.any()
-        assert post.rejections == {reason: int(reason in rejected) for reason in REJECTION_REASONS}
-        assert np.isfinite(post.logp_and_grad(truth)[0])
+        # the oracle shares everything but the cnar kernel; car1 and car2 have no oracle
+        spec, sim = make_cnar_data([5, 20, 60, 500])
+        for model in ("cnar", "car1", "car2"):
+            post = Posterior(spec, sim, PriorSpec(), model, 1e-12)
+            targets = [post]
+            if model == "cnar":
+                targets.append(RowsCnarPosterior(spec, sim, PriorSpec(), 1e-12))
+            truth = pack_params(make_params(model), model)
+            shape = post.names.index("precision_shape")
+
+            def at(j, value):
+                phi = truth.copy()
+                phi[j] = value
+                return phi
+
+            rejected = {
+                "nonfinite_phi": [at(0, np.nan), at(shape, np.inf)],
+                # |log parameter| above 700; math.exp(710) would raise
+                "positive_bound": [at(post.dim - 1, 710.0), at(shape, -700.5)],
+                "eta_overflow": [at(0, 701.0), at(0, -701.0)],
+                # n * gammaln(shape) overflows at shape = exp(699)
+                "nonfinite_logp": [at(shape, 699.0), at(shape, 700.0)],
+            }
+            for phi in (phi for points in rejected.values() for phi in points):
+                for target in targets:
+                    with np.errstate(over="ignore"):  # how the gamma block fails
+                        logp, grad = target.logp_and_grad(phi)
+                    assert logp == -np.inf and grad.shape == (post.dim,) and not grad.any()
+            counts = {reason: len(rejected.get(reason, ())) for reason in REJECTION_REASONS}
+            assert post.rejections == counts, model
+            # the bound itself is evaluated
+            assert np.isfinite(post.logp_and_grad(at(shape, -700.0))[0])
+            assert np.isfinite(post.logp_and_grad(truth)[0])
+        post = Posterior(spec, sim, PriorSpec(), "cnar", 1e-12)
         post._beta[0, 3] = np.nan  # one sample's report density is no longer finite
         assert post.logp_and_grad(truth)[0] == -np.inf
         assert post.rejections["nonfinite_peak"] == 1
 
 
-def record_widths(monkeypatch) -> list[int]:
-    """Widths `Posterior._cutoff` returns from here on, in call order."""
+def record_widths(monkeypatch, post: Posterior) -> list[int]:
+    """Widths `post._cutoff` returns from here on, in call order."""
     widths = []
-    original = Posterior._cutoff
-    monkeypatch.setattr(
-        Posterior, "_cutoff", lambda self, *args: widths.append(original(self, *args)) or widths[-1]
-    )
+    cut = post._cutoff
+    monkeypatch.setattr(post, "_cutoff", lambda *args: widths.append(cut(*args)) or widths[-1])
     return widths
 
 
@@ -397,7 +439,7 @@ class TestTailCutoff:
         exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
         cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
         rng = np.random.default_rng(17)
-        widths = record_widths(monkeypatch)
+        widths = record_widths(monkeypatch, cut)
         for i in range(20):
             phi = rng.standard_normal(exact.dim)
             logp, grad = exact.logp_and_grad(phi)
@@ -418,7 +460,7 @@ class TestTailCutoff:
         exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
         cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
         rng = np.random.default_rng(19)
-        widths = record_widths(monkeypatch)
+        widths = record_widths(monkeypatch, cut)
         compared = 0
         for i in range(40):
             phi = rng.standard_normal(exact.dim)
@@ -463,16 +505,38 @@ class TestTailCutoff:
         exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
         cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
         phi = pack_params(make_params("cnar"), "cnar")
-        mu = linear_means(spec, make_params("cnar"))
-        # at tail_mass 0 the quantile is nan, so `_cutoff` alone would keep the full grid too
-        assert exact._cutoff(mu.max(), 2.0) == spec.k_max[0] + 1
-        calls = []
-        original = Posterior._cutoff
-        monkeypatch.setattr(
-            Posterior, "_cutoff", lambda self, *args: calls.append(self) or original(self, *args)
-        )
-        assert np.isfinite(exact.logp_and_grad(phi)[0]) and calls == []
-        assert np.isfinite(cut.logp_and_grad(phi)[0]) and calls == [cut]
+        # at tail_mass 0 the quantile is nan, so `_cutoff` alone keeps the full grid
+        exact_widths = record_widths(monkeypatch, exact)
+        cut_widths = record_widths(monkeypatch, cut)
+        assert np.isfinite(exact.logp_and_grad(phi)[0]) and exact_widths == [spec.k_max[0] + 1]
+        assert np.isfinite(cut.logp_and_grad(phi)[0]) and cut_widths[0] < spec.k_max[0] + 1
+
+    @pytest.mark.parametrize(
+        "k, dispersion, regimes",
+        [([500], 2.0, {"closed", "full"}), ([5, 20, 60, 500], 2.0, {"past_min_k", "full"}),
+         ([500], 0.5, {"closed", "full"})],
+        ids=["uniform-k", "mixed-k", "wide-tail"],
+    )
+    def test_closed_form_agrees_with_the_full_grid(self, monkeypatch, k, dispersion, regimes):
+        # the bare count pmf in closed form where the cut ends inside every K, in
+        # the matrix where the cut passes the smallest K or is the full grid
+        spec, sim = make_cnar_data(k)
+        exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
+        cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
+        widths = record_widths(monkeypatch, cut)
+        centre = pack_params(make_params("cnar"), "cnar")
+        centre[2] = np.log(dispersion)
+        for phi in centre + 0.5 * np.random.default_rng(41).standard_normal((30, centre.size)):
+            logp, grad = exact.logp_and_grad(phi)
+            logp_cut, grad_cut = cut.logp_and_grad(phi)
+            assert logp_cut == pytest.approx(logp, rel=1e-10, abs=0.0)
+            np.testing.assert_allclose(grad_cut, grad, rtol=0.0, atol=1e-8 * np.abs(grad).max())
+        full = spec.k_max.max() + 1
+        visited = {
+            "full" if w == full else "closed" if w <= spec.k_max.min() + 1 else "past_min_k"
+            for w in widths
+        }
+        assert visited == regimes
 
     def test_quantile_cut_over_kappa_and_mu(self):
         # K = 500; log kappa in [-8, 25] reaches past the near-Poisson guard at 1e12 * mu

@@ -6,13 +6,21 @@ Imports the `grancount` package of `<checkout>/src` and writes the benchmark's
 `cnar-infer` inputs for seed 1 with `<checkout>/bench/inputs.py`: n=200
 reports at K=500 and the CLI's default tail cutoff. For each of cnar, car1
 and car2 it builds the `Posterior` the `infer` stage builds from those files
-and calls `logp_and_grad` on the same 2,000 points, drawn with a fixed seed
-around the packed simulation truth. One pass over the points warms up; the
-next REPEATS passes are timed, and the median pass is printed per call, with
-the share of points whose log density is -inf. For cnar the warm-up pass also
-records the grid length of the tail cut at each point; its quartiles say which
-regime the timing measured (about 190 columns around the truth, about 40 at
-the posterior a clamped `cnar-infer` run samples). One BLAS thread is used.
+and times `logp_and_grad` on two point sets:
+
+- `truth`: 2,000 points drawn with a fixed seed around the packed simulation
+  truth;
+- `chain`: the points one short seeded HMC chain of that model visits (1 chain,
+  100 warmup + 100 draws, `max_leapfrog` 16), which is the region `infer`
+  samples.
+
+One pass over a set warms up; the next REPEATS passes are timed, and the
+median pass is printed per call, with the share of points whose log density
+is -inf. For cnar the warm-up pass also records the grid length of the tail
+cut at each point: its quartiles say which regime the timing measured (about
+190 columns around the truth, about 45 where a clamped `cnar-infer` chain
+goes), and, where the checkout has the closed-form bare count pmf, the share
+of calls that take it. One BLAS thread is used.
 """
 
 import os
@@ -32,12 +40,25 @@ REPEATS = 5
 SPREAD = 0.1  # sd of the points around the truth, on the unconstrained scale
 
 
-def points(post, truth) -> np.ndarray:
+def truth_points(post, truth) -> np.ndarray:
     """N_POINTS seeded points around the truth, packed for `post.model`."""
     centre = np.array([{**truth, "extra_dispersion": 1.0}[name] for name in post.names])
     centre[post.n_covariates :] = np.log(centre[post.n_covariates :])
     rng = np.random.default_rng(0)
     return centre + SPREAD * rng.standard_normal((N_POINTS, centre.size))
+
+
+def chain_points(post, inference) -> np.ndarray:
+    """Every point one short seeded HMC chain on `post` evaluates, in order."""
+    visited = []
+
+    def target(phi):
+        visited.append(np.array(phi, dtype=np.float64))
+        return post.logp_and_grad(phi)
+
+    config = inference.HmcConfig(n_chains=1, n_warmup=100, n_draws=100, max_leapfrog=16, seed=1)
+    inference.sample(target, config, post.initial_point())
+    return np.array(visited)
 
 
 def time_calls(post, phis) -> float:
@@ -48,6 +69,27 @@ def time_calls(post, phis) -> float:
     return time.perf_counter() - t0
 
 
+def report(post, label: str, phis) -> None:
+    """Time `post.logp_and_grad` over `phis` and print one line."""
+    widths = []  # the cnar tail cut's grid length per call, on the warm-up pass only
+    if post.model == "cnar":
+        post._cutoff = lambda *args, cut=post._cutoff: widths.append(cut(*args)) or widths[-1]
+    rejected = sum(not np.isfinite(post.logp_and_grad(phi)[0]) for phi in phis)
+    vars(post).pop("_cutoff", None)  # the timed passes call the method itself
+    passes = [time_calls(post, phis) for _ in range(REPEATS)]
+    us = 1e6 * statistics.median(passes) / len(phis)
+    spread = ", ".join(f"{1e6 * t / len(phis):.1f}" for t in passes)
+    cut = ""
+    if widths:
+        quartiles = tuple(np.percentile(widths, [25, 50, 75]))
+        cut = "; cut width quartiles %.0f / %.0f / %.0f" % quartiles
+        if hasattr(post, "_closed_hi"):
+            closed = int(np.sum(np.array(widths) <= post._closed_hi))
+            cut += f"; closed-form share {closed / len(widths):.3f} ({closed} of {len(widths)})"
+    print(f"{post.model:<5} {label:<5} {us:8.1f} us/call  ({len(phis)} points; passes: {spread}; "
+          f"-inf share {rejected / len(phis):.4f}{cut})", flush=True)
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -55,7 +97,7 @@ def main(argv=None) -> int:
     checkout = os.path.abspath(args[0])
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
     import inputs as bench_inputs
-    from grancount import cli, model
+    from grancount import cli, inference, model
 
     config = cli.RunConfig()
     truth = bench_inputs.truth()
@@ -67,21 +109,8 @@ def main(argv=None) -> int:
     for name in MODELS:
         post = model.Posterior(spec, reports, config.priors, name,
                                tail_mass=config.truncation.tail_mass)
-        phis = points(post, truth)
-        widths = []  # the cnar tail cut's grid length per call, on the warm-up pass only
-        if name == "cnar":
-            post._cutoff = lambda *args, cut=post._cutoff: widths.append(cut(*args)) or widths[-1]
-        rejected = sum(not np.isfinite(post.logp_and_grad(phi)[0]) for phi in phis)
-        vars(post).pop("_cutoff", None)  # the timed passes call the method itself
-        passes = [time_calls(post, phis) for _ in range(REPEATS)]
-        us = 1e6 * statistics.median(passes) / N_POINTS
-        spread = ", ".join(f"{1e6 * t / N_POINTS:.1f}" for t in passes)
-        cut = ""
-        if widths:
-            quartiles = np.percentile(widths, [25, 50, 75])
-            cut = "; cut width quartiles %.0f / %.0f / %.0f" % tuple(quartiles)
-        print(f"{name:<5} {us:8.1f} us/call  (passes: {spread}; -inf share "
-              f"{rejected / N_POINTS:.4f}{cut})", flush=True)
+        report(post, "truth", truth_points(post, truth))
+        report(post, "chain", chain_points(post, inference))
     return 0
 
 
