@@ -112,6 +112,12 @@ class RunConfig:
         if not 0.0 < self.car_tol < np.inf:
             raise ValidationError("car_tol must be strictly positive and finite")
         model.check_tail_mass(self.truncation.tail_mass)
+        fuzzy.check_fit_options(self.fit.crisp_precision, self.fit.tol, self.fit.max_iter)
+        if not self.simulate.coef:
+            raise ValidationError("simulate.coef must be non-empty")
+        # every simulate parameter, whichever model reads it
+        model.ModelParams(**{f.name: getattr(self.simulate, f.name)
+                             for f in dataclasses.fields(model.ModelParams)})
         return self
 
 
@@ -293,8 +299,6 @@ def cmd_fit(args, config: RunConfig) -> int:
 def cmd_simulate(args, config: RunConfig) -> int:
     sim = config.simulate
     coef = np.asarray(sim.coef, dtype=np.float64)
-    if coef.size < 1:
-        raise ValidationError("simulate.coef must be non-empty")
     rng = np.random.default_rng(config.seed)
     n = sim.n_samples
     extra = rng.standard_normal((n, coef.size - 1)) if coef.size > 1 else np.empty((n, 0))

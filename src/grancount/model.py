@@ -172,46 +172,15 @@ def linear_means(spec: RegressionSpec, params: ModelParams) -> np.ndarray:
 
 
 def _negbin_log_pmf(y, mu, kappa):
-    """Negative binomial log pmf, Var = mu + mu^2/kappa; callers check mu, kappa > 0."""
-    log_kmu = np.log(kappa + mu)
-    return (
-        gammaln(y + kappa)
-        - gammaln(kappa)
-        - gammaln(y + 1.0)
-        + kappa * (np.log(kappa) - log_kmu)
-        + y * (np.log(mu) - log_kmu)
-    )
+    """Negative binomial log pmf, Var = mu + mu^2/kappa, for mu, kappa > 0.
 
-
-def check_pmf_rows(pmf: np.ndarray) -> np.ndarray:
-    """`pmf` (a vector, or one pmf per row) once each row is >= 0, finite and sums to 1 +- 1e-9."""
-    if pmf.min() < 0.0 or not np.all(np.isfinite(pmf)):
-        raise ValidationError("pmf entries must be finite and non-negative")
-    sums = np.atleast_1d(pmf.sum(axis=-1))
-    if (off := np.abs(sums - 1.0) > 1.0e-9).any():
-        raise ValidationError(f"pmf must sum to 1 (got {sums[off.argmax()]!r})")
-    return pmf
-
-
-def _truncated_pmf_rows(mu: np.ndarray, kappa: float, k: int) -> np.ndarray:
-    """Negative binomial pmfs restricted and renormalised to {0..k}: one row per mean.
-
-    Row i has the bits of a one-row call for mu[i]. Besides the
-    (mu.size, k+1) result the formula holds two temporaries of its size.
+    betaln keeps the digits that gammaln(y + kappa) - gammaln(kappa) loses for kappa >~ 1e10,
+    and logaddexp gives log((kappa + mu)/kappa) without mu/kappa, which overflows past 1.8e308.
     """
-    if (mu <= 0.0).any() or kappa <= 0.0:
-        raise ValidationError("mu and kappa must be strictly positive")
-    lp = _negbin_log_pmf(np.arange(k + 1.0), mu[:, None], kappa)
-    peak = lp.max(axis=1, keepdims=True)
-    lp -= peak
-    mass = np.exp(lp, out=lp)
-    total = mass.sum(axis=1, keepdims=True)
-    if (low := peak + np.log(total) < _LOG_TINY).any():
-        raise NumericalError(
-            f"truncation incompatible with mean: mass below 1e-300 on {{0..{k}}} "
-            f"for mu={mu[low.argmax()]:.3g}, kappa={kappa:.3g}"
-        )
-    return check_pmf_rows(np.divide(mass, total, out=mass))
+    log_ratio = np.log(mu) - np.log(kappa)
+    log_kmu_k = np.logaddexp(0.0, log_ratio)
+    head = -betaln(kappa, y + 1.0) - np.log(y + kappa)
+    return head - kappa * log_kmu_k + y * (log_ratio - log_kmu_k)
 
 
 def corrected_scaled_count(y, k):
@@ -601,10 +570,12 @@ class Posterior:
 def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar") -> Reports:
     """Draw a synthetic dataset from one of the report models.
 
-    Deterministic for a fixed seed (an int or a numpy SeedSequence): the
-    draw order is precisions, then latent counts (cnar only), then report
-    locations. cnar builds its truncated pmfs one `fuzzy.k_blocks` block at a
-    time; with their temporaries they hold about 1.5 MB at most.
+    Deterministic for a fixed seed (an int or a numpy SeedSequence): the draw
+    order is precisions, then latent counts (cnar only), then report locations.
+    A cnar block of `fuzzy.k_blocks` rows holds the NB log pmf lp on {0..K} and
+    cdf = cumsum(exp(lp - row max)), about 1.5 MB with temporaries; a count is the
+    number of cdf entries below u * cdf[K], so at most K. A row whose log mass on
+    {0..K} is not finite or below log 1e-300 raises `NumericalError` (CLI exit 3).
     """
     model = check_model_name(model)
     if model == "scalar":
@@ -621,11 +592,20 @@ def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar
     if model == "cnar":
         latent = np.empty(n, dtype=np.int64)
         u = rng.random(n)
-        # one pmf matrix per truncation level, as padding rows to the largest
+        kappa = params.dispersion
+        # one block per truncation level, as padding rows to the largest
         # would change the bits of their sums
         for level, idx in k_blocks(k):
-            cdf = np.cumsum(_truncated_pmf_rows(mu[idx], params.dispersion, level), axis=1)
-            latent[idx] = (cdf < u[idx, None]).sum(axis=1)  # searchsorted, side="left"
+            with np.errstate(divide="ignore", invalid="ignore"):  # log 0 of an underflowed mean
+                lp = _negbin_log_pmf(np.arange(level + 1.0), mu[idx, None], kappa)
+                peak = lp.max(axis=1, keepdims=True)
+                cdf = np.exp(np.subtract(lp, peak, out=lp), out=lp).cumsum(axis=1, out=lp)
+                log_mass = peak[:, 0] + np.log(cdf[:, -1])
+            if (bad := ~(log_mass >= _LOG_TINY)).any():  # NaN fails too
+                i = bad.argmax()
+                raise NumericalError(f"truncation incompatible with mean: log mass {log_mass[i]:.4g}"
+                                     f" on {{0..{level}}}, mu={mu[idx[i]]:.3g}, kappa={kappa:.3g}")
+            latent[idx] = (cdf[:, :-1] < u[idx, None] * cdf[:, -1:]).sum(axis=1)
         ybar = corrected_scaled_count(latent, k)
         scaled = rng.beta(h * ybar, h * (1.0 - ybar))
     else:

@@ -10,7 +10,9 @@ from grancount.fuzzy import (
     _H_SCAN, _MIN_PRECISION, BLOCK_CELLS, CRISP_PRECISION_CEILING, FitResult, _GridSSE, _scan_c,
     kl_divergence,
 )
-from grancount.model import Posterior, PriorSpec, corrected_scaled_count, parameter_names
+from grancount.model import (
+    Posterior, PriorSpec, _negbin_log_pmf, corrected_scaled_count, parameter_names,
+)
 from grancount.possibility import MembershipVector, PossibilityAssignment
 
 # Brute force enumerates all 2^n subsets; refuse anything bigger than this.
@@ -24,6 +26,13 @@ def pack_params(params, model: str) -> np.ndarray:
     params.require(*labels)
     tail = [np.log(getattr(params, label)) for label in labels]
     return np.concatenate([params.coef, np.array(tail)])
+
+
+def truncated_pmf(mu: float, kappa: float, k: int) -> np.ndarray:
+    """The NB(mu, kappa) pmf restricted and renormalised to {0..k}, for one mean."""
+    lp = _negbin_log_pmf(np.arange(k + 1.0), mu, kappa)
+    mass = np.exp(lp - lp.max())
+    return mass / mass.sum()
 
 
 def observed_loglik(spec, params, data, model) -> float:

@@ -121,6 +121,37 @@ def test_scalar_infer_runs_on_the_demo_stats(tmp_path):
     assert len((tmp_path / "draws.csv").read_text().splitlines()) == 1 + 2 * 50
 
 
+def test_fit_drops_unusable_rows_and_writes_the_rest(tmp_path, caplog):
+    rows = ["zero,0.0,0.0,0.0,0.0", "low,0.2,0.9,0.5,0.1"]
+    (tmp_path / "counts.csv").write_text(
+        "\n".join(["id,y0,y1,y2,y3", *rows, "a,0.2,1.0,0.6,0.1", "b,0.1,0.5,1.0,0.3"]) + "\n"
+    )
+    with caplog.at_level(logging.INFO, logger="grancount"):
+        run("fit", tmp_path / "counts.csv", "--out", tmp_path / "stats.csv")
+    messages = [r.getMessage() for r in caplog.records]
+    assert "stage=fit sample=zero dropped reason=empty-support" in messages
+    assert "stage=fit sample=low dropped reason=not-normalized max=0.9" in messages
+    written = (tmp_path / "stats.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in written] == ["a", "b"]
+
+    (tmp_path / "dropped.csv").write_text("\n".join(["id,y0,y1,y2,y3", *rows]) + "\n")
+    assert cli.main(["fit", str(tmp_path / "dropped.csv"), "--out", str(tmp_path / "none.csv")]) \
+        == cli.EXIT_VALIDATION
+    assert not (tmp_path / "none.csv").exists()
+
+
+@pytest.mark.parametrize("coef", ["[800]", "[-800]"], ids=["overflowing-mean", "underflowing-mean"])
+def test_numerical_failure_exits_3_with_one_line_error(coef, tmp_path, caplog):
+    outputs = [tmp_path / name for name in ("data.csv", "covariates.csv", "params.json")]
+    argv = ["--set", f"simulate.coef={coef}", "simulate", "--out-data", outputs[0],
+            "--out-covariates", outputs[1], "--out-params", outputs[2]]
+    with caplog.at_level(logging.ERROR, logger="grancount"):
+        assert cli.main(list(map(str, argv))) == cli.EXIT_NUMERICAL
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].startswith("numerical failure: "), errors
+    assert not any(path.exists() for path in outputs)
+
+
 def test_simulate_output_feeds_infer(tmp_path):
     run("--set", "simulate.n_samples=20", "simulate",
         "--out-data", tmp_path / "data.csv", "--out-covariates", tmp_path / "covariates.csv",
@@ -202,6 +233,12 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
         ["--set", "truncation.exact=true", "show-config"],
         ["--set", "priors.coef_sd=Infinity", "show-config"],
         ["--set", "truncation.tail_mass=-1", "show-config"],
+        ["--set", "fit.tol=-1", "show-config"],
+        ["--set", "fit.max_iter=0", "show-config"],
+        ["--set", "fit.crisp_precision=-1", "show-config"],
+        ["--set", "simulate.dispersion=-1", "show-config"],
+        ["--set", "simulate.precision_rate=0", "show-config"],
+        ["--set", "simulate.coef=[]", "show-config"],
         ["--set", "car_tol=Infinity", "kernel-audit", "kernel_ok.json"],
         ["fit", "counts_nan.csv", "--out", "stats_out.csv"],
         ["--set", "ppc.n_reps=2", "ppc", "draws_chain_minus_1.csv", "stats.csv", "covariates.csv",
@@ -229,7 +266,10 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "tiny-crisp-precision", "negative-crisp-precision", "scalar-k1-interior-location",
          "kernel-not-object", "kernel-names-int", "kernel-names-string", "kernel-nan-nu",
          "nan-init-jitter", "infinite-init-jitter", "removed-truncation-exact",
-         "infinite-prior-sd", "negative-tail-mass-config", "infinite-car-tol", "fit-counts-nan",
+         "infinite-prior-sd", "negative-tail-mass-config", "negative-fit-tol-config",
+         "zero-fit-max-iter-config", "negative-crisp-precision-config",
+         "negative-simulate-dispersion", "zero-simulate-precision-rate", "empty-simulate-coef",
+         "infinite-car-tol", "fit-counts-nan",
          "ppc-chain-minus-1", "scalar-simulate", "scalar-ppc"]
     + [f"infer-stats-{name}" for name in BAD_STATS_ROWS]
     + [f"ppc-stats-{name}" for name in BAD_STATS_ROWS]

@@ -11,7 +11,6 @@ from grancount import NumericalError, ValidationError
 from grancount.fuzzy import BLOCK_CELLS, BetaFuzzy
 from grancount.model import (
     _negbin_log_pmf,
-    _truncated_pmf_rows,
     ModelParams,
     REJECTION_REASONS,
     Posterior,
@@ -28,7 +27,7 @@ from grancount.model import (
 
 from conftest import make_cnar_data, make_params, make_reports, make_spec
 from oracles import (
-    RowsCnarPosterior, cutoff_width, nb_tail_width, observed_loglik, pack_params,
+    RowsCnarPosterior, cutoff_width, nb_tail_width, observed_loglik, pack_params, truncated_pmf,
 )
 
 
@@ -55,11 +54,6 @@ class TestMeanResponse:
             linear_means(spec, params)
 
 
-def truncated_pmf(mu, kappa, k):
-    """The pmf of one mean, as a one-row call of `_truncated_pmf_rows`."""
-    return _truncated_pmf_rows(np.array([mu], dtype=np.float64), kappa, k)[0]
-
-
 class TestNegbinLogPmf:
     def test_zero_count_closed_form(self):
         mu, kappa = 3.7, 1.9
@@ -71,6 +65,12 @@ class TestNegbinLogPmf:
         y = np.arange(12)
         poisson = stats.poisson.logpmf(y, 1.0)
         np.testing.assert_allclose(_negbin_log_pmf(y, 1.0, kappa), poisson, atol=1e-4)
+
+    @pytest.mark.parametrize("kappa", [1e13, 1e300, 1e306])
+    def test_poisson_limit_at_huge_dispersion(self, kappa):
+        y = np.arange(30)
+        poisson = stats.poisson.logpmf(y, 3.0)
+        np.testing.assert_allclose(_negbin_log_pmf(y, 3.0, kappa), poisson, rtol=1e-12)
 
     def test_mass_sums_to_one(self):
         total = np.exp(_negbin_log_pmf(np.arange(201), 5.0, 2.0)).sum()
@@ -88,6 +88,8 @@ class TestNegbinLogPmf:
 
 
 class TestTruncatedPmf:
+    """The reference pmf of the simulator tests, and the simulator's mass guard."""
+
     def test_wide_truncation_matches_untruncated(self):
         pmf = truncated_pmf(3.0, 2.0, 200)
         ref = np.exp(_negbin_log_pmf(np.arange(201), 3.0, 2.0))
@@ -101,8 +103,12 @@ class TestTruncatedPmf:
         assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_vanishing_mass_raises(self):
+        spec = RegressionSpec(np.ones((1, 1)), np.array([1e280]), np.ones(1, dtype=int))
+        params = ModelParams(
+            coef=np.array([0.0]), dispersion=1e4, precision_shape=4.0, precision_rate=0.1
+        )
         with pytest.raises(NumericalError, match="truncation incompatible"):
-            truncated_pmf(1e280, 1e4, 1)
+            simulate(spec, params, seed=0, model="cnar")
 
 
 class TestClamping:
@@ -684,9 +690,6 @@ class TestSimulate:
         latent = np.empty(n, dtype=np.int64)
         for i in range(n):
             pmf = truncated_pmf(mu[i], params.dispersion, int(k[i]))
-            lp = _negbin_log_pmf(np.arange(k[i] + 1), mu[i], params.dispersion)
-            mass = np.exp(lp - lp.max())
-            np.testing.assert_array_equal(pmf, mass / mass.sum())
             latent[i] = np.searchsorted(np.cumsum(pmf), u[i])
         ybar = corrected_scaled_count(latent, k)
         scaled = ref.beta(h * ybar, h * (1.0 - ybar))
@@ -702,12 +705,26 @@ class TestSimulate:
         )
         with pytest.raises(NumericalError, match="truncation incompatible"):
             simulate(spec, params, seed=0, model="cnar")
-        # a mean that underflows to 0 is rejected
+        # a mean that underflows to 0 has no finite mass: the same numerical failure
         zero_mean = ModelParams(
             coef=np.array([-800.0]), dispersion=2.0, precision_shape=4.0, precision_rate=0.1
         )
-        with pytest.raises(ValidationError, match="strictly positive"):
+        with pytest.raises(NumericalError, match="truncation incompatible"):
             simulate(RegressionSpec(np.ones((3, 1)), np.ones(3), np.full(3, 5)), zero_mean, seed=0)
+
+    @pytest.mark.parametrize("dispersion", [1e300, 1e306])
+    def test_huge_dispersion_draws_poisson_counts(self, dispersion):
+        n, k, mean = 20_000, 20, 3.0
+        spec = RegressionSpec(np.ones((n, 1)), np.full(n, mean), np.full(n, k, dtype=int))
+        params = ModelParams(
+            coef=np.array([0.0]), dispersion=dispersion, precision_shape=4.0, precision_rate=0.1
+        )
+        latent = simulate(spec, params, seed=5, model="cnar").latent_counts
+        pmf = stats.poisson.pmf(np.arange(k + 1), mean)
+        pmf /= pmf.sum()
+        expected = float(np.arange(k + 1) @ pmf)
+        mc_se = np.sqrt(float(((np.arange(k + 1) - expected) ** 2) @ pmf) / n)
+        assert abs(latent.mean() - expected) <= 3 * mc_se
 
     def test_crisp_limit_concentrates_reports(self):
         n, k = 400, 1000
