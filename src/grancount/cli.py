@@ -12,7 +12,8 @@ is `inference.HmcConfig`, and the other sections are the dataclasses below.
 is taken as a string), merged into the file's values, and checked exactly
 like them: unknown keys are rejected, an int is accepted where a float is
 expected, and any other mismatch (a bool or non-integral number for an int,
-a string for a number) is a validation error.
+a string for a number) is a validation error. Each section checks its own rules
+as it is built, and every config error names its section (`config.hmc: ...`).
 
 Exit codes: 0 success, 2 validation error or unreadable file, 3 numerical
 failure.
@@ -59,11 +60,18 @@ class FitSection:
     max_iter: int = 500
     crisp_precision: float = fuzzy.CRISP_PRECISION_CEILING
 
+    def __post_init__(self):
+        fuzzy.check_fit_options(self.crisp_precision, self.tol, self.max_iter)
+
 
 @dataclass
 class PpcSection:
     n_reps: int = 200
     grid: int = ppc.DEFAULT_GRID
+
+    def __post_init__(self):
+        if self.n_reps < 1 or self.grid < 2:
+            raise ValidationError("n_reps must be >= 1 and grid >= 2")
 
 
 @dataclass
@@ -77,10 +85,24 @@ class SimulateSection:
     extra_dispersion: float = 1.0
     offset: float = 1.0
 
+    def __post_init__(self):
+        if self.n_samples < 1 or self.k < 1:
+            raise ValidationError("n_samples and k must be positive")
+        if not 0.0 < self.offset < np.inf:  # the offsets rule of `model.RegressionSpec`
+            raise ValidationError("offset must be strictly positive and finite")
+        if not self.coef:
+            raise ValidationError("coef must be non-empty")
+        # every simulate parameter, whichever model reads it
+        model.ModelParams(**{f.name: getattr(self, f.name)
+                             for f in dataclasses.fields(model.ModelParams)})
+
 
 @dataclass
 class TruncationSection:
     tail_mass: float = 1.0e-12
+
+    def __post_init__(self):
+        model.check_tail_mass(self.tail_mass)
 
 
 @dataclass
@@ -97,28 +119,14 @@ class RunConfig:
     simulate: SimulateSection = field(default_factory=SimulateSection)
     truncation: TruncationSection = field(default_factory=TruncationSection)
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         model.check_model_name(self.model)
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
         if self.workers < 1:
             raise ValidationError("workers must be at least 1")
-        if self.simulate.n_samples < 1 or self.simulate.k < 1:
-            raise ValidationError("simulate.n_samples and simulate.k must be positive")
-        if self.simulate.offset <= 0.0:
-            raise ValidationError("simulate.offset must be strictly positive")
-        if self.ppc.n_reps < 1 or self.ppc.grid < 2:
-            raise ValidationError("ppc.n_reps must be >= 1 and ppc.grid >= 2")
         if not 0.0 < self.car_tol < np.inf:
             raise ValidationError("car_tol must be strictly positive and finite")
-        model.check_tail_mass(self.truncation.tail_mass)
-        fuzzy.check_fit_options(self.fit.crisp_precision, self.fit.tol, self.fit.max_iter)
-        if not self.simulate.coef:
-            raise ValidationError("simulate.coef must be non-empty")
-        # every simulate parameter, whichever model reads it
-        model.ModelParams(**{f.name: getattr(self.simulate, f.name)
-                             for f in dataclasses.fields(model.ModelParams)})
-        return self
 
 
 def _check_value(value, kind, path):
@@ -152,7 +160,11 @@ def _build_section(cls, payload, path):
         raise ValidationError(
             f"unknown config key(s): {', '.join(sorted(path + '.' + u for u in unknown))}"
         )
-    return cls(**{k: _check_value(v, hints[k], f"{path}.{k}") for k, v in payload.items()})
+    values = {k: _check_value(v, hints[k], f"{path}.{k}") for k, v in payload.items()}
+    try:
+        return cls(**values)
+    except ValidationError as exc:  # the section's own rules; name the section
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
@@ -177,7 +189,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
             if not isinstance(target, dict):
                 raise ValidationError(f"override '{item}': '{part}' is not a config section")
         target[leaf] = value
-    return _build_section(RunConfig, payload, "config").validate()
+    return _build_section(RunConfig, payload, "config")
 
 
 def _metadata(stage: str, config: RunConfig) -> dict:
@@ -276,7 +288,7 @@ def cmd_fit(args, config: RunConfig) -> int:
     ids, vectors = zip(*usable)
     fit = functools.partial(
         fuzzy.fit_beta,
-        crisp_ceiling=config.fit.crisp_precision, tol=config.fit.tol, max_iter=config.fit.max_iter,
+        crisp_precision=config.fit.crisp_precision, tol=config.fit.tol, max_iter=config.fit.max_iter,
     )
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -346,8 +358,6 @@ def cmd_infer(args, config: RunConfig) -> int:
     spec, data = _build_regression_spec(
         args.stats, args.covariates, config.add_intercept
     )
-    if config.model == "scalar":
-        data = np.round(fuzzy.beta_centroids(data.location, data.precision, data.k_max))
     post = model.Posterior(
         spec, data, config.priors, config.model, tail_mass=config.truncation.tail_mass
     )

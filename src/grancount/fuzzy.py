@@ -243,19 +243,19 @@ def _refine(sse: _GridSSE, m: float, s: float, bounds, tol: float, budget: int, 
     return m, s, cur[0], budget, False
 
 
-def check_fit_options(crisp_ceiling: float, tol: float, max_iter: int) -> None:
+def check_fit_options(crisp_precision: float, tol: float, max_iter: int) -> None:
     """Reject `fit_beta` options it cannot run with."""
     if not tol > 0.0:
         raise ValidationError(f"tol must be strictly positive, got {tol!r}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter!r}")
-    if not (math.isfinite(crisp_ceiling) and crisp_ceiling > _MIN_PRECISION):
-        raise ValidationError(f"crisp_ceiling must be finite and above {_MIN_PRECISION:g}")
+    if not (math.isfinite(crisp_precision) and crisp_precision > _MIN_PRECISION):
+        raise ValidationError(f"crisp_precision must be finite and above {_MIN_PRECISION:g}")
 
 
 def fit_beta(
     mv: MembershipVector,
-    crisp_ceiling: float = CRISP_PRECISION_CEILING,
+    crisp_precision: float = CRISP_PRECISION_CEILING,
     tol: float = 1.0e-8,
     max_iter: int = 500,
 ) -> FitResult:
@@ -276,7 +276,7 @@ def fit_beta(
     kl(c/K, y/K) of all grid pairs, (K+1)^2 * 8 bytes (2 MB at K=500, 72 MB
     at K=3000), is built once per K and held after the call.
     """
-    check_fit_options(crisp_ceiling, tol, max_iter)
+    check_fit_options(crisp_precision, tol, max_iter)
     values = mv.memberships
     k = mv.k_max
     if values.max() < 1.0 - 1.0e-9:
@@ -286,7 +286,7 @@ def fit_beta(
 
     if support.size == 1:
         c = float(support[0])
-        return FitResult(c, crisp_ceiling, k, sse(c / k, crisp_ceiling), 0, True, degenerate=True)
+        return FitResult(c, crisp_precision, k, sse(c / k, crisp_precision), 0, True, degenerate=True)
 
     peak = np.flatnonzero(values == values.max())
     c = float(peak.mean())
@@ -298,12 +298,12 @@ def fit_beta(
         t_half = sse.t[np.argmax(np.abs(sse.t - m0))]
     div_half = kl_divergence(m0, t_half)
     h = math.log(2.0) / div_half if 0.0 < div_half < math.inf else 1.0
-    h = min(max(h, _MIN_PRECISION), crisp_ceiling)
+    h = min(max(h, _MIN_PRECISION), crisp_precision)
 
     # The loss ripples with period 1/K in c once h is large and is multimodal
     # in h for poorly matched shapes, so scans over both check the refinement.
-    h_scan = _H_SCAN[_H_SCAN <= crisp_ceiling]
-    bounds = math.log(_MIN_PRECISION), math.log(crisp_ceiling)
+    h_scan = _H_SCAN[_H_SCAN <= crisp_precision]
+    bounds = math.log(_MIN_PRECISION), math.log(crisp_precision)
     div_matrix = _divergence_matrix(k)
     budget, converged, edges = max_iter, True, set()
     m, s = _scan_c(values, div_matrix, h) / k, math.log(h)

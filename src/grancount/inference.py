@@ -8,6 +8,10 @@ step-size search both call it. Chains use independent counter-based random
 streams derived from (seed, chain), so results are reproducible and chain
 order is irrelevant.
 
+Each chain draws every start attempt as `init + init_jitter * z` from its own
+start stream: 101 attempts, or 1 when `init_jitter` is 0. A chain with no
+finite attempt raises `NumericalError` (exit 3 in the CLI).
+
 Convergence diagnostics follow the rank-normalised split R-hat and bulk
 effective sample size recipe, with Geyer's initial monotone sequence for the
 autocorrelation sum.
@@ -42,8 +46,8 @@ class HmcConfig:
     def __post_init__(self):
         if self.n_chains < 1:
             raise ValidationError("n_chains must be at least 1")
-        if self.n_warmup < 1 or self.n_draws < 1:
-            raise ValidationError("n_warmup and n_draws must be positive")
+        if self.n_warmup < 1 or self.n_draws < 2:
+            raise ValidationError("n_warmup must be positive and n_draws at least 2")
         if not 0.0 < self.target_accept < 1.0:
             raise ValidationError("target_accept must lie in (0, 1)")
         if self.max_leapfrog < 1:
@@ -131,7 +135,6 @@ class PosteriorDraws:
     divergent: np.ndarray      # (N,) bool
     accept_rate: np.ndarray    # (n_chains,)
     step_size: np.ndarray      # (n_chains,)
-    inv_mass: np.ndarray       # (n_chains, dim)
     diagnostics: DiagnosticsTable | None = None
     warmup_divergences: np.ndarray | None = None  # (n_chains,) divergent warmup transitions
 
@@ -159,17 +162,17 @@ class PosteriorDraws:
         return np.stack([self.draws[self.chain == k] for k in range(self.n_chains)])
 
 
-def _reasonable_epsilon(target, q, logp, grad, rng, inv_mass) -> float:
+def _reasonable_epsilon(target, q, logp, grad, rng) -> float:
     """Double or halve the step until one leapfrog step is borderline-accepted."""
     eps = 1.0
-    p = rng.standard_normal(q.size) / np.sqrt(inv_mass)
-    h0 = -logp + 0.5 * np.sum(p * p * inv_mass)
+    p = rng.standard_normal(q.size)
+    h0 = -logp + 0.5 * np.sum(p * p)
 
     def one_step(eps_try):
-        _, p_new, logp_new, _, diverged = leapfrog(target, q, p, grad, eps_try, 1, inv_mass)
+        _, p_new, logp_new, _, diverged = leapfrog(target, q, p, grad, eps_try, 1, 1.0)
         if diverged:
             return -np.inf
-        return h0 - (-logp_new + 0.5 * np.sum(p_new * p_new * inv_mass))
+        return h0 - (-logp_new + 0.5 * np.sum(p_new * p_new))
 
     log_ratio = one_step(eps)
     while not np.isfinite(log_ratio) and eps > 1.0e-10:
@@ -192,30 +195,27 @@ def _reasonable_epsilon(target, q, logp, grad, rng, inv_mass) -> float:
     return eps
 
 
-def _run_chain(target, config: HmcConfig, init: np.ndarray, chain_index: int, dim: int):
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(chain_index,)))
+def _run_chain(target, config: HmcConfig, init: np.ndarray, chain_index: int):
+    start_rng, rng = (
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=key)))
+        for key in ((chain_index, 0xA11CE), (chain_index,))
     )
-    q = np.array(init, dtype=np.float64)
-    for _ in range(101):  # the start, then up to 100 jittered retries
+    for _ in range(101 if config.init_jitter > 0.0 else 1):
+        q = init + config.init_jitter * start_rng.standard_normal(init.size)
         logp, grad = target(q)
         if np.isfinite(logp):
             break
-        if config.init_jitter == 0.0:
-            raise ValidationError("log density is not finite at the initial point")
-        q = init + config.init_jitter * rng.standard_normal(dim)
     else:
-        raise NumericalError(
-            f"chain {chain_index}: could not find a finite starting point"
-        )
+        raise NumericalError(f"chain {chain_index}: could not find a finite starting point")
 
+    dim = init.size
     inv_mass = np.ones(dim)
-    eps = _reasonable_epsilon(target, q, logp, grad, rng, inv_mass)
+    eps = _reasonable_epsilon(target, q, logp, grad, rng)
     averager = _DualAveraging(target=config.target_accept, mu=math.log(10.0 * eps))
 
     warmup = config.n_warmup
     collect_from = warmup // 2
-    mass_update_at = max(collect_from + 1, int(0.9 * warmup)) if warmup >= 20 else warmup
+    mass_update_at = max(collect_from + 1, int(0.9 * warmup))
     window: list[np.ndarray] = []
 
     draws = np.empty((config.n_draws, dim))
@@ -279,35 +279,29 @@ def _run_chain(target, config: HmcConfig, init: np.ndarray, chain_index: int, di
                 eps = max(averager.adapted(), 1.0e-12)
 
     accept_rate = accept_sum / config.n_draws
-    return draws, energies, divergent, accept_rate, eps, inv_mass, warmup_divergences
+    return draws, energies, divergent, accept_rate, eps, warmup_divergences
 
 
 def sample(target, config: HmcConfig, init, names=None, constrain=None) -> PosteriorDraws:
     """Run HMC chains against a log-density-and-gradient callable.
 
     `target(phi)` must return (log density, gradient). `init` is the shared
-    base starting point on the unconstrained scale; each chain adds its own
-    jitter. `constrain` (optional) maps unconstrained vectors to the
-    constrained scale used for storage.
+    base point on the unconstrained scale: each chain draws every start attempt
+    as `init + init_jitter * z` from its own start stream (101 attempts, or 1
+    without jitter) and raises `NumericalError` if none is finite. `constrain`
+    (optional) maps unconstrained vectors to the constrained scale of storage.
     """
     init = np.asarray(init, dtype=np.float64)
     if init.ndim != 1 or init.size < 1:
         raise ValidationError("init must be a non-empty vector")
-    dim = init.size
     if names is None:
-        names = tuple(f"x{j}" for j in range(dim))
+        names = tuple(f"x{j}" for j in range(init.size))
     else:
         names = tuple(names)
-        if len(names) != dim:
+        if len(names) != init.size:
             raise ValidationError("names length must match the dimension")
-    runs = []
-    for c in range(config.n_chains):
-        rng0 = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(c, 0xA11CE)))
-        )
-        start = init + config.init_jitter * rng0.standard_normal(dim)
-        runs.append(_run_chain(target, config, start, c, dim))
-    draws, energies, divergent, accept_rates, step_sizes, masses, warmup_divs = zip(*runs)
+    runs = [_run_chain(target, config, init, c) for c in range(config.n_chains)]
+    draws, energies, divergent, accept_rates, step_sizes, warmup_divs = zip(*runs)
     draws = np.concatenate(draws)
     if constrain is not None:
         draws = np.stack([np.asarray(constrain(row), dtype=np.float64) for row in draws])
@@ -321,7 +315,6 @@ def sample(target, config: HmcConfig, init, names=None, constrain=None) -> Poste
         divergent=np.concatenate(divergent),
         accept_rate=np.array(accept_rates),
         step_size=np.array(step_sizes),
-        inv_mass=np.stack(masses),
         warmup_divergences=np.array(warmup_divs, dtype=np.int64),
     )
     return dataclasses.replace(result, diagnostics=diagnostics(result))
@@ -468,7 +461,6 @@ def read_draws_csv(path) -> PosteriorDraws:
         divergent=np.array([row[-1] == "1" for _, row in rows], dtype=bool),
         accept_rate=np.full(n_chains, np.nan),
         step_size=np.full(n_chains, np.nan),
-        inv_mass=np.full((n_chains, len(names)), np.nan),
     )
 
 

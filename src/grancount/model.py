@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import betaln, digamma, gammaln, nbdtrik
 
 from .errors import NumericalError, ValidationError
-from .fuzzy import BetaFuzzy, check_reports, k_blocks
+from .fuzzy import BetaFuzzy, beta_centroids, check_reports, k_blocks
 
 MODEL_NAMES = ("cnar", "car1", "car2", "scalar")
 REJECTION_REASONS = ("nonfinite_phi", "positive_bound", "eta_overflow", "nonfinite_peak",
@@ -282,7 +282,8 @@ def _prior_sds(priors: PriorSpec, n_covariates: int, model: str) -> np.ndarray:
 class Posterior:
     """Callable log posterior with analytic gradient for one model instance.
 
-    `data` is a `Reports` aligned with `spec`, or for `scalar` the (n,) counts.
+    `data` is a `Reports` aligned with `spec`, for all four models; `scalar`
+    reads only the reports' centroids (`fuzzy.beta_centroids`), rounded.
     Evaluation happens on the unconstrained scale. A point where the density
     cannot be evaluated gets log density -inf rather than an exception, so
     samplers can treat it as a divergence; `rejections` counts such points
@@ -317,19 +318,13 @@ class Posterior:
         self._kvec = spec.k_max.astype(np.float64)
         self.rejections = dict.fromkeys(REJECTION_REASONS, 0)
 
-        if self.model == "scalar":
-            counts = np.asarray(data, dtype=np.float64)
-            if counts.shape != (spec.n_samples,):
-                raise ValidationError("counts must have one entry per sample")
-            if np.any(counts < 0.0) or not np.all(np.isfinite(counts)):
-                raise ValidationError("counts must be finite and non-negative")
-            self._counts = counts
-            return
-
         if len(data) != spec.n_samples:
             raise ValidationError(f"{len(data)} reports for {spec.n_samples} design rows")
         if np.any(data.k_max != spec.k_max):
             raise ValidationError("report k_max disagrees with the design k_max")
+        if self.model == "scalar":
+            self._counts = np.round(beta_centroids(data.location, data.precision, data.k_max))
+            return
         self._h = data.precision
         self._sum_log_h = float(np.log(self._h).sum()) if self._h.size else 0.0
         self._sum_h = float(self._h.sum())

@@ -236,7 +236,7 @@ def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
-def fit_beta_alternating(mv: MembershipVector, crisp_ceiling=CRISP_PRECISION_CEILING,
+def fit_beta_alternating(mv: MembershipVector, crisp_precision=CRISP_PRECISION_CEILING,
                          tol=1.0e-8, max_iter=500) -> FitResult:
     """Fit (c, h) by alternating golden-section line searches; the oracle for `fit_beta`.
 
@@ -261,9 +261,9 @@ def fit_beta_alternating(mv: MembershipVector, crisp_ceiling=CRISP_PRECISION_CEI
         farthest = np.argmax(np.abs(t_grid - m0))
         div_half = kl_divergence(m0, t_grid[farthest])
     h = math.log(2.0) / div_half if 0.0 < div_half < math.inf else 1.0
-    h = min(max(h, _MIN_PRECISION), crisp_ceiling)
+    h = min(max(h, _MIN_PRECISION), crisp_precision)
 
-    h_scan = _H_SCAN[_H_SCAN <= crisp_ceiling]
+    h_scan = _H_SCAN[_H_SCAN <= crisp_precision]
     div_matrix = kl_divergence(t_grid[:, None], t_grid)
     converged = False
     iterations = 0

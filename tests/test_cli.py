@@ -247,6 +247,25 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "--out-covariates", "covariates_out.csv", "--out-params", "params.json"],
         ["--set", 'model="scalar"', "--set", "ppc.n_reps=2", "ppc", "draws_scalar.csv", "stats.csv",
          "covariates.csv", "--out-csv", "ppc.csv", "--out-json", "ppc.json"],
+        ["count", "empty.csv", "--out", "out.csv"],
+        ["count", "ragged.csv", "--out", "out.csv"],
+        ["count", "header_only.csv", "--out", "out.csv"],
+        ["--config", "invalid.json", "show-config"],
+        ["--set", "workers=0", "show-config"],
+        ["--set", "simulate.k=0", "show-config"],
+        ["--set", "simulate.offset=0", "show-config"],
+        ["--set", "simulate.offset=Infinity", "show-config"],
+        ["--set", "ppc.grid=1", "show-config"],
+        ["--set", "hmc.n_draws=1", "show-config"],
+        ["kernel-audit", "kernel_no_outcomes.json"],
+        ["kernel-audit", "kernel_two_lengths.json"],
+        ["kernel-audit", "kernel_nu_length.json"],
+        ["kernel-audit", "kernel_nu_sum.json"],
+        ["kernel-audit", "kernel_names_length.json"],
+        [*SMALL, "infer", "stats.csv", "covariates_nan.csv",
+         "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
+        [*SMALL, "infer", "stats.csv", "covariates_offset_0.csv",
+         "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
     ] + [
         [*SMALL, "infer", f"stats_{name}.csv", "covariates.csv",
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"]
@@ -270,7 +289,11 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "zero-fit-max-iter-config", "negative-crisp-precision-config",
          "negative-simulate-dispersion", "zero-simulate-precision-rate", "empty-simulate-coef",
          "infinite-car-tol", "fit-counts-nan",
-         "ppc-chain-minus-1", "scalar-simulate", "scalar-ppc"]
+         "ppc-chain-minus-1", "scalar-simulate", "scalar-ppc",
+         "empty-csv", "ragged-csv", "header-only-csv", "invalid-json-config", "zero-workers",
+         "zero-simulate-k", "zero-simulate-offset", "infinite-simulate-offset", "ppc-grid-1",
+         "one-hmc-draw", "kernel-no-outcomes", "kernel-two-lengths", "kernel-nu-length",
+         "kernel-nu-sum", "kernel-names-length", "covariate-nan", "covariate-offset-zero"]
     + [f"infer-stats-{name}" for name in BAD_STATS_ROWS]
     + [f"ppc-stats-{name}" for name in BAD_STATS_ROWS]
     + [f"ppc-draws-{name}" for name, _, _ in BAD_DRAWS_ROWS],
@@ -300,10 +323,21 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     (tmp_path / "counts_nan.csv").write_text(
         "id,y0,y1,y2,y3\na,0.2,1.0,0.6,0.1\nb,0.2,nan,1.0,0.1\n"
     )
+    (tmp_path / "covariates_nan.csv").write_text("sample_id,x\na,0.5\nb,nan\n")
+    (tmp_path / "covariates_offset_0.csv").write_text("sample_id,x,offset\na,0.5,1.0\nb,-0.5,0.0\n")
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "ragged.csv").write_text("r1,r2\n1.0,0.5\n1.0\n")
+    (tmp_path / "header_only.csv").write_text("r1,r2\n")
+    (tmp_path / "invalid.json").write_text('{"seed": 1,')
     kernel = {"nu": [0.5, 0.5], "outcomes": [[1.0, 0.5], [0.5, 1.0]]}
     for name, payload in [("ok", kernel), ("int", 5), ("names_int", {**kernel, "names": 5}),
                           ("names_str", {**kernel, "names": "ab"}),
-                          ("nan_nu", {**kernel, "nu": [float("nan"), 1.0]})]:
+                          ("nan_nu", {**kernel, "nu": [float("nan"), 1.0]}),
+                          ("no_outcomes", {"nu": [], "outcomes": []}),
+                          ("two_lengths", {**kernel, "outcomes": [[1.0, 0.5], [0.5, 1.0, 0.5]]}),
+                          ("nu_length", {**kernel, "nu": [1.0]}),
+                          ("nu_sum", {**kernel, "nu": [0.45, 0.45]}),
+                          ("names_length", {**kernel, "names": ["xi1"]})]:
         (tmp_path / f"kernel_{name}.json").write_text(json.dumps(payload))
     inputs = sorted(tmp_path.iterdir())
     with caplog.at_level(logging.ERROR, logger="grancount"):
@@ -318,6 +352,9 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     for name, column, _ in BAD_DRAWS_ROWS:
         if f"draws_{name}.csv" in argv:
             assert f"draws_{name}.csv: line 3, column '{column}'" in errors[0], errors
+    if argv[0] == "--set" and argv[-1] == "show-config":  # the error names the key's section
+        key = "config." + argv[1].split("=")[0]
+        assert f"{key.rpartition('.')[0]}: " in errors[0] or key in errors[0], errors
 
 
 def test_every_subcommand_sets_a_run_handler():

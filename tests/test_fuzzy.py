@@ -246,8 +246,8 @@ class TestFit:
     @pytest.mark.parametrize(
         "kwargs",
         [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -3},
-         {"crisp_ceiling": 1e-4}, {"crisp_ceiling": 1e-3}, {"crisp_ceiling": -1.0},
-         {"crisp_ceiling": math.inf}, {"crisp_ceiling": math.nan}],
+         {"crisp_precision": 1e-4}, {"crisp_precision": 1e-3}, {"crisp_precision": -1.0},
+         {"crisp_precision": math.inf}, {"crisp_precision": math.nan}],
     )
     def test_bad_arguments_rejected(self, kwargs):
         with pytest.raises(ValidationError, match=next(iter(kwargs))):

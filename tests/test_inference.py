@@ -193,7 +193,7 @@ class TestSampler:
             return -np.inf, np.zeros_like(phi)
 
         cfg = HmcConfig(n_chains=2, n_warmup=20, n_draws=10, seed=0, init_jitter=0.0)
-        with pytest.raises(ValidationError, match="not finite at the initial point"):
+        with pytest.raises(NumericalError, match="chain 0: could not find a finite starting point"):
             sample(target, cfg, np.zeros(2))
         assert len(calls) == 1
 
@@ -209,6 +209,23 @@ class TestSampler:
             sample(target, cfg, np.zeros(2))
         # the start and 100 jittered retries, each evaluated once and checked
         assert len(calls) == 101 and not np.array_equal(calls[0], np.zeros(2))
+
+    def test_every_start_attempt_is_drawn_from_the_start_stream_around_init(self):
+        calls = []
+
+        def target(phi):
+            calls.append(phi)
+            return -np.inf, np.zeros_like(phi)
+
+        init = np.array([3.0, -3.0])
+        cfg = HmcConfig(n_chains=1, n_warmup=20, n_draws=10, seed=17, init_jitter=0.5)
+        with pytest.raises(NumericalError):
+            sample(target, cfg, init)
+        stream = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(17, spawn_key=(0, 0xA11CE)))
+        )
+        expected = init + 0.5 * stream.standard_normal(101 * 2).reshape(101, 2)
+        np.testing.assert_array_equal(np.array(calls), expected)
 
     def test_constrain_applied_to_storage(self):
         cfg = HmcConfig(n_chains=2, n_warmup=100, n_draws=100, seed=3, max_leapfrog=8)
@@ -234,7 +251,6 @@ class TestDiagnostics:
             divergent=np.zeros(c * m, dtype=bool),
             accept_rate=np.full(c, 0.9),
             step_size=np.full(c, 0.1),
-            inv_mass=np.ones((c, dim)),
         )
 
     def test_iid_chains_look_converged(self):

@@ -13,7 +13,9 @@ temporary directory, on the benchmark's `granular-ppc` inputs for seeds 1 and 2
 
 and `kernel-audit` on three kernels it writes itself: the two-outcome worked
 example (not CAR), two disjoint indicators (CAR) and a seeded random kernel
-with 9 outcomes on {0..12}.
+with 9 outcomes on {0..12}. Last, `infer` runs as the benchmark runs it, on the
+`cnar-infer` and `car2-infer` inputs and configs for seeds 1 and 2, and its
+`draws.csv` is hashed as `<workload>_draws.csv`.
 
 Prints one line `<seed> <file> <sha256>` per output (`kernel` in place of the
 seed for the audits). The stdout of `infer` and `kernel-audit` is saved as a
@@ -41,6 +43,7 @@ SEEDS = (1, 2)
 SMALL_HMC = ["--set", "hmc.n_chains=2", "--set", "hmc.n_warmup=60",
              "--set", "hmc.n_draws=60", "--set", "hmc.max_leapfrog=16"]
 MODELS = ("cnar", "car1", "car2", "scalar")
+BENCH_INFER = ("cnar-infer", "car2-infer")
 
 
 def digest(path) -> str:
@@ -144,6 +147,16 @@ def main(argv=None) -> int:
             with open(audit, "w", encoding="utf-8") as fh:
                 fh.write(run_cli(cli, ["kernel-audit", kernel]))
             print("kernel", os.path.basename(audit), digest(audit), flush=True)
+        for workload in BENCH_INFER:
+            for seed in SEEDS:
+                work = os.path.join(tmp, f"{workload}-{seed}")
+                os.mkdir(work)
+                files = bench_inputs.generate(workload, seed, work)
+                draws = os.path.join(work, f"{workload}_draws.csv")
+                run_cli(cli, ["--config", files["config.json"], "infer", files["stats.csv"],
+                              files["covariates.csv"], "--out-draws", draws,
+                              "--out-diagnostics", os.path.join(work, "diagnostics.json")])
+                print(seed, os.path.basename(draws), digest(draws), flush=True)
     return 0
 
 
