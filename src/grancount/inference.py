@@ -1,20 +1,23 @@
 """Hamiltonian Monte Carlo over an unconstrained parameter space.
 
-Plain HMC with a jittered number of leapfrog steps (uniform on
-{1..max_leapfrog}), dual-averaging step-size adaptation toward a target
-acceptance rate, and a diagonal mass matrix estimated from the second half
-of warmup. `leapfrog` is the one integrator: the transitions and the initial
-step-size search both call it. Chains use independent counter-based random
-streams derived from (seed, chain), so results are reproducible and chain
-order is irrelevant.
+Plain HMC with a jittered number of leapfrog steps, uniform on {1..max_leapfrog}.
+`leapfrog` is the one integrator and `_trajectory` the one Hamiltonian: the
+step-size search and every transition call them. Chains use independent
+counter-based random streams derived from (seed, chain), so results are
+reproducible and chain order is irrelevant. A chain runs, in order:
+- the start: every attempt is `init + init_jitter * z` from the chain's own
+  start stream, 101 attempts or 1 when `init_jitter` is 0; with no finite
+  attempt the chain raises `NumericalError` (exit 3 in the CLI);
+- the step search: double or halve a unit-metric step eps0 until one leapfrog
+  step is borderline-accepted;
+- `n_warmup` transitions, with dual averaging from mu = log(10 eps0) toward
+  `target_accept`. With h = n_warmup // 2, the positions of the window
+  [h, max(h + 1, int(0.9 n_warmup))) set the diagonal metric once, to their
+  regularised variance, if the window holds at least 10 draws;
+- `n_draws` recorded transitions at the adapted (averaged) step.
 
-Each chain draws every start attempt as `init + init_jitter * z` from its own
-start stream: 101 attempts, or 1 when `init_jitter` is 0. A chain with no
-finite attempt raises `NumericalError` (exit 3 in the CLI).
-
-Convergence diagnostics follow the rank-normalised split R-hat and bulk
-effective sample size recipe, with Geyer's initial monotone sequence for the
-autocorrelation sum.
+Diagnostics: rank-normalised split R-hat and bulk effective sample size, with
+Geyer's initial monotone sequence for the autocorrelation sum.
 """
 
 from __future__ import annotations
@@ -162,17 +165,26 @@ class PosteriorDraws:
         return np.stack([self.draws[self.chain == k] for k in range(self.n_chains)])
 
 
+def _trajectory(target, q, p, logp, grad, step, n_steps, inv_mass):
+    """Run one `leapfrog` trajectory from (q, p) under the diagonal metric `inv_mass`.
+
+    Returns (q, logp, grad, h0, h1): the end point and the Hamiltonian at the
+    start and at the end, with h1 = inf when the integrator stops.
+    """
+    h0 = -logp + 0.5 * np.sum(p * p * inv_mass)
+    q, p, logp, grad, stopped = leapfrog(target, q, p, grad, step, n_steps, inv_mass)
+    h1 = np.inf if stopped else -logp + 0.5 * np.sum(p * p * inv_mass)
+    return q, logp, grad, h0, h1
+
+
 def _reasonable_epsilon(target, q, logp, grad, rng) -> float:
     """Double or halve the step until one leapfrog step is borderline-accepted."""
     eps = 1.0
     p = rng.standard_normal(q.size)
-    h0 = -logp + 0.5 * np.sum(p * p)
 
     def one_step(eps_try):
-        _, p_new, logp_new, _, diverged = leapfrog(target, q, p, grad, eps_try, 1, 1.0)
-        if diverged:
-            return -np.inf
-        return h0 - (-logp_new + 0.5 * np.sum(p_new * p_new))
+        *_, h0, h1 = _trajectory(target, q, p, logp, grad, eps_try, 1, np.ones(q.size))
+        return h0 - h1
 
     log_ratio = one_step(eps)
     while not np.isfinite(log_ratio) and eps > 1.0e-10:
@@ -195,6 +207,27 @@ def _reasonable_epsilon(target, q, logp, grad, rng) -> float:
     return eps
 
 
+def _transition(target, state, eps, inv_mass, max_leapfrog, rng):
+    """One HMC transition from `state` = (q, logp, grad).
+
+    Draws the momentum, then the step count on {1..max_leapfrog}, and runs the
+    trajectory. It diverges when the integrator stops or the energy error is
+    non-finite or above DIVERGENCE_THRESHOLD, and is then rejected without a
+    uniform draw. Returns (state, accept_prob, diverged, energy at the state).
+    """
+    q, logp, grad = state
+    p = rng.standard_normal(q.size) / np.sqrt(inv_mass)
+    n_steps = int(rng.integers(1, max_leapfrog + 1))
+    *proposal, h0, h1 = _trajectory(target, q, p, logp, grad, eps, n_steps, inv_mass)
+    delta = h0 - h1
+    if not np.isfinite(delta) or -delta > DIVERGENCE_THRESHOLD:
+        return state, 0.0, True, h0
+    accept_prob = min(1.0, math.exp(min(delta, 0.0)))
+    if rng.random() < accept_prob:
+        return tuple(proposal), accept_prob, False, h1
+    return state, accept_prob, False, h0
+
+
 def _run_chain(target, config: HmcConfig, init: np.ndarray, chain_index: int):
     start_rng, rng = (
         np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=key)))
@@ -208,78 +241,42 @@ def _run_chain(target, config: HmcConfig, init: np.ndarray, chain_index: int):
     else:
         raise NumericalError(f"chain {chain_index}: could not find a finite starting point")
 
-    dim = init.size
-    inv_mass = np.ones(dim)
+    state = (q, logp, grad)
+    inv_mass = np.ones(init.size)
     eps = _reasonable_epsilon(target, q, logp, grad, rng)
     averager = _DualAveraging(target=config.target_accept, mu=math.log(10.0 * eps))
+    collect_from = config.n_warmup // 2
+    mass_update_at = max(collect_from + 1, int(0.9 * config.n_warmup))
+    warmup_divergences, window = 0, []
+    for it in range(config.n_warmup):
+        state, accept_prob, diverged, _ = _transition(
+            target, state, eps, inv_mass, config.max_leapfrog, rng
+        )
+        warmup_divergences += diverged
+        eps = max(averager.update(accept_prob), 1.0e-12)
+        if collect_from <= it < mass_update_at:
+            window.append(state[0])
+        if it + 1 == mass_update_at and len(window) >= 10:
+            # shrunk toward a small floor; the averager's gain still re-balances the step
+            var, n_win = np.var(window, axis=0, ddof=1), len(window)
+            inv_mass = (n_win / (n_win + 5.0)) * var + (5.0 / (n_win + 5.0)) * 1.0e-3
+            inv_mass = np.maximum(inv_mass, 1.0e-12)
+    if warmup_divergences == config.n_warmup:
+        raise NumericalError(f"chain {chain_index}: every warmup transition diverged; "
+                             "the posterior likely needs re-parametrization")
+    eps = max(averager.adapted(), 1.0e-12)
 
-    warmup = config.n_warmup
-    collect_from = warmup // 2
-    mass_update_at = max(collect_from + 1, int(0.9 * warmup))
-    window: list[np.ndarray] = []
-
-    draws = np.empty((config.n_draws, dim))
+    draws = np.empty((config.n_draws, init.size))
     energies = np.empty(config.n_draws)
     divergent = np.zeros(config.n_draws, dtype=bool)
     accept_sum = 0.0
-    warmup_divergences = 0
-
-    for it in range(warmup + config.n_draws):
-        sampling = it >= warmup
-        p = rng.standard_normal(dim) / np.sqrt(inv_mass)
-        h0 = -logp + 0.5 * np.sum(p * p * inv_mass)
-        n_steps = int(rng.integers(1, config.max_leapfrog + 1))
-
-        q_new, p_new, logp_new, grad_new, diverged = leapfrog(
-            target, q, p, grad, eps, n_steps, inv_mass
+    for i in range(config.n_draws):
+        state, accept_prob, divergent[i], energies[i] = _transition(
+            target, state, eps, inv_mass, config.max_leapfrog, rng
         )
-        if diverged:
-            accept_prob = 0.0
-            h1 = np.inf
-        else:
-            h1 = -logp_new + 0.5 * np.sum(p_new * p_new * inv_mass)
-            delta = h0 - h1
-            if not np.isfinite(delta) or -delta > DIVERGENCE_THRESHOLD:
-                diverged = True
-                accept_prob = 0.0
-            else:
-                accept_prob = min(1.0, math.exp(min(delta, 0.0)))
-
-        accepted = (not diverged) and (rng.random() < accept_prob)
-        if accepted:
-            q, logp, grad = q_new, logp_new, grad_new
-
-        if sampling:
-            i = it - warmup
-            draws[i] = q
-            energies[i] = h1 if accepted else h0
-            divergent[i] = diverged
-            accept_sum += accept_prob
-        else:
-            if diverged:
-                warmup_divergences += 1
-            eps = max(averager.update(accept_prob), 1.0e-12)
-            if collect_from <= it < mass_update_at:
-                window.append(q.copy())
-            if it + 1 == mass_update_at and len(window) >= 10:
-                stacked = np.stack(window)
-                var = stacked.var(axis=0, ddof=1)
-                n_win = stacked.shape[0]
-                # regularised estimate, shrunk toward a small floor
-                inv_mass = (n_win / (n_win + 5.0)) * var + (5.0 / (n_win + 5.0)) * 1.0e-3
-                inv_mass = np.maximum(inv_mass, 1.0e-12)
-                # the running averager stays in charge of the step size; its
-                # gain at this point is still large enough to re-balance
-            if it + 1 == warmup:
-                if warmup_divergences == warmup:
-                    raise NumericalError(
-                        f"chain {chain_index}: every warmup transition diverged; "
-                        "the posterior likely needs re-parametrization"
-                    )
-                eps = max(averager.adapted(), 1.0e-12)
-
-    accept_rate = accept_sum / config.n_draws
-    return draws, energies, divergent, accept_rate, eps, warmup_divergences
+        draws[i] = state[0]
+        accept_sum += accept_prob
+    return draws, energies, divergent, accept_sum / config.n_draws, eps, warmup_divergences
 
 
 def sample(target, config: HmcConfig, init, names=None, constrain=None) -> PosteriorDraws:
@@ -289,7 +286,8 @@ def sample(target, config: HmcConfig, init, names=None, constrain=None) -> Poste
     base point on the unconstrained scale: each chain draws every start attempt
     as `init + init_jitter * z` from its own start stream (101 attempts, or 1
     without jitter) and raises `NumericalError` if none is finite. `constrain`
-    (optional) maps unconstrained vectors to the constrained scale of storage.
+    (optional) maps the (N, dim) matrix of unconstrained draws, row by row, to
+    the constrained scale of storage.
     """
     init = np.asarray(init, dtype=np.float64)
     if init.ndim != 1 or init.size < 1:
@@ -304,7 +302,7 @@ def sample(target, config: HmcConfig, init, names=None, constrain=None) -> Poste
     draws, energies, divergent, accept_rates, step_sizes, warmup_divs = zip(*runs)
     draws = np.concatenate(draws)
     if constrain is not None:
-        draws = np.stack([np.asarray(constrain(row), dtype=np.float64) for row in draws])
+        draws = np.asarray(constrain(draws), dtype=np.float64)
 
     result = PosteriorDraws(
         names=names,
@@ -355,20 +353,20 @@ def _rhat_from_chains(chains: np.ndarray) -> float:
     return float(math.sqrt(var_plus / w))
 
 
-def _autocovariance(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    xc = x - x.mean()
-    nfft = 1 << (2 * n - 1).bit_length()
+def _autocovariance(chains: np.ndarray) -> np.ndarray:
+    """Autocovariance of each row of a (chains, m) matrix at lags 0..m-1."""
+    m = chains.shape[-1]
+    xc = chains - chains.mean(axis=-1, keepdims=True)
+    nfft = 1 << (2 * m - 1).bit_length()
     f = np.fft.rfft(xc, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[:n].real
-    return acov / n
+    return np.fft.irfft(f * np.conj(f), nfft)[..., :m] / m
 
 
 def _ess_from_chains(chains: np.ndarray) -> float:
     c, m = chains.shape
     if m < 4:
         return float("nan")
-    acov = np.stack([_autocovariance(chains[k]) for k in range(c)])
+    acov = _autocovariance(chains)
     mean_acov = acov.mean(axis=0)
     w = (acov[:, 0] * m / (m - 1.0)).mean()
     var_plus = (m - 1.0) / m * w
@@ -377,18 +375,12 @@ def _ess_from_chains(chains: np.ndarray) -> float:
     if var_plus <= 0.0:
         return float("nan")
     rho = 1.0 - (w - mean_acov) / var_plus
-    # Geyer: sum of autocorrelation pairs, kept positive and non-increasing
-    max_pairs = (m - 1) // 2
-    pair_sums = []
-    for k in range(max_pairs):
-        s = rho[2 * k] + rho[2 * k + 1]
-        if s <= 0.0:
-            break
-        pair_sums.append(s)
-    if not pair_sums:
+    # Geyer: sum of autocorrelation pairs up to the first non-positive one, kept non-increasing
+    pairs = rho[: m - 2 : 2] + rho[1 : m - 1 : 2]  # the (m - 1) // 2 lag pairs (2k, 2k + 1)
+    pairs = pairs[: np.argmax(np.append(pairs, 0.0) <= 0.0)]
+    if not pairs.size:
         return float(c * m)
-    pair_sums = np.minimum.accumulate(pair_sums)
-    tau = -1.0 + 2.0 * float(np.sum(pair_sums))
+    tau = -1.0 + 2.0 * float(np.sum(np.minimum.accumulate(pairs)))
     tau = max(tau, 1.0 / math.log10(c * m + 10.0))
     return float(c * m / tau)
 

@@ -50,7 +50,7 @@ class ReportingKernel:
         if not np.all(np.isfinite(nu)) or nu.min() < 0.0:
             raise ValidationError("nu entries must be finite and non-negative")
         if abs(nu.sum() - 1.0) > 1.0e-9:
-            raise ValidationError(f"nu must sum to 1 (got {nu.sum()!r})")
+            raise ValidationError(f"nu must sum to 1 (got {float(nu.sum())})")
         names = self.names
         if names is not None and len(names) != len(outcomes):
             raise ValidationError("names length does not match outcomes")
@@ -134,13 +134,19 @@ def kernel_from_json(path) -> ReportingKernel:
     for key in ("nu", "outcomes"):
         if key not in payload:
             raise ValidationError(f"{path}: missing required key '{key}'")
-    try:
-        outcomes = tuple(MembershipVector(np.asarray(o, dtype=np.float64))
-                         for o in payload["outcomes"])
-        nu = np.asarray(payload["nu"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed kernel payload: {exc}") from None
     names = payload.get("names")
     if not (names is None or isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise ValidationError(f"{path}: 'names' must be a list of strings")
-    return ReportingKernel(outcomes=outcomes, nu=nu, names=None if names is None else tuple(names))
+    try:
+        outcomes = tuple(_outcome(j, o) for j, o in enumerate(payload["outcomes"]))
+        nu = np.asarray(payload["nu"], dtype=np.float64)
+        return ReportingKernel(outcomes, nu, None if names is None else tuple(names))
+    except (TypeError, ValueError) as exc:  # a ValidationError is a ValueError
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _outcome(j: int, memberships) -> MembershipVector:
+    try:
+        return MembershipVector(np.asarray(memberships, dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"outcome {j}: {exc}") from None

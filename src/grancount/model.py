@@ -73,8 +73,9 @@ class RegressionSpec:
         if np.any(k_max < 1):
             raise ValidationError("every truncation level must be at least 1")
         names = self.covariate_names
-        if names is not None and len(names) != covariates.shape[1]:
-            raise ValidationError("covariate_names length does not match the matrix")
+        if names is not None and not len(set(names)) == len(names) == covariates.shape[1]:
+            raise ValidationError(f"covariate_names must be {covariates.shape[1]} distinct names, "
+                                  f"one per column, got {list(names)}")
         for arr in (covariates, offsets, k_max):
             arr.flags.writeable = False
         object.__setattr__(self, "covariates", covariates)
@@ -379,10 +380,10 @@ class Posterior:
         return np.zeros(self.dim)
 
     def constrain(self, phi: np.ndarray) -> np.ndarray:
-        """Map an unconstrained vector to constrained values, in `names` order."""
+        """Map unconstrained vectors (last axis) to constrained values, in `names` order."""
         phi = np.asarray(phi, dtype=np.float64)
         out = phi.copy()
-        out[self.n_covariates :] = np.exp(phi[self.n_covariates :])
+        out[..., self.n_covariates :] = np.exp(phi[..., self.n_covariates :])
         return out
 
     def logp_and_grad(self, phi: np.ndarray):

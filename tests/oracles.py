@@ -296,3 +296,31 @@ def fit_beta_alternating(mv: MembershipVector, crisp_precision=CRISP_PRECISION_C
         if stalled >= 3:  # zigzag in a flat valley
             break
     return FitResult(c, h, k, sse(c / k, h), iterations, converged)
+
+
+def ess_from_chains_loop(chains: np.ndarray) -> float:
+    """Bulk ESS of a (chains, m) matrix, one FFT per chain and Geyer's pairs in a loop."""
+    c, m = chains.shape
+    if m < 4:
+        return float("nan")
+    acov = []
+    for x in chains:
+        nfft = 1 << (2 * m - 1).bit_length()
+        f = np.fft.rfft(x - x.mean(), nfft)
+        acov.append(np.fft.irfft(f * np.conj(f), nfft)[:m] / m)
+    acov = np.stack(acov)
+    w = (acov[:, 0] * m / (m - 1.0)).mean()
+    var_plus = (m - 1.0) / m * w + (chains.mean(axis=1).var(ddof=1) if c > 1 else 0.0)
+    if var_plus <= 0.0:
+        return float("nan")
+    rho = 1.0 - (w - acov.mean(axis=0)) / var_plus
+    pair_sums = []
+    for k in range((m - 1) // 2):
+        s = rho[2 * k] + rho[2 * k + 1]
+        if s <= 0.0:
+            break
+        pair_sums.append(s)
+    if not pair_sums:
+        return float(c * m)
+    tau = -1.0 + 2.0 * float(np.sum(np.minimum.accumulate(pair_sums)))
+    return float(c * m / max(tau, 1.0 / math.log10(c * m + 10.0)))

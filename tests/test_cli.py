@@ -266,6 +266,14 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
         [*SMALL, "infer", "stats.csv", "covariates_offset_0.csv",
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
+        [*SMALL, "infer", "stats.csv", "covariates_dup.csv",
+         "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
+        [*SMALL, "infer", "stats.csv", "covariates_intercept.csv",
+         "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
+        ["kernel-audit", "kernel_membership.json"],
+        ["--set", "hmc.n_chains=0", "show-config"],
+        ["--set", "hmc.target_accept=1", "show-config"],
+        ["--set", "hmc.max_leapfrog=0", "show-config"],
     ] + [
         [*SMALL, "infer", f"stats_{name}.csv", "covariates.csv",
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"]
@@ -293,7 +301,9 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "empty-csv", "ragged-csv", "header-only-csv", "invalid-json-config", "zero-workers",
          "zero-simulate-k", "zero-simulate-offset", "infinite-simulate-offset", "ppc-grid-1",
          "one-hmc-draw", "kernel-no-outcomes", "kernel-two-lengths", "kernel-nu-length",
-         "kernel-nu-sum", "kernel-names-length", "covariate-nan", "covariate-offset-zero"]
+         "kernel-nu-sum", "kernel-names-length", "covariate-nan", "covariate-offset-zero",
+         "covariate-duplicate-name", "covariate-named-intercept", "kernel-membership-above-1",
+         "zero-hmc-chains", "hmc-target-accept-1", "zero-hmc-max-leapfrog"]
     + [f"infer-stats-{name}" for name in BAD_STATS_ROWS]
     + [f"ppc-stats-{name}" for name in BAD_STATS_ROWS]
     + [f"ppc-draws-{name}" for name, _, _ in BAD_DRAWS_ROWS],
@@ -325,6 +335,8 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     )
     (tmp_path / "covariates_nan.csv").write_text("sample_id,x\na,0.5\nb,nan\n")
     (tmp_path / "covariates_offset_0.csv").write_text("sample_id,x,offset\na,0.5,1.0\nb,-0.5,0.0\n")
+    (tmp_path / "covariates_dup.csv").write_text("sample_id,x,x\na,0.5,1.0\nb,-0.5,2.0\n")
+    (tmp_path / "covariates_intercept.csv").write_text("sample_id,intercept\na,1.0\nb,1.0\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "ragged.csv").write_text("r1,r2\n1.0,0.5\n1.0\n")
     (tmp_path / "header_only.csv").write_text("r1,r2\n")
@@ -337,7 +349,8 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
                           ("two_lengths", {**kernel, "outcomes": [[1.0, 0.5], [0.5, 1.0, 0.5]]}),
                           ("nu_length", {**kernel, "nu": [1.0]}),
                           ("nu_sum", {**kernel, "nu": [0.45, 0.45]}),
-                          ("names_length", {**kernel, "names": ["xi1"]})]:
+                          ("names_length", {**kernel, "names": ["xi1"]}),
+                          ("membership", {**kernel, "outcomes": [[1.0, 0.5], [0.5, 1.5]]})]:
         (tmp_path / f"kernel_{name}.json").write_text(json.dumps(payload))
     inputs = sorted(tmp_path.iterdir())
     with caplog.at_level(logging.ERROR, logger="grancount"):
@@ -352,6 +365,10 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     for name, column, _ in BAD_DRAWS_ROWS:
         if f"draws_{name}.csv" in argv:
             assert f"draws_{name}.csv: line 3, column '{column}'" in errors[0], errors
+    for kernel in [arg for arg in argv if arg.startswith("kernel_") and arg != "kernel_ok.json"]:
+        assert kernel in errors[0] and "np.float64" not in errors[0], errors
+    if "kernel_membership.json" in argv:
+        assert "outcome 1" in errors[0], errors
     if argv[0] == "--set" and argv[-1] == "show-config":  # the error names the key's section
         key = "config." + argv[1].split("=")[0]
         assert f"{key.rpartition('.')[0]}: " in errors[0] or key in errors[0], errors

@@ -15,6 +15,7 @@ from grancount.inference import (
     sample,
     write_draws_csv,
 )
+from oracles import ess_from_chains_loop
 
 
 def standard_normal_target(dim):
@@ -117,6 +118,27 @@ class TestLeapfrog:
             leapfrog(target, *args, 0.1, 0, np.ones(1))
 
 
+class TestStepSearch:
+    def test_flat_target_doubles_up_to_the_bound(self):
+        # every trial keeps the energy: doubling runs until the next step reaches 1e3
+        def target(q):
+            return 0.0, np.zeros_like(q)
+
+        rng = np.random.default_rng(0)
+        assert inference._reasonable_epsilon(target, np.zeros(2), 0.0, np.zeros(2), rng) == 512.0
+
+    def test_box_target_stops_at_the_first_step_that_leaves(self):
+        # flat inside |q| <= 10 |p|: steps 1..8 stay inside, 16 leaves the box
+        (p,) = np.random.default_rng(3).standard_normal(1)
+
+        def target(q):
+            inside = abs(q[0]) <= 10.0 * abs(p)
+            return (0.0 if inside else -np.inf), np.zeros_like(q)
+
+        rng = np.random.default_rng(3)
+        assert inference._reasonable_epsilon(target, np.zeros(1), 0.0, np.zeros(1), rng) == 8.0
+
+
 class TestSampler:
     def test_standard_gaussian_moments(self):
         cfg = HmcConfig(n_chains=4, n_warmup=500, n_draws=2500, seed=42, max_leapfrog=32)
@@ -128,23 +150,31 @@ class TestSampler:
 
     def test_warmup_divergences_counted_per_chain(self, monkeypatch):
         # Recount every transition with the documented rule: the integrator's
-        # flag, or an energy error above DIVERGENCE_THRESHOLD.
-        flags = []
-        integrate = inference.leapfrog
+        # flag, or an energy error above DIVERGENCE_THRESHOLD. Only the leapfrog
+        # calls made inside a transition count, not those of the step-size search.
+        flags, in_transition = [], [False]
+        integrate, transition = inference.leapfrog, inference._transition
 
         def spy(target, q, p, grad, step, n_steps, inv_mass):
             out = integrate(target, q, p, grad, step, n_steps, inv_mass)
-            h0 = -target(q)[0] + 0.5 * np.sum(p * p * inv_mass)
-            h1 = -out[2] + 0.5 * np.sum(out[1] * out[1] * inv_mass)
-            flags.append(out[4] or not h1 - h0 <= inference.DIVERGENCE_THRESHOLD)
+            if in_transition[0]:
+                h0 = -target(q)[0] + 0.5 * np.sum(p * p * inv_mass)
+                h1 = -out[2] + 0.5 * np.sum(out[1] * out[1] * inv_mass)
+                flags.append(out[4] or not h1 - h0 <= inference.DIVERGENCE_THRESHOLD)
+            return out
+
+        def transition_spy(*args):
+            in_transition[0] = True
+            out = transition(*args)
+            in_transition[0] = False
             return out
 
         monkeypatch.setattr(inference, "leapfrog", spy)
+        monkeypatch.setattr(inference, "_transition", transition_spy)
         cfg = HmcConfig(n_chains=1, n_warmup=100, n_draws=20, seed=8, max_leapfrog=16)
         draws = sample(standard_normal_target(2), cfg, np.zeros(2))
-        # the chain's transitions are the last calls; the step-size search makes the earlier ones
-        warmup = flags[-(cfg.n_warmup + cfg.n_draws):-cfg.n_draws]
-        sampling = flags[-cfg.n_draws:]
+        assert len(flags) == cfg.n_warmup + cfg.n_draws
+        warmup, sampling = flags[: cfg.n_warmup], flags[cfg.n_warmup :]
         # dual averaging starts at 10x the initial step, past the leapfrog
         # stability limit of a unit Gaussian (step 2): early warmup diverges
         assert draws.warmup_divergences.tolist() == [sum(warmup)] and sum(warmup) > 0
@@ -290,6 +320,29 @@ class TestDiagnostics:
         assert np.isnan(table.rhat[0])
         assert any("single chain" in f for f in table.flags)
         assert np.isfinite(table.ess_bulk[0])
+
+    def test_ess_without_a_positive_pair_is_the_draw_count(self):
+        # alternating chains: the first autocorrelation pair sum is already negative
+        t = np.arange(10)
+        x = (-1.0) ** t * (1.0 + 0.001 * t)
+        assert inference._ess_from_chains(np.stack([x, x + 1.0e-6])) == 20.0
+
+    @pytest.mark.parametrize("c, m", [(1, 4), (2, 5), (4, 10), (4, 101), (3, 400)])
+    @pytest.mark.parametrize("phi", [0.0, 0.9, -0.6])
+    def test_ess_equals_the_per_chain_loop(self, c, m, phi):
+        # AR(1) chains: independent, positively and negatively correlated draws
+        e = np.random.default_rng(m).standard_normal((c, m))
+        chains = np.empty_like(e)
+        chains[:, 0] = e[:, 0]
+        for t in range(1, m):
+            chains[:, t] = phi * chains[:, t - 1] + e[:, t]
+        assert inference._ess_from_chains(chains) == ess_from_chains_loop(chains)
+
+    def test_short_chains_give_nan_ess(self):
+        # 7 draws split into halves of 3, fewer than the 4 the ESS needs
+        chains = np.random.default_rng(4).standard_normal((4, 7, 1))
+        table = diagnostics(self._draws_from_chains(chains))
+        assert np.isnan(table.ess_bulk[0]) and np.isfinite(table.rhat[0])
 
     @pytest.mark.parametrize("levels", [2, 3, 50, None], ids=["2", "3", "50", "distinct"])
     def test_rank_normalize_scores_average_ranks(self, levels):

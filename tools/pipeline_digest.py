@@ -15,7 +15,8 @@ and `kernel-audit` on three kernels it writes itself: the two-outcome worked
 example (not CAR), two disjoint indicators (CAR) and a seeded random kernel
 with 9 outcomes on {0..12}. Last, `infer` runs as the benchmark runs it, on the
 `cnar-infer` and `car2-infer` inputs and configs for seeds 1 and 2, and its
-`draws.csv` is hashed as `<workload>_draws.csv`.
+`draws.csv` and diagnostics JSON are hashed as `<workload>_draws.csv` and
+`<workload>_diagnostics.json`.
 
 Prints one line `<seed> <file> <sha256>` per output (`kernel` in place of the
 seed for the audits). The stdout of `infer` and `kernel-audit` is saved as a
@@ -152,11 +153,13 @@ def main(argv=None) -> int:
                 work = os.path.join(tmp, f"{workload}-{seed}")
                 os.mkdir(work)
                 files = bench_inputs.generate(workload, seed, work)
-                draws = os.path.join(work, f"{workload}_draws.csv")
+                draws, diag = (os.path.join(work, f"{workload}_{name}")
+                               for name in ("draws.csv", "diagnostics.json"))
                 run_cli(cli, ["--config", files["config.json"], "infer", files["stats.csv"],
                               files["covariates.csv"], "--out-draws", draws,
-                              "--out-diagnostics", os.path.join(work, "diagnostics.json")])
-                print(seed, os.path.basename(draws), digest(draws), flush=True)
+                              "--out-diagnostics", diag])
+                for path in (draws, diag):
+                    print(seed, os.path.basename(path), digest(path), flush=True)
     return 0
 
 
