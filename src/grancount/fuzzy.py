@@ -35,8 +35,9 @@ _MIN_PRECISION = 1.0e-3
 _BOUNDARY_SHARE = 0.5
 # m of the inside limits at 0 and 1: kl(m, y/K) reads the limit to ~1e-13, c = m K stays inside.
 _INSIDE_EDGE = 1.0e-15
-# float64 cells (512 KB) of one block: `model.simulate`, `beta_centroids` and
-# the `ppc` distances hold one such block (and its temporaries) at a time
+# float64 cells (512 KB) of one block: `model.simulate` (rows cut to their own
+# width, not to K + 1), `beta_centroids` and the `ppc` distances hold one such
+# block (and its temporaries) at a time
 BLOCK_CELLS = 1 << 16
 
 
@@ -60,7 +61,11 @@ def kl_membership(m, h, t) -> np.ndarray:
 
 
 def k_blocks(k_max):
-    """(K, row indices) per distinct K, ascending, in blocks of `BLOCK_CELLS` // (K + 1) rows."""
+    """(K, row indices) per distinct K, ascending, in blocks of `BLOCK_CELLS` // (K + 1) rows.
+
+    K is the last column of the rows' arrays: the truncation level in `beta_centroids`,
+    a row's cut width less one in `model.simulate`.
+    """
     for k in np.unique(k_max).tolist():
         rows = np.flatnonzero(k_max == k)
         step = max(1, BLOCK_CELLS // (k + 1))

@@ -563,15 +563,41 @@ class Posterior:
 # ---------------------------------------------------------------------------
 
 
+# `simulate` evaluates a cnar row up to the first multiple of this many columns past its cut
+_CUT_ROUND = 64
+
+
+def _cut_columns(mu, kappa, k):
+    """Per NB(mu, kappa) row, the cut: columns 0..cut-1 fix every bit of its cumsum; cut <= K + 1.
+
+    Past y1 = 2 floor(max(kappa - 1, 0) mu / kappa) + 10 (beyond the mode) every pmf ratio
+    p(y + 1)/p(y) = r (y + kappa)/(y + 1), r = mu/(kappa + mu), is at most
+    rho = r max(1, (y1 + kappa)/(y1 + 1)), so the terms from y1 + 2 + ceil(60 ln 2 / -ln rho)
+    on are below 2**-60 of p(y1), hence of the row's peak. rho >= 1 or NaN (r rounds to 1, or
+    the mean overflowed) keeps the whole row {0..K}.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = mu / (kappa + mu)
+        y1 = 2.0 * np.floor(max(kappa - 1.0, 0.0) / kappa * mu) + 10.0
+        rho = r * np.maximum(1.0, (y1 + kappa) / (y1 + 1.0))
+        cut = y1 + 2.0 + np.ceil(60.0 * math.log(2.0) / -np.log(rho))
+    return np.where(rho < 1.0, np.minimum(cut, k + 1), k + 1).astype(np.int64)
+
+
 def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar") -> Reports:
     """Draw a synthetic dataset from one of the report models.
 
     Deterministic for a fixed seed (an int or a numpy SeedSequence): the draw
     order is precisions, then latent counts (cnar only), then report locations.
-    A cnar block of `fuzzy.k_blocks` rows holds the NB log pmf lp on {0..K} and
-    cdf = cumsum(exp(lp - row max)), about 1.5 MB with temporaries; a count is the
-    number of cdf entries below u * cdf[K], so at most K. A row whose log mass on
-    {0..K} is not finite or below log 1e-300 raises `NumericalError` (CLI exit 3).
+    A cnar row holds the NB log pmf lp on columns 0..W-1 and cdf = cumsum(exp(lp -
+    row max)). W is the row's `_cut_columns` cut rounded up to a multiple of
+    `_CUT_ROUND`, at most K + 1; rows of one W share `fuzzy.k_blocks` blocks of at
+    most `fuzzy.BLOCK_CELLS` cells (512 KB, about 1.5 MB with temporaries), whatever
+    their K. Every term past the cut is below 2**-60 of the peak term while the
+    running sum is >= 1, so it leaves the sum's bits as they are: the row max,
+    cdf[W - 1] and each count equal those of the whole row {0..K}. A count is the
+    number of cdf entries below u * cdf[W - 1], so at most K. A row whose log mass
+    is not finite or below log 1e-300 raises `NumericalError` (CLI exit 3).
     """
     model = check_model_name(model)
     if model == "scalar":
@@ -589,18 +615,18 @@ def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar
         latent = np.empty(n, dtype=np.int64)
         u = rng.random(n)
         kappa = params.dispersion
-        # one block per truncation level, as padding rows to the largest
-        # would change the bits of their sums
-        for level, idx in k_blocks(k):
+        width = np.minimum(-(-_cut_columns(mu, kappa, k) // _CUT_ROUND) * _CUT_ROUND, k + 1)
+        for last, idx in k_blocks(width - 1):
             with np.errstate(divide="ignore", invalid="ignore"):  # log 0 of an underflowed mean
-                lp = _negbin_log_pmf(np.arange(level + 1.0), mu[idx, None], kappa)
+                lp = _negbin_log_pmf(np.arange(last + 1.0), mu[idx, None], kappa)
                 peak = lp.max(axis=1, keepdims=True)
                 cdf = np.exp(np.subtract(lp, peak, out=lp), out=lp).cumsum(axis=1, out=lp)
                 log_mass = peak[:, 0] + np.log(cdf[:, -1])
             if (bad := ~(log_mass >= _LOG_TINY)).any():  # NaN fails too
-                i = bad.argmax()
-                raise NumericalError(f"truncation incompatible with mean: log mass {log_mass[i]:.4g}"
-                                     f" on {{0..{level}}}, mu={mu[idx[i]]:.3g}, kappa={kappa:.3g}")
+                j = bad.argmax()
+                i = idx[j]
+                raise NumericalError(f"truncation incompatible with mean: log mass {log_mass[j]:.4g}"
+                                     f" on {{0..{k[i]}}}, mu={mu[i]:.3g}, kappa={kappa:.3g}")
             latent[idx] = (cdf[:, :-1] < u[idx, None] * cdf[:, -1:]).sum(axis=1)
         ybar = corrected_scaled_count(latent, k)
         scaled = rng.beta(h * ybar, h * (1.0 - ybar))

@@ -13,8 +13,9 @@ u_cross close to u_obs.
 A squared distance is |a|^2 + |b|^2 - 2 a.b, one matrix product per block of
 `fuzzy.BLOCK_CELLS` cells; pairs where that falls below 1e-6 (|a|^2 + max |b|^2)
 are recomputed by direct difference, so identical profiles read exactly 0 and
-every distance is within 1.2e-8 relative (`_distance_sum`). The means are
-summed block by block, so memory holds a few blocks, whatever the sample sizes.
+every distance is within 1.2e-8 relative (`_distance_sum`). Within one sample the
+n self-pairs (i, i) are set to 0 and skip the recompute. The means are summed
+block by block, so memory holds a few blocks, whatever the sample sizes.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ def _distance_sum(pa, pb, grid: int) -> float:
     2 (grid + 1) u (|a|^2 + |b|^2), u = 2**-53. Pairs with d^2 < `_RECOMPUTE_SHARE`
     (|a|^2 + max |b|^2) are recomputed by direct difference: identical profiles
     read exactly 0, and every distance is within (grid + 1) u / `_RECOMPUTE_SHARE`
-    relative, 1.2e-8 at grid 101. Holds about three `fuzzy.BLOCK_CELLS` blocks.
+    relative, 1.2e-8 at grid 101. When pa is pb, the self-pairs (i, i) are set to
+    exactly 0 without a recompute. Holds about three `fuzzy.BLOCK_CELLS` blocks.
     """
     (a, a_sq), (b, b_sq) = pa, pb
     total = 0.0
@@ -122,13 +124,22 @@ def _distance_sum(pa, pb, grid: int) -> float:
         d2 = (a[rows] * -2.0) @ b.T
         d2 += a_sq[rows, None]
         d2 += b_sq
+        if pa is pb:  # kept out of `near`, then 0
+            np.fill_diagonal(d2[:, start:], np.inf)
         near = np.flatnonzero(d2 < _RECOMPUTE_SHARE * (a_sq[rows, None] + b_sq.max()))
         for pairs in np.split(near, range(pair_step, near.size, pair_step)):
             i, j = np.divmod(pairs, b.shape[0])  # from flat indices: 2-D np.nonzero is slower
-            diff = a[start + i] - b[j]
-            d2.flat[pairs] = np.einsum("ij,ij->i", diff, diff)
+            d2.flat[pairs] = _direct_squares(a, b, start + i, j)
+        if pa is pb:
+            np.fill_diagonal(d2[:, start:], 0.0)
         total += np.sqrt(d2, out=d2).sum()
     return total / math.sqrt(grid)
+
+
+def _direct_squares(a, b, i, j) -> np.ndarray:
+    """|a[i] - b[j]|^2 by direct difference, elementwise over the index arrays i and j."""
+    diff = a[i] - b[j]
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def _within_distance(profiles, grid: int) -> float:
@@ -136,7 +147,7 @@ def _within_distance(profiles, grid: int) -> float:
     n = len(profiles[1])
     if n < 2:
         return float("nan")
-    # the pairs (i, i) read exactly 0, so all n(n-1) ordered pairs sum to twice the j > i ones
+    # the pairs (i, i) are 0, so all n(n-1) ordered pairs sum to twice the j > i ones
     return _distance_sum(profiles, profiles, grid) / (n * (n - 1))
 
 

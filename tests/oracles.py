@@ -8,7 +8,7 @@ from scipy.special import betainc, betaln, digamma, gammaln
 from grancount.errors import NumericalError, ValidationError
 from grancount.fuzzy import (
     _H_SCAN, _MIN_PRECISION, BLOCK_CELLS, CRISP_PRECISION_CEILING, FitResult, _GridSSE, _scan_c,
-    kl_divergence,
+    k_blocks, kl_divergence,
 )
 from grancount.model import (
     Posterior, PriorSpec, _negbin_log_pmf, corrected_scaled_count, parameter_names,
@@ -33,6 +33,25 @@ def truncated_pmf(mu: float, kappa: float, k: int) -> np.ndarray:
     lp = _negbin_log_pmf(np.arange(k + 1.0), mu, kappa)
     mass = np.exp(lp - lp.max())
     return mass / mass.sum()
+
+
+def nb_cdf_rows(mu: np.ndarray, kappa: float, level: int) -> np.ndarray:
+    """cumsum(exp(lp - row max)) of the NB log pmf lp on the whole row {0..level}, a row per mean."""
+    lp = _negbin_log_pmf(np.arange(level + 1.0), mu[:, None], kappa)
+    return np.exp(lp - lp.max(axis=1, keepdims=True)).cumsum(axis=1)
+
+
+def latent_counts_full_rows(mu, kappa: float, k, u) -> np.ndarray:
+    """Latent counts as `model.simulate` drew them on whole rows {0..K}, one block per K.
+
+    The reference for its cut rows: per sample, the number of cdf entries below
+    u * cdf[K] among the first K.
+    """
+    latent = np.empty(mu.size, dtype=np.int64)
+    for level, idx in k_blocks(k):
+        cdf = nb_cdf_rows(mu[idx], kappa, level)
+        latent[idx] = (cdf[:, :-1] < u[idx, None] * cdf[:, -1:]).sum(axis=1)
+    return latent
 
 
 def observed_loglik(spec, params, data, model) -> float:

@@ -7,9 +7,10 @@ import pytest
 from scipy import stats
 from scipy.special import betainc
 
-from grancount import NumericalError, ValidationError
-from grancount.fuzzy import BLOCK_CELLS, BetaFuzzy, beta_centroids
+from grancount import NumericalError, ValidationError, model
+from grancount.fuzzy import BLOCK_CELLS, BetaFuzzy, beta_centroids, k_blocks
 from grancount.model import (
+    _cut_columns,
     _negbin_log_pmf,
     ModelParams,
     REJECTION_REASONS,
@@ -27,7 +28,8 @@ from grancount.model import (
 
 from conftest import make_cnar_data, make_params, make_reports, make_spec
 from oracles import (
-    RowsCnarPosterior, cutoff_width, nb_tail_width, observed_loglik, pack_params, truncated_pmf,
+    RowsCnarPosterior, cutoff_width, latent_counts_full_rows, nb_cdf_rows, nb_tail_width,
+    observed_loglik, pack_params, truncated_pmf,
 )
 
 
@@ -702,14 +704,57 @@ class TestSimulate:
         params = ModelParams(
             coef=np.array([0.0]), dispersion=1e4, precision_shape=4.0, precision_rate=0.1
         )
-        with pytest.raises(NumericalError, match="truncation incompatible"):
+        with pytest.raises(NumericalError, match=r"truncation incompatible.* on \{0\.\.1\}, "
+                                                 r"mu=1e\+280, kappa=1e\+04"):
             simulate(spec, params, seed=0, model="cnar")
-        # a mean that underflows to 0 has no finite mass: the same numerical failure
+        # a mean that underflows to 0 has no finite mass: the same numerical failure, and the
+        # error names the sample's own K, also where its row is cut to fewer columns
         zero_mean = ModelParams(
             coef=np.array([-800.0]), dispersion=2.0, precision_shape=4.0, precision_rate=0.1
         )
-        with pytest.raises(NumericalError, match="truncation incompatible"):
-            simulate(RegressionSpec(np.ones((3, 1)), np.ones(3), np.full(3, 5)), zero_mean, seed=0)
+        for k in (5, 500):
+            spec = RegressionSpec(np.ones((3, 1)), np.ones(3), np.full(3, k))
+            with pytest.raises(NumericalError, match=rf"truncation incompatible.* on \{{0\.\.{k}\}}, "
+                                                     r"mu=0, kappa=2\b"):
+                simulate(spec, zero_mean, seed=0)
+
+    def test_cut_rows_keep_every_bit_of_the_whole_rows(self, monkeypatch):
+        widths = []  # the cut widths `simulate` evaluates, one array per call
+        monkeypatch.setattr(model, "k_blocks", lambda last: widths.append(last + 1) or k_blocks(last))
+        n = 400
+        rng = np.random.default_rng(24)
+        k = rng.choice([1, 7, 250, 800], size=n)
+        # up to 50 (K + 1), so even the Poisson limit keeps mass above 1e-300 on {0..K}
+        offset = np.minimum(10.0 ** rng.uniform(-3.0, 3.0, size=n), 50.0 * (k + 1))
+        fallback = []
+        for dispersion in (0.3, 1.0, 2.0, 50.0, 1e6):
+            means = offset.copy()
+            if dispersion <= 2.0:  # r = mu / (kappa + mu) rounds to 1: rho >= 1, whole rows
+                means[:8] = 1e18
+            spec = RegressionSpec(np.ones((n, 1)), means, k)
+            params = ModelParams(coef=np.array([0.0]), dispersion=dispersion,
+                                 precision_shape=4.0, precision_rate=0.1)
+            sim = simulate(spec, params, seed=7, model="cnar")
+            ref = np.random.default_rng(7)
+            h = ref.gamma(shape=params.precision_shape, scale=1.0 / params.precision_rate, size=n)
+            mu = linear_means(spec, params)
+            latent = latent_counts_full_rows(mu, dispersion, k, ref.random(n))
+            ybar = corrected_scaled_count(latent, k)
+            np.testing.assert_array_equal(sim.latent_counts, latent)
+            np.testing.assert_array_equal(sim.location, k * ref.beta(h * ybar, h * (1.0 - ybar)))
+
+            cut = _cut_columns(mu, dispersion, k)
+            assert (cut >= 1).all() and (cut <= k + 1).all() and (widths[-1] >= cut).all()
+            for level, idx in k_blocks(k):  # the whole-row cumsum is constant from the cut on
+                cdf = nb_cdf_rows(mu[idx], dispersion, level)
+                at_cut = np.take_along_axis(cdf, cut[idx, None] - 1, axis=1)
+                assert ((cdf == at_cut) | (np.arange(level + 1) < cut[idx, None] - 1)).all()
+            fallback.append(mu / (dispersion + mu) == 1.0)
+            assert (cut[fallback[-1]] == k[fallback[-1]] + 1).all()
+        widths, k_all = np.concatenate(widths), np.tile(k, 5)
+        assert (widths < k_all + 1).any() and (widths == k_all + 1).any()
+        assert ((widths % 64 == 0) | (widths == k_all + 1)).all()
+        assert np.concatenate(fallback).any()
 
     @pytest.mark.parametrize("dispersion", [1e300, 1e306])
     def test_huge_dispersion_draws_poisson_counts(self, dispersion):

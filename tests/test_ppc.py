@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from grancount import ValidationError
+from grancount import ValidationError, ppc
+from grancount.fuzzy import BLOCK_CELLS
 from grancount.inference import HmcConfig, sample
 from grancount.model import Posterior, PriorSpec, Reports, simulate
 from grancount.ppc import (
@@ -158,6 +159,32 @@ class TestDistanceBlocks:
             first, last = (data[0][:1], data[1][:1]), (data[0][-1:], data[1][-1:])
             assert _distance_sum(first, last, 101) == 0.0
             assert _within_distance(with_norms(np.repeat(data[0][:1], n, axis=0)), 101) == 0.0
+
+    def test_self_pairs_read_zero_without_a_recompute(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        items = [obs(float(rng.uniform(0.0, 1.0)), float(rng.gamma(4.0, 10.0)), 500)
+                 for _ in range(300)]
+        dups = (3, 250, 299)  # exact duplicates at distinct indices, in both row blocks
+        for i in dups[1:]:
+            items[i] = items[dups[0]]
+        data = _profiles(make_reports(items), 101)
+        assert BLOCK_CELLS // 300 < 300  # rows per block: the sample spans two blocks
+        direct, recomputed = ppc._direct_squares, []
+
+        def spy(a, b, i, j):
+            squares = direct(a, b, i, j)
+            recomputed.extend(zip(i.tolist(), j.tolist(), squares.tolist()))
+            return squares
+
+        monkeypatch.setattr(ppc, "_direct_squares", spy)
+        full = pairwise_distances(data[0], data[0], 101)
+        within = _within_distance(data, 101)
+        assert within == pytest.approx(full[np.triu_indices(300, k=1)].mean(), rel=RTOL, abs=0)
+        assert {(i, j) for i, j, _ in recomputed} == {(i, j) for i in dups for j in dups if i != j}
+        assert all(square == 0.0 for *_, square in recomputed)
+        # off the diagonal, the self path keeps the bits of two distinct samples
+        other = (data[0].copy(), data[1].copy())
+        assert _distance_sum(data, data, 101) == _distance_sum(data, other, 101)
 
     @pytest.mark.parametrize(
         "shift, h, below",

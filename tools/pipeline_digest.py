@@ -7,7 +7,9 @@ temporary directory, on the benchmark's `granular-ppc` inputs for seeds 1 and 2
 (`<checkout>/bench/inputs.py`) and on the packaged demo files:
 
 - `count` and `fit`;
-- `simulate` for cnar, car1 and car2;
+- `simulate` for cnar, car1 and car2, and cnar again in the regimes of
+  `CNAR_REGIMES`: dispersion 0.3 and 50 (the CLI default is 2), and a coef
+  that puts many means near K = 500;
 - `infer` for cnar, car1, car2 and scalar, with small HMC settings;
 - `ppc` on the benchmark draws (cnar) and on car2's own draws;
 
@@ -45,6 +47,9 @@ SMALL_HMC = ["--set", "hmc.n_chains=2", "--set", "hmc.n_warmup=60",
              "--set", "hmc.n_draws=60", "--set", "hmc.max_leapfrog=16"]
 MODELS = ("cnar", "car1", "car2", "scalar")
 BENCH_INFER = ("cnar-infer", "car2-infer")
+# label -> `--set` of an extra cnar `simulate` run, beyond the CLI defaults
+CNAR_REGIMES = {"dispersion0.3": "simulate.dispersion=0.3", "dispersion50": "simulate.dispersion=50",
+                "near_k": "simulate.coef=[5.0,0.5]"}
 
 
 def digest(path) -> str:
@@ -76,10 +81,13 @@ def pipeline(cli, inputs, out):
     stage("count", inputs["possibility.csv"], "--out", counts, outputs=[counts])
     stage("fit", counts, "--out", fitted, outputs=[fitted])
     stats = inputs.get("stats.csv", fitted)
-    for model in ("cnar", "car1", "car2"):
-        sim = [out(f"simulate_{model}_{name}")
+    simulations = [(model, ["--set", f"model={model}"]) for model in ("cnar", "car1", "car2")]
+    simulations += [(f"cnar_{label}", ["--set", "model=cnar", "--set", setting])
+                    for label, setting in CNAR_REGIMES.items()]
+    for label, settings in simulations:
+        sim = [out(f"simulate_{label}_{name}")
                for name in ("data.csv", "covariates.csv", "params.json")]
-        stage("--set", f"model={model}", "simulate", "--out-data", sim[0],
+        stage(*settings, "simulate", "--out-data", sim[0],
               "--out-covariates", sim[1], "--out-params", sim[2], outputs=sim)
     for model in MODELS:
         draws, diag = out(f"infer_{model}_draws.csv"), out(f"infer_{model}_diagnostics.json")
