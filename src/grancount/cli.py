@@ -389,7 +389,7 @@ def cmd_infer(args, config: RunConfig) -> int:
         draws,
         metadata={**_metadata("infer", config), "summary": summary,
                   "warmup_divergences": [int(n) for n in draws.warmup_divergences],
-                  "rejections": dict(post.rejections)},
+                  "rejections": dict(post.rejections), "evaluations": dict(post.evaluations)},
     )
     table = draws.diagnostics
     print(f"{'parameter':<22}{'mean':>12}{'sd':>12}{'q5':>12}{'q95':>12}{'rhat':>10}{'ess':>10}")
@@ -402,8 +402,9 @@ def cmd_infer(args, config: RunConfig) -> int:
     if draws.divergence_count:
         print(f"divergent transitions: {draws.divergence_count}")
     logger.info(
-        "stage=infer out=%s divergences=%d max_rhat=%.4f",
-        args.out_draws, draws.divergence_count, table.max_rhat(),
+        "stage=infer out=%s divergences=%d max_rhat=%.4f full_evaluations=%d "
+        "gradient_only_evaluations=%d", args.out_draws, draws.divergence_count, table.max_rhat(),
+        post.evaluations["full"], post.evaluations["gradient_only"],
     )
     return EXIT_OK
 

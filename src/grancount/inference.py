@@ -16,6 +16,14 @@ reproducible and chain order is irrelevant. A chain runs, in order:
   regularised variance, if the window holds at least 10 draws;
 - `n_draws` recorded transitions at the adapted (averaged) step.
 
+The target contract: `target(q)` returns (log density, gradient) at q, and
+`target(q, need_logp=False)` returns (stand-in, gradient), where the stand-in
+is -inf at a point whose gradient cannot be evaluated and any finite number
+elsewhere, a point whose log density alone is not finite included. `leapfrog`
+asks for the gradient alone on every step but the last; the start attempts,
+the step search and each trajectory's end, which the Metropolis test reads,
+are full calls.
+
 Diagnostics: rank-normalised split R-hat and bulk effective sample size, with
 Geyer's initial monotone sequence for the autocorrelation sum.
 """
@@ -64,11 +72,13 @@ class HmcConfig:
 def leapfrog(target, q, p, grad, step, n_steps, inv_mass):
     """Volume-preserving leapfrog integration of Hamiltonian dynamics.
 
-    `target` maps a position to (log density, gradient), and `grad` is the
-    gradient at the start `q`; `inv_mass` is the diagonal inverse metric.
+    `target` follows the module's contract, and `grad` is the gradient at the
+    start `q`; `inv_mass` is the diagonal inverse metric. Steps 1..n_steps-1
+    call `target(q, need_logp=False)` and the last step `target(q)`.
     Returns (q, p, logp, grad, diverged) at the end of the trajectory. A
-    non-finite log density or gradient stops it and sets the flag instead of
-    raising; the momentum then stays at its last completed update.
+    non-finite first element or gradient of any call stops it and sets the
+    flag instead of raising; the momentum then stays at its last completed
+    update.
     """
     if step <= 0.0:
         raise ValidationError("step must be positive")
@@ -78,10 +88,11 @@ def leapfrog(target, q, p, grad, step, n_steps, inv_mass):
     p = p + 0.5 * step * grad
     for i in range(n_steps):
         q = q + drift * p
-        logp, grad = target(q)
+        inner = i < n_steps - 1
+        logp, grad = target(q, need_logp=False) if inner else target(q)
         if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
             return q, p, logp, grad, True
-        p = p + (step if i < n_steps - 1 else 0.5 * step) * grad
+        p = p + (step if inner else 0.5 * step) * grad
     return q, p, logp, grad, False
 
 
@@ -282,7 +293,9 @@ def _run_chain(target, config: HmcConfig, init: np.ndarray, chain_index: int):
 def sample(target, config: HmcConfig, init, names=None, constrain=None) -> PosteriorDraws:
     """Run HMC chains against a log-density-and-gradient callable.
 
-    `target(phi)` must return (log density, gradient). `init` is the shared
+    `target(phi)` must return (log density, gradient), and
+    `target(phi, need_logp=False)` (stand-in, gradient), as the module's
+    contract says. `init` is the shared
     base point on the unconstrained scale: each chain draws every start attempt
     as `init + init_jitter * z` from its own start stream (101 attempts, or 1
     without jitter) and raises `NumericalError` if none is finite. `constrain`

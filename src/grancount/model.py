@@ -288,7 +288,17 @@ class Posterior:
     Evaluation happens on the unconstrained scale. A point where the density
     cannot be evaluated gets log density -inf rather than an exception, so
     samplers can treat it as a divergence; `rejections` counts such points
-    by reason (`REJECTION_REASONS`).
+    by reason (`REJECTION_REASONS`), and `evaluations` counts the calls of
+    `logp_and_grad`, full and gradient-only. `_loglik_and_grad` checks
+    `nonfinite_phi`, `positive_bound` (a |log parameter| above 700) and
+    `eta_overflow`, `_cnar_block` checks `nonfinite_peak`; these hold for both
+    kinds of call. `logp_and_grad` checks `nonfinite_logp`, on full calls only.
+
+    A gradient-only call (`need_logp=False`) skips what only the log density
+    reads: the prior's quadratic, the Gamma block's lgamma and sum, car's
+    betaln sum (not the sums a log c and b log(1 - c), which car2's gradient
+    reads), cnar's log sums and closed-form log normaliser, and scalar's
+    negative binomial log pmf. Its gradient keeps the bits of the full call's.
 
     `cnar` divides a mixture (count pmf times report density) by the bare
     count pmf on {0..K}, summing over 0..max K cut one column past the
@@ -318,6 +328,7 @@ class Posterior:
         self._logu = np.log(spec.offsets)
         self._kvec = spec.k_max.astype(np.float64)
         self.rejections = dict.fromkeys(REJECTION_REASONS, 0)
+        self.evaluations = {"full": 0, "gradient_only": 0}
 
         if len(data) != spec.n_samples:
             raise ValidationError(f"{len(data)} reports for {spec.n_samples} design rows")
@@ -386,12 +397,19 @@ class Posterior:
         out[..., self.n_covariates :] = np.exp(phi[..., self.n_covariates :])
         return out
 
-    def logp_and_grad(self, phi: np.ndarray):
+    def logp_and_grad(self, phi: np.ndarray, need_logp: bool = True):
+        """(log posterior, gradient) at `phi`, or (0.0, gradient) with `need_logp` False.
+
+        A gradient-only call skips the terms only the log density reads; its 0.0
+        is a finite stand-in. It returns (-inf, zeros) at a point rejected for a
+        reason the gradient needs too, and finds `nonfinite_logp` never.
+        """
+        self.evaluations["full" if need_logp else "gradient_only"] += 1
         phi = np.asarray(phi, dtype=np.float64)
-        ll, grad = self._loglik_and_grad(phi)
+        ll, grad = self._loglik_and_grad(phi, need_logp)
         if grad is not None:  # None: rejected, and counted, by the likelihood
             score = phi * self._neg_inv_var  # of the Normal(0, sd) prior on each coordinate
-            logp = float(ll + 0.5 * float(phi @ score) - self._prior_norm)
+            logp = float(ll + 0.5 * float(phi @ score) - self._prior_norm) if need_logp else 0.0
             if math.isfinite(logp):
                 grad += score
                 return logp, grad
@@ -402,10 +420,11 @@ class Posterior:
         self.rejections[reason] += 1
         return -np.inf, None
 
-    def _loglik_and_grad(self, phi: np.ndarray):
+    def _loglik_and_grad(self, phi: np.ndarray, need_logp: bool = True):
         """Observed-data log likelihood and its gradient, without the prior.
 
-        Returns (-inf, None) where it cannot be evaluated, counting the reason.
+        Returns (-inf, None) where it cannot be evaluated, counting the reason,
+        and 0.0 in place of the log likelihood when `need_logp` is False.
         """
         if phi.shape != (self.dim,):
             raise ValidationError(f"parameter vector must have length {self.dim}")
@@ -421,26 +440,29 @@ class Posterior:
             return self._reject("eta_overflow")
         mu = np.exp(eta, out=eta)
         if self.model == "cnar":
-            return self._cnar_block(phi, mu)
+            return self._cnar_block(phi, mu, need_logp)
         if self.model in ("car1", "car2"):
-            return self._car_block(phi, mu)
-        return self._scalar_block(phi, mu)
+            return self._car_block(phi, mu, need_logp)
+        return self._scalar_block(phi, mu, need_logp)
 
     # -- model blocks -------------------------------------------------------
 
-    def _gamma_block(self, shape: float, rate: float, n: int):
-        """Gamma log density of the precisions and its derivatives in log shape and log rate."""
+    def _gamma_block(self, shape: float, rate: float, n: int, need_logp: bool = True):
+        """Gamma log density of the precisions (0.0 unless `need_logp`) and its
+        derivatives in log shape and log rate."""
         log_rate = math.log(rate)
-        logp = (
-            n * (shape * log_rate - math.lgamma(shape))
-            + (shape - 1.0) * self._sum_log_h
-            - rate * self._sum_h
-        )
+        logp = 0.0
+        if need_logp:
+            logp = (
+                n * (shape * log_rate - math.lgamma(shape))
+                + (shape - 1.0) * self._sum_log_h
+                - rate * self._sum_h
+            )
         d_shape = n * (log_rate - float(digamma(shape))) + self._sum_log_h
         # no division by the rate: n*shape/rate overflows when the rate is tiny
         return logp, d_shape * shape, n * shape - rate * self._sum_h
 
-    def _cnar_block(self, phi: np.ndarray, mu: np.ndarray):
+    def _cnar_block(self, phi: np.ndarray, mu: np.ndarray, need_logp: bool):
         p = self.n_covariates
         kappa, shape, rate = map(math.exp, phi[p:].tolist())
         n = mu.size
@@ -473,24 +495,25 @@ class Posterior:
         # sums and means of y and digamma(y + kappa) per half; the gap between
         # the mixture's and the bare pmf's means drives the gradient
         moments = np.matmul(rows, halves)
-        log_sums = (peak + np.log(moments[:, 0])).sum(axis=1)
         means = moments[:, 1:] / moments[:, :1]
         post_y, post_psi = means[0]
         if closed:
             # untruncated NB: log normaliser gammaln(kappa) + kappa * log((kappa + mu)/kappa),
             # E[y] = mu, and E[digamma(y + kappa)] = digamma(kappa) + log((kappa + mu)/kappa)
-            bare_y, bare_psi = mu, np.log1p(mu / kappa)
-            bare_ll = n * math.lgamma(kappa) + kappa * float(bare_psi.sum())
-            bare_psi += digamma(kappa)
+            bare_y, log_ratio = mu, np.log1p(mu / kappa)
+            bare_psi = log_ratio + digamma(kappa)
         else:
-            bare_ll = log_sums[1]
             bare_y, bare_psi = means[1]
-        count_ll = float(log_sums[0] - bare_ll)
         weight = post_y - bare_y
         weight *= kappa / kmu
         d_kappa = kappa * float((post_psi - bare_psi).sum()) - float(weight.sum())
+        count_ll = 0.0
+        if need_logp:
+            log_sums = (peak + np.log(moments[:, 0])).sum(axis=1)
+            bare_ll = n * math.lgamma(kappa) + kappa * float(log_ratio.sum()) if closed else log_sums[1]
+            count_ll = float(log_sums[0] - bare_ll)
 
-        gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n)
+        gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n, need_logp)
         grad = np.empty(self.dim)
         np.matmul(weight, self._z, out=grad[:p])
         grad[p:] = d_kappa, d_shape, d_rate
@@ -507,7 +530,7 @@ class Posterior:
         q = nbdtrik(1.0 - self.tail_mass, kappa, kappa / (kappa + mu_max))
         return int(np.ceil(q)) + 2 if q <= self._grid.size - 2 else self._grid.size
 
-    def _car_block(self, phi: np.ndarray, mu: np.ndarray):
+    def _car_block(self, phi: np.ndarray, mu: np.ndarray, need_logp: bool):
         p = self.n_covariates
         log_positives = phi[p:].tolist()
         n = mu.size
@@ -518,9 +541,10 @@ class Posterior:
         s = self._h if self.model == "car1" else math.exp(log_positives[2]) * self._h
         a = s * m
         b = s * (1.0 - m)
-        # sum of (a - 1) log c + (b - 1) log(1 - c) - betaln(a, b)
         a_log_c, b_log_1mc = float(a @ self._log_cbar), float(b @ self._log1m_cbar)
-        beta_ll = a_log_c + b_log_1mc - float(betaln(a, b).sum()) - self._sum_log_c
+        beta_ll = 0.0
+        if need_logp:  # sum of (a - 1) log c + (b - 1) log(1 - c) - betaln(a, b)
+            beta_ll = a_log_c + b_log_1mc - float(betaln(a, b).sum()) - self._sum_log_c
         dg_a, dg_b = digamma(a), digamma(b)
         dm = dg_b - dg_a
         dm += self._logit_cbar
@@ -528,7 +552,8 @@ class Posterior:
         dm *= m == scaled  # a clamped mean does not move with the coefficients
         dm *= scaled
 
-        gamma_ll, d_shape, d_rate = self._gamma_block(*map(math.exp, log_positives[:2]), n)
+        gamma_ll, d_shape, d_rate = self._gamma_block(*map(math.exp, log_positives[:2]), n,
+                                                      need_logp)
         grad = np.empty(self.dim)
         np.matmul(dm, self._z, out=grad[:p])
         grad[p], grad[p + 1] = d_shape, d_rate
@@ -538,12 +563,12 @@ class Posterior:
             )
         return beta_ll + gamma_ll, grad
 
-    def _scalar_block(self, phi: np.ndarray, mu: np.ndarray):
+    def _scalar_block(self, phi: np.ndarray, mu: np.ndarray, need_logp: bool):
         p = self.n_covariates
         kappa = float(np.exp(phi[p]))
         y = self._counts
         kmu = kappa + mu
-        ll = float(_negbin_log_pmf(y, mu, kappa).sum())
+        ll = float(_negbin_log_pmf(y, mu, kappa).sum()) if need_logp else 0.0
         d_coef = self._z.T @ (y - mu * (y + kappa) / kmu)
         d_kappa = float(
             (

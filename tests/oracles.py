@@ -102,7 +102,8 @@ class RowsCnarPosterior(Posterior):
     (n, max K + 1) matrix, the count pmf carries its per-sample constant, and
     the two log-sum-exps and four first moments take a pass each over
     C-contiguous (n, hi) buffers. Everything else, the tail cutoff and the -inf
-    returns of `logp_and_grad` included, is inherited.
+    returns of `logp_and_grad` included, is inherited. It evaluates every term
+    whatever `need_logp` says.
     """
 
     def __init__(self, spec, data, priors, tail_mass=0.0):
@@ -118,7 +119,7 @@ class RowsCnarPosterior(Posterior):
         self._beta_mat = np.where(valid, beta_mat, -np.inf)
         self._scratch = (np.empty(beta_mat.size), np.empty(beta_mat.size))
 
-    def _cnar_block(self, phi: np.ndarray, mu: np.ndarray):
+    def _cnar_block(self, phi: np.ndarray, mu: np.ndarray, need_logp: bool = True):
         p = self.n_covariates
         kappa, shape, rate = np.exp(phi[p : p + 3])
         n = mu.size

@@ -160,6 +160,31 @@ def test_simulate_output_feeds_infer(tmp_path):
         "--out-draws", tmp_path / "draws.csv", "--out-diagnostics", tmp_path / "diagnostics.json")
 
 
+def test_infer_counts_its_evaluations_by_kind(tmp_path, monkeypatch, caplog):
+    seen = []
+    logp_and_grad = model.Posterior.logp_and_grad
+
+    def spy(self, phi, need_logp=True):
+        seen.append(need_logp)
+        return logp_and_grad(self, phi, need_logp)
+
+    monkeypatch.setattr(model.Posterior, "logp_and_grad", spy)
+    run("--set", "simulate.n_samples=20", "simulate",
+        "--out-data", tmp_path / "data.csv", "--out-covariates", tmp_path / "covariates.csv",
+        "--out-params", tmp_path / "params.json")
+    with caplog.at_level(logging.INFO, logger="grancount"):
+        run("infer", tmp_path / "data.csv", tmp_path / "covariates.csv",
+            "--out-draws", tmp_path / "draws.csv", "--out-diagnostics", tmp_path / "diagnostics.json")
+    evaluations = json.loads((tmp_path / "diagnostics.json").read_text())["metadata"]["evaluations"]
+    assert evaluations["full"] + evaluations["gradient_only"] == len(seen)
+    assert evaluations == {"full": seen.count(True), "gradient_only": seen.count(False)}
+    assert 0 < evaluations["full"] < evaluations["gradient_only"]
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage=infer out=")]
+    fields = dict(item.split("=", 1) for item in line.split())
+    assert int(fields["full_evaluations"]) == evaluations["full"]
+    assert int(fields["gradient_only_evaluations"]) == evaluations["gradient_only"]
+
+
 def strict_json(path: Path) -> dict:
     """Parse `path`, failing on the non-standard constants NaN, Infinity and -Infinity."""
     def reject(constant):

@@ -19,7 +19,7 @@ from oracles import ess_from_chains_loop
 
 
 def standard_normal_target(dim):
-    def target(phi):
+    def target(phi, need_logp=True):
         return float(-0.5 * phi @ phi), -phi
 
     return target
@@ -28,15 +28,26 @@ def standard_normal_target(dim):
 def quadratic_target(scale):
     """Gaussian log density with per-coordinate scales, and its gradient."""
 
-    def target(q):
+    def target(q, need_logp=True):
         return float(-0.5 * np.sum((q / scale) ** 2)), -q / scale**2
 
     return target
 
 
+def slab_target(q, need_logp=True):
+    """Standard normal, whose log density alone is -inf on the slab 1 < q[0] < 2.
+
+    The gradient stays finite there, so a gradient-only call returns the stand-in
+    0.0, as `Posterior` does at a point where only the log density fails.
+    """
+    if not need_logp:
+        return 0.0, -q
+    return (-np.inf if 1.0 < q[0] < 2.0 else float(-0.5 * q @ q)), -q
+
+
 class TestLeapfrog:
     def test_zero_momentum_zero_field(self):
-        def target(q):
+        def target(q, need_logp=True):
             return 0.0, np.zeros_like(q)
 
         q0 = np.array([1.0, -2.0])
@@ -101,13 +112,44 @@ class TestLeapfrog:
         # a non-finite gradient or log density anywhere on the path flags it
         for logp_bad, grad_bad in [(0.0, np.nan), (-np.inf, 0.0), (np.nan, 0.0)]:
 
-            def target(q):
+            def target(q, need_logp=True):
                 return logp_bad, np.full_like(q, grad_bad)
 
             *_, diverged = leapfrog(
                 target, np.zeros(1), np.ones(1), np.zeros(1), 0.1, 3, np.ones(1)
             )
             assert diverged
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 7])
+    def test_inner_steps_ask_for_the_gradient_alone(self, n_steps):
+        kinds, gaussian = [], quadratic_target(1.0)
+
+        def target(q, need_logp=True):
+            kinds.append(need_logp)
+            return gaussian(q)
+
+        leapfrog(target, np.zeros(2), np.ones(2), np.zeros(2), 0.1, n_steps, np.ones(2))
+        assert kinds == [False] * (n_steps - 1) + [True]
+
+    def test_a_slab_crossed_at_an_inner_step_is_judged_at_the_end(self):
+        # from q = 0 with p = 4 and step 0.3 the positions are 1.2 (in the slab), 2.29, 3.18
+        visited = []
+
+        def target(q, need_logp=True):
+            visited.append(q[0])
+            return slab_target(q, need_logp)
+
+        q, _, logp, _, diverged = leapfrog(
+            target, np.zeros(1), np.full(1, 4.0), np.zeros(1), 0.3, 3, np.ones(1)
+        )
+        assert 1.0 < visited[0] < 2.0 and q[0] > 2.0 and not diverged
+        assert logp == slab_target(q)[0] == pytest.approx(-0.5 * q[0] ** 2)
+
+    def test_a_trajectory_ending_in_the_slab_diverges(self):
+        q, _, logp, _, diverged = leapfrog(
+            slab_target, np.zeros(1), np.full(1, 4.0), np.zeros(1), 0.3, 1, np.ones(1)
+        )
+        assert 1.0 < q[0] < 2.0 and diverged and logp == -np.inf
 
     def test_step_validation(self):
         target = quadratic_target(1.0)
@@ -121,7 +163,7 @@ class TestLeapfrog:
 class TestStepSearch:
     def test_flat_target_doubles_up_to_the_bound(self):
         # every trial keeps the energy: doubling runs until the next step reaches 1e3
-        def target(q):
+        def target(q, need_logp=True):
             return 0.0, np.zeros_like(q)
 
         rng = np.random.default_rng(0)
@@ -131,7 +173,7 @@ class TestStepSearch:
         # flat inside |q| <= 10 |p|: steps 1..8 stay inside, 16 leaves the box
         (p,) = np.random.default_rng(3).standard_normal(1)
 
-        def target(q):
+        def target(q, need_logp=True):
             inside = abs(q[0]) <= 10.0 * abs(p)
             return (0.0 if inside else -np.inf), np.zeros_like(q)
 
@@ -180,11 +222,47 @@ class TestSampler:
         assert draws.warmup_divergences.tolist() == [sum(warmup)] and sum(warmup) > 0
         assert draws.divergence_count == sum(sampling) == 0
 
+    def test_only_the_trajectory_inner_steps_skip_the_log_density(self, monkeypatch):
+        # each target call is recorded with its phase: "start" until the step search,
+        # "search" in it, and "transition" in a transition, whose step counts the
+        # leapfrog spy records
+        calls, phase, steps = [], ["start"], []
+        gaussian = standard_normal_target(2)
+        integrate = inference.leapfrog
+
+        def target(q, need_logp=True):
+            calls.append((phase[0], need_logp))
+            return gaussian(q)
+
+        def in_phase(name, fn):
+            def run(*args):
+                phase[0] = name
+                return fn(*args)
+            return run
+
+        def spy(target, q, p, grad, step, n_steps, inv_mass):
+            if phase[0] == "transition":
+                steps.append(n_steps)
+            return integrate(target, q, p, grad, step, n_steps, inv_mass)
+
+        monkeypatch.setattr(inference, "leapfrog", spy)
+        monkeypatch.setattr(inference, "_reasonable_epsilon",
+                            in_phase("search", inference._reasonable_epsilon))
+        monkeypatch.setattr(inference, "_transition", in_phase("transition", inference._transition))
+        cfg = HmcConfig(n_chains=1, n_warmup=30, n_draws=20, seed=3, max_leapfrog=8)
+        sample(target, cfg, np.zeros(2))
+        kinds = {name: [need for at, need in calls if at == name]
+                 for name in ("start", "search", "transition")}
+        assert kinds["start"] == [True]
+        assert len(kinds["search"]) >= 2 and all(kinds["search"])
+        assert len(steps) == cfg.n_warmup + cfg.n_draws and max(steps) > 1
+        assert kinds["transition"] == [need for n in steps for need in [False] * (n - 1) + [True]]
+
     def test_correlated_gaussian_recovers_correlation(self):
         rho = 0.8
         prec = np.linalg.inv(np.array([[1.0, rho], [rho, 1.0]]))
 
-        def target(phi):
+        def target(phi, need_logp=True):
             return float(-0.5 * phi @ prec @ phi), -prec @ phi
 
         cfg = HmcConfig(n_chains=4, n_warmup=500, n_draws=2500, seed=1, max_leapfrog=32)
@@ -206,7 +284,7 @@ class TestSampler:
         assert abs(draws.accept_rate.mean() - cfg.target_accept) <= 0.05
 
     def test_all_divergent_warmup_raises(self):
-        def target(phi):
+        def target(phi, need_logp=True):
             if np.all(phi == 0.0):
                 return 0.0, np.zeros_like(phi)
             return -np.inf, np.zeros_like(phi)
@@ -218,7 +296,7 @@ class TestSampler:
     def test_nonfinite_start_without_jitter_raises(self):
         calls = []
 
-        def target(phi):
+        def target(phi, need_logp=True):
             calls.append(phi)
             return -np.inf, np.zeros_like(phi)
 
@@ -230,7 +308,7 @@ class TestSampler:
     def test_no_finite_jittered_start_raises(self):
         calls = []
 
-        def target(phi):
+        def target(phi, need_logp=True):
             calls.append(phi)
             return -np.inf, np.zeros_like(phi)
 
@@ -243,7 +321,7 @@ class TestSampler:
     def test_every_start_attempt_is_drawn_from_the_start_stream_around_init(self):
         calls = []
 
-        def target(phi):
+        def target(phi, need_logp=True):
             calls.append(phi)
             return -np.inf, np.zeros_like(phi)
 

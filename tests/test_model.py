@@ -365,6 +365,26 @@ def cnar_posteriors(k_cycle, tail_mass):
     return Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, tail_mass)
 
 
+def rejection_sweep(truth, names) -> dict:
+    """Points next to `truth` that `Posterior` rejects, by the reason it counts."""
+    shape = names.index("precision_shape") if "precision_shape" in names else len(names) - 1
+
+    def at(j, value):
+        phi = truth.copy()
+        phi[j] = value
+        return phi
+
+    rejected = {
+        "nonfinite_phi": [at(0, np.nan), at(shape, np.inf)],
+        # |log parameter| above 700; math.exp(710) would raise
+        "positive_bound": [at(len(names) - 1, 710.0), at(shape, -700.5)],
+        "eta_overflow": [at(0, 701.0), at(0, -701.0)],
+    }
+    if "precision_shape" in names:  # n * gammaln(shape) overflows at shape = exp(699)
+        rejected["nonfinite_logp"] = [at(shape, 699.0), at(shape, 700.0)]
+    return rejected
+
+
 class TestCnarKernelAgainstRowsOracle:
     # the kernel sums in another order than the oracle; at kappa near 6e6 both
     # lose about 2e-11 of the log density in gammaln(y + kappa)
@@ -401,20 +421,7 @@ class TestCnarKernelAgainstRowsOracle:
                 targets.append(RowsCnarPosterior(spec, sim, PriorSpec(), 1e-12))
             truth = pack_params(make_params(model), model)
             shape = post.names.index("precision_shape")
-
-            def at(j, value):
-                phi = truth.copy()
-                phi[j] = value
-                return phi
-
-            rejected = {
-                "nonfinite_phi": [at(0, np.nan), at(shape, np.inf)],
-                # |log parameter| above 700; math.exp(710) would raise
-                "positive_bound": [at(post.dim - 1, 710.0), at(shape, -700.5)],
-                "eta_overflow": [at(0, 701.0), at(0, -701.0)],
-                # n * gammaln(shape) overflows at shape = exp(699)
-                "nonfinite_logp": [at(shape, 699.0), at(shape, 700.0)],
-            }
+            rejected = rejection_sweep(truth, post.names)
             for phi in (phi for points in rejected.values() for phi in points):
                 for target in targets:
                     with np.errstate(over="ignore"):  # how the gamma block fails
@@ -423,12 +430,55 @@ class TestCnarKernelAgainstRowsOracle:
             counts = {reason: len(rejected.get(reason, ())) for reason in REJECTION_REASONS}
             assert post.rejections == counts, model
             # the bound itself is evaluated
-            assert np.isfinite(post.logp_and_grad(at(shape, -700.0))[0])
+            bound = truth.copy()
+            bound[shape] = -700.0
+            assert np.isfinite(post.logp_and_grad(bound)[0])
             assert np.isfinite(post.logp_and_grad(truth)[0])
         post = Posterior(spec, sim, PriorSpec(), "cnar", 1e-12)
         post._beta[0, 3] = np.nan  # one sample's report density is no longer finite
         assert post.logp_and_grad(truth)[0] == -np.inf
         assert post.rejections["nonfinite_peak"] == 1
+
+
+class TestGradientOnly:
+    # cnar at K = 500 takes the closed-form bare pmf with a tail cut and the two
+    # halves without one; mixed K mostly takes the two halves too
+    @pytest.mark.parametrize("model, k, tail_mass", [
+        ("cnar", [500], 1e-12), ("cnar", [500], 0.0), ("cnar", [5, 20, 60, 500], 1e-12),
+        ("car1", [500], 1e-12), ("car2", [500], 1e-12), ("scalar", [500], 1e-12),
+    ], ids=["cnar-closed", "cnar-halves", "cnar-mixed-k", "car1", "car2", "scalar"])
+    def test_matches_the_full_call(self, model, k, tail_mass):
+        spec, sim = make_cnar_data(k)
+        full, grad_only = (Posterior(spec, sim, PriorSpec(), model, tail_mass) for _ in range(2))
+        truth = pack_params(make_params(model), model)
+        grid = [truth + step * unit for unit in np.eye(truth.size) for step in (-3, -1, 1, 3)]
+        cloud = truth + 0.5 * np.random.default_rng(37).standard_normal((20, truth.size))
+        sweep = [phi for points in rejection_sweep(truth, full.names).values() for phi in points]
+
+        def compare(phi):
+            before = full.rejections["nonfinite_logp"]
+            with np.errstate(over="ignore"):  # how the gamma block fails
+                logp, grad = full.logp_and_grad(phi)
+                stand_in, grad_alone = grad_only.logp_and_grad(phi, need_logp=False)
+            if np.isfinite(logp):
+                assert stand_in == 0.0
+                assert grad_alone.tobytes() == grad.tobytes()
+            elif full.rejections["nonfinite_logp"] > before:  # found by full calls only
+                assert stand_in == 0.0
+            else:
+                assert stand_in == -np.inf and grad_alone.shape == grad.shape
+                assert not grad_alone.any()
+
+        for phi in [*grid, *cloud, *sweep]:
+            compare(phi)
+        if model == "cnar":  # one sample's report density is no longer finite
+            for post in (full, grad_only):
+                post._beta[0, 3] = np.nan
+            compare(truth)
+            assert full.rejections["nonfinite_peak"] == 1
+        assert grad_only.rejections == {**full.rejections, "nonfinite_logp": 0}
+        assert full.evaluations["gradient_only"] == grad_only.evaluations["full"] == 0
+        assert full.evaluations["full"] == grad_only.evaluations["gradient_only"] > len(grid)
 
 
 def record_widths(monkeypatch, post: Posterior) -> list[int]:

@@ -3,10 +3,11 @@
 Usage: python tools/logp_timing.py <checkout>
 
 Imports the `grancount` package of `<checkout>/src` and writes the benchmark's
-`cnar-infer` inputs for seed 1 with `<checkout>/bench/inputs.py`: n=200
-reports at K=500 and the CLI's default tail cutoff. For each of cnar, car1
-and car2 it builds the `Posterior` the `infer` stage builds from those files
-and times `logp_and_grad` on two point sets:
+`cnar-infer` inputs for seeds 1, 2 and 3 with `<checkout>/bench/inputs.py`:
+n=200 reports at K=500 and the CLI's default tail cutoff. Seed 1 keeps the cnar
+tail cut short; seed 3 sends most cnar calls to the full grid. For each seed and
+each of cnar, car1 and car2 it builds the `Posterior` the `infer` stage builds
+from those files and times `logp_and_grad` on two point sets:
 
 - `truth`: 2,000 points drawn with a fixed seed around the packed simulation
   truth;
@@ -14,15 +15,19 @@ and times `logp_and_grad` on two point sets:
   100 warmup + 100 draws, `max_leapfrog` 16), which is the region `infer`
   samples.
 
-One pass over a set warms up; the next REPEATS passes are timed, and the
-median pass is printed per call, with the share of points whose log density
-is -inf. For cnar the warm-up pass also records the grid length of the tail
-cut at each point: its quartiles say which regime the timing measured (about
-190 columns around the truth, about 45 where a clamped `cnar-infer` chain
-goes), and, where the checkout has the closed-form bare count pmf, the share
-of calls that take it. One BLAS thread is used.
+Each set is timed twice per pass: full calls, and gradient-only calls
+(`need_logp=False`, what the leapfrog's inner steps ask for), where the
+checkout has them. One pass over a set warms up; the next REPEATS passes are
+timed, the two kinds alternating, and the median pass of each kind is printed
+per call, with the share of points whose log density is -inf. For cnar the
+warm-up pass also records the grid length of the tail cut at each point: its
+quartiles say which regime the timing measured (about 190 columns around the
+truth, about 45 where a clamped seed-1 `cnar-infer` chain goes), and, where
+the checkout has the closed-form bare count pmf, the share of calls that take
+it. One BLAS thread is used.
 """
 
+import inspect
 import os
 import statistics
 import sys
@@ -35,6 +40,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 MODELS = ("cnar", "car1", "car2")
+SEEDS = (1, 2, 3)
 N_POINTS = 2000
 REPEATS = 5
 SPREAD = 0.1  # sd of the points around the truth, on the unconstrained scale
@@ -52,33 +58,42 @@ def chain_points(post, inference) -> np.ndarray:
     """Every point one short seeded HMC chain on `post` evaluates, in order."""
     visited = []
 
-    def target(phi):
+    def target(phi, **need_logp):  # forwards the flag, and runs on checkouts without it
         visited.append(np.array(phi, dtype=np.float64))
-        return post.logp_and_grad(phi)
+        return post.logp_and_grad(phi, **need_logp)
 
     config = inference.HmcConfig(n_chains=1, n_warmup=100, n_draws=100, max_leapfrog=16, seed=1)
     inference.sample(target, config, post.initial_point())
     return np.array(visited)
 
 
-def time_calls(post, phis) -> float:
+def time_calls(post, phis, need_logp) -> float:
     """Seconds of one pass of `logp_and_grad` over `phis`."""
+    kwargs = {} if need_logp else {"need_logp": False}
     t0 = time.perf_counter()
     for phi in phis:
-        post.logp_and_grad(phi)
+        post.logp_and_grad(phi, **kwargs)
     return time.perf_counter() - t0
 
 
 def report(post, label: str, phis) -> None:
-    """Time `post.logp_and_grad` over `phis` and print one line."""
+    """Time `post.logp_and_grad` over `phis`, full and gradient-only, and print one line."""
     widths = []  # the cnar tail cut's grid length per call, on the warm-up pass only
     if post.model == "cnar":
         post._cutoff = lambda *args, cut=post._cutoff: widths.append(cut(*args)) or widths[-1]
     rejected = sum(not np.isfinite(post.logp_and_grad(phi)[0]) for phi in phis)
     vars(post).pop("_cutoff", None)  # the timed passes call the method itself
-    passes = [time_calls(post, phis) for _ in range(REPEATS)]
-    us = 1e6 * statistics.median(passes) / len(phis)
-    spread = ", ".join(f"{1e6 * t / len(phis):.1f}" for t in passes)
+    kinds = {"full": True}
+    if "need_logp" in inspect.signature(post.logp_and_grad).parameters:
+        kinds["gradient-only"] = False
+    passes = {kind: [] for kind in kinds}
+    for _ in range(REPEATS):
+        for kind, need_logp in kinds.items():
+            passes[kind].append(time_calls(post, phis, need_logp))
+    timings = ", ".join(f"{kind} {1e6 * statistics.median(t) / len(phis):.1f}"
+                        for kind, t in passes.items())
+    spread = "; ".join(f"{kind} passes " + ", ".join(f"{1e6 * x / len(phis):.1f}" for x in t)
+                       for kind, t in passes.items())
     cut = ""
     if widths:
         quartiles = tuple(np.percentile(widths, [25, 50, 75]))
@@ -86,7 +101,7 @@ def report(post, label: str, phis) -> None:
         if hasattr(post, "_closed_hi"):
             closed = int(np.sum(np.array(widths) <= post._closed_hi))
             cut += f"; closed-form share {closed / len(widths):.3f} ({closed} of {len(widths)})"
-    print(f"{post.model:<5} {label:<5} {us:8.1f} us/call  ({len(phis)} points; passes: {spread}; "
+    print(f"{post.model:<5} {label:<5} {timings} us/call  ({len(phis)} points; {spread}; "
           f"-inf share {rejected / len(phis):.4f}{cut})", flush=True)
 
 
@@ -101,16 +116,18 @@ def main(argv=None) -> int:
 
     config = cli.RunConfig()
     truth = bench_inputs.truth()
-    with tempfile.TemporaryDirectory() as tmp:
-        files = bench_inputs.generate("cnar-infer", 1, tmp)
-        spec, reports = cli._build_regression_spec(
-            files["stats.csv"], files["covariates.csv"], config.add_intercept
-        )
-    for name in MODELS:
-        post = model.Posterior(spec, reports, config.priors, name,
-                               tail_mass=config.truncation.tail_mass)
-        report(post, "truth", truth_points(post, truth))
-        report(post, "chain", chain_points(post, inference))
+    for seed in SEEDS:
+        print(f"seed {seed}", flush=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            files = bench_inputs.generate("cnar-infer", seed, tmp)
+            spec, reports = cli._build_regression_spec(
+                files["stats.csv"], files["covariates.csv"], config.add_intercept
+            )
+        for name in MODELS:
+            post = model.Posterior(spec, reports, config.priors, name,
+                                   tail_mass=config.truncation.tail_mass)
+            report(post, "truth", truth_points(post, truth))
+            report(post, "chain", chain_points(post, inference))
     return 0
 
 
