@@ -184,6 +184,24 @@ def _negbin_log_pmf(y, mu, kappa):
     return head - kappa * log_kmu_k + y * (log_ratio - log_kmu_k)
 
 
+def _log1p_gap(mu, kappa: float) -> np.ndarray:
+    """mu - kappa log1p(mu/kappa) for mu > 0, without its cancellation at small mu/kappa.
+
+    Below x = mu/kappa = 1e-2 it is mu x sum_{k=2..9} (-x)^(k-2)/k, within 1e-16 relative;
+    above, logaddexp gives log1p(mu/kappa) where mu/kappa overflows.
+    """
+    with np.errstate(over="ignore"):
+        x = mu / kappa
+    gap = mu - kappa * np.logaddexp(0.0, np.log(mu) - math.log(kappa))
+    small = x < 1.0e-2
+    x = x[small]
+    series = np.zeros_like(x)
+    for k in range(9, 1, -1):
+        series = 1.0 / k - x * series
+    gap[small] = mu[small] * x * series
+    return gap
+
+
 def corrected_scaled_count(y, k):
     """Scaled count (y + 1/2) / (k + 1); keeps Beta shapes positive at 0 and k."""
     return (np.asarray(y, dtype=np.float64) + 0.5) / (np.asarray(k, dtype=np.float64) + 1.0)
@@ -336,6 +354,9 @@ class Posterior:
             raise ValidationError("report k_max disagrees with the design k_max")
         if self.model == "scalar":
             self._counts = np.round(beta_centroids(data.location, data.precision, data.k_max))
+            # j = 0..max y - 1; c(y) = sum_{j<y} j/(kappa + j) is the cumsum's entry max(y - 1, 0)
+            self._steps = np.arange(max(self._counts.max(initial=0.0), 1.0))
+            self._steps_index = np.maximum(self._counts - 1.0, 0.0).astype(np.intp)
             return
         self._h = data.precision
         self._sum_log_h = float(np.log(self._h).sum()) if self._h.size else 0.0
@@ -570,16 +591,11 @@ class Posterior:
         kmu = kappa + mu
         ll = float(_negbin_log_pmf(y, mu, kappa).sum()) if need_logp else 0.0
         d_coef = self._z.T @ (y - mu * (y + kappa) / kmu)
-        d_kappa = float(
-            (
-                digamma(y + kappa)
-                - digamma(kappa)
-                + np.log(kappa)
-                + 1.0
-                - np.log(kmu)
-                - (y + kappa) / kmu
-            ).sum()
-        ) * kappa
+        # kappa (psi(y + kappa) - psi(kappa) + log(kappa/(kappa + mu)) + 1 - (y + kappa)/(kappa + mu))
+        # in terms that do not cancel at large kappa: -c(y) + (mu - kappa log1p(mu/kappa))
+        # - mu (mu - y)/(kappa + mu), with kappa (psi(y + kappa) - psi(kappa)) = y - c(y)
+        c = np.cumsum(self._steps / (kappa + self._steps))[self._steps_index]
+        d_kappa = float((_log1p_gap(mu, kappa) - c - mu * ((mu - y) / kmu)).sum())
         return ll, np.concatenate([d_coef, [d_kappa]])
 
 

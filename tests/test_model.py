@@ -335,6 +335,20 @@ class TestGradients:
         assert np.isfinite(grad[j])
         assert grad[j] == pytest.approx(fd, rel=1e-6)
 
+    @pytest.mark.parametrize("log_kappa", [0.0, 5.0, 25.0, 100.0, 690.0])
+    def test_scalar_log_dispersion_gradient_keeps_its_digits(self, log_kappa, small_cnar_data):
+        spec, _, sim = small_cnar_data
+        post = Posterior(spec, sim, PriorSpec(), "scalar")
+        phi = np.array([1.0, 0.5, log_kappa])
+        _, grad = post._loglik_and_grad(phi)
+        if log_kappa <= 5.0:
+            step = np.array([0.0, 0.0, 1e-4])
+            want = (post._loglik_and_grad(phi + step)[0] - post._loglik_and_grad(phi - step)[0]) / 2e-4
+        else:  # the large-kappa limit: sum of y - (y - mu)^2 over 2 kappa, off by O(y/kappa)
+            y, mu = post._counts, linear_means(spec, make_params("scalar"))
+            want = float(np.sum(y - (y - mu) ** 2)) / (2.0 * np.exp(log_kappa))
+        assert grad[2] == pytest.approx(want, rel=1e-6, abs=0.0)
+
     def test_prior_score_only_without_data(self):
         spec = RegressionSpec(np.empty((0, 1)), np.empty(0), np.empty(0, dtype=int))
         priors = PriorSpec()
