@@ -419,12 +419,8 @@ class Posterior:
         return out
 
     def logp_and_grad(self, phi: np.ndarray, need_logp: bool = True):
-        """(log posterior, gradient) at `phi`, or (0.0, gradient) with `need_logp` False.
-
-        A gradient-only call skips the terms only the log density reads; its 0.0
-        is a finite stand-in. It returns (-inf, zeros) at a point rejected for a
-        reason the gradient needs too, and finds `nonfinite_logp` never.
-        """
+        """(log posterior, gradient) at `phi`; with `need_logp` False, (0.0, gradient)
+        wherever the gradient is not rejected, 0.0 being a finite stand-in."""
         self.evaluations["full" if need_logp else "gradient_only"] += 1
         phi = np.asarray(phi, dtype=np.float64)
         ll, grad = self._loglik_and_grad(phi, need_logp)
@@ -468,17 +464,15 @@ class Posterior:
 
     # -- model blocks -------------------------------------------------------
 
-    def _gamma_block(self, shape: float, rate: float, n: int, need_logp: bool = True):
+    def _gamma_block(self, shape: float, rate: float, n: int, need_logp: bool):
         """Gamma log density of the precisions (0.0 unless `need_logp`) and its
         derivatives in log shape and log rate."""
         log_rate = math.log(rate)
-        logp = 0.0
-        if need_logp:
-            logp = (
-                n * (shape * log_rate - math.lgamma(shape))
-                + (shape - 1.0) * self._sum_log_h
-                - rate * self._sum_h
-            )
+        logp = (
+            n * (shape * log_rate - math.lgamma(shape))
+            + (shape - 1.0) * self._sum_log_h
+            - rate * self._sum_h
+        ) if need_logp else 0.0
         d_shape = n * (log_rate - float(digamma(shape))) + self._sum_log_h
         # no division by the rate: n*shape/rate overflows when the rate is tiny
         return logp, d_shape * shape, n * shape - rate * self._sum_h

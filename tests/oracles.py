@@ -119,7 +119,7 @@ class RowsCnarPosterior(Posterior):
         self._beta_mat = np.where(valid, beta_mat, -np.inf)
         self._scratch = (np.empty(beta_mat.size), np.empty(beta_mat.size))
 
-    def _cnar_block(self, phi: np.ndarray, mu: np.ndarray, need_logp: bool = True):
+    def _cnar_block(self, phi: np.ndarray, mu: np.ndarray, need_logp: bool):
         p = self.n_covariates
         kappa, shape, rate = np.exp(phi[p : p + 3])
         n = mu.size
@@ -166,7 +166,7 @@ class RowsCnarPosterior(Posterior):
         d_coef = self._z.T @ (delta_y * (kappa / (kappa + mu)))
         d_kappa = float((delta_psi - delta_y / (kappa + mu)).sum()) * kappa
 
-        gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n)
+        gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n, True)
         grad = np.concatenate([d_coef, [d_kappa, d_shape, d_rate]])
         return count_ll + gamma_ll, grad
 

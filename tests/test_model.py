@@ -1,5 +1,6 @@
 """Hierarchical likelihoods: densities, gradients, and the simulator."""
 
+import functools
 import re
 
 import numpy as np
@@ -335,17 +336,20 @@ class TestGradients:
         assert np.isfinite(grad[j])
         assert grad[j] == pytest.approx(fd, rel=1e-6)
 
-    @pytest.mark.parametrize("log_kappa", [0.0, 5.0, 25.0, 100.0, 690.0])
-    def test_scalar_log_dispersion_gradient_keeps_its_digits(self, log_kappa, small_cnar_data):
+    # at intercept 12 and log kappa -699 every mu/kappa overflows (log ratio 712 to 714)
+    @pytest.mark.parametrize("intercept, log_kappa", [(1.0, 0.0), (1.0, 5.0), (1.0, 25.0),
+                                                      (1.0, 100.0), (1.0, 690.0), (12.0, -699.0)])
+    def test_scalar_log_dispersion_gradient_keeps_its_digits(self, intercept, log_kappa,
+                                                             small_cnar_data):
         spec, _, sim = small_cnar_data
         post = Posterior(spec, sim, PriorSpec(), "scalar")
-        phi = np.array([1.0, 0.5, log_kappa])
+        phi = np.array([intercept, 0.5, log_kappa])
         _, grad = post._loglik_and_grad(phi)
         if log_kappa <= 5.0:
             step = np.array([0.0, 0.0, 1e-4])
             want = (post._loglik_and_grad(phi + step)[0] - post._loglik_and_grad(phi - step)[0]) / 2e-4
         else:  # the large-kappa limit: sum of y - (y - mu)^2 over 2 kappa, off by O(y/kappa)
-            y, mu = post._counts, linear_means(spec, make_params("scalar"))
+            y, mu = post._counts, linear_means(spec, make_params("scalar", coef=phi[:2]))
             want = float(np.sum(y - (y - mu) ** 2)) / (2.0 * np.exp(log_kappa))
         assert grad[2] == pytest.approx(want, rel=1e-6, abs=0.0)
 
@@ -379,15 +383,17 @@ def cnar_posteriors(k_cycle, tail_mass):
     return Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, tail_mass)
 
 
+def moved(phi, j, value):
+    """A copy of `phi` with coordinate j set to `value`."""
+    phi = phi.copy()
+    phi[j] = value
+    return phi
+
+
 def rejection_sweep(truth, names) -> dict:
     """Points next to `truth` that `Posterior` rejects, by the reason it counts."""
     shape = names.index("precision_shape") if "precision_shape" in names else len(names) - 1
-
-    def at(j, value):
-        phi = truth.copy()
-        phi[j] = value
-        return phi
-
+    at = functools.partial(moved, truth)
     rejected = {
         "nonfinite_phi": [at(0, np.nan), at(shape, np.inf)],
         # |log parameter| above 700; math.exp(710) would raise
@@ -444,9 +450,7 @@ class TestCnarKernelAgainstRowsOracle:
             counts = {reason: len(rejected.get(reason, ())) for reason in REJECTION_REASONS}
             assert post.rejections == counts, model
             # the bound itself is evaluated
-            bound = truth.copy()
-            bound[shape] = -700.0
-            assert np.isfinite(post.logp_and_grad(bound)[0])
+            assert np.isfinite(post.logp_and_grad(moved(truth, shape, -700.0))[0])
             assert np.isfinite(post.logp_and_grad(truth)[0])
         post = Posterior(spec, sim, PriorSpec(), "cnar", 1e-12)
         post._beta[0, 3] = np.nan  # one sample's report density is no longer finite

@@ -4,10 +4,11 @@ Usage: python tools/logp_timing.py <checkout>
 
 Imports the `grancount` package of `<checkout>/src` and writes the benchmark's
 `cnar-infer` inputs for seeds 1, 2 and 3 with `<checkout>/bench/inputs.py`:
-n=200 reports at K=500 and the CLI's default tail cutoff. Seed 1 keeps the cnar
-tail cut short; seed 3 sends most cnar calls to the full grid. For each seed and
-each of cnar, car1 and car2 it builds the `Posterior` the `infer` stage builds
-from those files and times `logp_and_grad` on two point sets:
+n=200 reports at K=500 and the CLI's default tail cutoff. Seed 3 is the one
+whose cnar calls mostly reach the full grid on the exact-c/K posterior of
+ROADMAP item 1. For each seed and each of cnar, car1 and car2 it builds the
+`Posterior` the `infer` stage builds from those files and times `logp_and_grad`
+on two point sets:
 
 - `truth`: 2,000 points drawn with a fixed seed around the packed simulation
   truth;
@@ -67,9 +68,8 @@ def chain_points(post, inference) -> np.ndarray:
     return np.array(visited)
 
 
-def time_calls(post, phis, need_logp) -> float:
-    """Seconds of one pass of `logp_and_grad` over `phis`."""
-    kwargs = {} if need_logp else {"need_logp": False}
+def time_calls(post, phis, kwargs) -> float:
+    """Seconds of one pass of `logp_and_grad(phi, **kwargs)` over `phis`."""
     t0 = time.perf_counter()
     for phi in phis:
         post.logp_and_grad(phi, **kwargs)
@@ -83,13 +83,13 @@ def report(post, label: str, phis) -> None:
         post._cutoff = lambda *args, cut=post._cutoff: widths.append(cut(*args)) or widths[-1]
     rejected = sum(not np.isfinite(post.logp_and_grad(phi)[0]) for phi in phis)
     vars(post).pop("_cutoff", None)  # the timed passes call the method itself
-    kinds = {"full": True}
+    kinds = {"full": {}}
     if "need_logp" in inspect.signature(post.logp_and_grad).parameters:
-        kinds["gradient-only"] = False
+        kinds["gradient-only"] = {"need_logp": False}
     passes = {kind: [] for kind in kinds}
     for _ in range(REPEATS):
-        for kind, need_logp in kinds.items():
-            passes[kind].append(time_calls(post, phis, need_logp))
+        for kind, kwargs in kinds.items():
+            passes[kind].append(time_calls(post, phis, kwargs))
     timings = ", ".join(f"{kind} {1e6 * statistics.median(t) / len(phis):.1f}"
                         for kind, t in passes.items())
     spread = "; ".join(f"{kind} passes " + ", ".join(f"{1e6 * x / len(phis):.1f}" for x in t)
