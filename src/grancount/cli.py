@@ -7,7 +7,9 @@ blocks of the JSON sidecars). CSV and JSON files go through `tables`.
 
 The configuration is `RunConfig`. Its sections and their value types come
 from the dataclasses that consume them: `priors` is `model.PriorSpec`, `hmc`
-is `inference.HmcConfig`, and the other sections are the dataclasses below.
+is `inference.HmcConfig`, and `ppc` and `simulate` are the dataclasses below.
+A setting of one function's accuracy is that function's default, not a config
+value: `fuzzy.fit_beta`'s, `model.Posterior`'s tail cut, `kernel.is_car`'s.
 `--set key.path=value` overrides are parsed as JSON (a value that is not JSON
 is taken as a string), merged into the file's values, and checked exactly
 like them: unknown keys are rejected, an int is accepted where a float is
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import logging
 import sys
@@ -52,16 +53,6 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FitSection:
-    tol: float = 1.0e-8
-    max_iter: int = 500
-    crisp_precision: float = fuzzy.CRISP_PRECISION_CEILING
-
-    def __post_init__(self):
-        fuzzy.check_fit_options(self.crisp_precision, self.tol, self.max_iter)
 
 
 @dataclass
@@ -98,26 +89,15 @@ class SimulateSection:
 
 
 @dataclass
-class TruncationSection:
-    tail_mass: float = 1.0e-12
-
-    def __post_init__(self):
-        model.check_tail_mass(self.tail_mass)
-
-
-@dataclass
 class RunConfig:
     seed: int = 0
     model: str = "cnar"
     add_intercept: bool = True
     workers: int = 1
-    car_tol: float = 1.0e-9
     priors: PriorSpec = field(default_factory=PriorSpec)
     hmc: HmcConfig = field(default_factory=HmcConfig)
-    fit: FitSection = field(default_factory=FitSection)
     ppc: PpcSection = field(default_factory=PpcSection)
     simulate: SimulateSection = field(default_factory=SimulateSection)
-    truncation: TruncationSection = field(default_factory=TruncationSection)
 
     def __post_init__(self):
         model.check_model_name(self.model)
@@ -125,8 +105,6 @@ class RunConfig:
             raise ValidationError("seed must be non-negative")
         if self.workers < 1:
             raise ValidationError("workers must be at least 1")
-        if not 0.0 < self.car_tol < np.inf:
-            raise ValidationError("car_tol must be strictly positive and finite")
 
 
 def _check_value(value, kind, path):
@@ -151,6 +129,16 @@ def _check_value(value, kind, path):
     raise ValidationError(f"config key '{path}' must be {kind.__name__}, got {value!r}")
 
 
+def _leaf_paths(payload, keys, path):
+    """Dotted paths of the values under `keys`, e.g. `config.fit.tol` for a removed section."""
+    for key in keys:
+        value = payload[key]
+        if isinstance(value, dict) and value:
+            yield from _leaf_paths(value, value, f"{path}.{key}")
+        else:
+            yield f"{path}.{key}"
+
+
 def _build_section(cls, payload, path):
     if not isinstance(payload, dict):
         raise ValidationError(f"config section '{path}' must be a mapping")
@@ -158,7 +146,7 @@ def _build_section(cls, payload, path):
     unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValidationError(
-            f"unknown config key(s): {', '.join(sorted(path + '.' + u for u in unknown))}"
+            f"unknown config key(s): {', '.join(sorted(_leaf_paths(payload, unknown, path)))}"
         )
     values = {k: _check_value(v, hints[k], f"{path}.{k}") for k, v in payload.items()}
     try:
@@ -286,21 +274,17 @@ def cmd_fit(args, config: RunConfig) -> int:
         raise ValidationError("no usable rows after support checks")
 
     ids, vectors = zip(*usable)
-    fit = functools.partial(
-        fuzzy.fit_beta,
-        crisp_precision=config.fit.crisp_precision, tol=config.fit.tol, max_iter=config.fit.max_iter,
-    )
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            fits = list(pool.map(fit, vectors))
+            fits = list(pool.map(fuzzy.fit_beta, vectors))
     else:
-        fits = list(map(fit, vectors))
+        fits = list(map(fuzzy.fit_beta, vectors))
     fuzzy.write_stats_csv(args.out, ids, fits)
     logger.info(
         "stage=fit in=%d fitted=%d dropped=%d degenerate=%d converged=%d at_max_iter=%d "
         "boundary=%d iterations_mean=%.1f sse_median=%.4g sse_max=%.4g elapsed_s=%.3f out=%s",
         len(rows), len(fits), dropped, sum(f.degenerate for f in fits),
-        sum(f.converged for f in fits), sum(f.iterations >= config.fit.max_iter for f in fits),
+        sum(f.converged for f in fits), sum(f.iterations >= fuzzy.FIT_MAX_ITER for f in fits),
         sum(f.location in (0.0, f.k_max) for f in fits),
         np.mean([f.iterations for f in fits]), np.median([f.sse for f in fits]),
         max(f.sse for f in fits), time.perf_counter() - start, args.out,
@@ -358,9 +342,7 @@ def cmd_infer(args, config: RunConfig) -> int:
     spec, data = _build_regression_spec(
         args.stats, args.covariates, config.add_intercept
     )
-    post = model.Posterior(
-        spec, data, config.priors, config.model, tail_mass=config.truncation.tail_mass
-    )
+    post = model.Posterior(spec, data, config.priors, config.model)
     logger.info(
         "stage=infer model=%s n=%d p=%d chains=%d warmup=%d draws=%d",
         config.model, spec.n_samples, spec.n_covariates,
@@ -450,7 +432,7 @@ def cmd_kernel_audit(args, config: RunConfig) -> int:
     print()
     print(f"{'outcome':<14}{'CAR':>6}  witness (ratio_high vs ratio_low)")
     for j in range(kern.n_outcomes):
-        res = kernel_mod.is_car(kern, j, tol=config.car_tol)
+        res = kernel_mod.is_car(kern, j)
         if res.is_car:
             print(f"{names[j]:<14}{'yes':>6}")
         else:

@@ -29,6 +29,8 @@ from .possibility import MembershipVector
 # Cap for the fitted precision of a point (crisp) fuzzy set; keeps the
 # downstream densities that consume h finite.
 CRISP_PRECISION_CEILING = 1.0e6
+# `fit_beta`'s default cap on the iterations of all its refinements together.
+FIT_MAX_ITER = 500
 
 _MIN_PRECISION = 1.0e-3
 # A step that would leave (0, 1) moves m this share of the way to the boundary.
@@ -94,7 +96,7 @@ class BetaFuzzy:
     """One fuzzy count (c, h, K) that `check_reports` accepts.
 
     It remains only as an entry point of the benchmark in `bench/`, until
-    ROADMAP item 6 moves it to the array form; the program reads columns.
+    ROADMAP item 8 moves it to the array form; the program reads columns.
     """
 
     location: float
@@ -110,7 +112,7 @@ class BetaFuzzy:
 
 
 def membership_grid(fz: BetaFuzzy) -> np.ndarray:
-    """Memberships on the full grid y = 0..K; kept for `bench/` until ROADMAP item 6."""
+    """Memberships on the full grid y = 0..K; kept for `bench/` until ROADMAP item 8."""
     return kl_membership(fz.location / fz.k_max, fz.precision, np.arange(fz.k_max + 1) / fz.k_max)
 
 
@@ -262,7 +264,7 @@ def fit_beta(
     mv: MembershipVector,
     crisp_precision: float = CRISP_PRECISION_CEILING,
     tol: float = 1.0e-8,
-    max_iter: int = 500,
+    max_iter: int = FIT_MAX_ITER,
 ) -> FitResult:
     """Least-squares fit of (location, precision) to a raw membership vector.
 

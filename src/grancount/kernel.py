@@ -23,6 +23,9 @@ from . import tables
 from .errors import ValidationError
 from .possibility import MembershipVector
 
+# `is_car`'s relative tolerance on the spread of the ratios xi(y)/c(y).
+CAR_TOL = 1.0e-9
+
 
 @dataclass(frozen=True)
 class ReportingKernel:
@@ -96,11 +99,12 @@ class CarResult:
     ratios: tuple[float, ...]
 
 
-def is_car(kern: ReportingKernel, xi_index: int, tol: float = 1.0e-9) -> CarResult:
+def is_car(kern: ReportingKernel, xi_index: int) -> CarResult:
     """Check whether reporting the outcome ignores the latent count.
 
     The mechanism is CAR for an outcome exactly when xi(y)/c(y) is constant
-    over the outcome's compatibility set {y : xi(y) > 0}. On failure the
+    over the outcome's compatibility set {y : xi(y) > 0}; constant means a
+    spread of at most `CAR_TOL` times (1 + the mean ratio). On failure the
     witness pair (y_high, y_low) carries the most extreme ratios. On that set
     c(y) >= xi(y) * nu(xi) > 0, so every ratio is defined.
     """
@@ -111,7 +115,7 @@ def is_car(kern: ReportingKernel, xi_index: int, tol: float = 1.0e-9) -> CarResu
     support = kern.outcomes[xi_index].support()  # never empty for a MembershipVector
     ratios = xi[support] / kern.c[support]
     spread = ratios.max() - ratios.min()
-    flat = spread <= tol * (1.0 + abs(ratios.mean()))
+    flat = spread <= CAR_TOL * (1.0 + abs(ratios.mean()))
     witness = None
     if not flat:
         witness = (int(support[np.argmax(ratios)]), int(support[np.argmin(ratios)]))

@@ -39,6 +39,8 @@ from .fuzzy import BetaFuzzy, beta_centroids, check_reports, k_blocks
 MODEL_NAMES = ("cnar", "car1", "car2", "scalar")
 REJECTION_REASONS = ("nonfinite_phi", "positive_bound", "eta_overflow", "nonfinite_peak",
                      "nonfinite_logp")
+# `Posterior`'s default share of the widest count pmf the cnar grid may drop
+TAIL_MASS = 1.0e-12
 
 # exp() overflows just above this; treat larger linear predictors as failures
 _MAX_LINEAR_PREDICTOR = 700.0
@@ -148,7 +150,7 @@ class Reports:
         """One `BetaFuzzy` per report, built on each access.
 
         It remains only as an entry point of the benchmark in `bench/`, until
-        ROADMAP item 6 moves it to the columns.
+        ROADMAP item 8 moves it to the columns.
         """
         columns = self.location.tolist(), self.precision.tolist(), self.k_max.tolist()
         return tuple(map(BetaFuzzy, *columns))
@@ -321,7 +323,8 @@ class Posterior:
     `cnar` divides a mixture (count pmf times report density) by the bare
     count pmf on {0..K}, summing over 0..max K cut one column past the
     (1 - `tail_mass`) quantile of NB(max mu, kappa): each sample's pmf loses at
-    most `tail_mass`; `tail_mass=0` is the exact full grid. Where the cut ends
+    most `tail_mass`, `TAIL_MASS` (1e-12) unless the caller chooses, and
+    `tail_mass=0` is the exact full grid, the reference. Where the cut ends
     before the grid and inside every K, the bare pmf's log normaliser and means
     of y and digamma(y + kappa) are the untruncated NB's closed forms, off by
     its mass beyond K, at most `tail_mass`. It keeps the (max K + 1, n) report
@@ -330,7 +333,7 @@ class Posterior:
     """
 
     def __init__(
-        self, spec: RegressionSpec, data, priors: PriorSpec, model: str, tail_mass: float = 0.0
+        self, spec: RegressionSpec, data, priors: PriorSpec, model: str, tail_mass: float = TAIL_MASS
     ):
         self.model = check_model_name(model)
         self.tail_mass = check_tail_mass(tail_mass)

@@ -56,7 +56,8 @@ def latent_counts_full_rows(mu, kappa: float, k, u) -> np.ndarray:
 
 def observed_loglik(spec, params, data, model) -> float:
     """Observed-data log likelihood of `model` at constrained-scale `params`, on the full grid."""
-    ll, _ = Posterior(spec, data, PriorSpec(), model)._loglik_and_grad(pack_params(params, model))
+    post = Posterior(spec, data, PriorSpec(), model, tail_mass=0.0)
+    ll, _ = post._loglik_and_grad(pack_params(params, model))
     if not np.isfinite(ll):
         raise NumericalError(f"{model} likelihood cannot be evaluated at these parameters")
     return float(ll)

@@ -1,6 +1,7 @@
 """Contract tests for the command-line pipeline, run in-process through `cli.main`."""
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from grancount import cli, model
+from grancount import cli, fuzzy, model
 
 DATA = Path(cli.__file__).parent / "data"
 SMALL = [
@@ -23,6 +24,19 @@ SMALL = [
     "--set", "ppc.n_reps=20",
 ]
 
+# every value `--set` can change, as `show-config` prints it
+SETTABLE_KEYS = [
+    "add_intercept", "model", "seed", "workers",
+    "hmc.init_jitter", "hmc.max_leapfrog", "hmc.n_chains", "hmc.n_draws", "hmc.n_warmup",
+    "hmc.seed", "hmc.target_accept",
+    "ppc.grid", "ppc.n_reps",
+    "priors.coef_sd", "priors.log_dispersion_sd", "priors.log_extra_dispersion_sd",
+    "priors.log_precision_rate_sd", "priors.log_precision_shape_sd",
+    "simulate.coef", "simulate.dispersion", "simulate.extra_dispersion", "simulate.k",
+    "simulate.n_samples", "simulate.offset", "simulate.precision_rate", "simulate.precision_shape",
+]
+# former config values, now the defaults of `fit_beta`, `Posterior` and `is_car`
+REMOVED_KEYS = ("car_tol", "fit.tol", "fit.max_iter", "fit.crisp_precision", "truncation.tail_mass")
 
 # stats rows (c, h, K) outside the Beta-type family, each given to sample b
 BAD_STATS_ROWS = {"c-above-k": "11.0,5.0,10", "c-below-zero": "-1.0,5.0,10", "c-nan": "nan,5.0,10",
@@ -88,7 +102,7 @@ def test_fit_process_pool_writes_the_same_bytes(tmp_path):
     assert (tmp_path / "stats1.csv").read_bytes() == (tmp_path / "stats2.csv").read_bytes()
 
 
-def test_fit_logs_convergence_and_sse_summary(tmp_path, caplog):
+def test_fit_logs_convergence_and_sse_summary(tmp_path, caplog, monkeypatch):
     run("count", DATA / "demo_possibility.csv", "--out", tmp_path / "counts.csv")
     with caplog.at_level(logging.INFO, logger="grancount"):
         run("fit", tmp_path / "counts.csv", "--out", tmp_path / "stats.csv")
@@ -104,8 +118,10 @@ def test_fit_logs_convergence_and_sse_summary(tmp_path, caplog):
     assert int(fields["at_max_iter"]) == 0 and float(fields["elapsed_s"]) > 0.0
 
     caplog.clear()
+    monkeypatch.setattr(fuzzy, "fit_beta", functools.partial(fuzzy.fit_beta, max_iter=2))
+    monkeypatch.setattr(fuzzy, "FIT_MAX_ITER", 2)
     with caplog.at_level(logging.INFO, logger="grancount"):
-        run("--set", "fit.max_iter=2", "fit", tmp_path / "counts.csv", "--out", tmp_path / "s2.csv")
+        run("fit", tmp_path / "counts.csv", "--out", tmp_path / "s2.csv")
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage=fit in=")]
     fields = dict(item.split("=", 1) for item in line.split())
     assert int(fields["at_max_iter"]) >= int(fields["fitted"]) - int(fields["converged"]) > 0
@@ -234,7 +250,7 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
         ["--set", 'workers="a"', "show-config"],
         ["--set", "hmc.n_draws=true", "show-config"],
         ["--set", "simulate.k=2.5", "show-config"],
-        ["--set", "car_tol=1" + "0" * 400, "show-config"],
+        ["--set", "priors.coef_sd=1" + "0" * 400, "show-config"],
         ["--set", "validate=1", "show-config"],
         ["count", "no-such-file.csv", "--out", "counts.csv"],
         ["count", "latin1.csv", "--out", "counts.csv"],
@@ -299,6 +315,16 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
         ["--set", "hmc.n_chains=0", "show-config"],
         ["--set", "hmc.target_accept=1", "show-config"],
         ["--set", "hmc.max_leapfrog=0", "show-config"],
+        ["--set", "simulate.coef=1", "show-config"],
+        ["--set", "hmc=3", "show-config"],
+        ["--set", "seed", "kernel-audit", "kernel_ok.json"],
+        ["--set", "hmc=3", "--set", "hmc.seed=1", "kernel-audit", "kernel_ok.json"],
+        [*SMALL, "infer", "dup_stats.csv", "covariates.csv",
+         "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
+        [*SMALL, "infer", "stats.csv", "covariates_without_b.csv",
+         "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
+        ["--set", 'model="car1"', "--set", "ppc.n_reps=2", "ppc", "draws.csv", "stats.csv",
+         "covariates.csv", "--out-csv", "ppc.csv", "--out-json", "ppc.json"],
     ] + [
         [*SMALL, "infer", f"stats_{name}.csv", "covariates.csv",
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"]
@@ -328,7 +354,10 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "one-hmc-draw", "kernel-no-outcomes", "kernel-two-lengths", "kernel-nu-length",
          "kernel-nu-sum", "kernel-names-length", "covariate-nan", "covariate-offset-zero",
          "covariate-duplicate-name", "covariate-named-intercept", "kernel-membership-above-1",
-         "zero-hmc-chains", "hmc-target-accept-1", "zero-hmc-max-leapfrog"]
+         "zero-hmc-chains", "hmc-target-accept-1", "zero-hmc-max-leapfrog",
+         "simulate-coef-not-list", "section-not-mapping", "override-without-equals",
+         "override-through-non-section", "infer-duplicate-stats-id", "infer-covariates-missing-id",
+         "ppc-draws-of-another-model"]
     + [f"infer-stats-{name}" for name in BAD_STATS_ROWS]
     + [f"ppc-stats-{name}" for name in BAD_STATS_ROWS]
     + [f"ppc-draws-{name}" for name, _, _ in BAD_DRAWS_ROWS],
@@ -362,6 +391,8 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     (tmp_path / "covariates_offset_0.csv").write_text("sample_id,x,offset\na,0.5,1.0\nb,-0.5,0.0\n")
     (tmp_path / "covariates_dup.csv").write_text("sample_id,x,x\na,0.5,1.0\nb,-0.5,2.0\n")
     (tmp_path / "covariates_intercept.csv").write_text("sample_id,intercept\na,1.0\nb,1.0\n")
+    (tmp_path / "covariates_without_b.csv").write_text("sample_id,x\na,0.5\n")
+    (tmp_path / "dup_stats.csv").write_text("sample_id,c,h,K\na,2.0,5.0,10\na,4.0,5.0,10\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "ragged.csv").write_text("r1,r2\n1.0,0.5\n1.0\n")
     (tmp_path / "header_only.csv").write_text("r1,r2\n")
@@ -397,6 +428,18 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     if argv[0] == "--set" and argv[-1] == "show-config":  # the error names the key's section
         key = "config." + argv[1].split("=")[0]
         assert f"{key.rpartition('.')[0]}: " in errors[0] or key in errors[0], errors
+    for key in REMOVED_KEYS:
+        if any(arg.startswith(f"{key}=") for arg in argv):
+            assert f"unknown config key(s): config.{key}" in errors[0], errors
+
+
+def test_show_config_prints_every_settable_key(capsys):
+    assert cli.main(["show-config"]) == cli.EXIT_OK
+    config = json.loads(capsys.readouterr().out)
+    keys = []
+    for name, value in config.items():
+        keys += [f"{name}.{key}" for key in value] if isinstance(value, dict) else [name]
+    assert sorted(keys) == sorted(SETTABLE_KEYS)
 
 
 def test_every_subcommand_sets_a_run_handler():

@@ -281,7 +281,7 @@ class TestGradients:
     def test_matches_central_differences(self, model, small_cnar_data):
         spec, _, sim = small_cnar_data
         priors = PriorSpec()
-        post = Posterior(spec, sim, priors, model)
+        post = Posterior(spec, sim, priors, model, tail_mass=0.0)
         rng = np.random.default_rng(5)
         step = 1e-5
         for _ in range(6):
@@ -326,7 +326,7 @@ class TestGradients:
         # n*shape/rate overflows at rate = exp(-699.9); its log-scale form does not
         spec = make_spec(n=200, k=500, offset=1.0)
         data = simulate(spec, make_params("cnar"), seed=0, model="cnar")
-        post = Posterior(spec, data, PriorSpec(), model)
+        post = Posterior(spec, data, PriorSpec(), model, tail_mass=0.0)
         phi = np.array(phi)
         _, grad = post.logp_and_grad(phi)
         j = post.names.index("precision_rate")

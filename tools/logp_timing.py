@@ -4,9 +4,10 @@ Usage: python tools/logp_timing.py <checkout>
 
 Imports the `grancount` package of `<checkout>/src` and writes the benchmark's
 `cnar-infer` inputs for seeds 1, 2 and 3 with `<checkout>/bench/inputs.py`:
-n=200 reports at K=500 and the CLI's default tail cutoff. Seed 3 is the one
-whose cnar calls mostly reach the full grid on the exact-c/K posterior of
-ROADMAP item 1. For each seed and each of cnar, car1 and car2 it builds the
+n=200 reports at K=500 and the tail cutoff `infer` uses (`Posterior`'s default,
+or the `truncation` config section's in checkouts that have one). Seed 3 is
+the one whose cnar calls mostly reach the full grid on the exact-c/K posterior
+of ROADMAP item 1. For each seed and each of cnar, car1 and car2 it builds the
 `Posterior` the `infer` stage builds from those files and times `logp_and_grad`
 on two point sets:
 
@@ -115,6 +116,7 @@ def main(argv=None) -> int:
     from grancount import cli, inference, model
 
     config = cli.RunConfig()
+    tail = {"tail_mass": config.truncation.tail_mass} if hasattr(config, "truncation") else {}
     truth = bench_inputs.truth()
     for seed in SEEDS:
         print(f"seed {seed}", flush=True)
@@ -124,8 +126,7 @@ def main(argv=None) -> int:
                 files["stats.csv"], files["covariates.csv"], config.add_intercept
             )
         for name in MODELS:
-            post = model.Posterior(spec, reports, config.priors, name,
-                                   tail_mass=config.truncation.tail_mass)
+            post = model.Posterior(spec, reports, config.priors, name, **tail)
             report(post, "truth", truth_points(post, truth))
             report(post, "chain", chain_points(post, inference))
     return 0
