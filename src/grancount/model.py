@@ -587,7 +587,7 @@ class Posterior:
         y = self._counts
         kmu = kappa + mu
         ll = float(_negbin_log_pmf(y, mu, kappa).sum()) if need_logp else 0.0
-        d_coef = self._z.T @ (y - mu * (y + kappa) / kmu)
+        d_coef = self._z.T @ (y - mu * ((y + kappa) / kmu))  # mu (y + kappa) can overflow
         # kappa (psi(y + kappa) - psi(kappa) + log(kappa/(kappa + mu)) + 1 - (y + kappa)/(kappa + mu))
         # in terms that do not cancel at large kappa: -c(y) + (mu - kappa log1p(mu/kappa))
         # - mu (mu - y)/(kappa + mu), with kappa (psi(y + kappa) - psi(kappa)) = y - c(y)

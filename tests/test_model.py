@@ -353,6 +353,17 @@ class TestGradients:
             want = float(np.sum(y - (y - mu) ** 2)) / (2.0 * np.exp(log_kappa))
         assert grad[2] == pytest.approx(want, rel=1e-6, abs=0.0)
 
+    def test_scalar_coefficient_gradient_is_finite_at_the_positive_bound(self):
+        # log mean and log dispersion both 700, on an intercept-only design: the
+        # density is finite there, and so is its gradient, though mu (y + kappa) overflows
+        spec = RegressionSpec(np.ones((5, 1)), np.ones(5), np.full(5, 10))
+        post = Posterior(spec, make_reports([(2.0, 5.0, 10)] * 5), PriorSpec(), "scalar")
+        logp, grad = post.logp_and_grad(np.array([700.0, 700.0]))
+        assert np.isfinite(logp) and np.isfinite(grad).all()
+        # mu = kappa, so each sample adds y - (y + kappa) / 2
+        want = float(np.sum(post._counts - np.exp(700.0)) / 2.0)
+        assert grad[0] == pytest.approx(want, rel=1e-12)
+
     def test_prior_score_only_without_data(self):
         spec = RegressionSpec(np.empty((0, 1)), np.empty(0), np.empty(0, dtype=int))
         priors = PriorSpec()
