@@ -8,14 +8,16 @@ blocks of the JSON sidecars). CSV and JSON files go through `tables`.
 The configuration is `RunConfig`. Its sections and their value types come
 from the dataclasses that consume them: `priors` is `model.PriorSpec`, `hmc`
 is `inference.HmcConfig`, and `ppc` and `simulate` are the dataclasses below.
-A setting of one function's accuracy is that function's default, not a config
-value: `fuzzy.fit_beta`'s, `model.Posterior`'s tail cut, `kernel.is_car`'s.
+The accuracy settings of single functions (`fuzzy.fit_beta`'s tolerance,
+iteration cap and crisp ceiling, `model.Posterior`'s tail cut, `kernel.is_car`'s
+tolerance) are those functions' defaults, not config values.
 `--set key.path=value` overrides are parsed as JSON (a value that is not JSON
 is taken as a string), merged into the file's values, and checked exactly
-like them: unknown keys are rejected, an int is accepted where a float is
-expected, and any other mismatch (a bool or non-integral number for an int,
-a string for a number) is a validation error. Each section checks its own rules
-as it is built, and every config error names its section (`config.hmc: ...`).
+like them: unknown keys are rejected, each named by its full dotted path
+(`config.fit.tol`), an int is accepted where a float is expected, and any
+other mismatch (a bool or non-integral number for an int, a string for a
+number) is a validation error. Each section checks its own rules as it is
+built, and every config error names its section (`config.hmc: ...`).
 
 Exit codes: 0 success, 2 validation error or unreadable file, 3 numerical
 failure.

@@ -250,16 +250,6 @@ def _refine(sse: _GridSSE, m: float, s: float, bounds, tol: float, budget: int, 
     return m, s, cur[0], budget, False
 
 
-def check_fit_options(crisp_precision: float, tol: float, max_iter: int) -> None:
-    """Reject `fit_beta` options it cannot run with."""
-    if not tol > 0.0:
-        raise ValidationError(f"tol must be strictly positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter!r}")
-    if not (math.isfinite(crisp_precision) and crisp_precision > _MIN_PRECISION):
-        raise ValidationError(f"crisp_precision must be finite and above {_MIN_PRECISION:g}")
-
-
 def fit_beta(
     mv: MembershipVector,
     crisp_precision: float = CRISP_PRECISION_CEILING,
@@ -283,7 +273,12 @@ def fit_beta(
     kl(c/K, y/K) of all grid pairs, (K+1)^2 * 8 bytes (2 MB at K=500, 72 MB
     at K=3000), is built once per K and held after the call.
     """
-    check_fit_options(crisp_precision, tol, max_iter)
+    if not tol > 0.0:
+        raise ValidationError(f"tol must be strictly positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter!r}")
+    if not (math.isfinite(crisp_precision) and crisp_precision > _MIN_PRECISION):
+        raise ValidationError(f"crisp_precision must be finite and above {_MIN_PRECISION:g}")
     values = mv.memberships
     k = mv.k_max
     if values.max() < 1.0 - 1.0e-9:
