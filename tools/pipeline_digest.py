@@ -13,7 +13,9 @@ temporary directory, on the benchmark's `granular-ppc` inputs for seeds 1 and 2
 - `infer` for cnar, car1, car2 and scalar, with small HMC settings;
 - `ppc` on the benchmark draws (cnar) and on car2's own draws;
 
-and `kernel-audit` on three kernels it writes itself: the two-outcome worked
+then `count` and `fit` alone on a seeded possibility matrix with continuous degrees
+(`write_continuous_possibility`), whose counts have many levels; and
+`kernel-audit` on three kernels it writes itself: the two-outcome worked
 example (not CAR), two disjoint indicators (CAR) and a seeded random kernel
 with 9 outcomes on {0..12}. Last, `infer` runs as the benchmark runs it, on the
 `cnar-infer` and `car2-infer` inputs and configs for seeds 1 and 2, and its
@@ -104,6 +106,20 @@ def pipeline(cli, inputs, out):
     return files
 
 
+def write_continuous_possibility(path) -> None:
+    """Write a seeded 300 x 12 possibility CSV with continuous degrees.
+
+    Each read holds its own referent at degree 1 and every other referent, with
+    probability 0.15, at a uniform degree in [0, 1).
+    """
+    rng = np.random.default_rng(5)
+    degrees = np.where(rng.random((300, 12)) < 0.15, rng.random((300, 12)), 0.0)
+    degrees[np.arange(300), rng.integers(0, 12, size=300)] = 1.0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(f"g{j}" for j in range(12)) + "\n")
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in degrees)
+
+
 def audit_kernels():
     """Name -> kernel JSON payload for the `kernel-audit` runs."""
     rng = np.random.default_rng(9)
@@ -149,6 +165,13 @@ def main(argv=None) -> int:
                 inputs = bench_inputs.generate("granular-ppc", int(label), work)
             for path in pipeline(cli, inputs, lambda name: os.path.join(work, name)):
                 print(label, os.path.basename(path), digest(path), flush=True)
+        possibility, counts, fitted = (os.path.join(tmp, f"continuous_{name}.csv")
+                                       for name in ("possibility", "counts", "fit_stats"))
+        write_continuous_possibility(possibility)
+        run_cli(cli, ["count", possibility, "--out", counts])
+        run_cli(cli, ["fit", counts, "--out", fitted])
+        for path in (counts, fitted):
+            print("continuous", os.path.basename(path), digest(path), flush=True)
         for name, payload in audit_kernels().items():
             kernel, audit = (os.path.join(tmp, f"kernel_{name}{ext}") for ext in (".json", ".txt"))
             with open(kernel, "w", encoding="utf-8") as fh:
