@@ -73,14 +73,6 @@ class PossibilityAssignment:
         """True iff every observation has full possibility for some referent."""
         return bool(np.all(self.best_degree == 1.0))
 
-    def _check_referent(self, referent: int) -> int:
-        referent = int(referent)
-        if not 0 <= referent < self.n_ref:
-            raise ValidationError(
-                f"referent index {referent} out of range [0, {self.n_ref})"
-            )
-        return referent
-
 
 @dataclass(frozen=True)
 class MembershipVector:
@@ -116,54 +108,44 @@ def granular_count_fast(assign: PossibilityAssignment, referent: int) -> Members
 
     Uses the threshold characterisation of the subset formula: the count y
     reaches level alpha iff every observation whose best alternative degree
-    falls below alpha also supports the referent at level alpha, at most y
-    such observations are forced in, and at least y observations support the
-    referent at level alpha. Feasible (alpha, y) regions are nested as alpha
-    decreases, so one descending sweep over candidate levels fills the vector.
+    falls below alpha also supports the referent at level alpha (alpha is
+    feasible), at least lo(alpha) = #(alternative degree < alpha) <= y such
+    observations are forced in, and y <= hi(alpha) = #(own degree >= alpha)
+    observations support the referent at level alpha. As alpha falls, lo never
+    rises, hi never falls and a feasible alpha stays feasible, so the feasible
+    intervals [lo, hi] nest and widen. Over the feasible levels in descending
+    order, those whose interval misses y (lo > y or hi < y) thus come first,
+    and y's membership is the level right after them, or 0 if none is left.
     """
-    referent = assign._check_referent(referent)
+    referent = int(referent)
+    if not 0 <= referent < assign.n_ref:
+        raise ValidationError(f"referent index {referent} out of range [0, {assign.n_ref})")
     n = assign.n_obs
     own = assign.degrees[:, referent]
     # best alternative degree: the best of the row unless it is this referent's
     alt = np.where(assign.best_referent == referent, assign.second_degree, assign.best_degree)
 
     # Membership values can only be degrees present in the instance, or 1.
-    candidates = np.unique(np.concatenate([own, alt, [1.0]]))
-    candidates = candidates[candidates > 0.0][::-1]
+    levels = np.unique(np.concatenate([own, alt, [1.0]]))
+    levels = levels[levels > 0.0][::-1]
 
     order = np.argsort(alt, kind="stable")
-    alt_sorted = alt[order]
-    own_by_alt = own[order]
     # prefix_min_own[j] = min own degree among the j observations with the
     # smallest alternative degrees (the ones forced into the subset first)
-    prefix_min_own = np.concatenate([[np.inf], np.minimum.accumulate(own_by_alt)])
-    own_sorted = np.sort(own)
-
-    out = np.zeros(n + 1)
-    covered_lo, covered_hi = None, None
-    for alpha in candidates:
-        forced = int(np.searchsorted(alt_sorted, alpha, side="left"))
-        available = n - int(np.searchsorted(own_sorted, alpha, side="left"))
-        if prefix_min_own[forced] < alpha:
-            continue  # some forced observation cannot support the referent
-        lo, hi = forced, available
-        if covered_lo is None:
-            out[lo : hi + 1] = alpha
-        else:
-            out[lo:covered_lo] = alpha
-            out[covered_hi + 1 : hi + 1] = alpha
-        covered_lo = lo if covered_lo is None else min(covered_lo, lo)
-        covered_hi = hi if covered_hi is None else max(covered_hi, hi)
-    return _as_count_vector(out, referent)
-
-
-def _as_count_vector(values: np.ndarray, referent: int) -> MembershipVector:
-    if values.max() <= 0.0:
+    prefix_min_own = np.concatenate([[np.inf], np.minimum.accumulate(own[order])])
+    lo = np.searchsorted(alt[order], levels, side="left")
+    hi = n - np.searchsorted(np.sort(own), levels, side="left")
+    feasible = prefix_min_own[lo] >= levels
+    levels, lo, hi = levels[feasible], lo[feasible], hi[feasible]
+    y = np.arange(n + 1)
+    first = np.maximum(np.searchsorted(-lo, -y, side="left"), np.searchsorted(hi, y, side="left"))
+    out = np.append(levels, 0.0)[first]
+    if out.max() <= 0.0:
         raise ValidationError(
             f"granular count for referent {referent} is empty: some observation "
             "has zero possibility both for this referent and for every alternative"
         )
-    return MembershipVector(values)
+    return MembershipVector(out)
 
 
 def read_possibility_csv(path) -> PossibilityAssignment:

@@ -179,7 +179,8 @@ def complement_degrees(assign: PossibilityAssignment, referent: int) -> np.ndarr
     taken as 0 (the observation cannot be anything else). The reference for
     the alternative degrees `granular_count_fast` reads off the top two.
     """
-    referent = assign._check_referent(referent)
+    if not 0 <= referent < assign.n_ref:
+        raise ValidationError(f"referent index {referent} out of range [0, {assign.n_ref})")
     if assign.n_ref == 1:
         return np.zeros(assign.n_obs)
     return np.delete(assign.degrees, referent, axis=1).max(axis=1)
