@@ -133,8 +133,8 @@ class DiagnosticsTable:
     flags: tuple[str, ...]
 
     def max_rhat(self) -> float:
-        finite = self.rhat[np.isfinite(self.rhat)]
-        return float(finite.max()) if finite.size else float("nan")
+        defined = self.rhat[~np.isnan(self.rhat)]
+        return float(defined.max()) if defined.size else float("nan")
 
 
 @dataclass(frozen=True)
@@ -356,12 +356,14 @@ def _split(chains: np.ndarray) -> np.ndarray:
 
 def _rhat_from_chains(chains: np.ndarray) -> float:
     c, m = chains.shape
+    # every split chain constant, by exact comparison: a rounded variance is
+    # not 0. Chains stuck at different values never mix; at one value, undefined.
+    if (chains == chains[:, :1]).all():
+        return float("inf") if (chains[:, 0] != chains[0, 0]).any() else float("nan")
     means = chains.mean(axis=1)
     variances = chains.var(axis=1, ddof=1)
     w = variances.mean()
     b = m * means.var(ddof=1)
-    if w <= 0.0:
-        return float("nan")
     var_plus = (m - 1.0) / m * w + b / m
     return float(math.sqrt(var_plus / w))
 
@@ -417,7 +419,7 @@ def diagnostics(draws: PosteriorDraws) -> DiagnosticsTable:
             rhat[j] = _rhat_from_chains(z)
         ess[j] = _ess_from_chains(z)
     for j, name in enumerate(draws.names):
-        if np.isfinite(rhat[j]) and rhat[j] > 1.01:
+        if rhat[j] > 1.01:  # inf included; NaN compares false
             flags.append(f"{name}: R-hat {rhat[j]:.4f} exceeds 1.01")
     return DiagnosticsTable(
         names=draws.names, rhat=rhat, ess_bulk=ess, flags=tuple(flags)

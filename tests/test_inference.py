@@ -382,6 +382,17 @@ class TestDiagnostics:
         assert np.isnan(table.rhat[0])
         assert any("constant" in f for f in table.flags)
 
+    @pytest.mark.parametrize("m", [40, 100])
+    def test_stuck_chains_that_disagree_read_infinite_rhat(self, m):
+        # x0: two chains that never move, at 1.0 and 2.0; x1 mixes. The split
+        # chains' variances round to exactly 0 at m = 40 and above 0 at m = 100.
+        chains = np.random.default_rng(6).standard_normal((2, m, 2))
+        chains[0, :, 0], chains[1, :, 0] = 1.0, 2.0
+        table = diagnostics(self._draws_from_chains(chains))
+        assert table.rhat[0] == np.inf and np.isfinite(table.rhat[1])
+        assert table.max_rhat() == np.inf
+        assert "x0: R-hat inf exceeds 1.01" in table.flags
+
     @pytest.mark.parametrize("scale, shift", [(1e-10, 1e-9), (1.0, 1e6)])
     def test_affine_map_leaves_rhat_and_ess_unchanged(self, scale, shift):
         x = np.random.default_rng(5).standard_normal((2, 200, 1))
