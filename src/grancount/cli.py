@@ -173,11 +173,11 @@ def load_config(path=None, overrides=()) -> RunConfig:
         except json.JSONDecodeError:
             value = raw_value
         *sections, leaf = raw_key.split(".")
-        target = payload
+        target, path = payload, "config"
         for part in sections:
-            target = target.setdefault(part, {})
+            target, path = target.setdefault(part, {}), f"{path}.{part}"
             if not isinstance(target, dict):
-                raise ValidationError(f"override '{item}': '{part}' is not a config section")
+                raise ValidationError(f"override '{item}': '{path}' is not a config section")
         target[leaf] = value
     return _build_section(RunConfig, payload, "config")
 

@@ -318,7 +318,7 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
         ["--set", "simulate.coef=1", "show-config"],
         ["--set", "hmc=3", "show-config"],
         ["--set", "seed", "kernel-audit", "kernel_ok.json"],
-        ["--set", "hmc=3", "--set", "hmc.seed=1", "kernel-audit", "kernel_ok.json"],
+        ["--set", "hmc=3", "--set", "hmc.seed=1", "show-config"],
         [*SMALL, "infer", "dup_stats.csv", "covariates.csv",
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
         [*SMALL, "infer", "stats.csv", "covariates_without_b.csv",
