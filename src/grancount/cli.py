@@ -264,7 +264,7 @@ def cmd_fit(args, config: RunConfig) -> int:
             logger.info("stage=fit sample=%s dropped reason=empty-support", sample_id)
             dropped += 1
             continue
-        if values.max() < 1.0 - 1.0e-9:
+        if values.max() < fuzzy.NORMALIZED_MIN:
             logger.info("stage=fit sample=%s dropped reason=not-normalized max=%g", sample_id, values.max())
             dropped += 1
             continue

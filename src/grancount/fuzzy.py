@@ -31,6 +31,9 @@ from .possibility import MembershipVector
 CRISP_PRECISION_CEILING = 1.0e6
 # `fit_beta`'s default cap on the iterations of all its refinements together.
 FIT_MAX_ITER = 500
+# The least maximum membership of a normalised vector: `fit_beta` rejects a
+# vector below it, and the `fit` stage drops its row.
+NORMALIZED_MIN = 1.0 - 1.0e-9
 
 _MIN_PRECISION = 1.0e-3
 # A step that would leave (0, 1) moves m this share of the way to the boundary.
@@ -281,7 +284,7 @@ def fit_beta(
         raise ValidationError(f"crisp_precision must be finite and above {_MIN_PRECISION:g}")
     values = mv.memberships
     k = mv.k_max
-    if values.max() < 1.0 - 1.0e-9:
+    if values.max() < NORMALIZED_MIN:
         raise ValidationError("membership vector must be normalized (max == 1)")
     support = mv.support()
     sse = _GridSSE(values, k)
