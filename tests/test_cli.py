@@ -291,6 +291,7 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
         ["count", "empty.csv", "--out", "out.csv"],
         ["count", "ragged.csv", "--out", "out.csv"],
         ["count", "header_only.csv", "--out", "out.csv"],
+        ["count", "zero_row.csv", "--out", "out.csv"],
         ["--config", "invalid.json", "show-config"],
         ["--set", "workers=0", "show-config"],
         ["--set", "simulate.k=0", "show-config"],
@@ -349,7 +350,7 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "negative-simulate-dispersion", "zero-simulate-precision-rate", "empty-simulate-coef",
          "infinite-car-tol", "fit-counts-nan",
          "ppc-chain-minus-1", "scalar-simulate", "scalar-ppc",
-         "empty-csv", "ragged-csv", "header-only-csv", "invalid-json-config", "zero-workers",
+         "empty-csv", "ragged-csv", "header-only-csv", "empty-count", "invalid-json-config", "zero-workers",
          "zero-simulate-k", "zero-simulate-offset", "infinite-simulate-offset", "ppc-grid-1",
          "one-hmc-draw", "kernel-no-outcomes", "kernel-two-lengths", "kernel-nu-length",
          "kernel-nu-sum", "kernel-names-length", "covariate-nan", "covariate-offset-zero",
@@ -396,6 +397,7 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "ragged.csv").write_text("r1,r2\n1.0,0.5\n1.0\n")
     (tmp_path / "header_only.csv").write_text("r1,r2\n")
+    (tmp_path / "zero_row.csv").write_text("r1,r2\n1.0,0.5\n0.0,0.0\n")
     (tmp_path / "invalid.json").write_text('{"seed": 1,')
     kernel = {"nu": [0.5, 0.5], "outcomes": [[1.0, 0.5], [0.5, 1.0]]}
     for name, payload in [("ok", kernel), ("int", 5), ("names_int", {**kernel, "names": 5}),

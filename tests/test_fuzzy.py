@@ -197,9 +197,11 @@ class TestFit:
             values = membership(rng.uniform(0.0, k), math.exp(rng.uniform(-2.0, 6.0)), k)
             values = values + 0.05 * rng.random(k + 1)
             vectors.append(MembershipVector(values / values.max()))
-        # a flat top, fitted with h at its floor; two-peaked vectors where the
-        # first refinement stops in the higher basin
+        # a flat top, fitted with h at its floor; a vector with no count at or
+        # below half height; two-peaked vectors where the first refinement
+        # stops in the higher basin
         vectors += [MembershipVector([0.0, 1.0, 1.0, 1.0, 1.0, 0.0]),
+                    MembershipVector([0.6, 0.8, 1.0, 0.9, 0.7]),
                     MembershipVector([0.0, 0.54, 0.0, 1.0, 0.07, 0.0, 0.99]),
                     MembershipVector([1.0, 0.15, 0.05, 0.0, 0.0, 0.74, 0.0, 0.0, 0.0, 0.66,
                                       0.88, 0.56, 0.0, 0.13])]

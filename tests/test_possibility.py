@@ -16,12 +16,16 @@ from grancount.possibility import (
 from oracles import MAX_BRUTEFORCE_OBS, complement_degrees, granular_count_bruteforce
 
 
-def random_assignment(rng, max_obs=6, max_ref=3):
-    """Degrees on the 0.1 grid; retried until every count is non-degenerate."""
+def random_assignment(rng, max_obs=6, max_ref=3, continuous=False):
+    """Degrees on the 0.1 grid, or uniform on [0, 1) with 30% zeros if `continuous`;
+    retried until every count is non-degenerate."""
     while True:
         n = int(rng.integers(1, max_obs + 1))
         m = int(rng.integers(1, max_ref + 1))
-        deg = rng.integers(0, 11, size=(n, m)) / 10.0
+        if continuous:
+            deg = np.where(rng.random((n, m)) < 0.3, 0.0, rng.random((n, m)))
+        else:
+            deg = rng.integers(0, 11, size=(n, m)) / 10.0
         # an observation with no positive degree anywhere makes every count
         # impossible; keep generating plainly valid instances
         if np.all(deg.max(axis=1) > 0.0) and (m > 1 or np.all(deg[:, 0] > 0.0)):
@@ -106,8 +110,10 @@ class TestFastCount:
 
     def test_oracle_equivalence_randomized(self):
         rng = np.random.default_rng(2024)
-        for _ in range(300):
-            a = random_assignment(rng)
+        instances = [random_assignment(rng) for _ in range(300)]
+        # continuous degrees: about as many distinct levels as degrees
+        instances += [random_assignment(rng, max_obs=10, continuous=True) for _ in range(100)]
+        for a in instances:
             for r in range(a.n_ref):
                 fast = granular_count_fast(a, r).memberships
                 brute = granular_count_bruteforce(a, r).memberships
