@@ -356,8 +356,9 @@ def _split(chains: np.ndarray) -> np.ndarray:
 
 def _rhat_from_chains(chains: np.ndarray) -> float:
     c, m = chains.shape
-    # every split chain constant, by exact comparison: a rounded variance is
-    # not 0. Chains stuck at different values never mix; at one value, undefined.
+    # Every split chain constant, compared exactly since their variance can
+    # round above 0: stuck at different values they never mix (inf); at one
+    # value R-hat is undefined (NaN).
     if (chains == chains[:, :1]).all():
         return float("inf") if (chains[:, 0] != chains[0, 0]).any() else float("nan")
     means = chains.mean(axis=1)

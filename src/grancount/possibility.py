@@ -107,15 +107,15 @@ def granular_count_fast(assign: PossibilityAssignment, referent: int) -> Members
     """Count a referent exactly in polynomial time.
 
     Uses the threshold characterisation of the subset formula: the count y
-    reaches level alpha iff every observation whose best alternative degree
-    falls below alpha also supports the referent at level alpha (alpha is
-    feasible), at least lo(alpha) = #(alternative degree < alpha) <= y such
-    observations are forced in, and y <= hi(alpha) = #(own degree >= alpha)
-    observations support the referent at level alpha. As alpha falls, lo never
-    rises, hi never falls and a feasible alpha stays feasible, so the feasible
-    intervals [lo, hi] nest and widen. Over the feasible levels in descending
-    order, those whose interval misses y (lo > y or hi < y) thus come first,
-    and y's membership is the level right after them, or 0 if none is left.
+    reaches level alpha iff alpha is feasible (every observation whose best
+    alternative degree falls below alpha also supports the referent at level
+    alpha) and lo(alpha) <= y <= hi(alpha). Here lo(alpha) counts the
+    observations forced in, those with an alternative degree below alpha, and
+    hi(alpha) those that support the referent at level alpha. As alpha falls,
+    lo never rises, hi never falls and a feasible alpha stays feasible, so the
+    feasible intervals [lo, hi] nest and widen. Over the feasible levels in
+    descending order, those whose interval misses y (lo > y or hi < y) thus
+    form a prefix, and y's membership is the first level after it, or 0.
     """
     referent = int(referent)
     if not 0 <= referent < assign.n_ref:
@@ -138,6 +138,7 @@ def granular_count_fast(assign: PossibilityAssignment, referent: int) -> Members
     feasible = prefix_min_own[lo] >= levels
     levels, lo, hi = levels[feasible], lo[feasible], hi[feasible]
     y = np.arange(n + 1)
+    # max(#(lo > y), #(hi < y)); lo descends and hi ascends along the levels
     first = np.maximum(np.searchsorted(-lo, -y, side="left"), np.searchsorted(hi, y, side="left"))
     out = np.append(levels, 0.0)[first]
     if out.max() <= 0.0:
