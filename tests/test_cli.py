@@ -350,8 +350,8 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "negative-simulate-dispersion", "zero-simulate-precision-rate", "empty-simulate-coef",
          "infinite-car-tol", "fit-counts-nan",
          "ppc-chain-minus-1", "scalar-simulate", "scalar-ppc",
-         "empty-csv", "ragged-csv", "header-only-csv", "empty-count", "invalid-json-config", "zero-workers",
-         "zero-simulate-k", "zero-simulate-offset", "infinite-simulate-offset", "ppc-grid-1",
+         "empty-csv", "ragged-csv", "header-only-csv", "empty-count", "invalid-json-config",
+         "zero-workers", "zero-simulate-k", "zero-simulate-offset", "infinite-simulate-offset", "ppc-grid-1",
          "one-hmc-draw", "kernel-no-outcomes", "kernel-two-lengths", "kernel-nu-length",
          "kernel-nu-sum", "kernel-names-length", "covariate-nan", "covariate-offset-zero",
          "covariate-duplicate-name", "covariate-named-intercept", "kernel-membership-above-1",

@@ -17,8 +17,10 @@ from oracles import MAX_BRUTEFORCE_OBS, complement_degrees, granular_count_brute
 
 
 def random_assignment(rng, max_obs=6, max_ref=3, continuous=False):
-    """Degrees on the 0.1 grid, or uniform on [0, 1) with 30% zeros if `continuous`;
-    retried until every count is non-degenerate."""
+    """Degrees on the 0.1 grid, retried until every count is non-degenerate.
+
+    With `continuous`, degrees are uniform on [0, 1), 30% of them set to 0.
+    """
     while True:
         n = int(rng.integers(1, max_obs + 1))
         m = int(rng.integers(1, max_ref + 1))
