@@ -356,6 +356,8 @@ def _split(chains: np.ndarray) -> np.ndarray:
 
 def _rhat_from_chains(chains: np.ndarray) -> float:
     c, m = chains.shape
+    if m < 2:  # one draw per split chain: no within-chain variance
+        return float("nan")
     # Every split chain constant, compared exactly since their variance can
     # round above 0: stuck at different values they never mix (inf); at one
     # value R-hat is undefined (NaN).

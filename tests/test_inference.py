@@ -393,6 +393,12 @@ class TestDiagnostics:
         assert table.max_rhat() == np.inf
         assert "x0: R-hat inf exceeds 1.01" in table.flags
 
+    def test_one_draw_per_split_chain_gives_nan_rhat(self):
+        # 2 draws per chain split into halves of 1: no within-chain variance
+        chains = np.random.default_rng(7).standard_normal((4, 2, 1))
+        table = diagnostics(self._draws_from_chains(chains))
+        assert np.isnan(table.rhat[0]) and not any("exceeds" in f for f in table.flags)
+
     @pytest.mark.parametrize("scale, shift", [(1e-10, 1e-9), (1.0, 1e6)])
     def test_affine_map_leaves_rhat_and_ess_unchanged(self, scale, shift):
         x = np.random.default_rng(5).standard_normal((2, 200, 1))
