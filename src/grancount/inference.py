@@ -78,7 +78,9 @@ def leapfrog(target, q, p, grad, step, n_steps, inv_mass):
     Returns (q, p, logp, grad, diverged) at the end of the trajectory. A
     non-finite first element or gradient of any call stops it and sets the
     flag instead of raising; the momentum then stays at its last completed
-    update.
+    update. The caller's `q` and `p` are left as they are: the integrator
+    updates copies in place, so every call of `target` gets the same array,
+    which a target that keeps points must copy.
     """
     if step <= 0.0:
         raise ValidationError("step must be positive")
@@ -86,13 +88,15 @@ def leapfrog(target, q, p, grad, step, n_steps, inv_mass):
         raise ValidationError("n_steps must be at least 1")
     drift = step * inv_mass
     p = p + 0.5 * step * grad
+    q = np.array(q, dtype=np.float64)
     for i in range(n_steps):
-        q = q + drift * p
+        q += drift * p
         inner = i < n_steps - 1
         logp, grad = target(q, need_logp=False) if inner else target(q)
-        if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
+        # math.isfinite on Python floats: np.isfinite costs microseconds per call
+        if not (math.isfinite(logp) and all(map(math.isfinite, grad.tolist()))):
             return q, p, logp, grad, True
-        p = p + (step if inner else 0.5 * step) * grad
+        p += (step if inner else 0.5 * step) * grad
     return q, p, logp, grad, False
 
 

@@ -28,6 +28,7 @@ gradient on an unconstrained scale (log transforms for positive parameters);
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -347,6 +348,9 @@ class Posterior:
         self._prior_norm = float(np.log(sds).sum() + self.dim * _PRIOR_NORM)
         self._z = spec.covariates
         self._logu = np.log(spec.offsets)
+        # |eta| is at most max|log u| + sum_j max|z_j| |phi_j|, as Python floats
+        self._max_abs_logu = float(np.abs(self._logu).max(initial=0.0))
+        self._max_abs_z = np.abs(self._z).max(axis=0, initial=0.0).tolist()
         self._kvec = spec.k_max.astype(np.float64)
         self.rejections = dict.fromkeys(REJECTION_REASONS, 0)
         self.evaluations = {"full": 0, "gradient_only": 0}
@@ -372,6 +376,8 @@ class Posterior:
         if self.model != "cnar":  # the clamp's bounds, as `clamp_scaled_location` gives them
             self._m_lo, self._m_hi = clamp_scaled_location([0 * self._kvec, self._kvec], self._kvec)
             self._sum_log_c = float(self._log_cbar.sum() + self._log1m_cbar.sum())
+            # the Beta shapes a, b and car2's scale s, rows of one buffer for one digamma call
+            self._shapes = np.empty((3, spec.n_samples))
         else:
             n = spec.n_samples
             grid_len = int(spec.k_max.max()) + 1 if n else 1
@@ -456,7 +462,9 @@ class Posterior:
         if max(map(abs, values[p:])) > _MAX_LINEAR_PREDICTOR:
             return self._reject("positive_bound")
         eta = self._logu + self._z @ phi[:p]
-        if eta.size and np.abs(eta).max() > _MAX_LINEAR_PREDICTOR:
+        # the exact max only where the bound, with 0.1% for rounding, does not clear 700
+        bound = self._max_abs_logu + sum(map(operator.mul, self._max_abs_z, map(abs, values)))
+        if bound >= 0.999 * _MAX_LINEAR_PREDICTOR and np.abs(eta).max() > _MAX_LINEAR_PREDICTOR:
             return self._reject("eta_overflow")
         mu = np.exp(eta, out=eta)
         if self.model == "cnar":
@@ -556,15 +564,18 @@ class Posterior:
         scaled = mu / self._kvec
         m = np.maximum(scaled, self._m_lo)
         np.minimum(m, self._m_hi, out=m)  # the bits of clamp_scaled_location(mu, K)
-        s = self._h if self.model == "car1" else math.exp(log_positives[2]) * self._h
-        a = s * m
-        b = s * (1.0 - m)
+        car2 = self.model == "car2"
+        shapes = self._shapes[: 3 if car2 else 2]
+        a, b = shapes[:2]
+        s = np.multiply(math.exp(log_positives[2]), self._h, out=shapes[2]) if car2 else self._h
+        np.multiply(s, m, out=a)
+        np.multiply(s, np.subtract(1.0, m, out=b), out=b)
         a_log_c, b_log_1mc = float(a @ self._log_cbar), float(b @ self._log1m_cbar)
         beta_ll = 0.0
         if need_logp:  # sum of (a - 1) log c + (b - 1) log(1 - c) - betaln(a, b)
             beta_ll = a_log_c + b_log_1mc - float(betaln(a, b).sum()) - self._sum_log_c
-        dg_a, dg_b = digamma(a), digamma(b)
-        dm = dg_b - dg_a
+        dg = digamma(shapes)
+        dm = dg[1] - dg[0]
         dm += self._logit_cbar
         dm *= s
         dm *= m == scaled  # a clamped mean does not move with the coefficients
@@ -575,9 +586,9 @@ class Posterior:
         grad = np.empty(self.dim)
         np.matmul(dm, self._z, out=grad[:p])
         grad[p], grad[p + 1] = d_shape, d_rate
-        if self.model == "car2":  # sum of a (log c - psi(a)) + b (log(1 - c) - psi(b)) + s psi(s)
+        if car2:  # sum of a (log c - psi(a)) + b (log(1 - c) - psi(b)) + s psi(s)
             grad[p + 2] = (
-                a_log_c + b_log_1mc - float(a @ dg_a) - float(b @ dg_b) + float(s @ digamma(s))
+                a_log_c + b_log_1mc - float(a @ dg[0]) - float(b @ dg[1]) + float(s @ dg[2])
             )
         return beta_ll + gamma_ll, grad
 

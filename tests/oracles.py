@@ -346,3 +346,17 @@ def ess_from_chains_loop(chains: np.ndarray) -> float:
         return float(c * m)
     tau = -1.0 + 2.0 * float(np.sum(np.minimum.accumulate(pair_sums)))
     return float(c * m / max(tau, 1.0 / math.log10(c * m + 10.0)))
+
+
+def leapfrog_loop(target, q, p, grad, step, n_steps, inv_mass):
+    """`inference.leapfrog` with a fresh array per update and numpy's finiteness tests."""
+    drift = step * inv_mass
+    p = p + 0.5 * step * grad
+    for i in range(n_steps):
+        q = q + drift * p
+        inner = i < n_steps - 1
+        logp, grad = target(q, need_logp=False) if inner else target(q)
+        if not (np.isfinite(logp) and np.all(np.isfinite(grad))):
+            return q, p, logp, grad, True
+        p = p + (step if inner else 0.5 * step) * grad
+    return q, p, logp, grad, False

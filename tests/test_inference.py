@@ -15,7 +15,7 @@ from grancount.inference import (
     sample,
     write_draws_csv,
 )
-from oracles import ess_from_chains_loop
+from oracles import ess_from_chains_loop, leapfrog_loop
 
 
 def standard_normal_target(dim):
@@ -119,6 +119,39 @@ class TestLeapfrog:
                 target, np.zeros(1), np.ones(1), np.zeros(1), 0.1, 3, np.ones(1)
             )
             assert diverged
+
+    # the target fails at call `bad_call` only: one NaN gradient entry at an inner
+    # or the last step, or a -inf log density on the last step, the one full call
+    @pytest.mark.parametrize("failure, bad_call, n_steps", [
+        ("nan-gradient-entry", 3, 7), ("nan-gradient-entry", 7, 7), ("nan-gradient-entry", 1, 1),
+        ("neg-inf-logp", 7, 7), ("neg-inf-logp", 1, 1),
+    ])
+    def test_a_nonfinite_call_stops_where_the_reference_loop_stops(self, failure, bad_call,
+                                                                   n_steps):
+        def failing_target():
+            calls, gaussian = [0], quadratic_target(np.array([1.0, 2.0, 0.5]))
+
+            def target(q, need_logp=True):
+                calls[0] += 1
+                logp, grad = gaussian(q)
+                if calls[0] == bad_call:
+                    if failure == "neg-inf-logp":
+                        return -np.inf, grad
+                    grad[1] = np.nan
+                return (logp if need_logp else 0.0), grad
+
+            return target
+
+        q0, p0 = np.array([0.3, -0.2, 0.9]), np.array([1.0, 0.5, -2.0])
+        args = (q0, p0, -q0 / np.array([1.0, 4.0, 0.25]), 0.1, n_steps, np.array([1.0, 0.5, 2.0]))
+        got = leapfrog(failing_target(), *args)
+        expected = leapfrog_loop(failing_target(), *args)
+        assert got[4] is expected[4] is True
+        for value, reference in zip(got[:4], expected[:4]):
+            np.testing.assert_array_equal(value, reference)
+        # the caller's arrays are not moved
+        np.testing.assert_array_equal(q0, [0.3, -0.2, 0.9])
+        np.testing.assert_array_equal(p0, [1.0, 0.5, -2.0])
 
     @pytest.mark.parametrize("n_steps", [1, 2, 7])
     def test_inner_steps_ask_for_the_gradient_alone(self, n_steps):
