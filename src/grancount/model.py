@@ -46,6 +46,8 @@ TAIL_MASS = 1.0e-12
 # exp() overflows just above this; treat larger linear predictors as failures
 _MAX_LINEAR_PREDICTOR = 700.0
 _LOG_TINY = np.log(1.0e-300)
+# a cnar sum below this takes `Posterior._max_shift`
+_SUM_FLOOR = 1.0e-290
 _PRIOR_NORM = 0.5 * np.log(2.0 * np.pi)
 
 
@@ -331,6 +333,20 @@ class Posterior:
     its mass beyond K, at most `tail_mass`. It keeps the (max K + 1, n) report
     density and a scratch of 2*(max K + 1)*n float64 cells, for the two sums
     the other cuts take: 2.4 MB in all at n=200, K=500.
+
+    No max pass scales the (cut, n) terms. The count pmf carries its normaliser
+    log Gamma(kappa) + kappa log1p(mu/kappa) as the third rank of one product,
+    [y, log Gamma(y + kappa) - log Gamma(y + 1) - log Gamma(kappa), 1] @
+    [log(mu/(kappa + mu)); 1; -kappa log1p(mu/kappa)], and the report density is
+    kept relative to its per-sample maximum, whose sum is added back to the log
+    likelihood. An untruncated pmf and a density over its own maximum are at
+    most 1, so every term is, up to rounding, and one exp needs no shift. A call
+    where some sum falls below `_SUM_FLOOR` (1e-290) or is not finite recomputes
+    the same products and subtracts each sample's maximum before the exp
+    (`_max_shift`). Above the floor each sum's largest term is at least
+    1e-290/(max K + 1), a normal float, so the sums keep the precision of the
+    shifted terms. The third rank costs max K + 1 + n float64 cells, 5.6 KB at
+    n=200, K=500.
     """
 
     def __init__(
@@ -404,12 +420,16 @@ class Posterior:
             if bad.any():
                 raise NumericalError(f"sample {bad.any(axis=0).argmax()}: non-finite report density")
             np.copyto(beta, -np.inf, where=~valid)
+            # the report density relative to its per-sample maximum, and the sum of those maxima
+            peak = beta.max(axis=0)
+            beta -= peak
+            self._sum_beta_peak = float(peak.sum())
             # cells past a sample's own K; None when every sample has the same K
             self._beyond_k = None if valid.all() else ~valid
-            # the two factors of the count pmf's rank-2 product, and the rows
-            # [1; grid; digamma(grid + kappa)] that give both sums and moments
-            self._grid_col = np.column_stack([grid, grid])
-            self._slope_one = np.ones((2, n))
+            # the two factors of the count pmf's rank-3 product (the class docstring's),
+            # and the rows [1; grid; digamma(grid + kappa)] that give sums and moments
+            self._grid_factor = np.column_stack([grid, grid, np.ones(grid_len)])
+            self._sample_factor = np.ones((3, n))
             self._moment_rows = np.stack([np.ones(grid_len), grid, grid])
             # longest cut that ends before the grid and inside every sample's K
             self._closed_hi = min(grid_len - 1, int(spec.k_max.min()) + 1) if n else 0
@@ -495,55 +515,86 @@ class Posterior:
 
         mu_max = float(mu.max()) if n else 0.0
         hi = self._cutoff(mu_max, kappa) if n else self._grid.size
-        # a cut inside every K leaves the bare pmf to its closed form, if mu/kappa is finite
-        closed = hi <= self._closed_hi and mu_max < 1.0e300 * kappa
+        # r = kappa/(kappa + mu) is a normal float while mu < 1e300 kappa
+        normal_r = mu_max < 1.0e300 * kappa
+        # a cut inside every K leaves the bare pmf to its closed form
+        closed = hi <= self._closed_hi and normal_r
         kmu = kappa + mu
-        np.subtract(np.log(mu), np.log(kmu), out=self._slope_one[0])
+        r = kappa / kmu
+        # log r = -log1p(mu/kappa), from logaddexp where r leaves the normal range
+        log_r = np.log(r) if normal_r else -np.logaddexp(0.0, np.log(mu) - math.log(kappa))
+        slope, _, head = self._sample_factor
+        np.log(np.divide(mu, kmu, out=slope), out=slope)
+        np.multiply(log_r, kappa, out=head)
         grid_kappa = self._grid[:hi] + kappa
-        np.subtract(gammaln(grid_kappa), self._lgamma_fact[:hi], out=self._grid_col[:hi, 1])
+        col = self._grid_factor[:hi, 1]
+        np.subtract(gammaln(grid_kappa), self._lgamma_fact[:hi], out=col)
+        col -= col[0]  # gammaln(kappa): the first cell is 0 + kappa
         rows = self._moment_rows[:, :hi]
         digamma(grid_kappa, out=rows[2])
 
-        # The count pmf's per-sample constant head - gammaln(kappa) cancels in
-        # count_ll and in the moments, so it never enters the matrices or the
-        # closed form. Half [0] is the posterior mixture, half [1] the bare pmf.
+        # Every term is a pmf times a relative report density, so at most 1: one
+        # exp needs no shift unless some sum falls below _SUM_FLOOR or is not finite.
+        # Half [0] is the posterior mixture, half [1] the bare pmf.
         halves = self._scratch[: 2 * hi * n].reshape(2, hi, n)[: 1 if closed else 2]
-        np.matmul(self._grid_col[:hi], self._slope_one, out=halves[-1])
-        if not closed and self._beyond_k is not None:
-            np.copyto(halves[1], -np.inf, where=self._beyond_k[:hi])
-        np.add(halves[-1], self._beta[:hi], out=halves[0])
-        peak = halves.max(axis=1)
-        if not np.isfinite(peak).all():
-            return self._reject("nonfinite_peak")
-        halves -= peak[:, None, :]
+        self._log_terms(halves, closed)
         np.exp(halves, out=halves)
+        moments = np.matmul(rows, halves)
+        sums = moments[:, 0]
+        peak = None
+        if not (sums.min(initial=1.0) >= _SUM_FLOOR and sums.max(initial=0.0) < math.inf):
+            peak = self._max_shift(halves, closed)
+            if peak is None:
+                return self._reject("nonfinite_peak")
+            moments = np.matmul(rows, halves)
 
         # sums and means of y and digamma(y + kappa) per half; the gap between
         # the mixture's and the bare pmf's means drives the gradient
-        moments = np.matmul(rows, halves)
         means = moments[:, 1:] / moments[:, :1]
         post_y, post_psi = means[0]
         if closed:
-            # untruncated NB: log normaliser gammaln(kappa) + kappa * log((kappa + mu)/kappa),
-            # E[y] = mu, and E[digamma(y + kappa)] = digamma(kappa) + log((kappa + mu)/kappa)
-            bare_y, log_ratio = mu, np.log1p(mu / kappa)
-            bare_psi = log_ratio + digamma(kappa)
+            # untruncated NB: E[y] = mu, E[digamma(y + kappa)] = digamma(kappa) + log1p(mu/kappa)
+            bare_y, bare_psi = mu, rows[2, 0] - log_r
         else:
             bare_y, bare_psi = means[1]
         weight = post_y - bare_y
-        weight *= kappa / kmu
+        weight *= r
         d_kappa = kappa * float((post_psi - bare_psi).sum()) - float(weight.sum())
         count_ll = 0.0
         if need_logp:
-            log_sums = (peak + np.log(moments[:, 0])).sum(axis=1)
-            bare_ll = n * math.lgamma(kappa) + kappa * float(log_ratio.sum()) if closed else log_sums[1]
-            count_ll = float(log_sums[0] - bare_ll)
+            log_sums = np.log(moments[:, 0])
+            if peak is not None:
+                log_sums += peak
+            log_sums = log_sums.sum(axis=1)
+            # the untruncated pmf sums to 1, so the closed form's log normaliser is 0
+            count_ll = float(log_sums[0] - (0.0 if closed else log_sums[1])) + self._sum_beta_peak
 
         gamma_ll, d_shape, d_rate = self._gamma_block(shape, rate, n, need_logp)
         grad = np.empty(self.dim)
         np.matmul(weight, self._z, out=grad[:p])
         grad[p:] = d_kappa, d_shape, d_rate
         return count_ll + gamma_ll, grad
+
+    def _log_terms(self, halves: np.ndarray, closed: bool) -> None:
+        """Fill `halves` with the log count pmf plus the relative log report density,
+        and, unless `closed`, the log count pmf on {0..K} alone."""
+        hi = halves.shape[1]
+        np.matmul(self._grid_factor[:hi], self._sample_factor, out=halves[-1])
+        if not closed and self._beyond_k is not None:
+            np.copyto(halves[1], -np.inf, where=self._beyond_k[:hi])
+        np.add(halves[-1], self._beta[:hi], out=halves[0])
+
+    def _max_shift(self, halves: np.ndarray, closed: bool):
+        """The step for a call whose unshifted sums failed: refill `halves`, subtract
+        each sample's maximum before the exp, and return those maxima (None where one
+        is not finite)."""
+        self._log_terms(halves, closed)
+        peak = halves.max(axis=1)
+        if not np.isfinite(peak).all():
+            return None
+        halves -= peak[:, None, :]
+        np.exp(halves, out=halves)
+        return peak
 
     def _cutoff(self, mu_max: float, kappa: float) -> int:
         """Grid length to the (1 - tail_mass) quantile of NB(mu_max, kappa), plus one spare."""
@@ -554,7 +605,7 @@ class Posterior:
         if mu_max < 1.0e-12 * kappa:
             return self._grid.size
         q = nbdtrik(1.0 - self.tail_mass, kappa, kappa / (kappa + mu_max))
-        return int(np.ceil(q)) + 2 if q <= self._grid.size - 2 else self._grid.size
+        return math.ceil(q) + 2 if q <= self._grid.size - 2 else self._grid.size
 
     def _car_block(self, phi: np.ndarray, mu: np.ndarray, need_logp: bool):
         p = self.n_covariates

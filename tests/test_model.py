@@ -469,6 +469,91 @@ class TestCnarKernelAgainstRowsOracle:
         assert post.rejections["nonfinite_peak"] == 1
 
 
+def count_calls(monkeypatch, post: Posterior, name: str) -> list:
+    """The argument tuples of each call of `post.<name>` from here on."""
+    calls, method = [], getattr(post, name)
+    monkeypatch.setattr(post, name, lambda *args: calls.append(args) or method(*args))
+    return calls
+
+
+class TestAnalyticShift:
+    """The cnar kernel scales each sample by its count pmf's normaliser and its
+    report density's maximum, with no max pass; `_max_shift` is the step for a
+    call where some sum underflows."""
+
+    # Against the (n, hi) oracle on the full grid: reports at c = 0 and c = K
+    # (K <= 20 only under the tail cut, which keeps a pmf, not a report far in
+    # its tail). Past kappa = e^12 the oracle's numerically summed bare pmf loses
+    # more than 1e-10 of the log density to gammaln(y + kappa) rounding, which
+    # the closed form does not, so the cut sweeps stop there.
+    @pytest.mark.parametrize("k, tail_mass, top, regimes", [
+        ([500], 0.0, 15.0, {"full"}), ([5, 20, 60, 500], 0.0, 15.0, {"full"}),
+        ([500], 1e-12, 12.0, {"closed", "full"}),
+        ([5, 20, 60, 500], 1e-12, 12.0, {"past_min_k", "full"}),
+    ], ids=["uniform-k-full-grid", "mixed-k-full-grid", "uniform-k-cut", "mixed-k-cut"])
+    def test_agrees_with_the_full_grid_over_kappa(self, monkeypatch, k, tail_mass, top, regimes):
+        spec, sim = make_cnar_data(k)
+        location = sim.location.copy()
+        location[:8:2] = 0.0
+        at_k = np.flatnonzero((spec.k_max <= 20) | (tail_mass == 0.0))[1:8:2]
+        location[at_k] = spec.k_max[at_k]
+        args = (spec, Reports(location, sim.precision, sim.k_max), PriorSpec())
+        post, oracle = Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, 0.0)
+        widths = record_widths(monkeypatch, post)
+        shifts = count_calls(monkeypatch, post, "_max_shift")
+        centre = pack_params(make_params("cnar"), "cnar")
+        rng = np.random.default_rng(43)
+        for log_kappa in np.arange(-3.0, top + 0.25, 0.5):
+            for phi in centre + 0.3 * rng.standard_normal((4, centre.size)):
+                phi[2] = log_kappa
+                logp, grad = post.logp_and_grad(phi)
+                ref_logp, ref_grad = oracle.logp_and_grad(phi)
+                assert logp == pytest.approx(ref_logp, rel=1e-10, abs=0.0), log_kappa
+                np.testing.assert_allclose(grad, ref_grad, rtol=0.0,
+                                           atol=1e-8 * np.abs(ref_grad).max())
+        full = spec.k_max.max() + 1
+        visited = {
+            "full" if w == full else "closed" if w <= spec.k_max.min() + 1 else "past_min_k"
+            for w in widths
+        }
+        assert visited == regimes and not shifts
+
+    @pytest.mark.parametrize("tail_mass", [0.0, 1e-12])
+    def test_an_underflowing_sum_takes_the_max_shift(self, monkeypatch, tail_mass):
+        # mu = 1e-3 puts about 1e-330 of the count pmf at y = 100 = K/2, where a
+        # report of precision 1e4 sits; next to it, one ordinary report
+        spec = RegressionSpec([[1.0], [1.0]], [1e-3, 10.0], [200, 200])
+        reports = make_reports([(100.0, 1e4, 200), (12.0, 30.0, 200)])
+        args = (spec, reports, PriorSpec())
+        # the oracle cuts the grid where `post` does
+        post, oracle = Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, tail_mass)
+        shifts = count_calls(monkeypatch, post, "_max_shift")
+        for phi in ([0.0, np.log(2.0), 0.0, 0.0], [0.3, np.log(5.0), 1.0, -2.0]):
+            phi = np.array(phi)
+            ref_logp, ref_grad = oracle.logp_and_grad(phi)
+            for need_logp in (True, False):
+                before = len(shifts)
+                logp, grad = post.logp_and_grad(phi, need_logp)
+                assert len(shifts) == before + 1
+                assert logp == (pytest.approx(ref_logp, rel=1e-10, abs=0.0) if need_logp else 0.0)
+                np.testing.assert_allclose(grad, ref_grad, rtol=0.0,
+                                           atol=1e-8 * np.abs(ref_grad).max())
+            assert np.isfinite(ref_logp) and np.isfinite(grad).all()
+        assert post.rejections == dict.fromkeys(REJECTION_REASONS, 0)
+
+    @pytest.mark.parametrize("tail_mass", [0.0, 1e-12])
+    def test_means_past_1e300_kappa(self, tail_mass):
+        # kappa/(kappa + mu) leaves the normal floats, so log1p(mu/kappa) comes from logaddexp
+        spec = RegressionSpec([[1.0], [1.0]], [1.0, 20.0], [50, 50])
+        args = (spec, make_reports([(0.2, 3.0, 50), (0.0, 30.0, 50)]), PriorSpec())
+        post, oracle = Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, tail_mass)
+        for phi in ([10.0, -700.0, 0.0, 0.0], [5.0, -690.0, 0.5, 0.5]):
+            logp, grad = post.logp_and_grad(np.array(phi))
+            ref_logp, ref_grad = oracle.logp_and_grad(np.array(phi))
+            assert np.isfinite(ref_logp) and logp == pytest.approx(ref_logp, rel=1e-10, abs=0.0)
+            np.testing.assert_allclose(grad, ref_grad, rtol=0.0, atol=1e-8 * np.abs(ref_grad).max())
+
+
 class TestGradientOnly:
     # cnar at K = 500 takes the closed-form bare pmf with a tail cut and the two
     # halves without one; mixed K mostly takes the two halves too

@@ -26,7 +26,9 @@ warm-up pass also records the grid length of the tail cut at each point: its
 quartiles say which regime the timing measured (about 190 columns around the
 truth, about 45 where a clamped seed-1 `cnar-infer` chain goes), and, where
 the checkout has the closed-form bare count pmf, the share of calls that take
-it. One BLAS thread is used.
+it; where it has the analytic per-sample shift, the share of calls whose sums
+fall below its floor and take the max-shift step instead. One BLAS thread is
+used.
 """
 
 import inspect
@@ -80,10 +82,14 @@ def time_calls(post, phis, kwargs) -> float:
 def report(post, label: str, phis) -> None:
     """Time `post.logp_and_grad` over `phis`, full and gradient-only, and print one line."""
     widths = []  # the cnar tail cut's grid length per call, on the warm-up pass only
+    shifts = []  # one entry per call that takes the max-shift step, on that pass too
     if post.model == "cnar":
         post._cutoff = lambda *args, cut=post._cutoff: widths.append(cut(*args)) or widths[-1]
+        if hasattr(post, "_max_shift"):
+            post._max_shift = lambda *args, step=post._max_shift: shifts.append(1) or step(*args)
     rejected = sum(not np.isfinite(post.logp_and_grad(phi)[0]) for phi in phis)
-    vars(post).pop("_cutoff", None)  # the timed passes call the method itself
+    for spy in ("_cutoff", "_max_shift"):  # the timed passes call the methods themselves
+        vars(post).pop(spy, None)
     kinds = {"full": {}}
     if "need_logp" in inspect.signature(post.logp_and_grad).parameters:
         kinds["gradient-only"] = {"need_logp": False}
@@ -102,6 +108,9 @@ def report(post, label: str, phis) -> None:
         if hasattr(post, "_closed_hi"):
             closed = int(np.sum(np.array(widths) <= post._closed_hi))
             cut += f"; closed-form share {closed / len(widths):.3f} ({closed} of {len(widths)})"
+        if hasattr(post, "_max_shift"):
+            cut += (f"; max-shift share {len(shifts) / len(widths):.4f} "
+                    f"({len(shifts)} of {len(widths)})")
     print(f"{post.model:<5} {label:<5} {timings} us/call  ({len(phis)} points; {spread}; "
           f"-inf share {rejected / len(phis):.4f}{cut})", flush=True)
 
