@@ -193,11 +193,11 @@ def _metadata(stage: str, config: RunConfig) -> dict:
 
 def _read_covariates_csv(path):
     """Read sample_id, covariate columns, and an optional offset column."""
-    header, rows = tables.read_table(
-        path, lambda h: h[:1] == ["sample_id"], "first column must be 'sample_id'"
+    header, rows, values = tables.read_table(
+        path, lambda h: h[:1] == ["sample_id"], "first column must be 'sample_id'", slice(1, None),
+        finite=True,
     )
     ids = [row[0] for _, row in rows]
-    values = np.array([tables.parse_floats(path, i, header[1:], row[1:]) for i, row in rows])
     if header[-1] == "offset":
         return ids, tuple(header[1:-1]), values[:, :-1], values[:, -1]
     return ids, tuple(header[1:]), values, np.ones(len(ids))

@@ -358,14 +358,14 @@ def read_stats_csv(path):
     file, its line and its sample id.
     """
     expected = ["sample_id", "c", "h", "K"]
-    _, rows = tables.read_table(
+    header, rows, values = tables.read_table(
         path,
         lambda header: [name.strip() for name in header[:4]] == expected,
         f"expected columns {','.join(expected)}[,sse,converged]",
+        slice(1, 4),
     )
     ids = [row[0] for _, row in rows]
-    floats = [tables.parse_floats(path, i, expected[1:3], row[1:3]) for i, row in rows]
-    locs, precs = np.array(floats).T.copy()  # contiguous columns
-    ks = np.array([tables.parse_int(path, i, "K", row[3]) for i, row in rows], dtype=np.int64)
+    locs, precs = values[:, :2].T.copy()  # contiguous columns
+    ks = tables.integer_column(path, header, rows, 3, values[:, 2])
     check_reports(locs, precs, ks, lambda j: f"{path}: line {rows[j][0]}, sample_id {ids[j]!r}")
     return ids, locs, precs, ks

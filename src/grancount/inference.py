@@ -445,33 +445,28 @@ def write_draws_csv(path, draws: PosteriorDraws) -> None:
 
 
 def read_draws_csv(path) -> PosteriorDraws:
-    header, rows = tables.read_table(
+    header, rows, values = tables.read_table(
         path,
         lambda h: len(h) > 4 and h[:2] == ["chain", "iter"] and h[-2:] == ["energy", "divergent"],
         "expected header 'chain,iter,<params>,energy,divergent'",
+        slice(0, -1),
         "draws",
+        finite=True,
     )
-    names = tuple(header[2:-2])
-    chain, iters, values, energy = [], [], [], []
+    chain, iters = (tables.integer_column(path, header, rows, j, values[:, j]) for j in (0, 1))
     for i, row in rows:
-        chain.append(tables.parse_int(path, i, "chain", row[0]))
-        iters.append(tables.parse_int(path, i, "iter", row[1]))
-        *params, e = tables.parse_floats(path, i, header[2:-1], row[2:-1], finite=True)
-        values.append(params)
-        energy.append(e)
         if row[-1] not in ("0", "1"):
             raise ValidationError(f"{path}: line {i}, column 'divergent': not 0 or 1: {row[-1]!r}")
-    chain_arr = np.array(chain, dtype=np.int64)
-    ids, counts = np.unique(chain_arr, return_counts=True)  # sorted and distinct
+    ids, counts = np.unique(chain, return_counts=True)  # sorted and distinct
     n_chains = ids.size
     if ids[0] != 0 or ids[-1] != n_chains - 1 or (counts != counts[0]).any():
         raise ValidationError(f"{path}: chain ids must be 0..C-1, each with equal draw counts")
     return PosteriorDraws(
-        names=names,
-        draws=np.array(values),
-        chain=chain_arr,
-        iteration=np.array(iters, dtype=np.int64),
-        energy=np.array(energy),
+        names=tuple(header[2:-2]),
+        draws=values[:, 2:-1].copy(),
+        chain=chain,
+        iteration=iters,
+        energy=values[:, -1].copy(),
         divergent=np.array([row[-1] == "1" for _, row in rows], dtype=bool),
         accept_rate=np.full(n_chains, np.nan),
         step_size=np.full(n_chains, np.nan),

@@ -151,23 +151,20 @@ def granular_count_fast(assign: PossibilityAssignment, referent: int) -> Members
 
 def read_possibility_csv(path) -> PossibilityAssignment:
     """Read a possibility matrix: header of referent names, one row per observation."""
-    header, rows = tables.read_table(
+    header, rows, degrees = tables.read_table(
         path,
         lambda h: bool(h) and all(n.strip() for n in h),
         "header must list non-empty referent names",
+        slice(None),
         "observation rows",
     )
     names = [h.strip() for h in header]
-    degrees = []
-    for i, row in rows:
-        values = tables.parse_floats(path, i, names, row)
-        for name, value in zip(names, values):
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"{path}: line {i}, column '{name}': degree {value} outside [0, 1]"
-                )
-        degrees.append(values)
-    return PossibilityAssignment(np.array(degrees), tuple(names))
+    outside = np.argwhere(~((degrees >= 0.0) & (degrees <= 1.0)))  # nan too; row-major order
+    if outside.size:
+        r, j = outside[0]
+        where = f"{path}: line {rows[r][0]}, column '{names[j]}'"
+        raise ValidationError(f"{where}: degree {float(degrees[r, j])} outside [0, 1]")
+    return PossibilityAssignment(degrees, tuple(names))
 
 
 def write_counts_csv(path, names, vectors) -> None:
@@ -189,14 +186,14 @@ def write_counts_csv(path, names, vectors) -> None:
 
 def read_count_rows(path) -> list[tuple[int, str, np.ndarray]]:
     """Rows of a granular-count table as (line_no, id, values), values unchecked."""
-    header, rows = tables.read_table(
+    _, rows, values = tables.read_table(
         path,
         lambda h: len(h) >= 2 and h[0] == "id",
         "expected header 'id,y0,...,yK'",
+        slice(1, None),
         "referent rows",
     )
-    return [(i, row[0], np.array(tables.parse_floats(path, i, header[1:], row[1:])))
-            for i, row in rows]
+    return [(i, row[0], row_values) for (i, row), row_values in zip(rows, values)]
 
 
 def read_counts_csv(path) -> tuple[list[str], list[MembershipVector]]:

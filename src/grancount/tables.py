@@ -2,8 +2,10 @@
 
 A table is one header row plus data rows in the default `csv` dialect. Floats
 are written as `repr(float(v))`, so a value read back is the value written,
-bit for bit. Readers report problems as `ValidationError`s that name the file
-and the line (and, for a cell, the column).
+bit for bit. `read_table` parses a table's numeric cells with one numpy
+conversion, which reads a cell as `float` does; only if it fails does a
+per-cell pass run, to name the first bad cell (by row, then column). Readers
+report problems as `ValidationError`s naming the file, line and column.
 """
 
 from __future__ import annotations
@@ -12,15 +14,19 @@ import csv
 import json
 import math
 
+import numpy as np
+
 from .errors import ValidationError
 
 
-def read_table(path, header_ok, header_error, rows_name="data rows"):
-    """Read a CSV table; return (header, [(line_no, row), ...]).
+def read_table(path, header_ok, header_error, numeric, rows_name="data rows", *, finite=False):
+    """Read a CSV table; return (header, [(line_no, row), ...], values).
 
     `header_ok(header)` says whether the header is acceptable; if it is not,
     the error is `path: header_error`. Every data row must have as many cells
     as the header, and there must be at least one (else `path: no rows_name`).
+    `values` is the float64 matrix of each row's `numeric` slice of cells; a cell
+    that is not a number (with `finite`, not a finite one) is an error.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -37,33 +43,34 @@ def read_table(path, header_ok, header_error, rows_name="data rows"):
             )
     if not rows:
         raise ValidationError(f"{path}: no {rows_name}")
-    return header, rows
+    cells = [row[numeric] for _, row in rows]
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or finite and not np.isfinite(values).all():
+        for (line_no, _), row in zip(rows, cells):
+            for column, cell in zip(header[numeric], row):
+                try:
+                    if math.isfinite(float(cell)) or not finite:
+                        continue
+                except ValueError:
+                    pass
+                kind = "a finite number" if finite else "a number"
+                where = f"{path}: line {line_no}, column '{column.strip()}'"
+                raise ValidationError(f"{where}: not {kind}: {cell!r}")
+        values = np.array([[float(cell) for cell in row] for row in cells])  # numpy stricter than float
+    return header, rows, values
 
 
-def parse_floats(path, line_no, columns, cells, finite=False) -> list[float]:
-    """Parse numeric cells, refusing nan and inf with `finite`; errors name line and column."""
-    values = []
-    for column, cell in zip(columns, cells):
-        try:
-            value = float(cell)
-        except ValueError:
-            value = None
-        if value is None or finite and not math.isfinite(value):
-            kind = "a finite number" if finite else "a number"
-            where = f"{path}: line {line_no}, column '{column}'"
-            raise ValidationError(f"{where}: not {kind}: {cell!r}")
-        values.append(value)
-    return values
-
-
-def parse_int(path, line_no, column, cell) -> int:
-    """Parse an integral numeric cell ("48" or "48.0", not "48.9")."""
-    (value,) = parse_floats(path, line_no, (column,), (cell,))
-    if not value.is_integer():
-        raise ValidationError(
-            f"{path}: line {line_no}, column '{column}': not an integer: {cell!r}"
-        )
-    return int(value)
+def integer_column(path, header, rows, j, values) -> np.ndarray:
+    """Cell `j` of the rows, parsed as `values`, in int64; "48.9" or a cell past int64 is an error."""
+    bad = np.flatnonzero(~((np.trunc(values) == values) & (np.abs(values) < 2.0**63)))
+    if bad.size:
+        line_no, row = rows[bad[0]]
+        where = f"{path}: line {line_no}, column '{header[j].strip()}'"
+        raise ValidationError(f"{where}: not an integer: {row[j]!r}")
+    return values.astype(np.int64)
 
 
 def write_table(path, header, rows) -> None:

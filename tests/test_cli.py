@@ -1,6 +1,8 @@
 """Contract tests for the command-line pipeline, run in-process through `cli.main`."""
 
 import argparse
+import csv
+import dataclasses
 import functools
 import json
 import logging
@@ -11,9 +13,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from grancount import cli, fuzzy, model
+from grancount import cli, fuzzy, inference, model
 
 DATA = Path(cli.__file__).parent / "data"
 SMALL = [
@@ -47,6 +50,10 @@ BAD_DRAWS_ROWS = [("divergent-x", "divergent", "0,1,1.0,0.5,2.0,4.0,0.1,10.0,x")
                   ("divergent-2", "divergent", "0,1,1.0,0.5,2.0,4.0,0.1,10.0,2"),
                   ("energy-nan", "energy", "0,1,1.0,0.5,2.0,4.0,0.1,nan,0"),
                   ("dispersion-inf", "dispersion", "0,1,1.0,0.5,inf,4.0,0.1,10.0,0")]
+
+# covariate files whose third line holds one non-finite cell: file -> what the error names
+BAD_COVARIATE_CELLS = {"covariates_nan.csv": "column 'x': not a finite number: 'nan'",
+                       "covariates_offset_inf.csv": "column 'offset': not a finite number: 'inf'"}
 
 
 def run(*argv):
@@ -201,6 +208,37 @@ def test_infer_counts_its_evaluations_by_kind(tmp_path, monkeypatch, caplog):
     assert int(fields["gradient_only_evaluations"]) == evaluations["gradient_only"]
 
 
+def test_infer_reports_divergent_draws(tmp_path, monkeypatch, capsys):
+    sample = inference.sample
+
+    def divergent_sample(*args, **kwargs):
+        draws = sample(*args, **kwargs)
+        return dataclasses.replace(draws, divergent=np.arange(draws.divergent.size) % 10 == 0)
+
+    monkeypatch.setattr(inference, "sample", divergent_sample)
+    run("--set", "simulate.n_samples=20", "simulate",
+        "--out-data", tmp_path / "data.csv", "--out-covariates", tmp_path / "covariates.csv",
+        "--out-params", tmp_path / "params.json")
+    run("infer", tmp_path / "data.csv", tmp_path / "covariates.csv",
+        "--out-draws", tmp_path / "draws.csv", "--out-diagnostics", tmp_path / "diagnostics.json")
+    assert "divergent transitions: 10\n" in capsys.readouterr().out  # 2 x 50 draws
+    assert json.loads((tmp_path / "diagnostics.json").read_text())["divergences"] == 10
+
+
+def test_simulated_covariates_read_back_bit_for_bit(tmp_path):
+    run("--set", "simulate.coef=[1.0,0.5,-0.25]", "--set", "simulate.offset=2.5", "simulate",
+        "--out-data", tmp_path / "data.csv", "--out-covariates", tmp_path / "covariates.csv",
+        "--out-params", tmp_path / "params.json")
+    with open(tmp_path / "covariates.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    ids, names, matrix, offsets = cli._read_covariates_csv(tmp_path / "covariates.csv")
+    assert header == ["sample_id", "x1", "x2", "offset"] and names == ("x1", "x2")
+    assert ids == [row[0] for row in rows]
+    # `repr` is the writer's format, and it tells apart any two distinct floats
+    read = [[repr(v) for v in values] for values in np.column_stack([matrix, offsets]).tolist()]
+    assert read == [row[1:] for row in rows]
+
+
 def strict_json(path: Path) -> dict:
     """Parse `path`, failing on the non-standard constants NaN, Infinity and -Infinity."""
     def reject(constant):
@@ -308,6 +346,8 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
         [*SMALL, "infer", "stats.csv", "covariates_offset_0.csv",
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
+        [*SMALL, "infer", "stats.csv", "covariates_offset_inf.csv",
+         "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
         [*SMALL, "infer", "stats.csv", "covariates_dup.csv",
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
         [*SMALL, "infer", "stats.csv", "covariates_intercept.csv",
@@ -354,6 +394,7 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "zero-workers", "zero-simulate-k", "zero-simulate-offset", "infinite-simulate-offset", "ppc-grid-1",
          "one-hmc-draw", "kernel-no-outcomes", "kernel-two-lengths", "kernel-nu-length",
          "kernel-nu-sum", "kernel-names-length", "covariate-nan", "covariate-offset-zero",
+         "covariate-offset-inf",
          "covariate-duplicate-name", "covariate-named-intercept", "kernel-membership-above-1",
          "zero-hmc-chains", "hmc-target-accept-1", "zero-hmc-max-leapfrog",
          "simulate-coef-not-list", "section-not-mapping", "override-without-equals",
@@ -390,6 +431,7 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     )
     (tmp_path / "covariates_nan.csv").write_text("sample_id,x\na,0.5\nb,nan\n")
     (tmp_path / "covariates_offset_0.csv").write_text("sample_id,x,offset\na,0.5,1.0\nb,-0.5,0.0\n")
+    (tmp_path / "covariates_offset_inf.csv").write_text("sample_id,x,offset\na,0.5,1.0\nb,-0.5,inf\n")
     (tmp_path / "covariates_dup.csv").write_text("sample_id,x,x\na,0.5,1.0\nb,-0.5,2.0\n")
     (tmp_path / "covariates_intercept.csv").write_text("sample_id,intercept\na,1.0\nb,1.0\n")
     (tmp_path / "covariates_without_b.csv").write_text("sample_id,x\na,0.5\n")
@@ -420,6 +462,9 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     if bad:  # the bad row is the third line, sample b
         column = "sample_id" if bad[0].startswith("stats_") else "id"
         assert f"{bad[0]}: line 3, {column} 'b'" in errors[0], errors
+    for name, cell in BAD_COVARIATE_CELLS.items():
+        if name in argv:
+            assert f"{name}: line 3, {cell}" in errors[0], errors
     for name, column, _ in BAD_DRAWS_ROWS:
         if f"draws_{name}.csv" in argv:
             assert f"draws_{name}.csv: line 3, column '{column}'" in errors[0], errors

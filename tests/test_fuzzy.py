@@ -374,6 +374,11 @@ class TestStatsCsv:
         with pytest.raises(ValidationError, match=f"stats.csv: line 3, sample_id 's2': .* outside"):
             read_stats_csv(path)
 
+    def test_ids_and_fits_must_match_in_length(self, tmp_path):
+        fits = [fit_beta(grid_vector(6.0, 40.0, 20))]
+        with pytest.raises(ValidationError, match="ids and fits must have matching length"):
+            write_stats_csv(tmp_path / "stats.csv", ["s1", "s2"], fits)
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "stats.csv"
         for row in ("s1,1.0,bad,20", "s1,1.0,5.0,48.9"):

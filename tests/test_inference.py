@@ -380,24 +380,26 @@ class TestSampler:
         assert np.all(draws.draws > 0.0)
 
 
-class TestDiagnostics:
-    def _draws_from_chains(self, chains):
-        c, m, dim = chains.shape
-        return PosteriorDraws(
-            names=tuple(f"x{j}" for j in range(dim)),
-            draws=chains.reshape(c * m, dim),
-            chain=np.repeat(np.arange(c), m),
-            iteration=np.tile(np.arange(m), c),
-            energy=np.zeros(c * m),
-            divergent=np.zeros(c * m, dtype=bool),
-            accept_rate=np.full(c, 0.9),
-            step_size=np.full(c, 0.1),
-        )
+def draws_from_chains(chains):
+    """`PosteriorDraws` named x0, x1, ... from a (chains, draws, dim) array."""
+    c, m, dim = chains.shape
+    return PosteriorDraws(
+        names=tuple(f"x{j}" for j in range(dim)),
+        draws=chains.reshape(c * m, dim),
+        chain=np.repeat(np.arange(c), m),
+        iteration=np.tile(np.arange(m), c),
+        energy=np.zeros(c * m),
+        divergent=np.zeros(c * m, dtype=bool),
+        accept_rate=np.full(c, 0.9),
+        step_size=np.full(c, 0.1),
+    )
 
+
+class TestDiagnostics:
     def test_iid_chains_look_converged(self):
         rng = np.random.default_rng(0)
         chains = rng.standard_normal((4, 1000, 2))
-        table = diagnostics(self._draws_from_chains(chains))
+        table = diagnostics(draws_from_chains(chains))
         assert np.all((table.rhat > 0.99) & (table.rhat < 1.01))
         assert np.all(table.ess_bulk >= 0.5 * 4000)
 
@@ -405,13 +407,13 @@ class TestDiagnostics:
         rng = np.random.default_rng(1)
         chains = rng.standard_normal((4, 500, 1))
         chains[0] += 5.0
-        table = diagnostics(self._draws_from_chains(chains))
+        table = diagnostics(draws_from_chains(chains))
         assert table.rhat[0] > 1.2
         assert any("exceeds" in f for f in table.flags)
 
     def test_constant_chains_guarded(self):
         chains = np.ones((4, 100, 1))
-        table = diagnostics(self._draws_from_chains(chains))
+        table = diagnostics(draws_from_chains(chains))
         assert np.isnan(table.rhat[0])
         assert any("constant" in f for f in table.flags)
 
@@ -421,7 +423,7 @@ class TestDiagnostics:
         # chains' variances round to exactly 0 at m = 40 and above 0 at m = 100.
         chains = np.random.default_rng(6).standard_normal((2, m, 2))
         chains[0, :, 0], chains[1, :, 0] = 1.0, 2.0
-        table = diagnostics(self._draws_from_chains(chains))
+        table = diagnostics(draws_from_chains(chains))
         assert table.rhat[0] == np.inf and np.isfinite(table.rhat[1])
         assert table.max_rhat() == np.inf
         assert "x0: R-hat inf exceeds 1.01" in table.flags
@@ -429,14 +431,14 @@ class TestDiagnostics:
     def test_one_draw_per_split_chain_gives_nan_rhat(self):
         # 2 draws per chain split into halves of 1: no within-chain variance
         chains = np.random.default_rng(7).standard_normal((4, 2, 1))
-        table = diagnostics(self._draws_from_chains(chains))
+        table = diagnostics(draws_from_chains(chains))
         assert np.isnan(table.rhat[0]) and not any("exceeds" in f for f in table.flags)
 
     @pytest.mark.parametrize("scale, shift", [(1e-10, 1e-9), (1.0, 1e6)])
     def test_affine_map_leaves_rhat_and_ess_unchanged(self, scale, shift):
         x = np.random.default_rng(5).standard_normal((2, 200, 1))
-        table = diagnostics(self._draws_from_chains(scale * x + shift))
-        ref = diagnostics(self._draws_from_chains(x))
+        table = diagnostics(draws_from_chains(scale * x + shift))
+        ref = diagnostics(draws_from_chains(x))
         assert np.isfinite(ref.rhat).all() and table.flags == ref.flags
         np.testing.assert_array_equal(table.rhat, ref.rhat)
         np.testing.assert_array_equal(table.ess_bulk, ref.ess_bulk)
@@ -444,7 +446,7 @@ class TestDiagnostics:
     def test_single_chain_warns_and_omits_rhat(self):
         rng = np.random.default_rng(2)
         chains = rng.standard_normal((1, 400, 1))
-        table = diagnostics(self._draws_from_chains(chains))
+        table = diagnostics(draws_from_chains(chains))
         assert np.isnan(table.rhat[0])
         assert any("single chain" in f for f in table.flags)
         assert np.isfinite(table.ess_bulk[0])
@@ -466,10 +468,14 @@ class TestDiagnostics:
             chains[:, t] = phi * chains[:, t - 1] + e[:, t]
         assert inference._ess_from_chains(chains) == ess_from_chains_loop(chains)
 
+    def test_constant_chains_have_no_ess(self):
+        # `diagnostics` skips constant columns; the ESS itself must not divide by 0
+        assert np.isnan(inference._ess_from_chains(np.ones((2, 10))))
+
     def test_short_chains_give_nan_ess(self):
         # 7 draws split into halves of 3, fewer than the 4 the ESS needs
         chains = np.random.default_rng(4).standard_normal((4, 7, 1))
-        table = diagnostics(self._draws_from_chains(chains))
+        table = diagnostics(draws_from_chains(chains))
         assert np.isnan(table.ess_bulk[0]) and np.isfinite(table.rhat[0])
 
     @pytest.mark.parametrize("levels", [2, 3, 50, None], ids=["2", "3", "50", "distinct"])
@@ -503,3 +509,23 @@ class TestPersistence:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValidationError):
             read_draws_csv(path)
+
+
+# library calls that must raise: id -> (call, message pattern)
+LIBRARY_ERRORS = {
+    "draws-unknown-column": (lambda: draws_from_chains(np.zeros((2, 3, 1))).column("y"),
+                             "no parameter named 'y'"),
+    "sample-empty-init": (lambda: sample(standard_normal_target(0), HmcConfig(), np.zeros(0)),
+                          "init must be a non-empty vector"),
+    "sample-names-length": (lambda: sample(standard_normal_target(2), HmcConfig(), np.zeros(2),
+                                           names=["a"]),
+                            "names length must match the dimension"),
+    "diagnostics-one-draw": (lambda: diagnostics(draws_from_chains(np.arange(2.0).reshape(2, 1, 1))),
+                             "need at least 2 draws per chain to split"),
+}
+
+
+@pytest.mark.parametrize("call, message", LIBRARY_ERRORS.values(), ids=list(LIBRARY_ERRORS))
+def test_library_call_rejects_bad_input(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

@@ -196,6 +196,11 @@ class TestIsCar:
         assert is_car(kern, 0).is_car
         assert is_car(kern, 1).is_car
 
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_outcome_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValidationError, match=f"outcome index {index} out of range"):
+            is_car(worked_example_kernel(), index)
+
     def test_constructed_car_and_single_perturbation(self):
         rng = np.random.default_rng(23)
         for _ in range(50):

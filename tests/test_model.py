@@ -977,3 +977,43 @@ class TestSimulate:
         spec = make_spec(n=5)
         with pytest.raises(ValidationError):
             simulate(spec, make_params("scalar"), seed=0, model="scalar")
+
+
+def small_posterior(reports=((2.0, 5.0, 10), (3.0, 5.0, 10))):
+    """A cnar `Posterior` on two samples with an intercept and one covariate (dim 5)."""
+    return Posterior(make_spec(n=len(reports), k=10), make_reports(reports), PriorSpec(), "cnar")
+
+
+# library calls that must raise: id -> (call, error type, message pattern)
+LIBRARY_ERRORS = {
+    "spec-covariates-3d": (lambda: RegressionSpec(np.zeros((2, 2, 2)), [1.0, 1.0], [10, 10]),
+                           ValidationError, "covariates must be a 2-D matrix"),
+    "spec-offsets-length": (lambda: RegressionSpec([[1.0], [2.0]], [1.0], [10, 10]),
+                            ValidationError, "offsets must have one entry per sample"),
+    "spec-k-length": (lambda: RegressionSpec([[1.0], [2.0]], [1.0, 1.0], [10]),
+                      ValidationError, "k_max must have one entry per sample"),
+    "spec-nan-covariate": (lambda: RegressionSpec([[np.nan], [2.0]], [1.0, 1.0], [10, 10]),
+                           ValidationError, "covariates must be finite"),
+    "spec-zero-k": (lambda: RegressionSpec([[1.0], [2.0]], [1.0, 1.0], [10, 0]),
+                    ValidationError, "every truncation level must be at least 1"),
+    "params-coef-2d": (lambda: ModelParams(coef=np.ones((2, 2))),
+                       ValidationError, "coef must be a finite 1-D vector"),
+    "params-missing": (lambda: make_params("scalar").require("dispersion", "precision_shape"),
+                       ValidationError, "model requires parameters: precision_shape$"),
+    "means-coef-size": (lambda: linear_means(make_spec(n=3), ModelParams(coef=[1.0])),
+                        ValidationError, "coef has 1 entries, design has 2 columns"),
+    "unknown-model": (lambda: parameter_names("cnar2", n_covariates=1),
+                      ValidationError, "unknown model 'cnar2'"),
+    "constrained-length": (lambda: params_from_constrained([1.0, 2.0], 2, "cnar"),
+                           ValidationError, "constrained vector for 'cnar' must have length 5"),
+    "phi-length": (lambda: small_posterior().logp_and_grad(np.zeros(6)),
+                   ValidationError, "parameter vector must have length 5"),
+    "report-density-overflow": (lambda: small_posterior(((5.0, 1.7e308, 10), (3.0, 5.0, 10))),
+                                NumericalError, "sample 0: non-finite report density"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", LIBRARY_ERRORS.values(), ids=list(LIBRARY_ERRORS))
+def test_library_call_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -198,3 +198,36 @@ class TestCsvRoundTrip:
         assert names == ["r0", "r1"]
         for orig, loaded in zip(vectors, back):
             np.testing.assert_array_equal(orig.memberships, loaded.memberships)
+
+
+def written(path, text):
+    path.write_text(text)
+    return path
+
+
+# library calls that must raise, given a scratch file path: id -> (call, message pattern)
+LIBRARY_ERRORS = {
+    "assignment-1d": (lambda path: PossibilityAssignment([1.0, 0.5]), "must be a 2-D matrix"),
+    "assignment-no-rows": (lambda path: PossibilityAssignment(np.zeros((0, 2))),
+                           "at least one observation and one referent"),
+    "assignment-nan": (lambda path: PossibilityAssignment([[np.nan, 1.0]]), "degrees must be finite"),
+    "assignment-names-length": (lambda path: PossibilityAssignment([[1.0, 0.5]], ("a",)),
+                                "referent_names length does not match"),
+    "membership-empty": (lambda path: MembershipVector([]), "non-empty 1-D vector"),
+    "write-counts-names-length": (
+        lambda path: write_counts_csv(path, ["a", "b"], [MembershipVector([1.0])]),
+        "names and vectors must have matching length"),
+    "write-counts-none": (lambda path: write_counts_csv(path, [], []), "no count vectors to write"),
+    "write-counts-two-levels": (
+        lambda path: write_counts_csv(path, ["a", "b"], [MembershipVector([1.0, 0.5]),
+                                                         MembershipVector([1.0])]),
+        "all count vectors must share the same truncation level"),
+    "read-counts-outside": (lambda path: read_counts_csv(written(path, "id,y0,y1\na,1.0,1.5\n")),
+                            r"counts.csv: line 2: memberships must lie in \[0, 1\]"),
+}
+
+
+@pytest.mark.parametrize("call, message", LIBRARY_ERRORS.values(), ids=list(LIBRARY_ERRORS))
+def test_library_call_rejects_bad_input(call, message, tmp_path):
+    with pytest.raises(ValidationError, match=message):
+        call(tmp_path / "counts.csv")

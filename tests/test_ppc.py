@@ -275,6 +275,11 @@ class TestReplicate:
         with pytest.raises(ValidationError, match="available"):
             replicate(draws, spec, "cnar", n_reps=10_000, seed=0)
 
+    def test_zero_reps_rejected(self, fitted_small_posterior):
+        spec, sim, draws = fitted_small_posterior
+        with pytest.raises(ValidationError, match="n_reps must be at least 1"):
+            replicate(draws, spec, "cnar", n_reps=0, seed=0)
+
     def test_replicate_means_bracket_observed(self, fitted_small_posterior):
         # well-specified model: the observed scaled mean falls inside the
         # replicate distribution for most posterior fits

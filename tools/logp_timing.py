@@ -4,12 +4,11 @@ Usage: python tools/logp_timing.py <checkout>
 
 Imports the `grancount` package of `<checkout>/src` and writes the benchmark's
 `cnar-infer` inputs for seeds 1, 2 and 3 with `<checkout>/bench/inputs.py`:
-n=200 reports at K=500 and the tail cutoff `infer` uses (`Posterior`'s default,
-or the `truncation` config section's in checkouts that have one). Seed 3 is
-the one whose cnar calls mostly reach the full grid on the exact-c/K posterior
-of ROADMAP item 1. For each seed and each of cnar, car1 and car2 it builds the
-`Posterior` the `infer` stage builds from those files and times `logp_and_grad`
-on two point sets:
+n=200 reports at K=500 and the tail cutoff `infer` uses (`Posterior`'s
+default). Seed 3 is the one whose cnar calls mostly reach the full grid on the
+exact-c/K posterior of ROADMAP item 1. For each seed and each of cnar, car1 and
+car2 it builds the `Posterior` the `infer` stage builds from those files and
+times `logp_and_grad` on two point sets:
 
 - `truth`: 2,000 points drawn with a fixed seed around the packed simulation
   truth;
@@ -18,20 +17,17 @@ on two point sets:
   samples.
 
 Each set is timed twice per pass: full calls, and gradient-only calls
-(`need_logp=False`, what the leapfrog's inner steps ask for), where the
-checkout has them. One pass over a set warms up; the next REPEATS passes are
-timed, the two kinds alternating, and the median pass of each kind is printed
-per call, with the share of points whose log density is -inf. For cnar the
-warm-up pass also records the grid length of the tail cut at each point: its
-quartiles say which regime the timing measured (about 190 columns around the
-truth, about 45 where a clamped seed-1 `cnar-infer` chain goes), and, where
-the checkout has the closed-form bare count pmf, the share of calls that take
-it; where it has the analytic per-sample shift, the share of calls whose sums
-fall below its floor and take the max-shift step instead. One BLAS thread is
-used.
+(`need_logp=False`, what the leapfrog's inner steps ask for). One pass over a
+set warms up; the next REPEATS passes are timed, the two kinds alternating, and
+the median pass of each kind is printed per call, with the share of points
+whose log density is -inf. For cnar the warm-up pass also records the grid
+length of the tail cut at each point: its quartiles say which regime the timing
+measured (about 190 columns around the truth, about 45 where a clamped seed-1
+`cnar-infer` chain goes), the share of calls that take the closed-form bare
+count pmf, and the share of calls whose sums fall below the analytic shift's
+floor and take the max-shift step instead. One BLAS thread is used.
 """
 
-import inspect
 import os
 import statistics
 import sys
@@ -62,9 +58,9 @@ def chain_points(post, inference) -> np.ndarray:
     """Every point one short seeded HMC chain on `post` evaluates, in order."""
     visited = []
 
-    def target(phi, **need_logp):  # forwards the flag, and runs on checkouts without it
+    def target(phi, need_logp=True):
         visited.append(np.array(phi, dtype=np.float64))
-        return post.logp_and_grad(phi, **need_logp)
+        return post.logp_and_grad(phi, need_logp)
 
     config = inference.HmcConfig(n_chains=1, n_warmup=100, n_draws=100, max_leapfrog=16, seed=1)
     inference.sample(target, config, post.initial_point())
@@ -85,14 +81,11 @@ def report(post, label: str, phis) -> None:
     shifts = []  # one entry per call that takes the max-shift step, on that pass too
     if post.model == "cnar":
         post._cutoff = lambda *args, cut=post._cutoff: widths.append(cut(*args)) or widths[-1]
-        if hasattr(post, "_max_shift"):
-            post._max_shift = lambda *args, step=post._max_shift: shifts.append(1) or step(*args)
+        post._max_shift = lambda *args, step=post._max_shift: shifts.append(1) or step(*args)
     rejected = sum(not np.isfinite(post.logp_and_grad(phi)[0]) for phi in phis)
     for spy in ("_cutoff", "_max_shift"):  # the timed passes call the methods themselves
         vars(post).pop(spy, None)
-    kinds = {"full": {}}
-    if "need_logp" in inspect.signature(post.logp_and_grad).parameters:
-        kinds["gradient-only"] = {"need_logp": False}
+    kinds = {"full": {}, "gradient-only": {"need_logp": False}}
     passes = {kind: [] for kind in kinds}
     for _ in range(REPEATS):
         for kind, kwargs in kinds.items():
@@ -105,12 +98,10 @@ def report(post, label: str, phis) -> None:
     if widths:
         quartiles = tuple(np.percentile(widths, [25, 50, 75]))
         cut = "; cut width quartiles %.0f / %.0f / %.0f" % quartiles
-        if hasattr(post, "_closed_hi"):
-            closed = int(np.sum(np.array(widths) <= post._closed_hi))
-            cut += f"; closed-form share {closed / len(widths):.3f} ({closed} of {len(widths)})"
-        if hasattr(post, "_max_shift"):
-            cut += (f"; max-shift share {len(shifts) / len(widths):.4f} "
-                    f"({len(shifts)} of {len(widths)})")
+        closed = int(np.sum(np.array(widths) <= post._closed_hi))
+        cut += f"; closed-form share {closed / len(widths):.3f} ({closed} of {len(widths)})"
+        cut += (f"; max-shift share {len(shifts) / len(widths):.4f} "
+                f"({len(shifts)} of {len(widths)})")
     print(f"{post.model:<5} {label:<5} {timings} us/call  ({len(phis)} points; {spread}; "
           f"-inf share {rejected / len(phis):.4f}{cut})", flush=True)
 
@@ -125,7 +116,6 @@ def main(argv=None) -> int:
     from grancount import cli, inference, model
 
     config = cli.RunConfig()
-    tail = {"tail_mass": config.truncation.tail_mass} if hasattr(config, "truncation") else {}
     truth = bench_inputs.truth()
     for seed in SEEDS:
         print(f"seed {seed}", flush=True)
@@ -135,7 +125,7 @@ def main(argv=None) -> int:
                 files["stats.csv"], files["covariates.csv"], config.add_intercept
             )
         for name in MODELS:
-            post = model.Posterior(spec, reports, config.priors, name, **tail)
+            post = model.Posterior(spec, reports, config.priors, name)
             report(post, "truth", truth_points(post, truth))
             report(post, "chain", chain_points(post, inference))
     return 0

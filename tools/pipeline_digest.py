@@ -20,10 +20,15 @@ example (not CAR), two disjoint indicators (CAR) and a seeded random kernel
 with 9 outcomes on {0..12}. Last, `infer` runs as the benchmark runs it, on the
 `cnar-infer` and `car2-infer` inputs and configs for seeds 1 and 2, and its
 `draws.csv` and diagnostics JSON are hashed as `<workload>_draws.csv` and
-`<workload>_diagnostics.json`.
+`<workload>_diagnostics.json`. Then every case of `ERROR_CASES`, a malformed
+input for each table reader and each rule it checks, runs through the stage
+that reads it.
 
 Prints one line `<seed> <file> <sha256>` per output (`kernel` in place of the
-seed for the audits). The stdout of `infer` and `kernel-audit` is saved as a
+seed for the audits), and one line `error <case> <exit code> <message>` per
+error case, where the message is the one error the stage logged, with the
+temporary directory cut from its paths (an exception that escapes `cli.main`
+prints its type and text in place of the code and message). The stdout of `infer` and `kernel-audit` is saved as a
 `.txt` output. CSV and text files are hashed as bytes; JSON files are hashed as
 canonical JSON without their `metadata` block, which holds a timestamp. One
 BLAS thread is used, so the products in `ppc` are reproducible. To compare two
@@ -35,6 +40,8 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
+import logging.handlers
 import os
 import sys
 import tempfile
@@ -52,6 +59,66 @@ BENCH_INFER = ("cnar-infer", "car2-infer")
 # label -> `--set` of an extra cnar `simulate` run, beyond the CLI defaults
 CNAR_REGIMES = {"dispersion0.3": "simulate.dispersion=0.3", "dispersion50": "simulate.dispersion=50",
                 "near_k": "simulate.coef=[5.0,0.5]"}
+
+
+# a valid draws header and row for `ppc` on VALID_INPUTS; the draws cases edit copies
+DRAWS_HEADER = "chain,iter,coef_intercept,coef_x,dispersion,precision_shape,precision_rate,energy,divergent"
+DRAW = "1.0,0.5,2.0,4.0,0.1,10.0,0"
+VALID_INPUTS = {"stats.csv": "sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,5.0,10\n",
+                "covariates.csv": "sample_id,x\na,0.5\nb,-0.5\n",
+                "draws.csv": f"{DRAWS_HEADER}\n0,0,{DRAW}\n0,1,{DRAW}\n"}
+# stage -> argv, with `bad.csv` in the place of the table its reader reads
+ERROR_STAGES = {
+    "count": ["count", "bad.csv", "--out", "out.csv"],
+    "fit": ["fit", "bad.csv", "--out", "out.csv"],
+    "infer-stats": [*SMALL_HMC, "infer", "bad.csv", "covariates.csv",
+                    "--out-draws", "out.csv", "--out-diagnostics", "out.json"],
+    "infer-covariates": [*SMALL_HMC, "infer", "stats.csv", "bad.csv",
+                         "--out-draws", "out.csv", "--out-diagnostics", "out.json"],
+    "ppc-draws": ["--set", "ppc.n_reps=2", "ppc", "bad.csv", "stats.csv", "covariates.csv",
+                  "--out-csv", "out.csv", "--out-json", "out.json"],
+}
+# case -> (stage, text of bad.csv): one bad cell, row or header per case
+ERROR_CASES = {
+    "possibility-empty": ("count", ""),
+    "possibility-header": ("count", "g1, \n1.0,1.0\n"),
+    "possibility-ragged": ("count", "g1,g2\n1.0,0.5\n1.0\n"),
+    "possibility-no-rows": ("count", "g1,g2\n"),
+    "possibility-not-a-number": ("count", "g1,g2\n1.0,0.5\n0.5,abc\n"),
+    "possibility-padded-name": ("count", "g1, g2\n1.0,x\n"),
+    "possibility-two-non-numbers": ("count", "g1,g2\n1.0,x\ny,1.0\n"),
+    "possibility-above-1": ("count", "g1,g2\n1.0,0.5\n1.5,0.5\n"),
+    "possibility-nan": ("count", "g1,g2\n1.0,nan\n"),
+    "possibility-empty-count": ("count", "g1,g2\n1.0,0.5\n0.0,0.0\n"),
+    "counts-header": ("fit", "name,y0,y1\na,1.0,0.5\n"),
+    "counts-not-a-number": ("fit", "id,y0,y1\na,1.0,0.5\nb,1.0,x\n"),
+    "counts-nan": ("fit", "id,y0,y1\na,1.0,0.5\nb,nan,1.0\n"),
+    "counts-above-1": ("fit", "id,y0,y1\na,1.0,1.5\n"),
+    "stats-header": ("infer-stats", "sample_id,c,K,h\na,2.0,10,5.0\n"),
+    "stats-not-a-number": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,bad,10\n"),
+    "stats-k-not-a-number": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,5.0,x\n"),
+    "stats-k-fraction": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,5.0,48.9\n"),
+    "stats-k-nan": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,5.0,nan\n"),
+    "stats-k-inf": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,5.0,inf\n"),
+    "stats-c-above-k": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\nb,11.0,5.0,10\n"),
+    "stats-c-nan": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\nb,nan,5.0,10\n"),
+    "covariates-header": ("infer-covariates", "id,x\na,0.5\nb,-0.5\n"),
+    "covariates-not-a-number": ("infer-covariates", "sample_id,x\na,0.5\nb,abc\n"),
+    "covariates-nan": ("infer-covariates", "sample_id,x\na,0.5\nb,nan\n"),
+    "covariates-offset-inf": ("infer-covariates", "sample_id,x,offset\na,0.5,1.0\nb,-0.5,inf\n"),
+    "covariates-offset-zero": ("infer-covariates", "sample_id,x,offset\na,0.5,1.0\nb,-0.5,0.0\n"),
+    "covariates-duplicate-name": ("infer-covariates", "sample_id,x,x\na,0.5,1.0\nb,-0.5,2.0\n"),
+    "covariates-missing-id": ("infer-covariates", "sample_id,x\na,0.5\n"),
+    "draws-header": ("ppc-draws", "chain,iter,coef_x,energy\n0,0,1.0,10.0\n"),
+    "draws-chain-fraction": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n0.5,1,{DRAW}\n"),
+    "draws-chain-nan": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\nnan,1,{DRAW}\n"),
+    "draws-chain-past-int64": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n1e300,1,{DRAW}\n"),
+    "draws-iter-not-a-number": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n0,x,{DRAW}\n"),
+    "draws-dispersion-inf": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n0,1,1.0,0.5,inf,4.0,0.1,10.0,0\n"),
+    "draws-energy-not-a-number": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n0,1,1.0,0.5,2.0,4.0,0.1,e,0\n"),
+    "draws-divergent": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n0,1,{DRAW[:-1]}true\n"),
+    "draws-chain-ids": ("ppc-draws", f"{DRAWS_HEADER}\n1,0,{DRAW}\n1,1,{DRAW}\n"),
+}
 
 
 def digest(path) -> str:
@@ -144,6 +211,28 @@ def run_cli(cli, argv) -> str:
     return stdout.getvalue()
 
 
+def run_error_case(cli, stage, text, work) -> str:
+    """`<exit code> <message>` of the stage on `bad.csv` = `text`, run in `work`."""
+    for name, content in [*VALID_INPUTS.items(), ("bad.csv", text)]:
+        with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+            fh.write(content)
+    argv = [os.path.join(work, arg) if arg.endswith((".csv", ".json")) else arg
+            for arg in ERROR_STAGES[stage]]
+    errors = logging.handlers.BufferingHandler(capacity=100)
+    errors.setLevel(logging.ERROR)
+    logger = logging.getLogger("grancount")
+    logger.addHandler(errors)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    except Exception as exc:  # report what escapes, as a traceback would
+        return f"raised {type(exc).__name__}: {exc}"
+    finally:
+        logger.removeHandler(errors)
+    messages = " | ".join(record.getMessage() for record in errors.buffer)
+    return f"{code} {messages.replace(work + os.sep, '')}"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -191,6 +280,10 @@ def main(argv=None) -> int:
                               "--out-diagnostics", diag])
                 for path in (draws, diag):
                     print(seed, os.path.basename(path), digest(path), flush=True)
+        for case, (stage, text) in ERROR_CASES.items():
+            work = os.path.join(tmp, f"error-{case}")
+            os.mkdir(work)
+            print("error", case, run_error_case(cli, stage, text, work), flush=True)
     return 0
 
 
