@@ -198,9 +198,20 @@ def _read_covariates_csv(path):
         finite=True,
     )
     ids = [row[0] for _, row in rows]
-    if header[-1] == "offset":
-        return ids, tuple(header[1:-1]), values[:, :-1], values[:, -1]
-    return ids, tuple(header[1:]), values, np.ones(len(ids))
+    has_offset = header[-1] == "offset"
+    names = tuple(header[1:-1] if has_offset else header[1:])
+    repeated = [name for j, name in enumerate(names) if name in names[:j]]
+    if repeated:
+        raise ValidationError(f"{path}: line 1: covariate name {repeated[0]!r} is repeated")
+    if not has_offset:
+        return ids, names, values, np.ones(len(ids))
+    bad = np.flatnonzero(values[:, -1] <= 0.0)
+    if bad.size:
+        line_no, row = rows[bad[0]]
+        raise ValidationError(
+            f"{path}: line {line_no}, column 'offset': not a positive number: {row[-1]!r}"
+        )
+    return ids, names, values[:, :-1], values[:, -1]
 
 
 def _align(stats_ids, cov_ids):
@@ -373,7 +384,8 @@ def cmd_infer(args, config: RunConfig) -> int:
         draws,
         metadata={**_metadata("infer", config), "summary": summary,
                   "warmup_divergences": [int(n) for n in draws.warmup_divergences],
-                  "rejections": dict(post.rejections), "evaluations": dict(post.evaluations)},
+                  "rejections": dict(post.rejections), "evaluations": dict(post.evaluations),
+                  "exact_reruns": post.exact_reruns},
     )
     table = draws.diagnostics
     print(f"{'parameter':<22}{'mean':>12}{'sd':>12}{'q5':>12}{'q95':>12}{'rhat':>10}{'ess':>10}")
@@ -387,8 +399,9 @@ def cmd_infer(args, config: RunConfig) -> int:
         print(f"divergent transitions: {draws.divergence_count}")
     logger.info(
         "stage=infer out=%s divergences=%d max_rhat=%.4f full_evaluations=%d "
-        "gradient_only_evaluations=%d", args.out_draws, draws.divergence_count, table.max_rhat(),
-        post.evaluations["full"], post.evaluations["gradient_only"],
+        "gradient_only_evaluations=%d exact_reruns=%d", args.out_draws, draws.divergence_count,
+        table.max_rhat(), post.evaluations["full"], post.evaluations["gradient_only"],
+        post.exact_reruns,
     )
     return EXIT_OK
 

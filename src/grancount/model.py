@@ -46,8 +46,10 @@ TAIL_MASS = 1.0e-12
 # exp() overflows just above this; treat larger linear predictors as failures
 _MAX_LINEAR_PREDICTOR = 700.0
 _LOG_TINY = np.log(1.0e-300)
-# a cnar sum below this takes `Posterior._max_shift`
+# a cnar sum below this, or a tail cut that may lose more than this share of a
+# mixture sum, sends the call to `Posterior`'s exact rerun
 _SUM_FLOOR = 1.0e-290
+_CUT_LOSS = 1.0e-8
 _PRIOR_NORM = 0.5 * np.log(2.0 * np.pi)
 
 
@@ -341,12 +343,18 @@ class Posterior:
     kept relative to its per-sample maximum, whose sum is added back to the log
     likelihood. An untruncated pmf and a density over its own maximum are at
     most 1, so every term is, up to rounding, and one exp needs no shift. A call
-    where some sum falls below `_SUM_FLOOR` (1e-290) or is not finite recomputes
-    the same products and subtracts each sample's maximum before the exp
-    (`_max_shift`). Above the floor each sum's largest term is at least
-    1e-290/(max K + 1), a normal float, so the sums keep the precision of the
-    shifted terms. The third rank costs max K + 1 + n float64 cells, 5.6 KB at
-    n=200, K=500.
+    trusts that pass only where its sums pass two checks; otherwise it reruns once,
+    exactly, on the full grid (the one `tail_mass=0` evaluates) with each sample's
+    maximum subtracted before the exp, and `exact_reruns` counts it. The floor:
+    every sum is finite and at least `_SUM_FLOOR` (1e-290), so its largest term
+    is at least 1e-290/(max K + 1), a normal float, and the sums keep the
+    precision of the shifted terms. The certificate, where the cut ends before
+    the grid: a relative report density is at most 1, so a sample's mixture loses
+    at most its pmf's mass past the cut, `tail_mass`, and its relative loss is at
+    most `tail_mass` over its mixture sum; the smallest sum must hold that to
+    `_CUT_LOSS` (1e-8), which bounds each sample's log likelihood error by about
+    1e-8. A report far in its pmf's tail fails it and pays for the full grid. The
+    third rank costs max K + 1 + n float64 cells, 5.6 KB at n=200, K=500.
     """
 
     def __init__(
@@ -370,6 +378,7 @@ class Posterior:
         self._kvec = spec.k_max.astype(np.float64)
         self.rejections = dict.fromkeys(REJECTION_REASONS, 0)
         self.evaluations = {"full": 0, "gradient_only": 0}
+        self.exact_reruns = 0
 
         if len(data) != spec.n_samples:
             raise ValidationError(f"{len(data)} reports for {spec.n_samples} design rows")
@@ -513,12 +522,11 @@ class Posterior:
         kappa, shape, rate = map(math.exp, phi[p:].tolist())
         n = mu.size
 
+        grid_len = self._grid.size
         mu_max = float(mu.max()) if n else 0.0
-        hi = self._cutoff(mu_max, kappa) if n else self._grid.size
+        cut = self._cutoff(mu_max, kappa) if n else grid_len
         # r = kappa/(kappa + mu) is a normal float while mu < 1e300 kappa
         normal_r = mu_max < 1.0e300 * kappa
-        # a cut inside every K leaves the bare pmf to its closed form
-        closed = hi <= self._closed_hi and normal_r
         kmu = kappa + mu
         r = kappa / kmu
         # log r = -log1p(mu/kappa), from logaddexp where r leaves the normal range
@@ -526,27 +534,39 @@ class Posterior:
         slope, _, head = self._sample_factor
         np.log(np.divide(mu, kmu, out=slope), out=slope)
         np.multiply(log_r, kappa, out=head)
-        grid_kappa = self._grid[:hi] + kappa
-        col = self._grid_factor[:hi, 1]
-        np.subtract(gammaln(grid_kappa), self._lgamma_fact[:hi], out=col)
-        col -= col[0]  # gammaln(kappa): the first cell is 0 + kappa
-        rows = self._moment_rows[:, :hi]
-        digamma(grid_kappa, out=rows[2])
 
-        # Every term is a pmf times a relative report density, so at most 1: one
-        # exp needs no shift unless some sum falls below _SUM_FLOOR or is not finite.
-        # Half [0] is the posterior mixture, half [1] the bare pmf.
-        halves = self._scratch[: 2 * hi * n].reshape(2, hi, n)[: 1 if closed else 2]
-        self._log_terms(halves, closed)
-        np.exp(halves, out=halves)
-        moments = np.matmul(rows, halves)
-        sums = moments[:, 0]
-        peak = None
-        if not (sums.min(initial=1.0) >= _SUM_FLOOR and sums.max(initial=0.0) < math.inf):
-            peak = self._max_shift(halves, closed)
-            if peak is None:
-                return self._reject("nonfinite_peak")
+        # Every term is at most 1, so one exp needs no shift; a pass whose sums fail the
+        # floor or the cut's certificate (the class docstring's) takes the exact rerun.
+        for rerun in (False, True):
+            hi = grid_len if rerun else cut
+            # a cut inside every K (never the full grid) leaves the bare pmf to its closed form
+            closed = hi <= self._closed_hi and normal_r
+            grid_kappa = self._grid[:hi] + kappa
+            col = self._grid_factor[:hi, 1]
+            np.subtract(gammaln(grid_kappa), self._lgamma_fact[:hi], out=col)
+            col -= col[0]  # gammaln(kappa): the first cell is 0 + kappa
+            rows = self._moment_rows[:, :hi]
+            digamma(grid_kappa, out=rows[2])
+            # half [0] is the posterior mixture, half [1] the bare pmf on {0..K}
+            halves = self._scratch[: 2 * hi * n].reshape(2, hi, n)[: 1 if closed else 2]
+            np.matmul(self._grid_factor[:hi], self._sample_factor, out=halves[-1])
+            if not closed and self._beyond_k is not None:
+                np.copyto(halves[1], -np.inf, where=self._beyond_k[:hi])
+            np.add(halves[-1], self._beta[:hi], out=halves[0])
+            if rerun:
+                peak = halves.max(axis=1)
+                if not np.isfinite(peak).all():
+                    return self._reject("nonfinite_peak")
+                halves -= peak[:, None, :]
+            np.exp(halves, out=halves)
             moments = np.matmul(rows, halves)
+            sums = moments[:, 0]
+            # the mixture sums answer for the floor and, where the grid is cut, the certificate
+            floor = _SUM_FLOOR if hi == grid_len else max(_SUM_FLOOR, self.tail_mass / _CUT_LOSS)
+            if rerun or (sums[0].min(initial=1.0) >= floor and sums.max(initial=0.0) < math.inf
+                         and (closed or sums[1].min(initial=1.0) >= _SUM_FLOOR)):
+                break
+            self.exact_reruns += 1
 
         # sums and means of y and digamma(y + kappa) per half; the gap between
         # the mixture's and the bare pmf's means drives the gradient
@@ -562,8 +582,8 @@ class Posterior:
         d_kappa = kappa * float((post_psi - bare_psi).sum()) - float(weight.sum())
         count_ll = 0.0
         if need_logp:
-            log_sums = np.log(moments[:, 0])
-            if peak is not None:
+            log_sums = np.log(sums)
+            if rerun:
                 log_sums += peak
             log_sums = log_sums.sum(axis=1)
             # the untruncated pmf sums to 1, so the closed form's log normaliser is 0
@@ -574,27 +594,6 @@ class Posterior:
         np.matmul(weight, self._z, out=grad[:p])
         grad[p:] = d_kappa, d_shape, d_rate
         return count_ll + gamma_ll, grad
-
-    def _log_terms(self, halves: np.ndarray, closed: bool) -> None:
-        """Fill `halves` with the log count pmf plus the relative log report density,
-        and, unless `closed`, the log count pmf on {0..K} alone."""
-        hi = halves.shape[1]
-        np.matmul(self._grid_factor[:hi], self._sample_factor, out=halves[-1])
-        if not closed and self._beyond_k is not None:
-            np.copyto(halves[1], -np.inf, where=self._beyond_k[:hi])
-        np.add(halves[-1], self._beta[:hi], out=halves[0])
-
-    def _max_shift(self, halves: np.ndarray, closed: bool):
-        """The step for a call whose unshifted sums failed: refill `halves`, subtract
-        each sample's maximum before the exp, and return those maxima (None where one
-        is not finite)."""
-        self._log_terms(halves, closed)
-        peak = halves.max(axis=1)
-        if not np.isfinite(peak).all():
-            return None
-        halves -= peak[:, None, :]
-        np.exp(halves, out=halves)
-        return peak
 
     def _cutoff(self, mu_max: float, kappa: float) -> int:
         """Grid length to the (1 - tail_mass) quantile of NB(mu_max, kappa), plus one spare."""

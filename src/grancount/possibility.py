@@ -164,6 +164,10 @@ def read_possibility_csv(path) -> PossibilityAssignment:
         r, j = outside[0]
         where = f"{path}: line {rows[r][0]}, column '{names[j]}'"
         raise ValidationError(f"{where}: degree {float(degrees[r, j])} outside [0, 1]")
+    empty = np.flatnonzero(~degrees.any(axis=1))  # such a row leaves every count empty
+    if empty.size:
+        where = f"{path}: line {rows[empty[0]][0]}"
+        raise ValidationError(f"{where}: every degree is 0, so no referent is possible")
     return PossibilityAssignment(degrees, tuple(names))
 
 

@@ -26,16 +26,21 @@ def read_table(path, header_ok, header_error, numeric, rows_name="data rows", *,
     the error is `path: header_error`. Every data row must have as many cells
     as the header, and there must be at least one (else `path: no rows_name`).
     `values` is the float64 matrix of each row's `numeric` slice of cells; a cell
-    that is not a number (with `finite`, not a finite one) is an error.
+    that is not a number (with `finite`, not a finite one) is an error, and so is
+    a line the `csv` module cannot split, such as one with a cell past its field
+    limit (131,072 characters).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        if not header_ok(header):
-            raise ValidationError(f"{path}: {header_error}")
-        rows = list(enumerate(reader, start=2))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: empty file")
+            if not header_ok(header):
+                raise ValidationError(f"{path}: {header_error}")
+            rows = list(enumerate(reader, start=2))
+        except csv.Error as exc:  # a cell past the field limit, say
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     for line_no, row in rows:
         if len(row) != len(header):
             raise ValidationError(

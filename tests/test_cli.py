@@ -51,9 +51,15 @@ BAD_DRAWS_ROWS = [("divergent-x", "divergent", "0,1,1.0,0.5,2.0,4.0,0.1,10.0,x")
                   ("energy-nan", "energy", "0,1,1.0,0.5,2.0,4.0,0.1,nan,0"),
                   ("dispersion-inf", "dispersion", "0,1,1.0,0.5,inf,4.0,0.1,10.0,0")]
 
-# covariate files whose third line holds one non-finite cell: file -> what the error names
-BAD_COVARIATE_CELLS = {"covariates_nan.csv": "column 'x': not a finite number: 'nan'",
-                       "covariates_offset_inf.csv": "column 'offset': not a finite number: 'inf'"}
+# input file -> the place and fault its one error line names after the file
+BAD_TABLE_LINES = {
+    "covariates_nan.csv": "line 3, column 'x': not a finite number: 'nan'",
+    "covariates_offset_inf.csv": "line 3, column 'offset': not a finite number: 'inf'",
+    "covariates_offset_0.csv": "line 3, column 'offset': not a positive number: '0.0'",
+    "covariates_dup.csv": "line 1: covariate name 'x' is repeated",
+    "zero_row.csv": "line 3: every degree is 0, so no referent is possible",
+    "long_cell.csv": "line 3: field larger than field limit (131072)",
+}
 
 
 def run(*argv):
@@ -208,6 +214,32 @@ def test_infer_counts_its_evaluations_by_kind(tmp_path, monkeypatch, caplog):
     assert int(fields["gradient_only_evaluations"]) == evaluations["gradient_only"]
 
 
+def test_infer_reports_its_exact_reruns(tmp_path, monkeypatch, caplog):
+    targets = set()
+    logp_and_grad = model.Posterior.logp_and_grad
+
+    def spy(self, phi, need_logp=True):
+        targets.add(self)
+        return logp_and_grad(self, phi, need_logp)
+
+    monkeypatch.setattr(model.Posterior, "logp_and_grad", spy)
+    run("--set", "simulate.n_samples=20", "simulate",
+        "--out-data", tmp_path / "data.csv", "--out-covariates", tmp_path / "covariates.csv",
+        "--out-params", tmp_path / "params.json")
+    # one report at c = K, far in its count pmf's tail, makes cut calls rerun
+    rows = [line.split(",") for line in (tmp_path / "data.csv").read_text().splitlines()]
+    rows[1][1] = rows[1][3]
+    (tmp_path / "data.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+    with caplog.at_level(logging.INFO, logger="grancount"):
+        run("infer", tmp_path / "data.csv", tmp_path / "covariates.csv",
+            "--out-draws", tmp_path / "draws.csv", "--out-diagnostics", tmp_path / "diagnostics.json")
+    (post,) = targets
+    metadata = json.loads((tmp_path / "diagnostics.json").read_text())["metadata"]
+    assert metadata["exact_reruns"] == post.exact_reruns > 0
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage=infer out=")]
+    assert f" exact_reruns={post.exact_reruns}" in line
+
+
 def test_infer_reports_divergent_draws(tmp_path, monkeypatch, capsys):
     sample = inference.sample
 
@@ -330,6 +362,7 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
         ["count", "ragged.csv", "--out", "out.csv"],
         ["count", "header_only.csv", "--out", "out.csv"],
         ["count", "zero_row.csv", "--out", "out.csv"],
+        ["count", "long_cell.csv", "--out", "out.csv"],
         ["--config", "invalid.json", "show-config"],
         ["--set", "workers=0", "show-config"],
         ["--set", "simulate.k=0", "show-config"],
@@ -390,7 +423,8 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "negative-simulate-dispersion", "zero-simulate-precision-rate", "empty-simulate-coef",
          "infinite-car-tol", "fit-counts-nan",
          "ppc-chain-minus-1", "scalar-simulate", "scalar-ppc",
-         "empty-csv", "ragged-csv", "header-only-csv", "empty-count", "invalid-json-config",
+         "empty-csv", "ragged-csv", "header-only-csv", "empty-count", "cell-past-field-limit",
+         "invalid-json-config",
          "zero-workers", "zero-simulate-k", "zero-simulate-offset", "infinite-simulate-offset", "ppc-grid-1",
          "one-hmc-draw", "kernel-no-outcomes", "kernel-two-lengths", "kernel-nu-length",
          "kernel-nu-sum", "kernel-names-length", "covariate-nan", "covariate-offset-zero",
@@ -440,6 +474,7 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     (tmp_path / "ragged.csv").write_text("r1,r2\n1.0,0.5\n1.0\n")
     (tmp_path / "header_only.csv").write_text("r1,r2\n")
     (tmp_path / "zero_row.csv").write_text("r1,r2\n1.0,0.5\n0.0,0.0\n")
+    (tmp_path / "long_cell.csv").write_text("r1\n1.0\n" + "1" * 200_000 + "\n")
     (tmp_path / "invalid.json").write_text('{"seed": 1,')
     kernel = {"nu": [0.5, 0.5], "outcomes": [[1.0, 0.5], [0.5, 1.0]]}
     for name, payload in [("ok", kernel), ("int", 5), ("names_int", {**kernel, "names": 5}),
@@ -462,9 +497,9 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     if bad:  # the bad row is the third line, sample b
         column = "sample_id" if bad[0].startswith("stats_") else "id"
         assert f"{bad[0]}: line 3, {column} 'b'" in errors[0], errors
-    for name, cell in BAD_COVARIATE_CELLS.items():
+    for name, where in BAD_TABLE_LINES.items():
         if name in argv:
-            assert f"{name}: line 3, {cell}" in errors[0], errors
+            assert f"{name}: {where}" in errors[0], errors
     for name, column, _ in BAD_DRAWS_ROWS:
         if f"draws_{name}.csv" in argv:
             assert f"draws_{name}.csv: line 3, column '{column}'" in errors[0], errors

@@ -469,23 +469,17 @@ class TestCnarKernelAgainstRowsOracle:
         assert post.rejections["nonfinite_peak"] == 1
 
 
-def count_calls(monkeypatch, post: Posterior, name: str) -> list:
-    """The argument tuples of each call of `post.<name>` from here on."""
-    calls, method = [], getattr(post, name)
-    monkeypatch.setattr(post, name, lambda *args: calls.append(args) or method(*args))
-    return calls
-
-
 class TestAnalyticShift:
     """The cnar kernel scales each sample by its count pmf's normaliser and its
-    report density's maximum, with no max pass; `_max_shift` is the step for a
-    call where some sum underflows."""
+    report density's maximum, with no max pass; a call whose sums underflow, or
+    whose tail cut may lose mixture mass, reruns exactly on the full grid."""
 
-    # Against the (n, hi) oracle on the full grid: reports at c = 0 and c = K
-    # (K <= 20 only under the tail cut, which keeps a pmf, not a report far in
-    # its tail). Past kappa = e^12 the oracle's numerically summed bare pmf loses
-    # more than 1e-10 of the log density to gammaln(y + kappa) rounding, which
-    # the closed form does not, so the cut sweeps stop there.
+    # Against the (n, hi) oracle on the full grid: reports at c = 0 and c = K.
+    # Under the tail cut a report at c = K sits far in its pmf's tail, so every
+    # cut call reruns, and no full-grid call does. Past kappa = e^12 the oracle's
+    # numerically summed bare pmf loses more than 1e-10 of the log density to
+    # gammaln(y + kappa) rounding, which the closed form does not, so the cut
+    # sweeps stop there.
     @pytest.mark.parametrize("k, tail_mass, top, regimes", [
         ([500], 0.0, 15.0, {"full"}), ([5, 20, 60, 500], 0.0, 15.0, {"full"}),
         ([500], 1e-12, 12.0, {"closed", "full"}),
@@ -495,12 +489,10 @@ class TestAnalyticShift:
         spec, sim = make_cnar_data(k)
         location = sim.location.copy()
         location[:8:2] = 0.0
-        at_k = np.flatnonzero((spec.k_max <= 20) | (tail_mass == 0.0))[1:8:2]
-        location[at_k] = spec.k_max[at_k]
+        location[1:8:2] = spec.k_max[1:8:2]
         args = (spec, Reports(location, sim.precision, sim.k_max), PriorSpec())
         post, oracle = Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, 0.0)
         widths = record_widths(monkeypatch, post)
-        shifts = count_calls(monkeypatch, post, "_max_shift")
         centre = pack_params(make_params("cnar"), "cnar")
         rng = np.random.default_rng(43)
         for log_kappa in np.arange(-3.0, top + 0.25, 0.5):
@@ -516,30 +508,48 @@ class TestAnalyticShift:
             "full" if w == full else "closed" if w <= spec.k_max.min() + 1 else "past_min_k"
             for w in widths
         }
-        assert visited == regimes and not shifts
+        assert visited == regimes
+        assert post.exact_reruns == sum(w < full for w in widths)
 
     @pytest.mark.parametrize("tail_mass", [0.0, 1e-12])
-    def test_an_underflowing_sum_takes_the_max_shift(self, monkeypatch, tail_mass):
+    def test_an_underflowing_sum_takes_the_max_shift(self, tail_mass):
         # mu = 1e-3 puts about 1e-330 of the count pmf at y = 100 = K/2, where a
         # report of precision 1e4 sits; next to it, one ordinary report
         spec = RegressionSpec([[1.0], [1.0]], [1e-3, 10.0], [200, 200])
         reports = make_reports([(100.0, 1e4, 200), (12.0, 30.0, 200)])
         args = (spec, reports, PriorSpec())
-        # the oracle cuts the grid where `post` does
-        post, oracle = Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, tail_mass)
-        shifts = count_calls(monkeypatch, post, "_max_shift")
+        post, oracle = Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, 0.0)
         for phi in ([0.0, np.log(2.0), 0.0, 0.0], [0.3, np.log(5.0), 1.0, -2.0]):
             phi = np.array(phi)
             ref_logp, ref_grad = oracle.logp_and_grad(phi)
             for need_logp in (True, False):
-                before = len(shifts)
+                before = post.exact_reruns
                 logp, grad = post.logp_and_grad(phi, need_logp)
-                assert len(shifts) == before + 1
+                assert post.exact_reruns == before + 1
                 assert logp == (pytest.approx(ref_logp, rel=1e-10, abs=0.0) if need_logp else 0.0)
                 np.testing.assert_allclose(grad, ref_grad, rtol=0.0,
                                            atol=1e-8 * np.abs(ref_grad).max())
             assert np.isfinite(ref_logp) and np.isfinite(grad).all()
         assert post.rejections == dict.fromkeys(REJECTION_REASONS, 0)
+
+    def test_a_report_past_the_cut_reruns_on_the_full_grid(self, monkeypatch):
+        # four reports at c = K = 500, far in the tail of their count pmf: the
+        # default cut keeps each pmf's mass but not theirs, and keeping the cut's
+        # result put the log density off by up to 0.89 relative on these points
+        spec, sim = make_cnar_data([500])
+        location = sim.location.copy()
+        location[1:8:2] = spec.k_max[1:8:2]
+        args = (spec, Reports(location, sim.precision, sim.k_max), PriorSpec())
+        post, oracle = Posterior(*args, "cnar"), RowsCnarPosterior(*args, 0.0)
+        widths = record_widths(monkeypatch, post)
+        centre = pack_params(make_params("cnar"), "cnar")
+        for phi in centre + 0.5 * np.random.default_rng(5).standard_normal((40, centre.size)):
+            logp, grad = post.logp_and_grad(phi)
+            ref_logp, ref_grad = oracle.logp_and_grad(phi)
+            assert logp == pytest.approx(ref_logp, rel=1e-10, abs=0.0)
+            np.testing.assert_allclose(grad, ref_grad, rtol=0.0, atol=1e-8 * np.abs(ref_grad).max())
+        full = spec.k_max[0] + 1
+        assert post.exact_reruns == sum(w < full for w in widths) > 0
 
     @pytest.mark.parametrize("tail_mass", [0.0, 1e-12])
     def test_means_past_1e300_kappa(self, tail_mass):
@@ -619,8 +629,9 @@ class TestTailCutoff:
             np.testing.assert_allclose(grad_cut, grad, rtol=0.0, atol=1e-8)
             mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
             assert widths[i:] == [nb_tail_width(cut, mu.max(), np.exp(phi[2]))]
-        # the comparison means something only where the grid was cut
-        assert min(widths) < spec.k_max[0] + 1
+        # the comparison means something only where a call kept its cut; the calls
+        # that rerun, on the full grid, are at most `exact_reruns` of the cut ones
+        assert sum(w < spec.k_max[0] + 1 for w in widths) > cut.exact_reruns
 
     def test_cutoff_matches_exact_truncation_on_mixed_k(self, monkeypatch):
         base = make_spec(n=40, k=300, offset=1.0, seed=5)
@@ -644,7 +655,7 @@ class TestTailCutoff:
             assert abs(logp_cut - logp) <= 1e-8
             np.testing.assert_allclose(grad_cut, grad, rtol=0.0, atol=1e-8)
             compared += 1
-        assert compared >= 10
+        assert compared - cut.exact_reruns >= 10
 
     def test_call_order_does_not_change_bits(self):
         # one Posterior reuses its scratch at a cutoff width that changes per
@@ -996,6 +1007,9 @@ LIBRARY_ERRORS = {
                            ValidationError, "covariates must be finite"),
     "spec-zero-k": (lambda: RegressionSpec([[1.0], [2.0]], [1.0, 1.0], [10, 0]),
                     ValidationError, "every truncation level must be at least 1"),
+    # the covariates reader names the cell of a zero offset; the library call checks it too
+    "spec-zero-offset": (lambda: RegressionSpec([[1.0], [2.0]], [1.0, 0.0], [10, 10]),
+                         ValidationError, "offsets must be strictly positive and finite"),
     "params-coef-2d": (lambda: ModelParams(coef=np.ones((2, 2))),
                        ValidationError, "coef must be a finite 1-D vector"),
     "params-missing": (lambda: make_params("scalar").require("dispersion", "precision_shape"),

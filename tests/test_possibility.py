@@ -224,6 +224,10 @@ LIBRARY_ERRORS = {
         "all count vectors must share the same truncation level"),
     "read-counts-outside": (lambda path: read_counts_csv(written(path, "id,y0,y1\na,1.0,1.5\n")),
                             r"counts.csv: line 2: memberships must lie in \[0, 1\]"),
+    # `read_possibility_csv` names the line of such a row; the library call names the referent
+    "count-all-zero-row": (
+        lambda path: granular_count_fast(PossibilityAssignment([[1.0, 0.5], [0.0, 0.0]]), 0),
+        "granular count for referent 0 is empty"),
 }
 
 

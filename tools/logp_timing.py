@@ -24,8 +24,9 @@ whose log density is -inf. For cnar the warm-up pass also records the grid
 length of the tail cut at each point: its quartiles say which regime the timing
 measured (about 190 columns around the truth, about 45 where a clamped seed-1
 `cnar-infer` chain goes), the share of calls that take the closed-form bare
-count pmf, and the share of calls whose sums fall below the analytic shift's
-floor and take the max-shift step instead. One BLAS thread is used.
+count pmf, and the share of calls that take the exact rerun on the full grid
+(`Posterior.exact_reruns`: a sum below the analytic shift's floor, or a cut
+whose mixture sums fail its certificate). One BLAS thread is used.
 """
 
 import os
@@ -78,13 +79,12 @@ def time_calls(post, phis, kwargs) -> float:
 def report(post, label: str, phis) -> None:
     """Time `post.logp_and_grad` over `phis`, full and gradient-only, and print one line."""
     widths = []  # the cnar tail cut's grid length per call, on the warm-up pass only
-    shifts = []  # one entry per call that takes the max-shift step, on that pass too
     if post.model == "cnar":
         post._cutoff = lambda *args, cut=post._cutoff: widths.append(cut(*args)) or widths[-1]
-        post._max_shift = lambda *args, step=post._max_shift: shifts.append(1) or step(*args)
+    reruns = post.exact_reruns
     rejected = sum(not np.isfinite(post.logp_and_grad(phi)[0]) for phi in phis)
-    for spy in ("_cutoff", "_max_shift"):  # the timed passes call the methods themselves
-        vars(post).pop(spy, None)
+    reruns = post.exact_reruns - reruns
+    vars(post).pop("_cutoff", None)  # the timed passes call the method itself
     kinds = {"full": {}, "gradient-only": {"need_logp": False}}
     passes = {kind: [] for kind in kinds}
     for _ in range(REPEATS):
@@ -100,8 +100,7 @@ def report(post, label: str, phis) -> None:
         cut = "; cut width quartiles %.0f / %.0f / %.0f" % quartiles
         closed = int(np.sum(np.array(widths) <= post._closed_hi))
         cut += f"; closed-form share {closed / len(widths):.3f} ({closed} of {len(widths)})"
-        cut += (f"; max-shift share {len(shifts) / len(widths):.4f} "
-                f"({len(shifts)} of {len(widths)})")
+        cut += f"; exact-rerun share {reruns / len(widths):.4f} ({reruns} of {len(widths)})"
     print(f"{post.model:<5} {label:<5} {timings} us/call  ({len(phis)} points; {spread}; "
           f"-inf share {rejected / len(phis):.4f}{cut})", flush=True)
 

@@ -90,6 +90,8 @@ ERROR_CASES = {
     "possibility-above-1": ("count", "g1,g2\n1.0,0.5\n1.5,0.5\n"),
     "possibility-nan": ("count", "g1,g2\n1.0,nan\n"),
     "possibility-empty-count": ("count", "g1,g2\n1.0,0.5\n0.0,0.0\n"),
+    # a cell past the `csv` module's 131,072-character field limit
+    "possibility-field-limit": ("count", "g1\n1.0\n" + "1" * 200_000 + "\n"),
     "counts-header": ("fit", "name,y0,y1\na,1.0,0.5\n"),
     "counts-not-a-number": ("fit", "id,y0,y1\na,1.0,0.5\nb,1.0,x\n"),
     "counts-nan": ("fit", "id,y0,y1\na,1.0,0.5\nb,nan,1.0\n"),
