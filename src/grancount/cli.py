@@ -32,7 +32,6 @@ import logging
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,8 +190,9 @@ def _metadata(stage: str, config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _read_covariates_csv(path):
-    """Read sample_id, covariate columns, and an optional offset column."""
+def _read_covariates_csv(path, add_intercept=False):
+    """Read sample_id, covariate columns, and an optional offset column; with `add_intercept`,
+    no covariate may be named 'intercept', the name of the column the caller adds."""
     header, rows, values = tables.read_table(
         path, lambda h: h[:1] == ["sample_id"], "first column must be 'sample_id'", slice(1, None),
         finite=True,
@@ -203,6 +203,9 @@ def _read_covariates_csv(path):
     repeated = [name for j, name in enumerate(names) if name in names[:j]]
     if repeated:
         raise ValidationError(f"{path}: line 1: covariate name {repeated[0]!r} is repeated")
+    if add_intercept and "intercept" in names:
+        raise ValidationError(f"{path}: line 1: covariate name 'intercept' is the column "
+                              "add_intercept adds; rename it or set add_intercept=false")
     if not has_offset:
         return ids, names, values, np.ones(len(ids))
     bad = np.flatnonzero(values[:, -1] <= 0.0)
@@ -232,7 +235,7 @@ def _align(stats_ids, cov_ids):
 def _build_regression_spec(stats_path, covariates_path, add_intercept):
     ids, locations, precisions, ks = fuzzy.read_stats_csv(stats_path)
     reports = model.Reports(locations, precisions, ks)
-    cov_ids, cov_names, matrix, offsets = _read_covariates_csv(covariates_path)
+    cov_ids, cov_names, matrix, offsets = _read_covariates_csv(covariates_path, add_intercept)
     order = _align(ids, cov_ids)
     matrix = matrix[order]
     offsets = offsets[order]
@@ -288,6 +291,9 @@ def cmd_fit(args, config: RunConfig) -> int:
 
     ids, vectors = zip(*usable)
     if config.workers > 1:
+        # imported here: loading multiprocessing would cost every other stage 12-25 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             fits = list(pool.map(fuzzy.fit_beta, vectors))
     else:

@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln, nbdtrik
+from scipy.special import betaln, digamma, nbdtrik
 
 from .errors import NumericalError, ValidationError
 from .fuzzy import BetaFuzzy, beta_centroids, check_reports, k_blocks
@@ -179,16 +179,40 @@ def linear_means(spec: RegressionSpec, params: ModelParams) -> np.ndarray:
     return np.exp(eta)
 
 
-def _negbin_log_pmf(y, mu, kappa):
-    """Negative binomial log pmf, Var = mu + mu^2/kappa, for mu, kappa > 0.
+def _nb_grid_sums(kappa: float, grid: np.ndarray, out=None) -> np.ndarray:
+    """Rows [g(y); digamma(y + kappa) - digamma(kappa)] on grid = 0..L-1, L >= 1, from one
+    cumulative sum, where g(y) = log Gamma(y + kappa) - log Gamma(kappa) - log Gamma(y + 1).
 
-    betaln keeps the digits that gammaln(y + kappa) - gammaln(kappa) loses for kappa >~ 1e10,
-    and logaddexp gives log((kappa + mu)/kappa) without mu/kappa, which overflows past 1.8e308.
+    Over m = 1..y, g sums log((kappa + m - 1)/m): log kappa at m = 1, then log1p((kappa - 1)/m),
+    where (kappa - 1)/m >= -1/2, so no term loses kappa's digits; the digamma difference sums
+    1/(kappa + m - 1). The terms of a row share one sign, so the sums cancel nothing: g is within
+    2.2e-15 relative of 40-digit values for kappa in [e^-30, e^25] and y <= 500, where a
+    difference of two log-gamma values loses up to 1.1e-6.
     """
-    log_ratio = np.log(mu) - np.log(kappa)
-    log_kmu_k = np.logaddexp(0.0, log_ratio)
-    head = -betaln(kappa, y + 1.0) - np.log(y + kappa)
-    return head - kappa * log_kmu_k + y * (log_ratio - log_kmu_k)
+    out = np.empty((2, grid.size)) if out is None else out
+    coef, psi = out[0, 2:], out[1, 1:]
+    np.log1p(np.divide(kappa - 1.0, grid[2:], out=coef), out=coef)
+    np.reciprocal(np.add(grid[:-1], kappa, out=psi), out=psi)
+    out[0, 0] = out[1, 0] = 0.0
+    if grid.size > 1:
+        out[0, 1] = math.log(kappa)
+    return np.add.accumulate(out, axis=1, out=out)
+
+
+def _nb_factors(mu: np.ndarray, kappa: float, mu_max=None, out=None):
+    """(log q, -log r, r) per mean, r = kappa/(kappa + mu) and q = 1 - r, so that
+    log NB(y; mu, kappa) = g(y) + y log q + kappa log r, g from `_nb_grid_sums`; log q in `out`.
+
+    -log r = log1p(mu/kappa) keeps its digits at small mu/kappa; past mu = 1e300 kappa, where r
+    leaves the normal floats and mu/kappa may overflow, it comes from logaddexp. `mu_max`, the
+    largest mean, saves a pass where the caller has it.
+    """
+    log_q = np.log(mu, out=out)
+    log_q -= math.log(kappa)
+    normal = (mu.max(initial=0.0) if mu_max is None else mu_max) < 1.0e300 * kappa
+    neg_log_r = np.log1p(x := mu / kappa, out=x) if normal else np.logaddexp(0.0, log_q)
+    log_q -= neg_log_r
+    return log_q, neg_log_r, np.divide(kappa, r := kappa + mu, out=r)
 
 
 def _log1p_gap(mu, kappa: float) -> np.ndarray:
@@ -331,18 +355,22 @@ class Posterior:
     most `tail_mass`, `TAIL_MASS` (1e-12) unless the caller chooses, and
     `tail_mass=0` is the exact full grid, the reference. Where the cut ends
     before the grid and inside every K, the bare pmf's log normaliser and means
-    of y and digamma(y + kappa) are the untruncated NB's closed forms, off by
-    its mass beyond K, at most `tail_mass`. It keeps the (max K + 1, n) report
-    density and a scratch of 2*(max K + 1)*n float64 cells, for the two sums
-    the other cuts take: 2.4 MB in all at n=200, K=500.
+    of y and digamma(y + kappa) - digamma(kappa) are the untruncated NB's closed
+    forms, 0, mu and -log r, off by its mass beyond K, at most `tail_mass`. It
+    keeps the (max K + 1, n) report density and a scratch of 2*(max K + 1)*n
+    float64 cells, for the two sums the other cuts take: 2.4 MB in all at n=200,
+    K=500.
 
-    No max pass scales the (cut, n) terms. The count pmf carries its normaliser
-    log Gamma(kappa) + kappa log1p(mu/kappa) as the third rank of one product,
-    [y, log Gamma(y + kappa) - log Gamma(y + 1) - log Gamma(kappa), 1] @
-    [log(mu/(kappa + mu)); 1; -kappa log1p(mu/kappa)], and the report density is
-    kept relative to its per-sample maximum, whose sum is added back to the log
-    likelihood. An untruncated pmf and a density over its own maximum are at
-    most 1, so every term is, up to rounding, and one exp needs no shift. A call
+    No max pass scales the (cut, n) terms. The count pmf is one rank-3 product,
+    [g(y), 1, y] @ [1; kappa log r; log q], r = kappa/(kappa + mu) = 1 - q, the
+    factors of `_nb_factors`; its second rank carries the normaliser. The grid
+    column g(y) = log Gamma(y + kappa) - log Gamma(kappa) - log Gamma(y + 1) and
+    the moment column digamma(y + kappa) - digamma(kappa) are the rows of
+    `_nb_grid_sums`' one cumulative sum, both 0 at y = 0. Neither loses digits at
+    large kappa, as differences of log-gamma and digamma values do. The report
+    density is kept relative to its per-sample maximum, whose sum is added back to
+    the log likelihood. An untruncated pmf and a density over its own maximum are
+    at most 1, so every term is, up to rounding, and one exp needs no shift. A call
     trusts that pass only where its sums pass two checks; otherwise it reruns once,
     exactly, on the full grid (the one `tail_mass=0` evaluates) with each sample's
     maximum subtracted before the exp, and `exact_reruns` counts it. The floor:
@@ -354,7 +382,8 @@ class Posterior:
     most `tail_mass` over its mixture sum; the smallest sum must hold that to
     `_CUT_LOSS` (1e-8), which bounds each sample's log likelihood error by about
     1e-8. A report far in its pmf's tail fails it and pays for the full grid. The
-    third rank costs max K + 1 + n float64 cells, 5.6 KB at n=200, K=500.
+    grid columns take 4*(max K + 1) float64 cells and the sample rows 3n, 20.8 KB
+    at n=200, K=500.
     """
 
     def __init__(
@@ -386,9 +415,10 @@ class Posterior:
             raise ValidationError("report k_max disagrees with the design k_max")
         if self.model == "scalar":
             self._counts = np.round(beta_centroids(data.location, data.precision, data.k_max))
-            # j = 0..max y - 1; c(y) = sum_{j<y} j/(kappa + j) is the cumsum's entry max(y - 1, 0)
-            self._steps = np.arange(max(self._counts.max(initial=0.0), 1.0))
-            self._steps_index = np.maximum(self._counts - 1.0, 0.0).astype(np.intp)
+            self._count_index = self._counts.astype(np.intp)
+            # j = 0..max y; c(y) = sum_{j<y} j/(kappa + j) is the cumsum's entry max(y - 1, 0)
+            self._grid = np.arange(self._counts.max(initial=0.0) + 1.0)
+            self._steps_index = np.maximum(self._count_index - 1, 0)
             return
         self._h = data.precision
         self._sum_log_h = float(np.log(self._h).sum()) if self._h.size else 0.0
@@ -408,7 +438,6 @@ class Posterior:
             grid_len = int(spec.k_max.max()) + 1 if n else 1
             grid = np.arange(grid_len, dtype=np.float64)
             self._grid = grid
-            self._lgamma_fact = gammaln(grid + 1.0)
             # Matrices are (grid, n): a cut at hi is the C-contiguous [:hi] block.
             # The scratch, viewed per call as (2, hi, n), first holds the Beta
             # shapes a and b, so the report density is built in place.
@@ -435,11 +464,12 @@ class Posterior:
             self._sum_beta_peak = float(peak.sum())
             # cells past a sample's own K; None when every sample has the same K
             self._beyond_k = None if valid.all() else ~valid
-            # the two factors of the count pmf's rank-3 product (the class docstring's),
-            # and the rows [1; grid; digamma(grid + kappa)] that give sums and moments
-            self._grid_factor = np.column_stack([grid, grid, np.ones(grid_len)])
+            # columns [g, 1, y, digamma(y + kappa) - digamma(kappa)] over the grid: the
+            # first three and the sample rows [1; kappa log r; log q] are the two factors
+            # of the count pmf's rank-3 product (the class docstring's), the last three give
+            # sums and moments, and `_nb_grid_sums` writes the first and the last
+            self._grid_columns = np.column_stack([grid, np.ones(grid_len), grid, grid])
             self._sample_factor = np.ones((3, n))
-            self._moment_rows = np.stack([np.ones(grid_len), grid, grid])
             # longest cut that ends before the grid and inside every sample's K
             self._closed_hi = min(grid_len - 1, int(spec.k_max.min()) + 1) if n else 0
 
@@ -525,31 +555,20 @@ class Posterior:
         grid_len = self._grid.size
         mu_max = float(mu.max()) if n else 0.0
         cut = self._cutoff(mu_max, kappa) if n else grid_len
-        # r = kappa/(kappa + mu) is a normal float while mu < 1e300 kappa
-        normal_r = mu_max < 1.0e300 * kappa
-        kmu = kappa + mu
-        r = kappa / kmu
-        # log r = -log1p(mu/kappa), from logaddexp where r leaves the normal range
-        log_r = np.log(r) if normal_r else -np.logaddexp(0.0, np.log(mu) - math.log(kappa))
-        slope, _, head = self._sample_factor
-        np.log(np.divide(mu, kmu, out=slope), out=slope)
-        np.multiply(log_r, kappa, out=head)
+        _, neg_log_r, r = _nb_factors(mu, kappa, mu_max, out=self._sample_factor[2])
+        np.multiply(neg_log_r, -kappa, out=self._sample_factor[1])
 
         # Every term is at most 1, so one exp needs no shift; a pass whose sums fail the
         # floor or the cut's certificate (the class docstring's) takes the exact rerun.
         for rerun in (False, True):
             hi = grid_len if rerun else cut
             # a cut inside every K (never the full grid) leaves the bare pmf to its closed form
-            closed = hi <= self._closed_hi and normal_r
-            grid_kappa = self._grid[:hi] + kappa
-            col = self._grid_factor[:hi, 1]
-            np.subtract(gammaln(grid_kappa), self._lgamma_fact[:hi], out=col)
-            col -= col[0]  # gammaln(kappa): the first cell is 0 + kappa
-            rows = self._moment_rows[:, :hi]
-            digamma(grid_kappa, out=rows[2])
+            closed = hi <= self._closed_hi
+            columns = self._grid_columns[:hi]
+            _nb_grid_sums(kappa, self._grid[:hi], out=columns[:, ::3].T)
             # half [0] is the posterior mixture, half [1] the bare pmf on {0..K}
             halves = self._scratch[: 2 * hi * n].reshape(2, hi, n)[: 1 if closed else 2]
-            np.matmul(self._grid_factor[:hi], self._sample_factor, out=halves[-1])
+            np.matmul(columns[:, :3], self._sample_factor, out=halves[-1])
             if not closed and self._beyond_k is not None:
                 np.copyto(halves[1], -np.inf, where=self._beyond_k[:hi])
             np.add(halves[-1], self._beta[:hi], out=halves[0])
@@ -559,7 +578,7 @@ class Posterior:
                     return self._reject("nonfinite_peak")
                 halves -= peak[:, None, :]
             np.exp(halves, out=halves)
-            moments = np.matmul(rows, halves)
+            moments = np.matmul(columns[:, 1:].T, halves)
             sums = moments[:, 0]
             # the mixture sums answer for the floor and, where the grid is cut, the certificate
             floor = _SUM_FLOOR if hi == grid_len else max(_SUM_FLOOR, self.tail_mass / _CUT_LOSS)
@@ -568,24 +587,17 @@ class Posterior:
                 break
             self.exact_reruns += 1
 
-        # sums and means of y and digamma(y + kappa) per half; the gap between
-        # the mixture's and the bare pmf's means drives the gradient
+        # sums and means of y and digamma(y + kappa) - digamma(kappa) per half; the gap
+        # between the mixture's and the bare pmf's means drives the gradient
         means = moments[:, 1:] / moments[:, :1]
         post_y, post_psi = means[0]
-        if closed:
-            # untruncated NB: E[y] = mu, E[digamma(y + kappa)] = digamma(kappa) + log1p(mu/kappa)
-            bare_y, bare_psi = mu, rows[2, 0] - log_r
-        else:
-            bare_y, bare_psi = means[1]
-        weight = post_y - bare_y
-        weight *= r
+        # untruncated NB: E[y] = mu, E[digamma(y + kappa) - digamma(kappa)] = -log r
+        bare_y, bare_psi = (mu, neg_log_r) if closed else means[1]
+        weight = (post_y - bare_y) * r
         d_kappa = kappa * float((post_psi - bare_psi).sum()) - float(weight.sum())
         count_ll = 0.0
         if need_logp:
-            log_sums = np.log(sums)
-            if rerun:
-                log_sums += peak
-            log_sums = log_sums.sum(axis=1)
+            log_sums = (np.log(sums) + (peak if rerun else 0.0)).sum(axis=1)
             # the untruncated pmf sums to 1, so the closed form's log normaliser is 0
             count_ll = float(log_sums[0] - (0.0 if closed else log_sums[1])) + self._sum_beta_peak
 
@@ -647,12 +659,16 @@ class Posterior:
         kappa = float(np.exp(phi[p]))
         y = self._counts
         kmu = kappa + mu
-        ll = float(_negbin_log_pmf(y, mu, kappa).sum()) if need_logp else 0.0
+        ll = 0.0
+        if need_logp:  # the negative binomial log pmf at the counts
+            log_q, neg_log_r, _ = _nb_factors(mu, kappa)
+            coef = _nb_grid_sums(kappa, self._grid)[0, self._count_index]
+            ll = float(np.sum(coef + y * log_q - kappa * neg_log_r))
         d_coef = self._z.T @ (y - mu * ((y + kappa) / kmu))  # mu (y + kappa) can overflow
         # kappa (psi(y + kappa) - psi(kappa) + log(kappa/(kappa + mu)) + 1 - (y + kappa)/(kappa + mu))
         # in terms that do not cancel at large kappa: -c(y) + (mu - kappa log1p(mu/kappa))
         # - mu (mu - y)/(kappa + mu), with kappa (psi(y + kappa) - psi(kappa)) = y - c(y)
-        c = np.cumsum(self._steps / (kappa + self._steps))[self._steps_index]
+        c = np.add.accumulate(self._grid / (kappa + self._grid))[self._steps_index]
         d_kappa = float((_log1p_gap(mu, kappa) - c - mu * ((mu - y) / kmu)).sum())
         return ll, np.concatenate([d_coef, [d_kappa]])
 
@@ -717,7 +733,9 @@ def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar
         width = np.minimum(-(-_cut_columns(mu, kappa, k) // _CUT_ROUND) * _CUT_ROUND, k + 1)
         for last, idx in k_blocks(width - 1):
             with np.errstate(divide="ignore", invalid="ignore"):  # log 0 of an underflowed mean
-                lp = _negbin_log_pmf(np.arange(last + 1.0), mu[idx, None], kappa)
+                log_q, neg_log_r, _ = _nb_factors(mu[idx, None], kappa)
+                grid = np.arange(last + 1.0)
+                lp = log_q * grid + _nb_grid_sums(kappa, grid)[0] - kappa * neg_log_r
                 peak = lp.max(axis=1, keepdims=True)
                 cdf = np.exp(np.subtract(lp, peak, out=lp), out=lp).cumsum(axis=1, out=lp)
                 log_mass = peak[:, 0] + np.log(cdf[:, -1])

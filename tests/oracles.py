@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from scipy.special import betainc, betaln, digamma, gammaln
+from scipy.special import betainc, betaln, gammaln
 
 from grancount.errors import NumericalError, ValidationError
 from grancount.fuzzy import (
@@ -11,7 +11,7 @@ from grancount.fuzzy import (
     k_blocks, kl_divergence,
 )
 from grancount.model import (
-    Posterior, PriorSpec, _negbin_log_pmf, corrected_scaled_count, parameter_names,
+    Posterior, PriorSpec, _nb_factors, _nb_grid_sums, corrected_scaled_count, parameter_names,
 )
 from grancount.possibility import MembershipVector, PossibilityAssignment
 
@@ -28,16 +28,31 @@ def pack_params(params, model: str) -> np.ndarray:
     return np.concatenate([params.coef, np.array(tail)])
 
 
+def negbin_log_pmf(y, mu, kappa):
+    """Negative binomial log pmf, Var = mu + mu^2/kappa, for mu, kappa > 0, through betaln.
+
+    The form `model` used before its cumulative coefficient; betaln(kappa, y + 1) loses up to
+    3.1e-10 relative at kappa = e^20.
+    """
+    log_ratio = np.log(mu) - np.log(kappa)
+    log_kmu_k = np.logaddexp(0.0, log_ratio)
+    head = -betaln(kappa, y + 1.0) - np.log(y + kappa)
+    return head - kappa * log_kmu_k + y * (log_ratio - log_kmu_k)
+
+
 def truncated_pmf(mu: float, kappa: float, k: int) -> np.ndarray:
     """The NB(mu, kappa) pmf restricted and renormalised to {0..k}, for one mean."""
-    lp = _negbin_log_pmf(np.arange(k + 1.0), mu, kappa)
+    lp = negbin_log_pmf(np.arange(k + 1.0), mu, kappa)
     mass = np.exp(lp - lp.max())
     return mass / mass.sum()
 
 
 def nb_cdf_rows(mu: np.ndarray, kappa: float, level: int) -> np.ndarray:
-    """cumsum(exp(lp - row max)) of the NB log pmf lp on the whole row {0..level}, a row per mean."""
-    lp = _negbin_log_pmf(np.arange(level + 1.0), mu[:, None], kappa)
+    """cumsum(exp(lp - row max)) of `simulate`'s NB log pmf lp on the whole row {0..level}, a row
+    per mean: lp = y log q + g(y) + kappa log r, in that order, from `model`'s factors."""
+    grid = np.arange(level + 1.0)
+    log_q, neg_log_r, _ = _nb_factors(mu, kappa)
+    lp = log_q[:, None] * grid + _nb_grid_sums(kappa, grid)[0] - (kappa * neg_log_r)[:, None]
     return np.exp(lp - lp.max(axis=1, keepdims=True)).cumsum(axis=1)
 
 
@@ -102,9 +117,13 @@ class RowsCnarPosterior(Posterior):
     The reference for `Posterior._cnar_block`: the report density is an
     (n, max K + 1) matrix, the count pmf carries its per-sample constant, and
     the two log-sum-exps and four first moments take a pass each over
-    C-contiguous (n, hi) buffers. Everything else, the tail cutoff and the -inf
-    returns of `logp_and_grad` included, is inherited. It evaluates every term
-    whatever `need_logp` says.
+    C-contiguous (n, hi) buffers. The grid column log Gamma(y + kappa) -
+    log Gamma(kappa) - log Gamma(y + 1) and digamma(y + kappa) - digamma(kappa)
+    are running sums of log((kappa + j)/(j + 1)) and 1/(kappa + j), j < y, in
+    `np.longdouble` (80-bit on x86-64); gammaln and digamma of y + kappa lose
+    digits at large kappa. Everything else, the tail cutoff and the -inf returns
+    of `logp_and_grad` included, is inherited. It evaluates every term whatever
+    `need_logp` says.
     """
 
     def __init__(self, spec, data, priors, tail_mass=0.0):
@@ -128,7 +147,9 @@ class RowsCnarPosterior(Posterior):
         log_kmu = np.log(kappa + mu)
         head = kappa * (np.log(kappa) - log_kmu)
         slope = np.log(mu) - log_kmu
-        col = gammaln(self._grid + kappa) - self._lgamma_fact
+        j = np.arange(self._grid.size - 1, dtype=np.longdouble)
+        col, psi_col = (np.concatenate([[0.0], np.cumsum(terms)]).astype(np.float64)
+                        for terms in (np.log((kappa + j) / (j + 1)), 1 / (kappa + j)))
         hi = self._grid.size if self.tail_mass == 0.0 or n == 0 else self._cutoff(mu.max(), kappa)
         grid = self._grid[:hi]
         beta_mat = self._beta_mat[:, :hi]
@@ -136,7 +157,7 @@ class RowsCnarPosterior(Posterior):
         # lp and lp + beta built in reusable scratch to avoid temporaries
         lp = self._scratch[0][: n * hi].reshape(n, hi)
         np.multiply(slope[:, None], grid[None, :], out=lp)
-        lp += (head - gammaln(kappa))[:, None]
+        lp += head[:, None]
         lp += col[None, :hi]
         if self._beyond_k is not None:
             np.copyto(lp, -np.inf, where=self._beyond_k[:, :hi])
@@ -161,7 +182,7 @@ class RowsCnarPosterior(Posterior):
         # first moments of the count under the posterior mixture and under the
         # bare truncated pmf; their gap drives the regression gradient
         delta_y = (w @ grid) / w_sum - (q @ grid) / q_sum
-        psi_grid = digamma(grid + kappa)
+        psi_grid = psi_col[:hi]
         delta_psi = (w @ psi_grid) / w_sum - (q @ psi_grid) / q_sum
 
         d_coef = self._z.T @ (delta_y * (kappa / (kappa + mu)))

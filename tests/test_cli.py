@@ -57,6 +57,8 @@ BAD_TABLE_LINES = {
     "covariates_offset_inf.csv": "line 3, column 'offset': not a finite number: 'inf'",
     "covariates_offset_0.csv": "line 3, column 'offset': not a positive number: '0.0'",
     "covariates_dup.csv": "line 1: covariate name 'x' is repeated",
+    "covariates_intercept.csv": "line 1: covariate name 'intercept' is the column add_intercept "
+                                "adds; rename it or set add_intercept=false",
     "zero_row.csv": "line 3: every degree is 0, so no referent is possible",
     "long_cell.csv": "line 3: field larger than field limit (131072)",
 }
@@ -98,13 +100,24 @@ def test_demo_pipeline_reruns_are_identical(tmp_path):
     assert all(isinstance(n, int) and n >= 0 for n in metadata["rejections"].values())
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # importing scipy.stats takes about a second and 45 MB, and the program needs none of it
-    code = "import sys, grancount.cli; print('scipy.stats' in sys.modules)"
+def modules_loaded_by_importing_the_cli(*names) -> list[bool]:
+    """Whether each module is in `sys.modules` after `import grancount.cli` in a fresh process."""
+    code = f"import sys, grancount.cli; print(*[name in sys.modules for name in {names!r}])"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, timeout=120, check=True)
-    assert child.stdout.strip() == "False"
+    return [word == "True" for word in child.stdout.split()]
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # importing scipy.stats takes about a second and 45 MB, and the program needs none of it
+    assert modules_loaded_by_importing_the_cli("scipy.stats") == [False]
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # only `fit` with workers > 1 needs the process pool; loading it takes 12-25 ms
+    assert modules_loaded_by_importing_the_cli(
+        "multiprocessing", "concurrent.futures.process") == [False, False]
 
 
 def test_fit_process_pool_writes_the_same_bytes(tmp_path):

@@ -1,6 +1,7 @@
 """Hierarchical likelihoods: densities, gradients, and the simulator."""
 
 import functools
+import math
 import re
 
 import numpy as np
@@ -12,7 +13,8 @@ from grancount import NumericalError, ValidationError, model
 from grancount.fuzzy import BLOCK_CELLS, BetaFuzzy, beta_centroids, k_blocks
 from grancount.model import (
     _cut_columns,
-    _negbin_log_pmf,
+    _nb_factors,
+    _nb_grid_sums,
     ModelParams,
     REJECTION_REASONS,
     Posterior,
@@ -57,26 +59,33 @@ class TestMeanResponse:
             linear_means(spec, params)
 
 
+def nb_log_pmf(y, mu, kappa):
+    """log NB(y; mu, kappa) at integer counts y, from `model`'s grid sums and factors."""
+    y = np.atleast_1d(y)
+    log_q, neg_log_r, _ = _nb_factors(np.atleast_1d(np.asarray(mu, dtype=np.float64)), kappa)
+    return _nb_grid_sums(kappa, np.arange(y.max() + 1.0))[0, y] + y * log_q - kappa * neg_log_r
+
+
 class TestNegbinLogPmf:
     def test_zero_count_closed_form(self):
         mu, kappa = 3.7, 1.9
         expected = kappa * (np.log(kappa) - np.log(kappa + mu))
-        assert abs(_negbin_log_pmf(0, mu, kappa) - expected) < 1e-14
+        assert abs(nb_log_pmf(0, mu, kappa)[0] - expected) < 1e-14
 
     def test_poisson_limit(self):
         kappa = 1e6
         y = np.arange(12)
         poisson = stats.poisson.logpmf(y, 1.0)
-        np.testing.assert_allclose(_negbin_log_pmf(y, 1.0, kappa), poisson, atol=1e-4)
+        np.testing.assert_allclose(nb_log_pmf(y, 1.0, kappa), poisson, atol=1e-4)
 
     @pytest.mark.parametrize("kappa", [1e13, 1e300, 1e306])
     def test_poisson_limit_at_huge_dispersion(self, kappa):
         y = np.arange(30)
         poisson = stats.poisson.logpmf(y, 3.0)
-        np.testing.assert_allclose(_negbin_log_pmf(y, 3.0, kappa), poisson, rtol=1e-12)
+        np.testing.assert_allclose(nb_log_pmf(y, 3.0, kappa), poisson, rtol=1e-12)
 
     def test_mass_sums_to_one(self):
-        total = np.exp(_negbin_log_pmf(np.arange(201), 5.0, 2.0)).sum()
+        total = np.exp(nb_log_pmf(np.arange(201), 5.0, 2.0)).sum()
         assert abs(total - 1.0) <= 1e-8
 
     def test_against_scipy(self):
@@ -85,9 +94,32 @@ class TestNegbinLogPmf:
             mu = float(rng.uniform(0.2, 50))
             kappa = float(rng.uniform(0.2, 20))
             y = rng.integers(0, 60, size=8)
-            mine = _negbin_log_pmf(y, mu, kappa)
+            mine = nb_log_pmf(y, mu, kappa)
             ref = stats.nbinom.logpmf(y, kappa, kappa / (kappa + mu))
             np.testing.assert_allclose(mine, ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("log_kappa", [-30.0, -5.0, 0.0, 8.0, 15.0, 20.0, 25.0])
+    def test_grid_sums_against_exact_sums(self, log_kappa):
+        # log Gamma(y + kappa) - log Gamma(kappa) - log Gamma(y + 1) and digamma(y + kappa) -
+        # digamma(kappa) as math.fsum of log((kappa + j)/(j + 1)) and 1/(kappa + j), j < y;
+        # the gammaln difference is off by 1.1e-6 at e^25, and betaln(kappa, y + 1) by 3.1e-10
+        # at e^20
+        kappa = math.exp(log_kappa)
+        for row, term in enumerate([lambda j: math.log((kappa + j) / (j + 1)),
+                                    lambda j: 1.0 / (kappa + j)]):
+            terms = list(map(term, range(500)))
+            exact = [math.fsum(terms[:y]) for y in range(501)]
+            np.testing.assert_allclose(_nb_grid_sums(kappa, np.arange(501.0))[row], exact,
+                                       rtol=1e-14, atol=0.0)
+
+    def test_factors_agree_across_the_logaddexp_switch(self):
+        # past mu = 1e300 kappa both factors come from logaddexp, for every mean of the call
+        kappa = 1e-5
+        mu = np.array([0.1, 3.0, 1e294, 1e296])
+        below = _nb_factors(mu[:3], kappa)
+        above = _nb_factors(mu, kappa)
+        for near, far in zip(below, above):
+            np.testing.assert_allclose(far[:3], near, rtol=1e-15, atol=1e-300)
 
 
 class TestTruncatedPmf:
@@ -95,7 +127,7 @@ class TestTruncatedPmf:
 
     def test_wide_truncation_matches_untruncated(self):
         pmf = truncated_pmf(3.0, 2.0, 200)
-        ref = np.exp(_negbin_log_pmf(np.arange(201), 3.0, 2.0))
+        ref = np.exp(nb_log_pmf(np.arange(201), 3.0, 2.0))
         np.testing.assert_allclose(pmf, ref, atol=1e-12)
 
     def test_degenerate_zero_level(self):
@@ -417,8 +449,9 @@ def rejection_sweep(truth, names) -> dict:
 
 
 class TestCnarKernelAgainstRowsOracle:
-    # the kernel sums in another order than the oracle; at kappa near 6e6 both
-    # lose about 2e-11 of the log density in gammaln(y + kappa)
+    # the kernel sums in another order than the oracle, and under the tail cut its
+    # closed-form bare pmf misses up to `tail_mass` per sample: the log densities
+    # differ by at most 7.5e-13 relative on these points
     @pytest.mark.parametrize("tail_mass", [0.0, 1e-12])
     @pytest.mark.parametrize("k", [[500], [5, 20, 60, 500]], ids=["uniform-k", "mixed-k"])
     def test_agrees_at_seeded_points(self, k, tail_mass):
@@ -476,16 +509,12 @@ class TestAnalyticShift:
 
     # Against the (n, hi) oracle on the full grid: reports at c = 0 and c = K.
     # Under the tail cut a report at c = K sits far in its pmf's tail, so every
-    # cut call reruns, and no full-grid call does. Past kappa = e^12 the oracle's
-    # numerically summed bare pmf loses more than 1e-10 of the log density to
-    # gammaln(y + kappa) rounding, which the closed form does not, so the cut
-    # sweeps stop there.
-    @pytest.mark.parametrize("k, tail_mass, top, regimes", [
-        ([500], 0.0, 15.0, {"full"}), ([5, 20, 60, 500], 0.0, 15.0, {"full"}),
-        ([500], 1e-12, 12.0, {"closed", "full"}),
-        ([5, 20, 60, 500], 1e-12, 12.0, {"past_min_k", "full"}),
+    # cut call reruns, and no full-grid call does.
+    @pytest.mark.parametrize("k, tail_mass, regimes", [
+        ([500], 0.0, {"full"}), ([5, 20, 60, 500], 0.0, {"full"}),
+        ([500], 1e-12, {"closed", "full"}), ([5, 20, 60, 500], 1e-12, {"past_min_k", "full"}),
     ], ids=["uniform-k-full-grid", "mixed-k-full-grid", "uniform-k-cut", "mixed-k-cut"])
-    def test_agrees_with_the_full_grid_over_kappa(self, monkeypatch, k, tail_mass, top, regimes):
+    def test_agrees_with_the_full_grid_over_kappa(self, monkeypatch, k, tail_mass, regimes):
         spec, sim = make_cnar_data(k)
         location = sim.location.copy()
         location[:8:2] = 0.0
@@ -495,7 +524,7 @@ class TestAnalyticShift:
         widths = record_widths(monkeypatch, post)
         centre = pack_params(make_params("cnar"), "cnar")
         rng = np.random.default_rng(43)
-        for log_kappa in np.arange(-3.0, top + 0.25, 0.5):
+        for log_kappa in np.arange(-3.0, 25.25, 0.5):
             for phi in centre + 0.3 * rng.standard_normal((4, centre.size)):
                 phi[2] = log_kappa
                 logp, grad = post.logp_and_grad(phi)
@@ -696,12 +725,16 @@ class TestTailCutoff:
     @pytest.mark.parametrize(
         "k, dispersion, regimes",
         [([500], 2.0, {"closed", "full"}), ([5, 20, 60, 500], 2.0, {"past_min_k", "full"}),
-         ([500], 0.5, {"closed", "full"})],
-        ids=["uniform-k", "mixed-k", "wide-tail"],
+         ([500], 0.5, {"closed", "full"}), ([500], np.exp(8.0), {"closed"}),
+         ([500], np.exp(15.0), {"closed"}), ([500], np.exp(20.0), {"closed"}),
+         ([500], np.exp(25.0), {"closed"}), ([5, 20, 60, 500], np.exp(25.0), {"past_min_k"})],
+        ids=["uniform-k", "mixed-k", "wide-tail", "e8", "e15", "e20", "e25", "mixed-k-e25"],
     )
     def test_closed_form_agrees_with_the_full_grid(self, monkeypatch, k, dispersion, regimes):
         # the bare count pmf in closed form where the cut ends inside every K, in
-        # the matrix where the cut passes the smallest K or is the full grid
+        # the matrix where the cut passes the smallest K or is the full grid; up to
+        # kappa = e^25, where the two differ by 1.2e-14 relative in the log density and
+        # gammaln(y + kappa) - gammaln(kappa) put them 1.9e-4 apart
         spec, sim = make_cnar_data(k)
         exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
         cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
@@ -711,8 +744,8 @@ class TestTailCutoff:
         for phi in centre + 0.5 * np.random.default_rng(41).standard_normal((30, centre.size)):
             logp, grad = exact.logp_and_grad(phi)
             logp_cut, grad_cut = cut.logp_and_grad(phi)
-            assert logp_cut == pytest.approx(logp, rel=1e-10, abs=0.0)
-            np.testing.assert_allclose(grad_cut, grad, rtol=0.0, atol=1e-8 * np.abs(grad).max())
+            assert logp_cut == pytest.approx(logp, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(grad_cut, grad, rtol=0.0, atol=1e-11 * np.abs(grad).max())
         full = spec.k_max.max() + 1
         visited = {
             "full" if w == full else "closed" if w <= spec.k_max.min() + 1 else "past_min_k"
@@ -1010,6 +1043,10 @@ LIBRARY_ERRORS = {
     # the covariates reader names the cell of a zero offset; the library call checks it too
     "spec-zero-offset": (lambda: RegressionSpec([[1.0], [2.0]], [1.0, 0.0], [10, 10]),
                          ValidationError, "offsets must be strictly positive and finite"),
+    # the covariates reader names the file's repeated or reserved name; the library call checks too
+    "spec-repeated-name": (lambda: RegressionSpec([[1.0, 1.0]], [1.0], [10], ("x", "x")),
+                           ValidationError, r"covariate_names must be 2 distinct names, one per "
+                                            r"column, got \['x', 'x'\]"),
     "params-coef-2d": (lambda: ModelParams(coef=np.ones((2, 2))),
                        ValidationError, "coef must be a finite 1-D vector"),
     "params-missing": (lambda: make_params("scalar").require("dispersion", "precision_shape"),
