@@ -8,9 +8,10 @@ blocks of the JSON sidecars). CSV and JSON files go through `tables`.
 The configuration is `RunConfig`. Its sections and their value types come
 from the dataclasses that consume them: `priors` is `model.PriorSpec`, `hmc`
 is `inference.HmcConfig`, and `ppc` and `simulate` are the dataclasses below.
-The accuracy settings of single functions (`fuzzy.fit_beta`'s tolerance,
-iteration cap and crisp ceiling, `model.Posterior`'s tail cut, `kernel.is_car`'s
-tolerance) are those functions' defaults, not config values.
+The accuracy settings are module constants, not config values or function
+arguments: `model.TAIL_MASS` (the cnar tail cut), `fuzzy.FIT_TOL`,
+`fuzzy.FIT_MAX_ITER` and `fuzzy.CRISP_PRECISION_CEILING` (`fit_beta`'s
+tolerance, iteration cap and precision ceiling) and `kernel.CAR_TOL`.
 `--set key.path=value` overrides are parsed as JSON (a value that is not JSON
 is taken as a string), merged into the file's values, and checked exactly
 like them: unknown keys are rejected, each named by its full dotted path
@@ -191,8 +192,8 @@ def _metadata(stage: str, config: RunConfig) -> dict:
 
 
 def _read_covariates_csv(path, add_intercept=False):
-    """Read sample_id, covariate columns, and an optional offset column; with `add_intercept`,
-    no covariate may be named 'intercept', the name of the column the caller adds."""
+    """Read distinct sample_ids, covariate columns, and an optional offset column; with
+    `add_intercept`, no covariate may be named 'intercept', the column the caller adds."""
     header, rows, values = tables.read_table(
         path, lambda h: h[:1] == ["sample_id"], "first column must be 'sample_id'", slice(1, None),
         finite=True,
@@ -200,12 +201,11 @@ def _read_covariates_csv(path, add_intercept=False):
     ids = [row[0] for _, row in rows]
     has_offset = header[-1] == "offset"
     names = tuple(header[1:-1] if has_offset else header[1:])
-    repeated = [name for j, name in enumerate(names) if name in names[:j]]
-    if repeated:
-        raise ValidationError(f"{path}: line 1: covariate name {repeated[0]!r} is repeated")
+    tables.reject_repeats(path, names, "covariate name", lambda j: 1)
     if add_intercept and "intercept" in names:
         raise ValidationError(f"{path}: line 1: covariate name 'intercept' is the column "
                               "add_intercept adds; rename it or set add_intercept=false")
+    tables.reject_repeats(path, ids, "sample_id", lambda j: rows[j][0])
     if not has_offset:
         return ids, names, values, np.ones(len(ids))
     bad = np.flatnonzero(values[:, -1] <= 0.0)
@@ -218,12 +218,11 @@ def _read_covariates_csv(path, add_intercept=False):
 
 
 def _align(stats_ids, cov_ids):
-    stats_index = {sid: i for i, sid in enumerate(stats_ids)}
+    """Covariate row of each stats id; each reader has already rejected a repeated id."""
     cov_index = {sid: i for i, sid in enumerate(cov_ids)}
-    if len(stats_index) != len(stats_ids) or len(cov_index) != len(cov_ids):
-        raise ValidationError("duplicate sample ids")
+    known = set(stats_ids)
     missing_cov = [sid for sid in stats_ids if sid not in cov_index]
-    missing_stats = [sid for sid in cov_ids if sid not in stats_index]
+    missing_stats = [sid for sid in cov_ids if sid not in known]
     if missing_cov or missing_stats:
         raise ValidationError(
             "sample id mismatch; missing covariates for "
@@ -528,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_kernel_audit)
     p.add_argument(
         "kernel",
-        help='kernel JSON file: an object with "nu" (one mass per outcome, summing to 1), '
+        help='kernel JSON file: an object with "nu" (one positive mass per outcome, summing to 1), '
              '"outcomes" (one membership list per outcome, all over {0..K}: K is their length '
              'minus 1, no "k_max" key is read) and optional "names" (strings, or null)',
     )

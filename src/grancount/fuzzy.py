@@ -29,8 +29,10 @@ from .possibility import MembershipVector
 # Cap for the fitted precision of a point (crisp) fuzzy set; keeps the
 # downstream densities that consume h finite.
 CRISP_PRECISION_CEILING = 1.0e6
-# `fit_beta`'s default cap on the iterations of all its refinements together.
+# `fit_beta`'s cap on the iterations of all its refinements together, and its
+# tolerance on the last step in (m, log h) or, for an exact fit, on the root SSE.
 FIT_MAX_ITER = 500
+FIT_TOL = 1.0e-8
 # The least maximum membership of a normalised vector: `fit_beta` rejects a
 # vector below it, and the `fit` stage drops its row.
 NORMALIZED_MIN = 1.0 - 1.0e-9
@@ -253,12 +255,7 @@ def _refine(sse: _GridSSE, m: float, s: float, bounds, tol: float, budget: int, 
     return m, s, cur[0], budget, False
 
 
-def fit_beta(
-    mv: MembershipVector,
-    crisp_precision: float = CRISP_PRECISION_CEILING,
-    tol: float = 1.0e-8,
-    max_iter: int = FIT_MAX_ITER,
-) -> FitResult:
+def fit_beta(mv: MembershipVector) -> FitResult:
     """Least-squares fit of (location, precision) to a raw membership vector.
 
     The location starts at the best integer for the precision that matches
@@ -268,20 +265,17 @@ def fit_beta(
     restart it from a lower basin if either finds one. The loss is
     discontinuous at m = 0 and 1, so when the fit lies within 1e-3/K of one
     or started there, h is also refined alone at that edge and at its inside
-    limit, and the lowest SSE wins. `tol` bounds the last step in (m, log h)
-    or, for an exact fit, the root SSE; `max_iter` caps the iterations of all
-    refinements together, and `converged` is false when the cap ends one. A
-    single-point support is fitted exactly with the precision pinned at the
-    crisp ceiling and flagged as degenerate. The divergence matrix
-    kl(c/K, y/K) of all grid pairs, (K+1)^2 * 8 bytes (2 MB at K=500, 72 MB
-    at K=3000), is built once per K and held after the call.
+    limit, and the lowest SSE wins. `FIT_TOL` bounds the last step in
+    (m, log h) or, for an exact fit, the root SSE; `FIT_MAX_ITER` caps the
+    iterations of all refinements together, and `converged` is false when the
+    cap ends one. The precision lies in [1e-3, `CRISP_PRECISION_CEILING`], and a
+    single-point support is fitted exactly with the precision pinned at that
+    ceiling and flagged as degenerate; the three constants are read at each
+    call. The divergence matrix kl(c/K, y/K) of all grid pairs, (K+1)^2 * 8
+    bytes (2 MB at K=500, 72 MB at K=3000), is built once per K and held after
+    the call.
     """
-    if not tol > 0.0:
-        raise ValidationError(f"tol must be strictly positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter!r}")
-    if not (math.isfinite(crisp_precision) and crisp_precision > _MIN_PRECISION):
-        raise ValidationError(f"crisp_precision must be finite and above {_MIN_PRECISION:g}")
+    crisp_precision, tol, max_iter = CRISP_PRECISION_CEILING, FIT_TOL, FIT_MAX_ITER
     values = mv.memberships
     k = mv.k_max
     if values.max() < NORMALIZED_MIN:
@@ -354,8 +348,8 @@ def write_stats_csv(path, ids, fits) -> None:
 def read_stats_csv(path):
     """Read fitted statistics; returns (ids, locations, precisions, k_maxes).
 
-    A row outside the family of `check_reports` is an error that names the
-    file, its line and its sample id.
+    A repeated sample id, or a row outside the family of `check_reports`, is an
+    error that names the file, its line and its sample id.
     """
     expected = ["sample_id", "c", "h", "K"]
     header, rows, values = tables.read_table(
@@ -365,6 +359,7 @@ def read_stats_csv(path):
         slice(1, 4),
     )
     ids = [row[0] for _, row in rows]
+    tables.reject_repeats(path, ids, "sample_id", lambda j: rows[j][0])
     locs, precs = values[:, :2].T.copy()  # contiguous columns
     ks = tables.integer_column(path, header, rows, 3, values[:, 2])
     check_reports(locs, precs, ks, lambda j: f"{path}: line {rows[j][0]}, sample_id {ids[j]!r}")

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -42,6 +42,9 @@ from .errors import NumericalError, ValidationError
 
 # Hamiltonian error beyond this marks the transition as divergent.
 DIVERGENCE_THRESHOLD = 1000.0
+# `_DualAveraging`'s gains (Hoffman and Gelman 2014): the pull toward mu, the damping of
+# the first updates, and how fast the averaged step forgets the early ones
+_DA_GAMMA, _DA_T0, _DA_KAPPA = 0.05, 10.0, 0.75
 
 
 @dataclass(frozen=True)
@@ -106,20 +109,16 @@ class _DualAveraging:
 
     target: float
     mu: float
-    gamma: float = 0.05
-    t0: float = 10.0
-    kappa: float = 0.75
-    t: int = field(default=0, init=False)
-    h_bar: float = field(default=0.0, init=False)
-    log_eps_bar: float = field(default=0.0, init=False)
-    log_eps: float = field(default=0.0, init=False)
+
+    def __post_init__(self):
+        self.t, self.h_bar, self.log_eps_bar = 0, 0.0, 0.0
 
     def update(self, accept_prob: float) -> float:
         self.t += 1
-        frac = 1.0 / (self.t + self.t0)
+        frac = 1.0 / (self.t + _DA_T0)
         self.h_bar = (1.0 - frac) * self.h_bar + frac * (self.target - accept_prob)
-        self.log_eps = self.mu - math.sqrt(self.t) / self.gamma * self.h_bar
-        weight = self.t ** (-self.kappa)
+        self.log_eps = self.mu - math.sqrt(self.t) / _DA_GAMMA * self.h_bar
+        weight = self.t ** (-_DA_KAPPA)
         self.log_eps_bar = weight * self.log_eps + (1.0 - weight) * self.log_eps_bar
         return math.exp(self.log_eps)
 

@@ -130,9 +130,10 @@ def is_car(kern: ReportingKernel, xi_index: int) -> CarResult:
 def kernel_from_json(path) -> ReportingKernel:
     """Read a kernel from a JSON object with the keys `nu`, `outcomes` and `names`.
 
-    `nu` holds one reference mass per outcome, summing to 1. `outcomes` holds one
-    membership list per outcome, all over {0..K}: K is their length minus 1, and
-    no `k_max` key is read. `names` is optional: a list of strings, or null.
+    `nu` holds one positive reference mass per outcome (`is_car` needs it), summing
+    to 1. `outcomes` holds one membership list per outcome, all over {0..K}: K is
+    their length minus 1, and no `k_max` key is read. `names` is optional: a list
+    of strings, or null.
     """
     payload = tables.read_json_object(path)
     for key in ("nu", "outcomes"):
@@ -144,13 +145,17 @@ def kernel_from_json(path) -> ReportingKernel:
     try:
         outcomes = tuple(_outcome(j, o) for j, o in enumerate(payload["outcomes"]))
         nu = np.asarray(payload["nu"], dtype=np.float64)
-        return ReportingKernel(outcomes, nu, None if names is None else tuple(names))
-    except (TypeError, ValueError) as exc:  # a ValidationError is a ValueError
+        kern = ReportingKernel(outcomes, nu, None if names is None else tuple(names))
+    except (TypeError, ValueError, OverflowError) as exc:  # a ValidationError is a ValueError
         raise ValidationError(f"{path}: {exc}") from None
+    zero = np.flatnonzero(kern.nu == 0.0)
+    if zero.size:
+        raise ValidationError(f"{path}: outcome {zero[0]}: its mass in 'nu' is 0, not positive")
+    return kern
 
 
 def _outcome(j: int, memberships) -> MembershipVector:
     try:
         return MembershipVector(np.asarray(memberships, dtype=np.float64))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int past float64, say
         raise ValidationError(f"outcome {j}: {exc}") from None

@@ -40,14 +40,15 @@ from .fuzzy import BetaFuzzy, beta_centroids, check_reports, k_blocks
 MODEL_NAMES = ("cnar", "car1", "car2", "scalar")
 REJECTION_REASONS = ("nonfinite_phi", "positive_bound", "eta_overflow", "nonfinite_peak",
                      "nonfinite_logp")
-# `Posterior`'s default share of the widest count pmf the cnar grid may drop
+# the share of the widest count pmf the cnar grid may drop; `Posterior._cutoff` reads it
 TAIL_MASS = 1.0e-12
 
 # exp() overflows just above this; treat larger linear predictors as failures
 _MAX_LINEAR_PREDICTOR = 700.0
 _LOG_TINY = np.log(1.0e-300)
 # a cnar sum below this, or a tail cut that may lose more than this share of a
-# mixture sum, sends the call to `Posterior`'s exact rerun
+# mixture sum, sends the call to `Posterior`'s exact rerun; a cut pass's mixture
+# sums must therefore reach TAIL_MASS / _CUT_LOSS
 _SUM_FLOOR = 1.0e-290
 _CUT_LOSS = 1.0e-8
 _PRIOR_NORM = 0.5 * np.log(2.0 * np.pi)
@@ -284,13 +285,6 @@ _POSITIVE_BLOCKS = {
     "scalar": ("dispersion",),
 }
 
-def check_tail_mass(tail_mass: float) -> float:
-    """Share of the widest untruncated count pmf the cnar grid may drop: a float in [0, 1)."""
-    if not 0.0 <= float(tail_mass) < 1.0:
-        raise ValidationError(f"tail_mass must lie in [0, 1), got {tail_mass!r}")
-    return float(tail_mass)
-
-
 def check_model_name(model: str) -> str:
     if model not in MODEL_NAMES:
         raise ValidationError(f"unknown model '{model}'; choose one of {MODEL_NAMES}")
@@ -351,15 +345,14 @@ class Posterior:
 
     `cnar` divides a mixture (count pmf times report density) by the bare
     count pmf on {0..K}, summing over 0..max K cut one column past the
-    (1 - `tail_mass`) quantile of NB(max mu, kappa): each sample's pmf loses at
-    most `tail_mass`, `TAIL_MASS` (1e-12) unless the caller chooses, and
-    `tail_mass=0` is the exact full grid, the reference. Where the cut ends
-    before the grid and inside every K, the bare pmf's log normaliser and means
-    of y and digamma(y + kappa) - digamma(kappa) are the untruncated NB's closed
-    forms, 0, mu and -log r, off by its mass beyond K, at most `tail_mass`. It
-    keeps the (max K + 1, n) report density and a scratch of 2*(max K + 1)*n
-    float64 cells, for the two sums the other cuts take: 2.4 MB in all at n=200,
-    K=500.
+    (1 - `TAIL_MASS`) quantile of NB(max mu, kappa), so each sample's pmf loses
+    at most `TAIL_MASS` (1e-12); the exact rerun below evaluates the full grid.
+    Where the cut ends before the grid and inside every K, the bare pmf's log
+    normaliser and means of y and digamma(y + kappa) - digamma(kappa) are the
+    untruncated NB's closed forms, 0, mu and -log r, off by its mass beyond K, at
+    most `TAIL_MASS`. It keeps the (max K + 1, n) report density and a scratch of
+    2*(max K + 1)*n float64 cells, for the two sums the other cuts take: 2.4 MB in
+    all at n=200, K=500.
 
     No max pass scales the (cut, n) terms. The count pmf is one rank-3 product,
     [g(y), 1, y] @ [1; kappa log r; log q], r = kappa/(kappa + mu) = 1 - q, the
@@ -372,25 +365,22 @@ class Posterior:
     the log likelihood. An untruncated pmf and a density over its own maximum are
     at most 1, so every term is, up to rounding, and one exp needs no shift. A call
     trusts that pass only where its sums pass two checks; otherwise it reruns once,
-    exactly, on the full grid (the one `tail_mass=0` evaluates) with each sample's
-    maximum subtracted before the exp, and `exact_reruns` counts it. The floor:
+    exactly, on the full grid with each sample's maximum subtracted before the
+    exp, and `exact_reruns` counts it. The floor:
     every sum is finite and at least `_SUM_FLOOR` (1e-290), so its largest term
     is at least 1e-290/(max K + 1), a normal float, and the sums keep the
     precision of the shifted terms. The certificate, where the cut ends before
     the grid: a relative report density is at most 1, so a sample's mixture loses
-    at most its pmf's mass past the cut, `tail_mass`, and its relative loss is at
-    most `tail_mass` over its mixture sum; the smallest sum must hold that to
+    at most its pmf's mass past the cut, `TAIL_MASS`, and its relative loss is at
+    most `TAIL_MASS` over its mixture sum; the smallest sum must hold that to
     `_CUT_LOSS` (1e-8), which bounds each sample's log likelihood error by about
     1e-8. A report far in its pmf's tail fails it and pays for the full grid. The
     grid columns take 4*(max K + 1) float64 cells and the sample rows 3n, 20.8 KB
     at n=200, K=500.
     """
 
-    def __init__(
-        self, spec: RegressionSpec, data, priors: PriorSpec, model: str, tail_mass: float = TAIL_MASS
-    ):
+    def __init__(self, spec: RegressionSpec, data, priors: PriorSpec, model: str):
         self.model = check_model_name(model)
-        self.tail_mass = check_tail_mass(tail_mass)
         self.n_covariates = spec.n_covariates
         self.names = parameter_names(
             model, spec.covariate_names, n_covariates=spec.n_covariates
@@ -581,7 +571,7 @@ class Posterior:
             moments = np.matmul(columns[:, 1:].T, halves)
             sums = moments[:, 0]
             # the mixture sums answer for the floor and, where the grid is cut, the certificate
-            floor = _SUM_FLOOR if hi == grid_len else max(_SUM_FLOOR, self.tail_mass / _CUT_LOSS)
+            floor = _SUM_FLOOR if hi == grid_len else TAIL_MASS / _CUT_LOSS
             if rerun or (sums[0].min(initial=1.0) >= floor and sums.max(initial=0.0) < math.inf
                          and (closed or sums[1].min(initial=1.0) >= _SUM_FLOOR)):
                 break
@@ -608,14 +598,13 @@ class Posterior:
         return count_ll + gamma_ll, grad
 
     def _cutoff(self, mu_max: float, kappa: float) -> int:
-        """Grid length to the (1 - tail_mass) quantile of NB(mu_max, kappa), plus one spare."""
+        """Grid length to the (1 - `TAIL_MASS`) quantile of NB(mu_max, kappa), plus one spare."""
         # nbdtrik is accurate while 1 - p = mu/(kappa + mu) exceeds about 1e-13; nearer
         # p = 1 its quantile falls short (35 of the 37 columns needed at kappa = e^38,
-        # mu = 8), so that corner keeps the full grid, as do a nan quantile (tail_mass 0)
-        # and a long one
+        # mu = 8), so that corner keeps the full grid, as do a nan quantile and a long one
         if mu_max < 1.0e-12 * kappa:
             return self._grid.size
-        q = nbdtrik(1.0 - self.tail_mass, kappa, kappa / (kappa + mu_max))
+        q = nbdtrik(1.0 - TAIL_MASS, kappa, kappa / (kappa + mu_max))
         return math.ceil(q) + 2 if q <= self._grid.size - 2 else self._grid.size
 
     def _car_block(self, phi: np.ndarray, mu: np.ndarray, need_logp: bool):

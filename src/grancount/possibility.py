@@ -150,7 +150,7 @@ def granular_count_fast(assign: PossibilityAssignment, referent: int) -> Members
 
 
 def read_possibility_csv(path) -> PossibilityAssignment:
-    """Read a possibility matrix: header of referent names, one row per observation."""
+    """Read a possibility matrix: header of distinct referent names, one row per observation."""
     header, rows, degrees = tables.read_table(
         path,
         lambda h: bool(h) and all(n.strip() for n in h),
@@ -159,6 +159,7 @@ def read_possibility_csv(path) -> PossibilityAssignment:
         "observation rows",
     )
     names = [h.strip() for h in header]
+    tables.reject_repeats(path, names, "referent name", lambda j: 1)
     outside = np.argwhere(~((degrees >= 0.0) & (degrees <= 1.0)))  # nan too; row-major order
     if outside.size:
         r, j = outside[0]
@@ -189,7 +190,7 @@ def write_counts_csv(path, names, vectors) -> None:
 
 
 def read_count_rows(path) -> list[tuple[int, str, np.ndarray]]:
-    """Rows of a granular-count table as (line_no, id, values), values unchecked."""
+    """Rows of a granular-count table as (line_no, id, values), distinct ids, values unchecked."""
     _, rows, values = tables.read_table(
         path,
         lambda h: len(h) >= 2 and h[0] == "id",
@@ -197,6 +198,7 @@ def read_count_rows(path) -> list[tuple[int, str, np.ndarray]]:
         slice(1, None),
         "referent rows",
     )
+    tables.reject_repeats(path, [row[0] for _, row in rows], "id", lambda j: rows[j][0])
     return [(i, row[0], row_values) for (i, row), row_values in zip(rows, values)]
 
 

@@ -68,6 +68,14 @@ def read_table(path, header_ok, header_error, numeric, rows_name="data rows", *,
     return header, rows, values
 
 
+def reject_repeats(path, values, what, line_of) -> None:
+    """Raise `path: line N: what 'value' is repeated` at the first repeat; N = line_of(index)."""
+    first = {}
+    for j, value in enumerate(values):
+        if first.setdefault(value, j) != j:
+            raise ValidationError(f"{path}: line {line_of(j)}: {what} {value!r} is repeated")
+
+
 def integer_column(path, header, rows, j, values) -> np.ndarray:
     """Cell `j` of the rows, parsed as `values`, in int64; "48.9" or a cell past int64 is an error."""
     bad = np.flatnonzero(~((np.trunc(values) == values) & (np.abs(values) < 2.0**63)))
@@ -93,7 +101,7 @@ def read_json_object(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a decode error, or an integer past Python's digit limit
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: top level must be a JSON object")

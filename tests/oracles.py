@@ -7,11 +7,12 @@ from scipy.special import betainc, betaln, gammaln
 
 from grancount.errors import NumericalError, ValidationError
 from grancount.fuzzy import (
-    _H_SCAN, _MIN_PRECISION, BLOCK_CELLS, CRISP_PRECISION_CEILING, FitResult, _GridSSE, _scan_c,
-    k_blocks, kl_divergence,
+    _H_SCAN, _MIN_PRECISION, BLOCK_CELLS, CRISP_PRECISION_CEILING, FIT_MAX_ITER, FIT_TOL, FitResult,
+    _GridSSE, _scan_c, k_blocks, kl_divergence,
 )
 from grancount.model import (
-    Posterior, PriorSpec, _nb_factors, _nb_grid_sums, corrected_scaled_count, parameter_names,
+    TAIL_MASS, Posterior, PriorSpec, _nb_factors, _nb_grid_sums, corrected_scaled_count,
+    parameter_names,
 )
 from grancount.possibility import MembershipVector, PossibilityAssignment
 
@@ -69,9 +70,28 @@ def latent_counts_full_rows(mu, kappa: float, k, u) -> np.ndarray:
     return latent
 
 
+def full_grid(post: Posterior) -> Posterior:
+    """`post` with its cnar tail cut pinned to the whole grid 0..max K, the exact reference.
+
+    A pass over the full grid cuts nothing and reads no `TAIL_MASS`; only the
+    `_SUM_FLOOR` check can send a call to the exact rerun. Models other than cnar
+    never cut.
+    """
+    post._cutoff = lambda mu_max, kappa: post._grid.size
+    return post
+
+
+def record_widths(monkeypatch, post: Posterior) -> list[int]:
+    """Widths `post._cutoff` returns from here on, in call order."""
+    widths = []
+    cut = post._cutoff
+    monkeypatch.setattr(post, "_cutoff", lambda *args: widths.append(cut(*args)) or widths[-1])
+    return widths
+
+
 def observed_loglik(spec, params, data, model) -> float:
     """Observed-data log likelihood of `model` at constrained-scale `params`, on the full grid."""
-    post = Posterior(spec, data, PriorSpec(), model, tail_mass=0.0)
+    post = full_grid(Posterior(spec, data, PriorSpec(), model))
     ll, _ = post._loglik_and_grad(pack_params(params, model))
     if not np.isfinite(ll):
         raise NumericalError(f"{model} likelihood cannot be evaluated at these parameters")
@@ -82,7 +102,7 @@ def cutoff_width(post: Posterior, mu_max: float, kappa: float) -> int:
     """Grid length the earlier truncated-grid scan kept at the largest mean `mu_max`.
 
     The negative binomial log pmf of that mean written out over the whole grid
-    in one expression, then all but `post.tail_mass` of its mass on the grid,
+    in one expression, then all but `TAIL_MASS` of its mass on the grid,
     plus one spare column. `Posterior._cutoff` cuts the untruncated pmf
     instead, so it never keeps fewer columns than this.
     """
@@ -95,7 +115,7 @@ def cutoff_width(post: Posterior, mu_max: float, kappa: float) -> int:
     )
     mass = np.exp(lp - lp.max())
     csum = np.cumsum(mass)
-    cut = int(np.searchsorted(csum, (1.0 - post.tail_mass) * csum[-1])) + 1
+    cut = int(np.searchsorted(csum, (1.0 - TAIL_MASS) * csum[-1])) + 1
     return min(grid.size, cut + 1)
 
 
@@ -104,10 +124,10 @@ def nb_tail_width(post: Posterior, mu_max: float, kappa: float) -> int:
 
     The fewest columns 0..m-1 whose dropped mass P(Y >= m) = I_{1-p}(m, kappa),
     1 - p = mu_max/(kappa + mu_max), of the untruncated NB(mu_max, kappa) pmf
-    is at most `post.tail_mass`, plus one spare column, capped at the grid.
+    is at most `TAIL_MASS`, plus one spare column, capped at the grid.
     """
     m = np.arange(1, post._grid.size + 1)
-    kept = betainc(m, kappa, mu_max / (kappa + mu_max)) <= post.tail_mass
+    kept = betainc(m, kappa, mu_max / (kappa + mu_max)) <= TAIL_MASS
     return min(post._grid.size, int(m[kept.argmax()]) + 1) if kept.any() else post._grid.size
 
 
@@ -122,12 +142,12 @@ class RowsCnarPosterior(Posterior):
     are running sums of log((kappa + j)/(j + 1)) and 1/(kappa + j), j < y, in
     `np.longdouble` (80-bit on x86-64); gammaln and digamma of y + kappa lose
     digits at large kappa. Everything else, the tail cutoff and the -inf returns
-    of `logp_and_grad` included, is inherited. It evaluates every term whatever
-    `need_logp` says.
+    of `logp_and_grad` included, is inherited; `full_grid` pins it to the whole
+    grid. It evaluates every term whatever `need_logp` says.
     """
 
-    def __init__(self, spec, data, priors, tail_mass=0.0):
-        super().__init__(spec, data, priors, "cnar", tail_mass)
+    def __init__(self, spec, data, priors):
+        super().__init__(spec, data, priors, "cnar")
         grid = self._grid
         valid = grid[None, :] <= self._kvec[:, None]
         self._beyond_k = None if valid.all() else ~valid
@@ -150,7 +170,7 @@ class RowsCnarPosterior(Posterior):
         j = np.arange(self._grid.size - 1, dtype=np.longdouble)
         col, psi_col = (np.concatenate([[0.0], np.cumsum(terms)]).astype(np.float64)
                         for terms in (np.log((kappa + j) / (j + 1)), 1 / (kappa + j)))
-        hi = self._grid.size if self.tail_mass == 0.0 or n == 0 else self._cutoff(mu.max(), kappa)
+        hi = self._cutoff(mu.max(), kappa) if n else self._grid.size
         grid = self._grid[:hi]
         beta_mat = self._beta_mat[:, :hi]
 
@@ -279,16 +299,16 @@ def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
-def fit_beta_alternating(mv: MembershipVector, crisp_precision=CRISP_PRECISION_CEILING,
-                         tol=1.0e-8, max_iter=500) -> FitResult:
+def fit_beta_alternating(mv: MembershipVector) -> FitResult:
     """Fit (c, h) by alternating golden-section line searches; the oracle for `fit_beta`.
 
     Each round scans every integer location at the current precision and
     golden-refines the location within one grid step of the best, then scans
     64 log-spaced precisions at that location and golden-refines within the
-    neighbouring scan points, until neither moves by more than `tol` (the
+    neighbouring scan points, until neither moves by more than `FIT_TOL` (the
     location in count units). Non-degenerate vectors only.
     """
+    crisp_precision, tol, max_iter = CRISP_PRECISION_CEILING, FIT_TOL, FIT_MAX_ITER
     values = mv.memberships
     k = mv.k_max
     t_grid = np.arange(k + 1) / k

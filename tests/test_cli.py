@@ -3,7 +3,6 @@
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import logging
 import os
@@ -38,7 +37,7 @@ SETTABLE_KEYS = [
     "simulate.coef", "simulate.dispersion", "simulate.extra_dispersion", "simulate.k",
     "simulate.n_samples", "simulate.offset", "simulate.precision_rate", "simulate.precision_shape",
 ]
-# former config values, now the defaults of `fit_beta`, `Posterior` and `is_car`
+# former config values, now module constants of `fuzzy`, `model` and `kernel`
 REMOVED_KEYS = ("car_tol", "fit.tol", "fit.max_iter", "fit.crisp_precision", "truncation.tail_mass")
 
 # stats rows (c, h, K) outside the Beta-type family, each given to sample b
@@ -61,6 +60,14 @@ BAD_TABLE_LINES = {
                                 "adds; rename it or set add_intercept=false",
     "zero_row.csv": "line 3: every degree is 0, so no referent is possible",
     "long_cell.csv": "line 3: field larger than field limit (131072)",
+    "dup_referent.csv": "line 1: referent name 'r1' is repeated",
+    "dup_counts.csv": "line 3: id 'a' is repeated",
+    "dup_stats.csv": "line 3: sample_id 'a' is repeated",
+    "covariates_dup_id.csv": "line 3: sample_id 'a' is repeated",
+    "kernel_zero_nu.json": "outcome 1: its mass in 'nu' is 0, not positive",
+    "kernel_big_int.json": "outcome 1: int too large to convert to float",
+    # json parses an integer of at most 4,300 digits
+    "long_int.json": "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion",
 }
 
 
@@ -144,7 +151,6 @@ def test_fit_logs_convergence_and_sse_summary(tmp_path, caplog, monkeypatch):
     assert int(fields["at_max_iter"]) == 0 and float(fields["elapsed_s"]) > 0.0
 
     caplog.clear()
-    monkeypatch.setattr(fuzzy, "fit_beta", functools.partial(fuzzy.fit_beta, max_iter=2))
     monkeypatch.setattr(fuzzy, "FIT_MAX_ITER", 2)
     with caplog.at_level(logging.INFO, logger="grancount"):
         run("fit", tmp_path / "counts.csv", "--out", tmp_path / "s2.csv")
@@ -412,6 +418,13 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
         ["--set", 'model="car1"', "--set", "ppc.n_reps=2", "ppc", "draws.csv", "stats.csv",
          "covariates.csv", "--out-csv", "ppc.csv", "--out-json", "ppc.json"],
+        ["count", "dup_referent.csv", "--out", "out.csv"],
+        ["fit", "dup_counts.csv", "--out", "out.csv"],
+        [*SMALL, "infer", "stats.csv", "covariates_dup_id.csv",
+         "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
+        ["kernel-audit", "kernel_zero_nu.json"],
+        ["kernel-audit", "kernel_big_int.json"],
+        ["--config", "long_int.json", "show-config"],
     ] + [
         [*SMALL, "infer", f"stats_{name}.csv", "covariates.csv",
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"]
@@ -446,7 +459,9 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "zero-hmc-chains", "hmc-target-accept-1", "zero-hmc-max-leapfrog",
          "simulate-coef-not-list", "section-not-mapping", "override-without-equals",
          "override-through-non-section", "infer-duplicate-stats-id", "infer-covariates-missing-id",
-         "ppc-draws-of-another-model"]
+         "ppc-draws-of-another-model", "count-repeated-referent", "fit-repeated-id",
+         "infer-covariates-repeated-id",
+         "kernel-zero-nu", "kernel-int-past-float", "config-int-past-digit-limit"]
     + [f"infer-stats-{name}" for name in BAD_STATS_ROWS]
     + [f"ppc-stats-{name}" for name in BAD_STATS_ROWS]
     + [f"ppc-draws-{name}" for name, _, _ in BAD_DRAWS_ROWS],
@@ -483,12 +498,16 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     (tmp_path / "covariates_intercept.csv").write_text("sample_id,intercept\na,1.0\nb,1.0\n")
     (tmp_path / "covariates_without_b.csv").write_text("sample_id,x\na,0.5\n")
     (tmp_path / "dup_stats.csv").write_text("sample_id,c,h,K\na,2.0,5.0,10\na,4.0,5.0,10\n")
+    (tmp_path / "covariates_dup_id.csv").write_text("sample_id,x\na,0.5\na,-0.5\n")
+    (tmp_path / "dup_referent.csv").write_text("r1,r2,r1\n1.0,0.5,0.2\n")
+    (tmp_path / "dup_counts.csv").write_text("id,y0,y1,y2\na,0.2,1.0,0.6\na,1.0,0.5,0.1\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "ragged.csv").write_text("r1,r2\n1.0,0.5\n1.0\n")
     (tmp_path / "header_only.csv").write_text("r1,r2\n")
     (tmp_path / "zero_row.csv").write_text("r1,r2\n1.0,0.5\n0.0,0.0\n")
     (tmp_path / "long_cell.csv").write_text("r1\n1.0\n" + "1" * 200_000 + "\n")
     (tmp_path / "invalid.json").write_text('{"seed": 1,')
+    (tmp_path / "long_int.json").write_text('{"seed": ' + "1" * 5000 + "}")
     kernel = {"nu": [0.5, 0.5], "outcomes": [[1.0, 0.5], [0.5, 1.0]]}
     for name, payload in [("ok", kernel), ("int", 5), ("names_int", {**kernel, "names": 5}),
                           ("names_str", {**kernel, "names": "ab"}),
@@ -498,7 +517,9 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
                           ("nu_length", {**kernel, "nu": [1.0]}),
                           ("nu_sum", {**kernel, "nu": [0.45, 0.45]}),
                           ("names_length", {**kernel, "names": ["xi1"]}),
-                          ("membership", {**kernel, "outcomes": [[1.0, 0.5], [0.5, 1.5]]})]:
+                          ("membership", {**kernel, "outcomes": [[1.0, 0.5], [0.5, 1.5]]}),
+                          ("zero_nu", {**kernel, "nu": [1.0, 0.0]}),
+                          ("big_int", {**kernel, "outcomes": [[1.0, 0.5], [0.5, 10**400]]})]:
         (tmp_path / f"kernel_{name}.json").write_text(json.dumps(payload))
     inputs = sorted(tmp_path.iterdir())
     with caplog.at_level(logging.ERROR, logger="grancount"):
@@ -543,6 +564,19 @@ def test_every_subcommand_sets_a_run_handler():
                                 "show-config"}
     for name, parser in sub.choices.items():
         assert callable(parser.get_default("run")), name
+
+
+def test_kernel_audit_rejects_a_zero_mass_before_printing(tmp_path):
+    # `is_car` needs each outcome's mass positive; the reader checks it before the phi table
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"nu": [1.0, 0.0], "outcomes": [[1.0, 0.5], [0.5, 1.0]]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-m", "grancount.cli", "kernel-audit", str(path)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == cli.EXIT_VALIDATION
+    assert child.stdout == ""
+    assert child.stderr.splitlines() == [
+        f"ERROR validation error: {path}: outcome 1: its mass in 'nu' is 0, not positive"]
 
 
 def kernel_audit_stdout(tmp_path, capsys, payload) -> str:

@@ -88,7 +88,8 @@ def run_stage(stage: str, text: str, work: Path) -> tuple[int, list[str]]:
         (work / name).write_text(content)
     (work / "bad.csv").write_bytes(text.encode("utf-8"))
     argv = DIGEST.ERROR_STAGES[stage]
-    start = next(i for i, arg in enumerate(argv) if arg in ("count", "fit", "infer", "ppc"))
+    start = next(i for i, arg in enumerate(argv)
+                 if arg in ("count", "fit", "infer", "ppc", "kernel-audit"))
     argv = [*argv[:start], *FAST, *argv[start:]]
     argv = [str(work / arg) if arg.endswith((".csv", ".json")) else arg for arg in argv]
     records = logging.handlers.BufferingHandler(capacity=1000)

@@ -15,7 +15,7 @@ from grancount.possibility import MembershipVector
 from grancount.ppc import _distance_sum, _within_distance
 
 from conftest import make_cnar_data, make_params, make_spec, with_norms
-from oracles import pack_params
+from oracles import full_grid, pack_params
 
 LIMIT = 4 * 2**20
 
@@ -62,7 +62,7 @@ def test_cnar_posterior_builds_the_report_density_in_place(k):
     # size; the Beta shapes are built in the scratch, so one more (K+1, n)
     # matrix of 0.8 MB is the only grid-sized temporary
     spec, sim = make_cnar_data(k)
-    peak = traced_peak(lambda: Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12))
+    peak = traced_peak(lambda: Posterior(spec, sim, PriorSpec(), "cnar"))
     assert peak <= 3.5 * 2**20, f"{peak / 2**20:.2f} MB"
 
 
@@ -72,7 +72,7 @@ def test_cnar_logp_and_grad_allocates_no_grid_sized_temporaries(k):
     # the scratch the Posterior allocated once, and numpy's ufunc buffers take
     # about 0.13 MB
     spec, sim = make_cnar_data(k)
-    post = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
+    post = full_grid(Posterior(spec, sim, PriorSpec(), "cnar"))
     phi = pack_params(make_params("cnar"), "cnar")
     peak = traced_peak(lambda: post.logp_and_grad(phi))
     assert peak < 200 * 501 * 8 // 3, f"{peak / 2**20:.2f} MB"

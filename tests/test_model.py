@@ -31,9 +31,17 @@ from grancount.model import (
 
 from conftest import make_cnar_data, make_params, make_reports, make_spec
 from oracles import (
-    RowsCnarPosterior, cutoff_width, latent_counts_full_rows, nb_cdf_rows, nb_tail_width,
-    observed_loglik, pack_params, truncated_pmf,
+    RowsCnarPosterior, cutoff_width, full_grid, latent_counts_full_rows, nb_cdf_rows,
+    nb_tail_width, observed_loglik, pack_params, record_widths, truncated_pmf,
 )
+
+# the count mass a cnar pass may drop: none on the full grid, `TAIL_MASS` with the tail cut
+DROPPED = [0.0, model.TAIL_MASS]
+
+
+def on_grid(post, dropped):
+    """`post` pinned to the full grid if it may drop no mass (`full_grid`), else with its cut."""
+    return full_grid(post) if dropped == 0.0 else post
 
 
 class TestMeanResponse:
@@ -313,7 +321,7 @@ class TestGradients:
     def test_matches_central_differences(self, model, small_cnar_data):
         spec, _, sim = small_cnar_data
         priors = PriorSpec()
-        post = Posterior(spec, sim, priors, model, tail_mass=0.0)
+        post = full_grid(Posterior(spec, sim, priors, model))
         rng = np.random.default_rng(5)
         step = 1e-5
         for _ in range(6):
@@ -358,7 +366,7 @@ class TestGradients:
         # n*shape/rate overflows at rate = exp(-699.9); its log-scale form does not
         spec = make_spec(n=200, k=500, offset=1.0)
         data = simulate(spec, make_params("cnar"), seed=0, model="cnar")
-        post = Posterior(spec, data, PriorSpec(), model, tail_mass=0.0)
+        post = full_grid(Posterior(spec, data, PriorSpec(), model))
         phi = np.array(phi)
         _, grad = post.logp_and_grad(phi)
         j = post.names.index("precision_rate")
@@ -420,10 +428,10 @@ class TestGradients:
         assert logp == -np.inf and not grad.any()
 
 
-def cnar_posteriors(k_cycle, tail_mass):
-    """The cnar `Posterior` and its (n, hi) oracle on `make_cnar_data(k_cycle)`."""
+def cnar_posteriors(k_cycle, dropped):
+    """The cnar `Posterior` and its (n, hi) oracle on `make_cnar_data(k_cycle)`, both `on_grid`."""
     args = (*make_cnar_data(k_cycle), PriorSpec())
-    return Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, tail_mass)
+    return on_grid(Posterior(*args, "cnar"), dropped), on_grid(RowsCnarPosterior(*args), dropped)
 
 
 def moved(phi, j, value):
@@ -450,12 +458,12 @@ def rejection_sweep(truth, names) -> dict:
 
 class TestCnarKernelAgainstRowsOracle:
     # the kernel sums in another order than the oracle, and under the tail cut its
-    # closed-form bare pmf misses up to `tail_mass` per sample: the log densities
+    # closed-form bare pmf misses up to `TAIL_MASS` per sample: the log densities
     # differ by at most 7.5e-13 relative on these points
-    @pytest.mark.parametrize("tail_mass", [0.0, 1e-12])
+    @pytest.mark.parametrize("dropped", DROPPED)
     @pytest.mark.parametrize("k", [[500], [5, 20, 60, 500]], ids=["uniform-k", "mixed-k"])
-    def test_agrees_at_seeded_points(self, k, tail_mass):
-        post, oracle = cnar_posteriors(k, tail_mass)
+    def test_agrees_at_seeded_points(self, k, dropped):
+        post, oracle = cnar_posteriors(k, dropped)
         truth = pack_params(make_params("cnar"), "cnar")
         rng = np.random.default_rng(29)
         for phi in truth + 0.5 * rng.standard_normal((50, truth.size)):
@@ -468,7 +476,7 @@ class TestCnarKernelAgainstRowsOracle:
     def test_agrees_without_data(self):
         spec = RegressionSpec(np.empty((0, 2)), np.empty(0), np.empty(0, dtype=int))
         args = (spec, Reports([], [], []), PriorSpec())
-        post, oracle = Posterior(*args, "cnar", 1e-12), RowsCnarPosterior(*args, 1e-12)
+        post, oracle = Posterior(*args, "cnar"), RowsCnarPosterior(*args)
         for phi in np.random.default_rng(31).standard_normal((5, post.dim)):
             logp, grad = post.logp_and_grad(phi)
             ref_logp, ref_grad = oracle.logp_and_grad(phi)
@@ -479,10 +487,10 @@ class TestCnarKernelAgainstRowsOracle:
         # the oracle shares everything but the cnar kernel; car1 and car2 have no oracle
         spec, sim = make_cnar_data([5, 20, 60, 500])
         for model in ("cnar", "car1", "car2"):
-            post = Posterior(spec, sim, PriorSpec(), model, 1e-12)
+            post = Posterior(spec, sim, PriorSpec(), model)
             targets = [post]
             if model == "cnar":
-                targets.append(RowsCnarPosterior(spec, sim, PriorSpec(), 1e-12))
+                targets.append(RowsCnarPosterior(spec, sim, PriorSpec()))
             truth = pack_params(make_params(model), model)
             shape = post.names.index("precision_shape")
             rejected = rejection_sweep(truth, post.names)
@@ -496,7 +504,7 @@ class TestCnarKernelAgainstRowsOracle:
             # the bound itself is evaluated
             assert np.isfinite(post.logp_and_grad(moved(truth, shape, -700.0))[0])
             assert np.isfinite(post.logp_and_grad(truth)[0])
-        post = Posterior(spec, sim, PriorSpec(), "cnar", 1e-12)
+        post = Posterior(spec, sim, PriorSpec(), "cnar")
         post._beta[0, 3] = np.nan  # one sample's report density is no longer finite
         assert post.logp_and_grad(truth)[0] == -np.inf
         assert post.rejections["nonfinite_peak"] == 1
@@ -510,17 +518,19 @@ class TestAnalyticShift:
     # Against the (n, hi) oracle on the full grid: reports at c = 0 and c = K.
     # Under the tail cut a report at c = K sits far in its pmf's tail, so every
     # cut call reruns, and no full-grid call does.
-    @pytest.mark.parametrize("k, tail_mass, regimes", [
+    @pytest.mark.parametrize("k, dropped, regimes", [
         ([500], 0.0, {"full"}), ([5, 20, 60, 500], 0.0, {"full"}),
-        ([500], 1e-12, {"closed", "full"}), ([5, 20, 60, 500], 1e-12, {"past_min_k", "full"}),
+        ([500], model.TAIL_MASS, {"closed", "full"}),
+        ([5, 20, 60, 500], model.TAIL_MASS, {"past_min_k", "full"}),
     ], ids=["uniform-k-full-grid", "mixed-k-full-grid", "uniform-k-cut", "mixed-k-cut"])
-    def test_agrees_with_the_full_grid_over_kappa(self, monkeypatch, k, tail_mass, regimes):
+    def test_agrees_with_the_full_grid_over_kappa(self, monkeypatch, k, dropped, regimes):
         spec, sim = make_cnar_data(k)
         location = sim.location.copy()
         location[:8:2] = 0.0
         location[1:8:2] = spec.k_max[1:8:2]
         args = (spec, Reports(location, sim.precision, sim.k_max), PriorSpec())
-        post, oracle = Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, 0.0)
+        post = on_grid(Posterior(*args, "cnar"), dropped)
+        oracle = full_grid(RowsCnarPosterior(*args))
         widths = record_widths(monkeypatch, post)
         centre = pack_params(make_params("cnar"), "cnar")
         rng = np.random.default_rng(43)
@@ -540,14 +550,15 @@ class TestAnalyticShift:
         assert visited == regimes
         assert post.exact_reruns == sum(w < full for w in widths)
 
-    @pytest.mark.parametrize("tail_mass", [0.0, 1e-12])
-    def test_an_underflowing_sum_takes_the_max_shift(self, tail_mass):
+    @pytest.mark.parametrize("dropped", DROPPED)
+    def test_an_underflowing_sum_takes_the_max_shift(self, dropped):
         # mu = 1e-3 puts about 1e-330 of the count pmf at y = 100 = K/2, where a
         # report of precision 1e4 sits; next to it, one ordinary report
         spec = RegressionSpec([[1.0], [1.0]], [1e-3, 10.0], [200, 200])
         reports = make_reports([(100.0, 1e4, 200), (12.0, 30.0, 200)])
         args = (spec, reports, PriorSpec())
-        post, oracle = Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, 0.0)
+        post = on_grid(Posterior(*args, "cnar"), dropped)
+        oracle = full_grid(RowsCnarPosterior(*args))
         for phi in ([0.0, np.log(2.0), 0.0, 0.0], [0.3, np.log(5.0), 1.0, -2.0]):
             phi = np.array(phi)
             ref_logp, ref_grad = oracle.logp_and_grad(phi)
@@ -569,7 +580,7 @@ class TestAnalyticShift:
         location = sim.location.copy()
         location[1:8:2] = spec.k_max[1:8:2]
         args = (spec, Reports(location, sim.precision, sim.k_max), PriorSpec())
-        post, oracle = Posterior(*args, "cnar"), RowsCnarPosterior(*args, 0.0)
+        post, oracle = Posterior(*args, "cnar"), full_grid(RowsCnarPosterior(*args))
         widths = record_widths(monkeypatch, post)
         centre = pack_params(make_params("cnar"), "cnar")
         for phi in centre + 0.5 * np.random.default_rng(5).standard_normal((40, centre.size)):
@@ -580,12 +591,13 @@ class TestAnalyticShift:
         full = spec.k_max[0] + 1
         assert post.exact_reruns == sum(w < full for w in widths) > 0
 
-    @pytest.mark.parametrize("tail_mass", [0.0, 1e-12])
-    def test_means_past_1e300_kappa(self, tail_mass):
+    @pytest.mark.parametrize("dropped", DROPPED)
+    def test_means_past_1e300_kappa(self, dropped):
         # kappa/(kappa + mu) leaves the normal floats, so log1p(mu/kappa) comes from logaddexp
         spec = RegressionSpec([[1.0], [1.0]], [1.0, 20.0], [50, 50])
         args = (spec, make_reports([(0.2, 3.0, 50), (0.0, 30.0, 50)]), PriorSpec())
-        post, oracle = Posterior(*args, "cnar", tail_mass), RowsCnarPosterior(*args, tail_mass)
+        post = on_grid(Posterior(*args, "cnar"), dropped)
+        oracle = on_grid(RowsCnarPosterior(*args), dropped)
         for phi in ([10.0, -700.0, 0.0, 0.0], [5.0, -690.0, 0.5, 0.5]):
             logp, grad = post.logp_and_grad(np.array(phi))
             ref_logp, ref_grad = oracle.logp_and_grad(np.array(phi))
@@ -596,13 +608,15 @@ class TestAnalyticShift:
 class TestGradientOnly:
     # cnar at K = 500 takes the closed-form bare pmf with a tail cut and the two
     # halves without one; mixed K mostly takes the two halves too
-    @pytest.mark.parametrize("model, k, tail_mass", [
-        ("cnar", [500], 1e-12), ("cnar", [500], 0.0), ("cnar", [5, 20, 60, 500], 1e-12),
-        ("car1", [500], 1e-12), ("car2", [500], 1e-12), ("scalar", [500], 1e-12),
+    @pytest.mark.parametrize("model, k, dropped", [
+        ("cnar", [500], model.TAIL_MASS), ("cnar", [500], 0.0),
+        ("cnar", [5, 20, 60, 500], model.TAIL_MASS), ("car1", [500], model.TAIL_MASS),
+        ("car2", [500], model.TAIL_MASS), ("scalar", [500], model.TAIL_MASS),
     ], ids=["cnar-closed", "cnar-halves", "cnar-mixed-k", "car1", "car2", "scalar"])
-    def test_matches_the_full_call(self, model, k, tail_mass):
+    def test_matches_the_full_call(self, model, k, dropped):
         spec, sim = make_cnar_data(k)
-        full, grad_only = (Posterior(spec, sim, PriorSpec(), model, tail_mass) for _ in range(2))
+        full, grad_only = (on_grid(Posterior(spec, sim, PriorSpec(), model), dropped)
+                           for _ in range(2))
         truth = pack_params(make_params(model), model)
         grid = [truth + step * unit for unit in np.eye(truth.size) for step in (-3, -1, 1, 3)]
         cloud = truth + 0.5 * np.random.default_rng(37).standard_normal((20, truth.size))
@@ -634,20 +648,12 @@ class TestGradientOnly:
         assert full.evaluations["full"] == grad_only.evaluations["gradient_only"] > len(grid)
 
 
-def record_widths(monkeypatch, post: Posterior) -> list[int]:
-    """Widths `post._cutoff` returns from here on, in call order."""
-    widths = []
-    cut = post._cutoff
-    monkeypatch.setattr(post, "_cutoff", lambda *args: widths.append(cut(*args)) or widths[-1])
-    return widths
-
-
 class TestTailCutoff:
     def test_cutoff_matches_exact_truncation(self, monkeypatch):
         spec = make_spec(n=30, k=300, offset=1.0)
         sim = simulate(spec, make_params("cnar"), seed=13, model="cnar")
-        exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
-        cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
+        exact = full_grid(Posterior(spec, sim, PriorSpec(), "cnar"))
+        cut = Posterior(spec, sim, PriorSpec(), "cnar")
         rng = np.random.default_rng(17)
         widths = record_widths(monkeypatch, cut)
         for i in range(20):
@@ -668,8 +674,8 @@ class TestTailCutoff:
             base.covariates, base.offsets, np.resize([5, 20, 60, 300], 40), base.covariate_names
         )
         sim = simulate(spec, make_params("cnar"), seed=13, model="cnar")
-        exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
-        cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
+        exact = full_grid(Posterior(spec, sim, PriorSpec(), "cnar"))
+        cut = Posterior(spec, sim, PriorSpec(), "cnar")
         rng = np.random.default_rng(19)
         widths = record_widths(monkeypatch, cut)
         compared = 0
@@ -694,7 +700,7 @@ class TestTailCutoff:
             base.covariates, base.offsets, np.resize([60, 300], 40), base.covariate_names
         )
         sim = simulate(spec, make_params("cnar"), seed=3, model="cnar")
-        args = (spec, sim, PriorSpec(), "cnar", 1e-12)
+        args = (spec, sim, PriorSpec(), "cnar")
         shared = Posterior(*args)
         truth = pack_params(make_params("cnar"), "cnar")
         points = [np.concatenate([[c], truth[1:]]) for c in np.linspace(-1.0, 2.5, 20)]
@@ -710,18 +716,6 @@ class TestTailCutoff:
         # cut widths on both sides of the smaller K, up to the full grid
         assert len(widths) >= 10 and min(widths) < 61 < max(widths), sorted(widths)
 
-    def test_zero_tail_mass_evaluates_the_full_grid(self, monkeypatch):
-        spec = make_spec(n=30, k=300, offset=1.0)
-        sim = simulate(spec, make_params("cnar"), seed=13, model="cnar")
-        exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
-        cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
-        phi = pack_params(make_params("cnar"), "cnar")
-        # at tail_mass 0 the quantile is nan, so `_cutoff` alone keeps the full grid
-        exact_widths = record_widths(monkeypatch, exact)
-        cut_widths = record_widths(monkeypatch, cut)
-        assert np.isfinite(exact.logp_and_grad(phi)[0]) and exact_widths == [spec.k_max[0] + 1]
-        assert np.isfinite(cut.logp_and_grad(phi)[0]) and cut_widths[0] < spec.k_max[0] + 1
-
     @pytest.mark.parametrize(
         "k, dispersion, regimes",
         [([500], 2.0, {"closed", "full"}), ([5, 20, 60, 500], 2.0, {"past_min_k", "full"}),
@@ -736,8 +730,8 @@ class TestTailCutoff:
         # kappa = e^25, where the two differ by 1.2e-14 relative in the log density and
         # gammaln(y + kappa) - gammaln(kappa) put them 1.9e-4 apart
         spec, sim = make_cnar_data(k)
-        exact = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=0.0)
-        cut = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
+        exact = full_grid(Posterior(spec, sim, PriorSpec(), "cnar"))
+        cut = Posterior(spec, sim, PriorSpec(), "cnar")
         widths = record_widths(monkeypatch, cut)
         centre = pack_params(make_params("cnar"), "cnar")
         centre[2] = np.log(dispersion)
@@ -756,7 +750,7 @@ class TestTailCutoff:
     def test_quantile_cut_over_kappa_and_mu(self):
         # K = 500; log kappa in [-8, 25] reaches past the near-Poisson guard at 1e12 * mu
         one = RegressionSpec([[1.0]], [1.0], [500]), make_reports([(250.0, 5.0, 500)]), PriorSpec()
-        post = Posterior(*one, "cnar", tail_mass=1e-12)
+        post = Posterior(*one, "cnar")
         full = 501
         rng = np.random.default_rng(37)
         log_kappa, log_mu = rng.uniform(-8.0, 25.0, 10_000), rng.uniform(-8.0, 7.0, 10_000)
@@ -765,7 +759,7 @@ class TestTailCutoff:
             width = post._cutoff(mu, kappa)
             assert width >= cutoff_width(post, mu, kappa), (kappa, mu)
             if width < full:
-                assert betainc(width, kappa, mu / (kappa + mu)) <= post.tail_mass, (kappa, mu)
+                assert betainc(width, kappa, mu / (kappa + mu)) <= model.TAIL_MASS, (kappa, mu)
                 assert width == nb_tail_width(post, mu, kappa), (kappa, mu)
                 cut += 1
             else:
@@ -774,14 +768,6 @@ class TestTailCutoff:
         # near p = 1 nbdtrik's quantile falls short of the 37 columns this needs
         assert post._cutoff(8.0, np.exp(38.0)) == full
         assert nb_tail_width(post, 8.0, np.exp(38.0)) == 37
-        # 1 - tail_mass rounds to 1, so the quantile is nan
-        assert Posterior(*one, "cnar", tail_mass=1e-17)._cutoff(5.0, 2.0) == full
-
-    def test_tail_mass_outside_unit_interval_rejected(self, small_cnar_data):
-        spec, _, sim = small_cnar_data
-        for tail_mass in (-1.0, 1.0, 2.0, float("nan")):
-            with pytest.raises(ValidationError, match="tail_mass"):
-                Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=tail_mass)
 
 
 class TestPacking:

@@ -247,7 +247,7 @@ def fitted_small_posterior():
     spec = make_spec(n=40, k=80, seed=31, offset=15.0)
     params = make_params("cnar")
     sim = simulate(spec, params, seed=32, model="cnar")
-    post = Posterior(spec, sim, PriorSpec(), "cnar", tail_mass=1e-12)
+    post = Posterior(spec, sim, PriorSpec(), "cnar")
     cfg = HmcConfig(n_chains=2, n_warmup=300, n_draws=300, seed=33, max_leapfrog=24)
     draws = sample(
         post.logp_and_grad, cfg, post.initial_point(), names=post.names, constrain=post.constrain

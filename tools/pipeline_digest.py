@@ -68,7 +68,8 @@ DRAW = "1.0,0.5,2.0,4.0,0.1,10.0,0"
 VALID_INPUTS = {"stats.csv": "sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,5.0,10\n",
                 "covariates.csv": "sample_id,x\na,0.5\nb,-0.5\n",
                 "draws.csv": f"{DRAWS_HEADER}\n0,0,{DRAW}\n0,1,{DRAW}\n"}
-# stage -> argv, with `bad.csv` in the place of the table its reader reads
+# stage -> argv, with `bad.csv` in the place of the table its reader reads (for
+# `kernel`, a JSON document under that name)
 ERROR_STAGES = {
     "count": ["count", "bad.csv", "--out", "out.csv"],
     "fit": ["fit", "bad.csv", "--out", "out.csv"],
@@ -78,6 +79,7 @@ ERROR_STAGES = {
                          "--out-draws", "out.csv", "--out-diagnostics", "out.json"],
     "ppc-draws": ["--set", "ppc.n_reps=2", "ppc", "bad.csv", "stats.csv", "covariates.csv",
                   "--out-csv", "out.csv", "--out-json", "out.json"],
+    "kernel": ["kernel-audit", "bad.csv"],
 }
 # case -> (stage, text of bad.csv): one bad cell, row or header per case
 ERROR_CASES = {
@@ -93,10 +95,12 @@ ERROR_CASES = {
     "possibility-empty-count": ("count", "g1,g2\n1.0,0.5\n0.0,0.0\n"),
     # a cell past the `csv` module's 131,072-character field limit
     "possibility-field-limit": ("count", "g1\n1.0\n" + "1" * 200_000 + "\n"),
+    "possibility-repeated-name": ("count", "g1,g2,g1\n1.0,0.5,0.2\n"),
     "counts-header": ("fit", "name,y0,y1\na,1.0,0.5\n"),
     "counts-not-a-number": ("fit", "id,y0,y1\na,1.0,0.5\nb,1.0,x\n"),
     "counts-nan": ("fit", "id,y0,y1\na,1.0,0.5\nb,nan,1.0\n"),
     "counts-above-1": ("fit", "id,y0,y1\na,1.0,1.5\n"),
+    "counts-repeated-id": ("fit", "id,y0,y1\na,1.0,0.5\na,0.5,1.0\n"),
     "stats-header": ("infer-stats", "sample_id,c,K,h\na,2.0,10,5.0\n"),
     "stats-not-a-number": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,bad,10\n"),
     "stats-k-not-a-number": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,5.0,x\n"),
@@ -105,6 +109,7 @@ ERROR_CASES = {
     "stats-k-inf": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\nb,4.0,5.0,inf\n"),
     "stats-c-above-k": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\nb,11.0,5.0,10\n"),
     "stats-c-nan": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\nb,nan,5.0,10\n"),
+    "stats-repeated-id": ("infer-stats", "sample_id,c,h,K\na,2.0,5.0,10\na,4.0,5.0,10\n"),
     "covariates-header": ("infer-covariates", "id,x\na,0.5\nb,-0.5\n"),
     "covariates-not-a-number": ("infer-covariates", "sample_id,x\na,0.5\nb,abc\n"),
     "covariates-nan": ("infer-covariates", "sample_id,x\na,0.5\nb,nan\n"),
@@ -112,6 +117,7 @@ ERROR_CASES = {
     "covariates-offset-zero": ("infer-covariates", "sample_id,x,offset\na,0.5,1.0\nb,-0.5,0.0\n"),
     "covariates-duplicate-name": ("infer-covariates", "sample_id,x,x\na,0.5,1.0\nb,-0.5,2.0\n"),
     "covariates-missing-id": ("infer-covariates", "sample_id,x\na,0.5\n"),
+    "covariates-repeated-id": ("infer-covariates", "sample_id,x\na,0.5\na,-0.5\n"),
     "draws-header": ("ppc-draws", "chain,iter,coef_x,energy\n0,0,1.0,10.0\n"),
     "draws-chain-fraction": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n0.5,1,{DRAW}\n"),
     "draws-chain-nan": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\nnan,1,{DRAW}\n"),
@@ -121,6 +127,7 @@ ERROR_CASES = {
     "draws-energy-not-a-number": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n0,1,1.0,0.5,2.0,4.0,0.1,e,0\n"),
     "draws-divergent": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n0,1,{DRAW[:-1]}true\n"),
     "draws-chain-ids": ("ppc-draws", f"{DRAWS_HEADER}\n1,0,{DRAW}\n1,1,{DRAW}\n"),
+    "kernel-zero-mass": ("kernel", '{"nu": [1.0, 0.0], "outcomes": [[1.0, 0.5], [0.5, 1.0]]}'),
 }
 
 
