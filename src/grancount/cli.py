@@ -217,17 +217,14 @@ def _read_covariates_csv(path, add_intercept=False):
     return ids, names, values[:, :-1], values[:, -1]
 
 
-def _align(stats_ids, cov_ids):
+def _align(stats_path, stats_ids, cov_path, cov_ids):
     """Covariate row of each stats id; each reader has already rejected a repeated id."""
     cov_index = {sid: i for i, sid in enumerate(cov_ids)}
-    known = set(stats_ids)
-    missing_cov = [sid for sid in stats_ids if sid not in cov_index]
-    missing_stats = [sid for sid in cov_ids if sid not in known]
-    if missing_cov or missing_stats:
-        raise ValidationError(
-            "sample id mismatch; missing covariates for "
-            f"{missing_cov or 'none'}, missing statistics for {missing_stats or 'none'}"
-        )
+    for path, ids, other, known in ((stats_path, stats_ids, cov_path, cov_index),
+                                    (cov_path, cov_ids, stats_path, set(stats_ids))):
+        j = next((j for j, sid in enumerate(ids) if sid not in known), None)
+        if j is not None:  # `tables.read_table` numbers the data rows from line 2
+            raise ValidationError(f"{path}: line {j + 2}: sample_id {ids[j]!r} has no row in {other}")
     return [cov_index[sid] for sid in stats_ids]
 
 
@@ -235,7 +232,7 @@ def _build_regression_spec(stats_path, covariates_path, add_intercept):
     ids, locations, precisions, ks = fuzzy.read_stats_csv(stats_path)
     reports = model.Reports(locations, precisions, ks)
     cov_ids, cov_names, matrix, offsets = _read_covariates_csv(covariates_path, add_intercept)
-    order = _align(ids, cov_ids)
+    order = _align(stats_path, ids, covariates_path, cov_ids)
     matrix = matrix[order]
     offsets = offsets[order]
     if add_intercept:

@@ -456,10 +456,15 @@ def read_draws_csv(path) -> PosteriorDraws:
     for i, row in rows:
         if row[-1] not in ("0", "1"):
             raise ValidationError(f"{path}: line {i}, column 'divergent': not 0 or 1: {row[-1]!r}")
-    ids, counts = np.unique(chain, return_counts=True)  # sorted and distinct
-    n_chains = ids.size
-    if ids[0] != 0 or ids[-1] != n_chains - 1 or (counts != counts[0]).any():
-        raise ValidationError(f"{path}: chain ids must be 0..C-1, each with equal draw counts")
+    counts = np.unique(chain, return_counts=True)[1]
+    n_chains = counts.size
+    # C distinct ids are 0..C-1 exactly when each lies in that range
+    if (bad := np.flatnonzero((chain < 0) | (chain >= n_chains))).size:
+        raise ValidationError(f"{path}: line {rows[bad[0]][0]}, column 'chain': chain id "
+                              f"{chain[bad[0]]} is outside 0..{n_chains - 1}, one per distinct id")
+    if j := int(np.argmax(counts != counts[0])):  # 0 where every count is chain 0's
+        raise ValidationError(f"{path}: chain {j}'s draw count {counts[j]} differs from chain 0's "
+                              f"{counts[0]}")
     return PosteriorDraws(
         names=tuple(header[2:-2]),
         draws=values[:, 2:-1].copy(),

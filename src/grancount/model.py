@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import betaln, digamma, nbdtrik
+from scipy.special import betaln, digamma
 
 from .errors import NumericalError, ValidationError
 from .fuzzy import BetaFuzzy, beta_centroids, check_reports, k_blocks
@@ -216,6 +216,24 @@ def _nb_factors(mu: np.ndarray, kappa: float, mu_max=None, out=None):
     return log_q, neg_log_r, np.divide(kappa, r := kappa + mu, out=r)
 
 
+def _nb_tail_cut(mu, kappa: float, log_mass: float, k):
+    """Per mean (a float or an array), columns 0..cut-1, cut <= k + 1, past which NB(mu, kappa)
+    has mass at most exp(-log_mass), and one spare column.
+
+    Chernoff's bound P(Y >= t) <= exp(-I(t)), t >= mu, has the rate I(t) = t log(t/mu) -
+    (t + kappa) log1p((t - mu)/(kappa + mu)), convex and increasing past mu. So Newton's steps
+    on I(t) = log_mass, from mu + sqrt(2 log_mass Var) + 1, stay at or right of the root after
+    the first, and a fixed count only widens the cut; three reach the converged cut on 200,000
+    random (mu, kappa). cut = floor(t) + 2; a nan t (an overflowed mean, a mean of 0) gives k + 1.
+    """
+    with np.errstate(all="ignore"):
+        t = mu + np.sqrt(2.0 * log_mass * mu * (1.0 + mu / kappa)) + 1.0
+        for _ in range(3):  # a step is (log_mass + kappa g)/I'(t), I' as a log1p that cancels nothing
+            g = np.log1p((x := t - mu) / (kappa + mu))
+            t = (log_mass + kappa * g) / np.log1p(x / mu * (kappa / (t + kappa)))
+        return np.fmin(np.floor(t) + 2.0, k + 1.0).astype(np.int64)  # fmin reads nan as k + 1
+
+
 def _log1p_gap(mu, kappa: float) -> np.ndarray:
     """mu - kappa log1p(mu/kappa) for mu > 0, without its cancellation at small mu/kappa.
 
@@ -344,9 +362,9 @@ class Posterior:
     negative binomial log pmf. Its gradient keeps the bits of the full call's.
 
     `cnar` divides a mixture (count pmf times report density) by the bare
-    count pmf on {0..K}, summing over 0..max K cut one column past the
-    (1 - `TAIL_MASS`) quantile of NB(max mu, kappa), so each sample's pmf loses
-    at most `TAIL_MASS` (1e-12); the exact rerun below evaluates the full grid.
+    count pmf on {0..K}, summing over 0..max K cut by `_nb_tail_cut` (Chernoff's bound
+    on NB(max mu, kappa)), so each sample's pmf loses at most `TAIL_MASS` (1e-12);
+    the exact rerun below evaluates the full grid.
     Where the cut ends before the grid and inside every K, the bare pmf's log
     normaliser and means of y and digamma(y + kappa) - digamma(kappa) are the
     untruncated NB's closed forms, 0, mu and -log r, off by its mass beyond K, at
@@ -598,14 +616,8 @@ class Posterior:
         return count_ll + gamma_ll, grad
 
     def _cutoff(self, mu_max: float, kappa: float) -> int:
-        """Grid length to the (1 - `TAIL_MASS`) quantile of NB(mu_max, kappa), plus one spare."""
-        # nbdtrik is accurate while 1 - p = mu/(kappa + mu) exceeds about 1e-13; nearer
-        # p = 1 its quantile falls short (35 of the 37 columns needed at kappa = e^38,
-        # mu = 8), so that corner keeps the full grid, as do a nan quantile and a long one
-        if mu_max < 1.0e-12 * kappa:
-            return self._grid.size
-        q = nbdtrik(1.0 - TAIL_MASS, kappa, kappa / (kappa + mu_max))
-        return math.ceil(q) + 2 if q <= self._grid.size - 2 else self._grid.size
+        """Grid length that drops at most `TAIL_MASS` of NB(mu_max, kappa) (`_nb_tail_cut`)."""
+        return int(_nb_tail_cut(mu_max, kappa, -math.log(TAIL_MASS), self._grid.size - 1))
 
     def _car_block(self, phi: np.ndarray, mu: np.ndarray, need_logp: bool):
         p = self.n_covariates
@@ -671,37 +683,21 @@ class Posterior:
 _CUT_ROUND = 64
 
 
-def _cut_columns(mu, kappa, k):
-    """Per NB(mu, kappa) row, the cut: columns 0..cut-1 fix every bit of its cumsum; cut <= K + 1.
-
-    Past y1 = 2 floor(max(kappa - 1, 0) mu / kappa) + 10 (beyond the mode) every pmf ratio
-    p(y + 1)/p(y) = r (y + kappa)/(y + 1), r = mu/(kappa + mu), is at most
-    rho = r max(1, (y1 + kappa)/(y1 + 1)), so the terms from y1 + 2 + ceil(60 ln 2 / -ln rho)
-    on are below 2**-60 of p(y1), hence of the row's peak. rho >= 1 or NaN (r rounds to 1, or
-    the mean overflowed) keeps the whole row {0..K}.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = mu / (kappa + mu)
-        y1 = 2.0 * np.floor(max(kappa - 1.0, 0.0) / kappa * mu) + 10.0
-        rho = r * np.maximum(1.0, (y1 + kappa) / (y1 + 1.0))
-        cut = y1 + 2.0 + np.ceil(60.0 * math.log(2.0) / -np.log(rho))
-    return np.where(rho < 1.0, np.minimum(cut, k + 1), k + 1).astype(np.int64)
-
-
 def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar") -> Reports:
     """Draw a synthetic dataset from one of the report models.
 
     Deterministic for a fixed seed (an int or a numpy SeedSequence): the draw
     order is precisions, then latent counts (cnar only), then report locations.
     A cnar row holds the NB log pmf lp on columns 0..W-1 and cdf = cumsum(exp(lp -
-    row max)). W is the row's `_cut_columns` cut rounded up to a multiple of
-    `_CUT_ROUND`, at most K + 1; rows of one W share `fuzzy.k_blocks` blocks of at
+    row max)). W is the row's `_nb_tail_cut` at mass 2**-60 rounded up to a multiple
+    of `_CUT_ROUND`, at most K + 1; rows of one W share `fuzzy.k_blocks` blocks of at
     most `fuzzy.BLOCK_CELLS` cells (512 KB, about 1.5 MB with temporaries), whatever
-    their K. Every term past the cut is below 2**-60 of the peak term while the
-    running sum is >= 1, so it leaves the sum's bits as they are: the row max,
-    cdf[W - 1] and each count equal those of the whole row {0..K}. A count is the
-    number of cdf entries below u * cdf[W - 1], so at most K. A row whose log mass
-    is not finite or below log 1e-300 raises `NumericalError` (CLI exit 3).
+    their K. The cut lies past the mode, and every term past it is at most 2**-60/(1 -
+    2**-60) of the running sum, below its half ulp (over 2**-54 of it), so it leaves the
+    sum's bits as they are: the row max, cdf[W - 1] and each count equal those of the
+    whole row {0..K}. A count is the number of cdf entries below u * cdf[W - 1], so at
+    most K. A row whose log mass is not finite or below log 1e-300 raises
+    `NumericalError` (CLI exit 3).
     """
     model = check_model_name(model)
     if model == "scalar":
@@ -719,7 +715,8 @@ def simulate(spec: RegressionSpec, params: ModelParams, seed, model: str = "cnar
         latent = np.empty(n, dtype=np.int64)
         u = rng.random(n)
         kappa = params.dispersion
-        width = np.minimum(-(-_cut_columns(mu, kappa, k) // _CUT_ROUND) * _CUT_ROUND, k + 1)
+        cut = _nb_tail_cut(mu, kappa, 60.0 * math.log(2.0), k)
+        width = np.minimum(-(-cut // _CUT_ROUND) * _CUT_ROUND, k + 1)
         for last, idx in k_blocks(width - 1):
             with np.errstate(divide="ignore", invalid="ignore"):  # log 0 of an underflowed mean
                 log_q, neg_log_r, _ = _nb_factors(mu[idx, None], kappa)

@@ -120,7 +120,8 @@ def cutoff_width(post: Posterior, mu_max: float, kappa: float) -> int:
 
 
 def nb_tail_width(post: Posterior, mu_max: float, kappa: float) -> int:
-    """Grid length `Posterior._cutoff` should keep at the largest mean `mu_max`.
+    """The exact quantile width at the largest mean `mu_max`, which `Posterior._cutoff`'s
+    Chernoff cut never falls below.
 
     The fewest columns 0..m-1 whose dropped mass P(Y >= m) = I_{1-p}(m, kappa),
     1 - p = mu_max/(kappa + mu_max), of the untruncated NB(mu_max, kappa) pmf

@@ -64,6 +64,9 @@ BAD_TABLE_LINES = {
     "dup_counts.csv": "line 3: id 'a' is repeated",
     "dup_stats.csv": "line 3: sample_id 'a' is repeated",
     "covariates_dup_id.csv": "line 3: sample_id 'a' is repeated",
+    "covariates_with_c.csv": "line 4: sample_id 'c' has no row in stats.csv",
+    "draws_chain_minus_1.csv": "line 2, column 'chain': chain id -1 is outside 0..1, one per "
+                               "distinct id",
     "kernel_zero_nu.json": "outcome 1: its mass in 'nu' is 0, not positive",
     "kernel_big_int.json": "outcome 1: int too large to convert to float",
     # json parses an integer of at most 4,300 digits
@@ -416,6 +419,8 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
         [*SMALL, "infer", "stats.csv", "covariates_without_b.csv",
          "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
+        [*SMALL, "infer", "stats.csv", "covariates_with_c.csv",
+         "--out-draws", "draws_out.csv", "--out-diagnostics", "diagnostics.json"],
         ["--set", 'model="car1"', "--set", "ppc.n_reps=2", "ppc", "draws.csv", "stats.csv",
          "covariates.csv", "--out-csv", "ppc.csv", "--out-json", "ppc.json"],
         ["count", "dup_referent.csv", "--out", "out.csv"],
@@ -459,6 +464,7 @@ def test_simulate_sidecar_records_only_the_model_parameters(tmp_path, model_name
          "zero-hmc-chains", "hmc-target-accept-1", "zero-hmc-max-leapfrog",
          "simulate-coef-not-list", "section-not-mapping", "override-without-equals",
          "override-through-non-section", "infer-duplicate-stats-id", "infer-covariates-missing-id",
+         "infer-covariates-extra-id",
          "ppc-draws-of-another-model", "count-repeated-referent", "fit-repeated-id",
          "infer-covariates-repeated-id",
          "kernel-zero-nu", "kernel-int-past-float", "config-int-past-digit-limit"]
@@ -497,6 +503,7 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     (tmp_path / "covariates_dup.csv").write_text("sample_id,x,x\na,0.5,1.0\nb,-0.5,2.0\n")
     (tmp_path / "covariates_intercept.csv").write_text("sample_id,intercept\na,1.0\nb,1.0\n")
     (tmp_path / "covariates_without_b.csv").write_text("sample_id,x\na,0.5\n")
+    (tmp_path / "covariates_with_c.csv").write_text("sample_id,x\na,0.5\nb,-0.5\nc,1.0\n")
     (tmp_path / "dup_stats.csv").write_text("sample_id,c,h,K\na,2.0,5.0,10\na,4.0,5.0,10\n")
     (tmp_path / "covariates_dup_id.csv").write_text("sample_id,x\na,0.5\na,-0.5\n")
     (tmp_path / "dup_referent.csv").write_text("r1,r2,r1\n1.0,0.5,0.2\n")
@@ -534,6 +541,8 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, monkeypatch, capl
     for name, where in BAD_TABLE_LINES.items():
         if name in argv:
             assert f"{name}: {where}" in errors[0], errors
+    if "covariates_without_b.csv" in argv:  # the stats file holds the id that has no match
+        assert "stats.csv: line 3: sample_id 'b' has no row in covariates_without_b.csv" in errors[0]
     for name, column, _ in BAD_DRAWS_ROWS:
         if f"draws_{name}.csv" in argv:
             assert f"draws_{name}.csv: line 3, column '{column}'" in errors[0], errors

@@ -1,5 +1,7 @@
 """HMC: integrator, sampler moments, adaptation, and diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -508,6 +510,19 @@ class TestPersistence:
         path = tmp_path / "draws.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValidationError):
+            read_draws_csv(path)
+
+    @pytest.mark.parametrize("chains, message", [
+        ([1, 1], "line 2, column 'chain': chain id 1 is outside 0..0, one per distinct id"),
+        ([0, 0, 2, 2], "line 4, column 'chain': chain id 2 is outside 0..1, one per distinct id"),
+        ([0, 1, 1, 2, 2], "chain 1's draw count 2 differs from chain 0's 1"),
+        ([2, 0, 1, 0, 2], "chain 1's draw count 1 differs from chain 0's 2"),
+    ])
+    def test_chain_ids_name_the_line_or_the_chain(self, tmp_path, chains, message):
+        path = tmp_path / "draws.csv"
+        rows = "".join(f"{c},0,1.0,10.0,0\n" for c in chains)
+        path.write_text(f"chain,iter,a,energy,divergent\n{rows}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
             read_draws_csv(path)
 
 

@@ -12,7 +12,7 @@ from scipy.special import betainc
 from grancount import NumericalError, ValidationError, model
 from grancount.fuzzy import BLOCK_CELLS, BetaFuzzy, beta_centroids, k_blocks
 from grancount.model import (
-    _cut_columns,
+    _nb_tail_cut,
     _nb_factors,
     _nb_grid_sums,
     ModelParams,
@@ -648,6 +648,23 @@ class TestGradientOnly:
         assert full.evaluations["full"] == grad_only.evaluations["gradient_only"] > len(grid)
 
 
+def assert_tail_cut(post, width: int, mu_max: float, kappa: float) -> bool:
+    """Check a cnar cut `width` at the largest mean against the exact quantile width
+    (`nb_tail_width`); True where it ends before the grid.
+
+    It is never narrower. Before the grid, the columns past its spare hold at most `TAIL_MASS`,
+    and it is at most 1.7 times the exact width plus 2: 1.64 times at most over
+    `test_quantile_cut_over_kappa_and_mu`'s pairs, one cell more at the median.
+    """
+    exact = nb_tail_width(post, mu_max, kappa)
+    assert exact <= width, (kappa, mu_max)
+    if width == post._grid.size:
+        return False
+    assert betainc(width - 1, kappa, mu_max / (kappa + mu_max)) <= model.TAIL_MASS, (kappa, mu_max)
+    assert width <= 1.7 * exact + 2, (kappa, mu_max)
+    return True
+
+
 class TestTailCutoff:
     def test_cutoff_matches_exact_truncation(self, monkeypatch):
         spec = make_spec(n=30, k=300, offset=1.0)
@@ -663,7 +680,8 @@ class TestTailCutoff:
             assert abs(logp_cut - logp) <= 1e-8
             np.testing.assert_allclose(grad_cut, grad, rtol=0.0, atol=1e-8)
             mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
-            assert widths[i:] == [nb_tail_width(cut, mu.max(), np.exp(phi[2]))]
+            assert len(widths) == i + 1
+            assert_tail_cut(cut, widths[i], mu.max(), np.exp(phi[2]))
         # the comparison means something only where a call kept its cut; the calls
         # that rerun, on the full grid, are at most `exact_reruns` of the cut ones
         assert sum(w < spec.k_max[0] + 1 for w in widths) > cut.exact_reruns
@@ -683,7 +701,8 @@ class TestTailCutoff:
             phi = rng.standard_normal(exact.dim)
             mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
             logp_cut, grad_cut = cut.logp_and_grad(phi)
-            assert widths[i:] == [nb_tail_width(cut, mu.max(), np.exp(phi[2]))]
+            assert len(widths) == i + 1
+            assert_tail_cut(cut, widths[i], mu.max(), np.exp(phi[2]))
             if widths[i] == 301:
                 continue  # only points where the grid is cut test the cutoff
             logp, grad = exact.logp_and_grad(phi)
@@ -708,7 +727,7 @@ class TestTailCutoff:
         for i in np.random.default_rng(23).permutation(len(points)):
             phi = points[i]
             mu = spec.offsets * np.exp(spec.covariates @ phi[:2])
-            widths.add(nb_tail_width(shared, mu.max(), np.exp(phi[2])))
+            widths.add(shared._cutoff(mu.max(), np.exp(phi[2])))
             logp, grad = shared.logp_and_grad(phi)
             fresh_logp, fresh_grad = Posterior(*args).logp_and_grad(phi)
             assert np.isfinite(logp) and logp == fresh_logp
@@ -748,26 +767,23 @@ class TestTailCutoff:
         assert visited == regimes
 
     def test_quantile_cut_over_kappa_and_mu(self):
-        # K = 500; log kappa in [-8, 25] reaches past the near-Poisson guard at 1e12 * mu
+        # K = 500; log kappa in [-8, 25], where kappa reaches 1e12 mu and NB nears Poisson
         one = RegressionSpec([[1.0]], [1.0], [500]), make_reports([(250.0, 5.0, 500)]), PriorSpec()
         post = Posterior(*one, "cnar")
         full = 501
         rng = np.random.default_rng(37)
         log_kappa, log_mu = rng.uniform(-8.0, 25.0, 10_000), rng.uniform(-8.0, 7.0, 10_000)
-        cut = 0
+        cut = kept_full = 0
         for kappa, mu in zip(np.exp(log_kappa), np.exp(log_mu)):
             width = post._cutoff(mu, kappa)
             assert width >= cutoff_width(post, mu, kappa), (kappa, mu)
-            if width < full:
-                assert betainc(width, kappa, mu / (kappa + mu)) <= model.TAIL_MASS, (kappa, mu)
-                assert width == nb_tail_width(post, mu, kappa), (kappa, mu)
-                cut += 1
-            else:
-                assert mu < 1e-12 * kappa or nb_tail_width(post, mu, kappa) == full, (kappa, mu)
+            cut += assert_tail_cut(post, width, mu, kappa)
+            kept_full += width == full > nb_tail_width(post, mu, kappa)
         assert 5_000 < cut < 10_000
-        # near p = 1 nbdtrik's quantile falls short of the 37 columns this needs
-        assert post._cutoff(8.0, np.exp(38.0)) == full
-        assert nb_tail_width(post, 8.0, np.exp(38.0)) == 37
+        # the bound keeps the full grid where the exact quantile cuts on 76 of these pairs
+        assert kept_full <= 100
+        # near p = 1, where the exact quantile needs 37 columns (with its spare), it cuts
+        assert nb_tail_width(post, 8.0, np.exp(38.0)) == 37 <= post._cutoff(8.0, np.exp(38.0)) < full
 
 
 class TestPacking:
@@ -920,10 +936,11 @@ class TestSimulate:
         k = rng.choice([1, 7, 250, 800], size=n)
         # up to 50 (K + 1), so even the Poisson limit keeps mass above 1e-300 on {0..K}
         offset = np.minimum(10.0 ** rng.uniform(-3.0, 3.0, size=n), 50.0 * (k + 1))
+        dispersions = (0.01, 0.05, 0.3, 1.0, 2.0, 50.0, 1e6, 1e8, 1e300)
         fallback = []
-        for dispersion in (0.3, 1.0, 2.0, 50.0, 1e6):
+        for dispersion in dispersions:
             means = offset.copy()
-            if dispersion <= 2.0:  # r = mu / (kappa + mu) rounds to 1: rho >= 1, whole rows
+            if dispersion <= 2.0:  # r = mu / (kappa + mu) rounds to 1, and the mean passes K
                 means[:8] = 1e18
             spec = RegressionSpec(np.ones((n, 1)), means, k)
             params = ModelParams(coef=np.array([0.0]), dispersion=dispersion,
@@ -937,7 +954,7 @@ class TestSimulate:
             np.testing.assert_array_equal(sim.latent_counts, latent)
             np.testing.assert_array_equal(sim.location, k * ref.beta(h * ybar, h * (1.0 - ybar)))
 
-            cut = _cut_columns(mu, dispersion, k)
+            cut = _nb_tail_cut(mu, dispersion, 60.0 * math.log(2.0), k)
             assert (cut >= 1).all() and (cut <= k + 1).all() and (widths[-1] >= cut).all()
             for level, idx in k_blocks(k):  # the whole-row cumsum is constant from the cut on
                 cdf = nb_cdf_rows(mu[idx], dispersion, level)
@@ -945,7 +962,7 @@ class TestSimulate:
                 assert ((cdf == at_cut) | (np.arange(level + 1) < cut[idx, None] - 1)).all()
             fallback.append(mu / (dispersion + mu) == 1.0)
             assert (cut[fallback[-1]] == k[fallback[-1]] + 1).all()
-        widths, k_all = np.concatenate(widths), np.tile(k, 5)
+        widths, k_all = np.concatenate(widths), np.tile(k, len(dispersions))
         assert (widths < k_all + 1).any() and (widths == k_all + 1).any()
         assert ((widths % 64 == 0) | (widths == k_all + 1)).all()
         assert np.concatenate(fallback).any()

@@ -22,11 +22,13 @@ set warms up; the next REPEATS passes are timed, the two kinds alternating, and
 the median pass of each kind is printed per call, with the share of points
 whose log density is -inf. For cnar the warm-up pass also records the grid
 length of the tail cut at each point: its quartiles say which regime the timing
-measured (about 190 columns around the truth, about 45 where a clamped seed-1
-`cnar-infer` chain goes), the share of calls that take the closed-form bare
-count pmf, and the share of calls that take the exact rerun on the full grid
-(`Posterior.exact_reruns`: a sum below the analytic shift's floor, or a cut
-whose mixture sums fail its certificate). One BLAS thread is used.
+measured (about 210 columns around the truth, about 48 where a clamped seed-1
+`cnar-infer` chain goes), the median number of cells it keeps past the exact
+quantile width (`tests/oracles.nb_tail_width`), the share of calls that take
+the closed-form bare count pmf, and the share of calls that take the exact
+rerun on the full grid (`Posterior.exact_reruns`: a sum below the analytic
+shift's floor, or a cut whose mixture sums fail its certificate). One BLAS
+thread is used.
 """
 
 import os
@@ -78,9 +80,17 @@ def time_calls(post, phis, kwargs) -> float:
 
 def report(post, label: str, phis) -> None:
     """Time `post.logp_and_grad` over `phis`, full and gradient-only, and print one line."""
-    widths = []  # the cnar tail cut's grid length per call, on the warm-up pass only
+    # per cnar call of the warm-up pass: the tail cut's grid length, and the cells it keeps
+    # past the exact quantile width at the same (mu_max, kappa)
+    widths, excess = [], []
     if post.model == "cnar":
-        post._cutoff = lambda *args, cut=post._cutoff: widths.append(cut(*args)) or widths[-1]
+        from oracles import nb_tail_width  # on the path `main` sets
+
+        def cutoff(*args, cut=post._cutoff):
+            widths.append(cut(*args))
+            excess.append(widths[-1] - nb_tail_width(post, *args))
+            return widths[-1]
+        post._cutoff = cutoff
     reruns = post.exact_reruns
     rejected = sum(not np.isfinite(post.logp_and_grad(phi)[0]) for phi in phis)
     reruns = post.exact_reruns - reruns
@@ -98,6 +108,7 @@ def report(post, label: str, phis) -> None:
     if widths:
         quartiles = tuple(np.percentile(widths, [25, 50, 75]))
         cut = "; cut width quartiles %.0f / %.0f / %.0f" % quartiles
+        cut += f"; median cells past the exact quantile {np.median(excess):.0f}"
         closed = int(np.sum(np.array(widths) <= post._closed_hi))
         cut += f"; closed-form share {closed / len(widths):.3f} ({closed} of {len(widths)})"
         cut += f"; exact-rerun share {reruns / len(widths):.4f} ({reruns} of {len(widths)})"
@@ -110,7 +121,7 @@ def main(argv=None) -> int:
     if len(args) != 1:
         raise SystemExit(__doc__.split("\n\n")[1])
     checkout = os.path.abspath(args[0])
-    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
+    sys.path[:0] = [os.path.join(checkout, d) for d in ("src", "bench", "tests")]
     import inputs as bench_inputs
     from grancount import cli, inference, model
 

@@ -8,8 +8,9 @@ temporary directory, on the benchmark's `granular-ppc` inputs for seeds 1 and 2
 
 - `count` and `fit`;
 - `simulate` for cnar, car1 and car2, and cnar again in the regimes of
-  `CNAR_REGIMES`: dispersion 0.3 and 50 (the CLI default is 2), and a coef
-  that puts many means near K = 500;
+  `CNAR_REGIMES`: dispersion 0.05 (a heavy tail, whose rows reach K), 0.3, 50
+  and 1e8 (near Poisson; the CLI default is 2), and a coef that puts many means
+  near K = 500;
 - `infer` for cnar, car1, car2 and scalar, with small HMC settings;
 - `ppc` on the benchmark draws (cnar) and on car2's own draws;
 
@@ -58,7 +59,8 @@ SMALL_HMC = ["--set", "hmc.n_chains=2", "--set", "hmc.n_warmup=60",
 MODELS = ("cnar", "car1", "car2", "scalar")
 BENCH_INFER = ("cnar-infer", "car2-infer")
 # label -> `--set` of an extra cnar `simulate` run, beyond the CLI defaults
-CNAR_REGIMES = {"dispersion0.3": "simulate.dispersion=0.3", "dispersion50": "simulate.dispersion=50",
+CNAR_REGIMES = {"dispersion0.05": "simulate.dispersion=0.05", "dispersion0.3": "simulate.dispersion=0.3",
+                "dispersion50": "simulate.dispersion=50", "dispersion1e8": "simulate.dispersion=1e8",
                 "near_k": "simulate.coef=[5.0,0.5]"}
 
 
@@ -127,6 +129,8 @@ ERROR_CASES = {
     "draws-energy-not-a-number": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n0,1,1.0,0.5,2.0,4.0,0.1,e,0\n"),
     "draws-divergent": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n0,1,{DRAW[:-1]}true\n"),
     "draws-chain-ids": ("ppc-draws", f"{DRAWS_HEADER}\n1,0,{DRAW}\n1,1,{DRAW}\n"),
+    "draws-chain-gap": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n2,0,{DRAW}\n"),
+    "draws-chain-counts": ("ppc-draws", f"{DRAWS_HEADER}\n0,0,{DRAW}\n0,1,{DRAW}\n1,0,{DRAW}\n"),
     "kernel-zero-mass": ("kernel", '{"nu": [1.0, 0.0], "outcomes": [[1.0, 0.5], [0.5, 1.0]]}'),
 }
 
